@@ -17,6 +17,7 @@ from __future__ import annotations
 import io
 import re
 import zipfile
+from dataclasses import replace
 
 from .errors import CodecError, ContainerError
 from .model import (
@@ -77,9 +78,14 @@ Entry = tuple[str, bytes | None]
 
 
 def _write_zip(entries: list[Entry]) -> bytes:
+    """Deterministic archive of ``entries``, sorted by path; every parent
+    directory of an entry gets its own directory entry."""
+
+    names = {name for name, _ in entries}
+    missing = {d for name in names for d in _parent_dirs(name)} - names
     buf = io.BytesIO()
     with zipfile.ZipFile(buf, "w") as zf:
-        for name, data in sorted(entries, key=lambda e: e[0]):
+        for name, data in sorted(entries + [(d, None) for d in missing], key=lambda e: e[0]):
             zi = zipfile.ZipInfo(name, date_time=_ZIP_EPOCH)
             zi.create_system = 3  # unix, pinned for cross-platform identical bytes
             if data is None:
@@ -151,10 +157,7 @@ def entries_from_problem(problem: Problem) -> list[Entry]:
         for path, data in section:
             put(path, data)
 
-    dirs = set(MANDATORY_DIRS)
-    for path in files:
-        dirs.update(_parent_dirs(path))
-    entries: list[Entry] = [(d, None) for d in dirs]
+    entries: list[Entry] = [(d, None) for d in MANDATORY_DIRS]
     entries.extend(files.items())
     return sorted(entries, key=lambda e: e[0])
 
@@ -216,19 +219,7 @@ def problem_from_entries(entries: list[Entry]) -> Problem:
                 resources.append((f"proofs/{dirname}/{inner}", group[inner]))
             continue
         attempt = parse_proof_info(group.pop(PROOF_INFO_NAME))
-        outputs = tuple((inner, group[inner]) for inner in sorted(group))
-        proofs.append(
-            ProofAttempt(
-                prover=attempt.prover,
-                version=attempt.version,
-                method=attempt.method,
-                status=attempt.status,
-                limits=attempt.limits,
-                measures=attempt.measures,
-                platform=attempt.platform,
-                outputs=outputs,
-            )
-        )
+        proofs.append(replace(attempt, outputs=tuple((inner, group[inner]) for inner in sorted(group))))
 
     return canonicalize_problem(
         Problem(
@@ -309,12 +300,7 @@ def strip_to_i2g(data: bytes) -> bytes:
         files[name] = content
     if not has_intergeo:
         raise ContainerError("MissingIntergeo", "container lacks construction/intergeo.xml")
-    dirs: set[str] = set()
-    for path in files:
-        dirs.update(_parent_dirs(path))
-    out: list[Entry] = [(d, None) for d in dirs]
-    out.extend(files.items())
-    return _write_zip(out)
+    return _write_zip(list(files.items()))
 
 
 def add_proof_attempt(data: bytes, attempt: ProofAttempt) -> bytes:
@@ -345,12 +331,8 @@ def add_proof_attempt(data: bytes, attempt: ProofAttempt) -> bytes:
                 "DuplicateAttempt",
                 f"attempt {attempt.prover}/{attempt.version}/{attempt.method} already present",
             )
-    added: list[Entry] = [(new_dir, None), (new_dir + PROOF_INFO_NAME, serialize_proof_info(attempt))]
-    for name, out_data in attempt.outputs:
-        added.append((new_dir + name, out_data))
-        for parent in _parent_dirs(new_dir + name):
-            if parent != new_dir and parent not in existing and all(parent != e[0] for e in added):
-                added.append((parent, None))
+    added: list[Entry] = [(new_dir + PROOF_INFO_NAME, serialize_proof_info(attempt))]
+    added.extend((new_dir + name, out_data) for name, out_data in attempt.outputs)
     return _write_zip(entries + added)
 
 
@@ -360,8 +342,12 @@ def add_proof_attempt(data: bytes, attempt: ProofAttempt) -> bytes:
 _KNOWN_TOP_DIRS = ("information/", "construction/", "conjecture/", "proofs/", "metadata/", "resources/", "private/")
 
 
+def _located(entry: str, violations: list[Violation]) -> list[Violation]:
+    return [Violation(v.code, f"{entry}{v.path}", v.message) for v in violations]
+
+
 def _doc_violations(kind: DocumentKind, entry: str, data: bytes) -> list[Violation]:
-    return [Violation(v.code, f"{entry}{v.path}", v.message) for v in validate_document(kind, data)]
+    return _located(entry, validate_document(kind, data))
 
 
 def validate_container(data: bytes, i2g: bool = False) -> list[Violation]:
@@ -433,11 +419,16 @@ def validate_entries(entries: list[Entry], i2g: bool = False) -> list[Violation]
         info_path = dir_path + PROOF_INFO_NAME
         if info_path not in files:
             continue  # proofInfo.xml itself is optional
-        out.extend(_doc_violations(DocumentKind.PROOF_INFO, info_path, files[info_path]))
         try:
-            attempt = parse_proof_info(files[info_path])
-        except CodecError:
-            continue
+            attempt = parse_proof_info(files[info_path], strict=True)
+        except CodecError as exc:
+            # strict violations are validate_document's; unknown tags alone
+            # still leave an attempt to check the directory against
+            out.extend(_located(info_path, exc.violations))
+            try:
+                attempt = parse_proof_info(files[info_path])
+            except CodecError:
+                continue
         if attempt.identity in triples_seen:
             out.append(
                 Violation(

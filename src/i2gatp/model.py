@@ -16,7 +16,7 @@ import enum
 import math
 import re
 import xml.parsers.expat
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 __all__ = [
     "BibEntry",
@@ -610,6 +610,9 @@ def _validate_construction(k: Construction, out: list[Violation]) -> None:
         path = f"/construction/constraints/{tag}[{i}]"
         if not ID_RE.match(c.output or ""):
             _violation(out, "BadId", path, f"invalid constraint output id {c.output!r}")
+        for ref in dict.fromkeys(c.inputs):
+            if not ID_RE.match(ref):
+                _violation(out, "BadId", path, f"invalid input id {ref!r}")
         if c.output in outputs_seen:
             _violation(out, "DuplicateOutput", path, f"id {c.output!r} defined by more than one constraint")
         outputs_seen.add(c.output)
@@ -650,25 +653,13 @@ def _validate_construction(k: Construction, out: list[Violation]) -> None:
             )
 
 
-def _validate_term(t: Term, kinds: dict[str, GeoKind] | None, path: str, out: list[Violation]) -> None:
+def _validate_constants(t: Term, path: str, out: list[Violation]) -> None:
     if isinstance(t, Const):
         if not _finite(t.value):
             _violation(out, "NonFinite", path, "constant must be finite")
-        return
-    if isinstance(t, SegmentLength):
-        if kinds is not None:
-            for ref in (t.a, t.b):
-                _check_point_ref(ref, kinds, path, out)
-        return
-    _validate_term(t.left, kinds, path, out)
-    _validate_term(t.right, kinds, path, out)
-
-
-def _check_point_ref(ref: str, kinds: dict[str, GeoKind], path: str, out: list[Violation]) -> None:
-    if ref not in kinds:
-        _violation(out, "UnresolvedId", path, f"id {ref!r} does not resolve in the construction")
-    elif kinds[ref] is not GeoKind.POINT:
-        _violation(out, "KindMismatch", path, f"id {ref!r} is a {kinds[ref].value}, predicates take points")
+    elif isinstance(t, (Plus, Mult)):
+        _validate_constants(t.left, path, out)
+        _validate_constants(t.right, path, out)
 
 
 def _predicate_tag(p: Predicate) -> str:
@@ -696,13 +687,20 @@ def _validate_conjecture(c: Conjecture, k: Construction | None, out: list[Violat
     for section, preds in (("hypothesis", c.hypothesis), ("ndg", c.ndg), ("conclusion", c.conclusion)):
         for i, p in enumerate(preds):
             path = f"/conjecture/{section}/{_predicate_tag(p)}[{i}]"
+            # a repeated id is reported once per predicate
+            for ref in dict.fromkeys(predicate_point_ids(p)):
+                if not ID_RE.match(ref):
+                    _violation(out, "BadId", path, f"invalid point id {ref!r}")
+                if kinds is None:
+                    continue
+                if ref not in kinds:
+                    _violation(out, "UnresolvedId", path, f"id {ref!r} does not resolve in the construction")
+                elif kinds[ref] is not GeoKind.POINT:
+                    _violation(out, "KindMismatch", path, f"id {ref!r} is a {kinds[ref].value}, predicates take points")
             if isinstance(p, Equal):
-                _validate_term(p.left, kinds, path, out)
-                _validate_term(p.right, kinds, path, out)
-            elif kinds is not None:
-                for ref in predicate_point_ids(p):
-                    _check_point_ref(ref, kinds, path, out)
-            if isinstance(p, SegmentRatio):
+                _validate_constants(p.left, path, out)
+                _validate_constants(p.right, path, out)
+            elif isinstance(p, SegmentRatio):
                 if not _finite(p.ratio) or p.ratio < 0.0:
                     _violation(out, "BadRatio", path, f"segment ratio {p.ratio} must be finite and >= 0")
 
@@ -859,22 +857,11 @@ def canonicalize_problem(p: Problem) -> Problem:
     untouched; unpack(pack(p)) equals canonicalize_problem(p)."""
 
     proofs = tuple(
-        ProofAttempt(
-            prover=a.prover,
-            version=a.version,
-            method=a.method,
-            status=a.status,
-            limits=a.limits,
-            measures=a.measures,
-            platform=a.platform,
-            outputs=tuple(sorted(a.outputs, key=lambda kv: kv[0])),
-        )
+        replace(a, outputs=tuple(sorted(a.outputs, key=lambda kv: kv[0])))
         for a in sorted(p.proofs, key=lambda a: a.identity)
     )
-    return Problem(
-        construction=p.construction,
-        info=p.info,
-        conjecture=p.conjecture,
+    return replace(
+        p,
         proofs=proofs,
         resources=tuple(sorted(p.resources, key=lambda kv: kv[0])),
         metadata=tuple(sorted(p.metadata, key=lambda kv: kv[0])),

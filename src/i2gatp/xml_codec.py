@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 from .errors import CodecError
 from .model import (
-    ATTEMPT_FIELD_RE,
     BibEntry,
     Collinear,
     Conjecture,
@@ -33,7 +32,6 @@ from .model import (
     Equal,
     GeoKind,
     Harmonic,
-    ID_RE,
     Midpoint,
     Mult,
     NotEqual,
@@ -91,22 +89,27 @@ _INT_RE = re.compile(r"[+-]?\d+\Z")
 
 @dataclass
 class _RawNode:
+    """One element of the raw tree.  Only opaque payloads need source bytes,
+    so tag ends are found when ``raw`` or ``inner`` is called."""
+
     tag: str
     attrs: dict[str, str]
     children: list["_RawNode"] = field(default_factory=list)
     text: str = ""
-    start: int = -1        # offset of '<' of the start tag
-    inner_start: int = -1  # offset just past '>' of the start tag (-1 if empty tag)
-    inner_end: int = -1    # offset of '<' of the end tag
-    end: int = -1          # offset just past '>' of the whole element
+    start: int = -1      # offset of '<' of the start tag
+    end_event: int = -1  # offset at the end event: '<' of the end tag unless empty
 
     def raw(self, data: bytes) -> bytes:
-        return data[self.start : self.end]
+        tag_end = _find_tag_end(data, self.start)
+        if data[tag_end - 1] != 0x2F:  # not '/>': the element has an end tag
+            tag_end = _find_tag_end(data, self.end_event)
+        return data[self.start : tag_end + 1]
 
     def inner(self, data: bytes) -> bytes:
-        if self.inner_start < 0:
+        tag_end = _find_tag_end(data, self.start)
+        if data[tag_end - 1] == 0x2F:  # '/>': empty-element tag
             return b""
-        return data[self.inner_start : self.inner_end].strip()
+        return data[tag_end + 1 : self.end_event].strip()
 
     def ids(self) -> list[str]:
         return self.text.split()
@@ -137,16 +140,9 @@ def _parse_raw(data: bytes) -> _RawNode:
     parser = xml.parsers.expat.ParserCreate()
     roots: list[_RawNode] = []
     stack: list[_RawNode] = []
-    empty_tag_ends: dict[int, int] = {}
 
     def on_start(name: str, attrs: dict[str, str]) -> None:
-        start = parser.CurrentByteIndex
-        tag_end = _find_tag_end(data, start)
-        node = _RawNode(tag=name, attrs=attrs, start=start)
-        if data[tag_end - 1] == 0x2F:  # '/>': empty-element tag
-            empty_tag_ends[id(node)] = tag_end + 1
-        else:
-            node.inner_start = tag_end + 1
+        node = _RawNode(tag=name, attrs=attrs, start=parser.CurrentByteIndex)
         if stack:
             stack[-1].children.append(node)
         else:
@@ -154,13 +150,7 @@ def _parse_raw(data: bytes) -> _RawNode:
         stack.append(node)
 
     def on_end(name: str) -> None:
-        node = stack.pop()
-        known_end = empty_tag_ends.pop(id(node), None)
-        if known_end is not None:
-            node.end = known_end
-        else:
-            node.inner_end = parser.CurrentByteIndex
-            node.end = _find_tag_end(data, node.inner_end) + 1
+        stack.pop().end_event = parser.CurrentByteIndex
 
     def on_chars(text: str) -> None:
         if stack:
@@ -177,21 +167,12 @@ def _parse_raw(data: bytes) -> _RawNode:
 # Analysis support
 
 
-class _Report:
-    """Violation collector distinguishing blocking errors from warnings."""
-
-    def __init__(self) -> None:
-        self.errors: list[Violation] = []
-        self.warnings: list[Violation] = []
+class _Report(list):
+    """Syntax violations found while reading a document; value checks are
+    left to the model validators."""
 
     def error(self, code: str, path: str, message: str) -> None:
-        self.errors.append(Violation(code, path, message))
-
-    def warn(self, code: str, path: str, message: str) -> None:
-        self.warnings.append(Violation(code, path, message))
-
-    def all(self) -> list[Violation]:
-        return self.errors + self.warnings
+        self.append(Violation(code, path, message))
 
 
 def _parse_num(text: str, path: str, rep: _Report) -> float | None:
@@ -215,12 +196,6 @@ def _num_attr(node: _RawNode, name: str, path: str, rep: _Report) -> float | Non
     return _parse_num(node.attrs[name], f"{path}/@{name}", rep)
 
 
-def _check_id(value: str, path: str, rep: _Report) -> str:
-    if not ID_RE.match(value):
-        rep.error("BadId", path, f"invalid id {value!r}")
-    return value
-
-
 def _expect_root(root: _RawNode, tag: str, rep: _Report) -> bool:
     if root.tag != tag:
         rep.error("UnknownTag", "/", f"expected root <{tag}>, found <{root.tag}>")
@@ -231,16 +206,14 @@ def _expect_root(root: _RawNode, tag: str, rep: _Report) -> bool:
 def _singletons(
     root: _RawNode, path: str, allowed: tuple[str, ...], rep: _Report, strict: bool
 ) -> dict[str, _RawNode]:
-    """First occurrence of each allowed child; duplicates and strangers
-    are violations (warnings when not strict)."""
+    """First occurrence of each allowed child; duplicates are violations,
+    and so are strangers when ``strict`` (otherwise they are ignored)."""
 
     found: dict[str, _RawNode] = {}
     for ch in root.children:
         if ch.tag not in allowed:
             if strict:
                 rep.error("UnknownTag", f"{path}/{ch.tag}", f"unknown tag <{ch.tag}>")
-            else:
-                rep.warn("UnknownTag", f"{path}/{ch.tag}", f"unknown tag <{ch.tag}> ignored")
             continue
         if ch.tag in found:
             rep.error("DuplicateEntry", f"{path}/{ch.tag}", f"repeated <{ch.tag}> element")
@@ -257,12 +230,7 @@ def _analyze_information(root: _RawNode, data: bytes, rep: _Report, strict: bool
     if not _expect_root(root, "information", rep):
         return None
     kids = _singletons(root, "/information", ("name", "description", "statement", "bibrefs", "keywords"), rep, strict)
-    name_node = kids.get("name")
-    if name_node is None or not name_node.text.strip():
-        rep.error("MissingName", "/information/name", "the name is the only required field")
-        name = ""
-    else:
-        name = name_node.text.strip()
+    name = kids["name"].text.strip() if "name" in kids else ""
     description = kids["description"].text.strip() if "description" in kids else ""
     statement = kids["statement"].inner(data) if "statement" in kids else b""
     bibrefs: list[BibEntry] = []
@@ -272,10 +240,7 @@ def _analyze_information(root: _RawNode, data: bytes, rep: _Report, strict: bool
             if ch.tag != "bibentry":
                 rep.error("UnknownTag", path, f"expected <bibentry>, found <{ch.tag}>")
                 continue
-            entry_id = ch.attrs.get("id", "")
-            if not entry_id:
-                rep.error("BadId", path, "bibentry requires an id attribute")
-            bibrefs.append(BibEntry(id=entry_id, payload=ch.inner(data)))
+            bibrefs.append(BibEntry(id=ch.attrs.get("id", ""), payload=ch.inner(data)))
     keywords: list[str] = []
     if "keywords" in kids:
         for i, ch in enumerate(kids["keywords"].children):
@@ -317,7 +282,7 @@ def _analyze_term(node: _RawNode, path: str, rep: _Report) -> Term | None:
         if len(ids) != 2:
             rep.error("ArityError", path, f"segment_length takes 2 point ids, got {len(ids)}")
             return None
-        return SegmentLength(*(_check_id(i, path, rep) for i in ids))
+        return SegmentLength(*ids)
     if node.tag in ("plus", "mult"):
         if len(node.children) != 2:
             rep.error("ArityError", path, f"{node.tag} takes 2 terms, got {len(node.children)}")
@@ -339,7 +304,7 @@ def _analyze_predicate(node: _RawNode, path: str, rep: _Report) -> Predicate | N
         if len(ids) != want:
             rep.error("ArityError", path, f"{tag} takes {want} point ids, got {len(ids)}")
             return None
-        return cls(*(_check_id(i, path, rep) for i in ids))
+        return cls(*ids)
     if tag == "segment_ratio":
         ids = node.ids()
         if len(ids) != 4:
@@ -351,7 +316,7 @@ def _analyze_predicate(node: _RawNode, path: str, rep: _Report) -> Predicate | N
         ratio = _parse_num(node.attrs["ratio"], f"{path}/@ratio", rep)
         if ratio is None:
             return None
-        return SegmentRatio(*(_check_id(i, path, rep) for i in ids), ratio=ratio)
+        return SegmentRatio(*ids, ratio=ratio)
     if tag == "equal":
         if len(node.children) != 2:
             rep.error("ArityError", path, f"equal takes 2 terms, got {len(node.children)}")
@@ -378,8 +343,6 @@ def _analyze_conjecture(root: _RawNode, data: bytes, rep: _Report, strict: bool)
                 if p is not None:
                     preds.append(p)
         sections[section] = tuple(preds)
-    if "conclusion" not in kids or not kids["conclusion"].children:
-        rep.error("MissingConclusion", "/conjecture/conclusion", "conclusion must contain at least one predicate")
     return Conjecture(
         hypothesis=sections["hypothesis"],
         ndg=sections["ndg"],
@@ -418,7 +381,6 @@ def _analyze_construction(root: _RawNode, data: bytes, rep: _Report, strict: boo
         if ch.tag not in _ELEMENT_ATTRS:
             rep.error("UnknownTag", path, f"unsupported element kind <{ch.tag}>")
             continue
-        elem_id = _check_id(ch.attrs.get("id", ""), path, rep)
         coords: list[float] = []
         ok = True
         for attr in _ELEMENT_ATTRS[ch.tag]:
@@ -428,7 +390,7 @@ def _analyze_construction(root: _RawNode, data: bytes, rep: _Report, strict: boo
             else:
                 coords.append(value)
         if ok:
-            elements.append(ElementInstance(id=elem_id, kind=GeoKind(ch.tag), coords=tuple(coords)))
+            elements.append(ElementInstance(id=ch.attrs.get("id", ""), kind=GeoKind(ch.tag), coords=tuple(coords)))
     constraints: list[Constraint] = []
     if "constraints" in kids:
         for i, ch in enumerate(kids["constraints"].children):
@@ -437,7 +399,6 @@ def _analyze_construction(root: _RawNode, data: bytes, rep: _Report, strict: boo
             if not out_id:
                 rep.error("BadId", path, f"constraint <{ch.tag}> requires an out attribute")
                 continue
-            _check_id(out_id, path, rep)
             kind = _CONSTRAINT_TAGS.get(ch.tag)
             if kind is None:
                 constraints.append(
@@ -449,15 +410,11 @@ def _analyze_construction(root: _RawNode, data: bytes, rep: _Report, strict: boo
                     )
                 )
                 continue
-            inputs = tuple(_check_id(ref, path, rep) for ref in ch.ids())
             parameter = None
             param_attr = _PARAM_ATTRS.get(kind)
-            if param_attr is not None:
-                if param_attr not in ch.attrs:
-                    rep.error("MissingParameter", path, f"{ch.tag} requires a {param_attr!r} attribute")
-                else:
-                    parameter = _parse_num(ch.attrs[param_attr], f"{path}/@{param_attr}", rep)
-            constraints.append(Constraint(output=out_id, kind=kind, inputs=inputs, parameter=parameter))
+            if param_attr in ch.attrs:
+                parameter = _parse_num(ch.attrs[param_attr], f"{path}/@{param_attr}", rep)
+            constraints.append(Constraint(output=out_id, kind=kind, inputs=tuple(ch.ids()), parameter=parameter))
     display = kids["display"].raw(data) if "display" in kids else b""
     return Construction(elements=tuple(elements), constraints=tuple(constraints), display=display)
 
@@ -494,12 +451,7 @@ def _analyze_proof_info(root: _RawNode, data: bytes, rep: _Report, strict: bool)
         rep,
         strict,
     )
-    identity: dict[str, str] = {}
-    for fld in ("prover", "version", "method"):
-        text = kids[fld].text.strip() if fld in kids else ""
-        if not ATTEMPT_FIELD_RE.match(text):
-            rep.error("BadName", f"/proof_info/{fld}", f"invalid {fld} {text!r}")
-        identity[fld] = text
+    identity = {fld: kids[fld].text.strip() if fld in kids else "" for fld in ("prover", "version", "method")}
     status_text = kids["status"].text.strip() if "status" in kids else ""
     status = _STATUS_BY_TEXT.get(status_text.lower())
     if status is None:
@@ -571,17 +523,6 @@ _ANALYZERS = {
 }
 
 
-def _analyze(kind: DocumentKind, data: bytes, strict: bool):
-    rep = _Report()
-    try:
-        root = _parse_raw(data)
-    except xml.parsers.expat.ExpatError as exc:
-        rep.error("MalformedXml", "/", f"XML parse error: {exc}")
-        return None, rep
-    value = _ANALYZERS[kind](root, data, rep, strict)
-    return value, rep
-
-
 def _model_violations(kind: DocumentKind, value) -> list[Violation]:
     if value is None:
         return []
@@ -594,23 +535,24 @@ def _model_violations(kind: DocumentKind, value) -> list[Violation]:
     return validate_attempt(value)
 
 
-def _dedupe(violations: list[Violation]) -> list[Violation]:
-    seen: set[Violation] = set()
-    unique: list[Violation] = []
-    for v in violations:
-        if v not in seen:
-            seen.add(v)
-            unique.append(v)
-    return unique
+def _violations(kind: DocumentKind, data: bytes, strict: bool):
+    """The value read from ``data`` and every violation: syntax ones from
+    the reader, then value ones from the model validators."""
+
+    rep = _Report()
+    try:
+        root = _parse_raw(data)
+    except xml.parsers.expat.ExpatError as exc:
+        rep.error("MalformedXml", "/", f"XML parse error: {exc}")
+        return None, rep
+    value = _ANALYZERS[kind](root, data, rep, strict)
+    return value, rep + _model_violations(kind, value)
 
 
 def _parse(kind: DocumentKind, data: bytes, strict: bool):
-    value, rep = _analyze(kind, data, strict)
-    errors = rep.errors + _model_violations(kind, value)
-    if strict:
-        errors += rep.warnings
-    if errors:
-        raise CodecError(_dedupe(errors))
+    value, violations = _violations(kind, data, strict)
+    if violations:
+        raise CodecError(violations)
     return value
 
 
@@ -643,8 +585,7 @@ def parse_proof_info(data: bytes, strict: bool = False) -> ProofAttempt:
 def validate_document(kind: DocumentKind, data: bytes) -> list[Violation]:
     """All structural violations of one document, without parse commitment."""
 
-    value, rep = _analyze(kind, data, True)
-    return _dedupe(rep.all() + _model_violations(kind, value))
+    return _violations(kind, data, True)[1]
 
 
 # ---------------------------------------------------------------------------

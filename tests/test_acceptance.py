@@ -228,14 +228,16 @@ def test_criterion_3_xml_round_trip_and_mutations(corpus, corpus_containers):
     container_mutations = _container_mutations(corpus_containers)
     ok = ok and (len(mutations) + len(container_mutations)) >= 15
     failures = []
-    for label, kind, mutated, expected in mutations:
-        codes = {v.code for v in validate_document(kind, mutated)}
-        if expected not in codes or not codes:
+    reports = [(label, validate_document(kind, mutated), expected) for label, kind, mutated, expected in mutations]
+    reports += [(label, validate_container(mutated), expected) for label, mutated, expected in container_mutations]
+    for label, violations, expected in reports:
+        codes = {v.code for v in violations}
+        if expected not in codes:
             failures.append((label, expected, codes))
-    for label, mutated, expected in container_mutations:
-        codes = {v.code for v in validate_container(mutated)}
-        if expected not in codes or not codes:
-            failures.append((label, expected, codes))
+        # one owner per invariant: no finding is reported twice
+        pairs = [(v.code, v.path) for v in violations]
+        if len(pairs) != len(set(pairs)):
+            failures.append((label, "repeated (code, path)", pairs))
     ok = ok and not failures
     _report(3, "xml round-trip and mutation corpus", ok)
     assert ok, failures

@@ -170,6 +170,20 @@ def test_add_proof_attempt_round_trip(corpus):
     assert exc.value.code == "DuplicateAttempt"
 
 
+def test_add_proof_attempt_writes_missing_parent_dirs(corpus):
+    data = pack(corpus["varignon"])
+    files_only = _rezip([(n, _read(data, n)) for n in _names(data) if not n.endswith("/")])
+    attempt = ProofAttempt("GCLCprover", "2.0", "areamethod", ProofStatus.PROVED, outputs=(("logs/run.txt", b"ok\n"),))
+    updated = add_proof_attempt(files_only, attempt)
+    assert {
+        "construction/",
+        "proofs/",
+        "proofs/proofGCLCprover2.0areamethod/",
+        "proofs/proofGCLCprover2.0areamethod/logs/",
+    } <= set(_names(updated))
+    assert validate_container(updated) == []
+
+
 def test_validate_container_clean_corpus(corpus_containers):
     for name, data in corpus_containers.items():
         assert validate_container(data) == [], name
@@ -198,6 +212,21 @@ def test_validate_locates_malformed_documents(corpus):
     violations = validate_container(_rezip(entries))
     assert violations and all(v.path.startswith("information/information.xml") for v in violations)
     assert violations[0].code == "MalformedXml"
+
+
+def test_unknown_tag_in_proof_info_still_checks_its_directory(corpus):
+    data = pack(corpus["varignon_attempts"])
+    wu = _read(data, "proofs/proofGCLCprover2.0wu/proofInfo.xml")
+    moved = wu.replace(b"</proof_info>", b"<mood>tired</mood></proof_info>")
+    violations = validate_container(_rezip([
+        *((n, None if n.endswith("/") else _read(data, n)) for n in _names(data)),
+        ("proofs/proofOtherdir1.0x/proofInfo.xml", moved),
+    ]))
+    pairs = [(v.code, v.path) for v in violations]
+    assert ("UnknownTag", "proofs/proofOtherdir1.0x/proofInfo.xml/proof_info/mood") in pairs
+    assert ("DirNameMismatch", "proofs/proofOtherdir1.0x/") in pairs
+    assert ("DuplicateAttempt", "proofs/proofOtherdir1.0x/proofInfo.xml") in pairs
+    assert len(pairs) == len(set(pairs))
 
 
 def test_validate_missing_mandatory_dir():

@@ -170,6 +170,21 @@ def test_unknown_constraint_is_opaque_and_byte_stable():
     assert canonicalize(DocumentKind.CONSTRUCTION, canonical) == canonical
 
 
+def test_opaque_payloads_of_empty_tags_and_quoted_brackets():
+    doc = (
+        b"<construction>"
+        b'<elements><point id="A" x="0" y="0"/><point id="B" x="1" y="0"/></elements>'
+        b'<constraints><free_point out="A"/><tangent_hint note="a > b" out="B"/></constraints>'
+        b"<display><style color='x>y'/></display >"
+        b"</construction>"
+    )
+    k = parse_construction(doc)
+    assert k.constraints[1].opaque_payload == b'<tangent_hint note="a > b" out="B"/>'
+    assert k.display == b"<display><style color='x>y'/></display >"
+    info = parse_information(b'<information><name>x</name><statement/><bibrefs><bibentry id="r"/></bibrefs></information>')
+    assert info.statement == b"" and info.bibrefs == (BibEntry("r", b""),)
+
+
 def test_missing_elements_part():
     with pytest.raises(CodecError) as exc:
         parse_construction(b"<construction><constraints/></construction>")
@@ -277,6 +292,10 @@ def test_serializers_reject_invalid_values():
     with pytest.raises(CodecError) as exc2:
         serialize_conjecture(Conjecture(hypothesis=(), ndg=(), conclusion=()))
     assert exc2.value.code == "MissingConclusion"
+    # an id with a space would serialize to text that reads back as two ids
+    with pytest.raises(CodecError) as exc3:
+        serialize_conjecture(Conjecture(hypothesis=(), ndg=(), conclusion=(Collinear("A B", "C", "D"),)))
+    assert exc3.value.code == "BadId"
 
 
 _name_st = st.from_regex(r"[A-Za-z0-9_][A-Za-z0-9_-]{0,20}", fullmatch=True)
