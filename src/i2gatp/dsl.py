@@ -31,7 +31,12 @@ from .errors import (
 )
 from .model import (
     CONSTRAINT_SIGNATURES,
-    Collinear,
+    ID_RE,
+    NUMBER_RE,
+    PREDICATE_NAMES,
+    PREDICATES,
+    TERM_NAMES,
+    TERMS,
     Conjecture,
     Const,
     Constraint,
@@ -40,41 +45,18 @@ from .model import (
     ElementInstance,
     Equal,
     GeoKind,
-    Harmonic,
-    ID_RE,
-    Midpoint,
-    Mult,
-    NotEqual,
-    NotParallel,
-    Parallel,
-    Perpendicular,
-    Plus,
     Predicate,
     Problem,
     ProblemInfo,
-    SameLength,
     SegmentLength,
     SegmentRatio,
     Term,
+    format_number,
     predicate_point_ids,
 )
 from .numeric import SceneLine, ScenePoint, instantiate
 
 __all__ = ["emit_dsl", "emit_prover_input", "parse_dsl"]
-
-_NUM_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
-
-# statement keyword -> (constraint kind, input kinds)
-_STATEMENTS: dict[str, tuple[ConstraintKind, tuple[GeoKind, ...]]] = {
-    "line": (ConstraintKind.LINE_THROUGH_TWO_POINTS, (GeoKind.POINT, GeoKind.POINT)),
-    "intersec": (ConstraintKind.INTERSECTION_OF_TWO_LINES, (GeoKind.LINE, GeoKind.LINE)),
-    "midpoint": (ConstraintKind.MIDPOINT_OF_TWO_POINTS, (GeoKind.POINT, GeoKind.POINT)),
-    "circle": (ConstraintKind.CIRCLE_BY_CENTER_AND_POINT, (GeoKind.POINT, GeoKind.POINT)),
-    "perp": (ConstraintKind.PERPENDICULAR_LINE_THROUGH_POINT, (GeoKind.LINE, GeoKind.POINT)),
-    "parallel": (ConstraintKind.PARALLEL_LINE_THROUGH_POINT, (GeoKind.LINE, GeoKind.POINT)),
-    "online": (ConstraintKind.POINT_ON_LINE, (GeoKind.LINE,)),
-    "oncircle": (ConstraintKind.POINT_ON_CIRCLE, (GeoKind.CIRCLE,)),
-}
 
 _STATEMENT_KEYWORDS = {
     ConstraintKind.FREE_POINT: "point",
@@ -87,24 +69,9 @@ _STATEMENT_KEYWORDS = {
     ConstraintKind.POINT_ON_LINE: "online",
     ConstraintKind.POINT_ON_CIRCLE: "oncircle",
 }
-
-# predicate name -> (class, point arity); equal and segment_ratio are special
-_PREDICATES: dict[str, tuple[type, int]] = {
-    "not_equal": (NotEqual, 2),
-    "not_parallel": (NotParallel, 4),
-    "collinear": (Collinear, 3),
-    "perpendicular": (Perpendicular, 4),
-    "parallel": (Parallel, 4),
-    "midpoint": (Midpoint, 3),
-    "same_length": (SameLength, 4),
-    "harmonic": (Harmonic, 4),
-}
+_STATEMENTS = {keyword: kind for kind, keyword in _STATEMENT_KEYWORDS.items()}
 
 _HEADER_RE = re.compile(r"%\s*(name|description|keyword)\s*:\s*(.*?)\s*$")
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 # ---------------------------------------------------------------------------
@@ -137,46 +104,44 @@ def _check_id_token(token: str, line: int) -> str:
 
 
 def _parse_number(token: str, line: int) -> float:
-    if not _NUM_RE.match(token):
+    if not NUMBER_RE.match(token):
         raise DslSyntaxError(line, f"malformed number {token!r}")
     return float(token)
 
 
+def _parse_point_ids(toks: _Tokens, count: int) -> list[str]:
+    ids = []
+    for _ in range(count):
+        ref, rline = toks.take("a point id")
+        ids.append(_check_id_token(ref, rline))
+    return ids
+
+
 def _parse_term(toks: _Tokens) -> Term:
     token, line = toks.take("a term")
-    if token == "const":
+    cls = TERMS.get(token)
+    if cls is None:
+        raise DslSyntaxError(line, f"unknown term {token!r}")
+    if cls is Const:
         value, vline = toks.take("a number")
         return Const(_parse_number(value, vline))
-    if token == "segment_length":
-        a, aline = toks.take("a point id")
-        b, bline = toks.take("a point id")
-        return SegmentLength(_check_id_token(a, aline), _check_id_token(b, bline))
-    if token in ("plus", "mult"):
-        left = _parse_term(toks)
-        right = _parse_term(toks)
-        return (Plus if token == "plus" else Mult)(left, right)
-    raise DslSyntaxError(line, f"unknown term {token!r}")
+    if cls is SegmentLength:
+        return SegmentLength(*_parse_point_ids(toks, 2))
+    return cls(_parse_term(toks), _parse_term(toks))
 
 
 def _parse_predicate(toks: _Tokens) -> tuple[Predicate, int]:
     token, line = toks.take("a predicate")
-    if token in _PREDICATES:
-        cls, arity = _PREDICATES[token]
-        ids = []
-        for _ in range(arity):
-            ref, rline = toks.take("a point id")
-            ids.append(_check_id_token(ref, rline))
-        return cls(*ids), line
-    if token == "segment_ratio":
-        ids = []
-        for _ in range(4):
-            ref, rline = toks.take("a point id")
-            ids.append(_check_id_token(ref, rline))
-        value, vline = toks.take("a ratio")
-        return SegmentRatio(*ids, ratio=_parse_number(value, vline)), line
-    if token == "equal":
+    if token not in PREDICATES:
+        raise DslSyntaxError(line, f"unknown predicate {token!r}")
+    cls, arity = PREDICATES[token]
+    if cls is Equal:
         return Equal(_parse_term(toks), _parse_term(toks)), line
-    raise DslSyntaxError(line, f"unknown predicate {token!r}")
+    ids = _parse_point_ids(toks, arity)
+    if cls is not SegmentRatio:
+        return cls(*ids), line
+    value, vline = toks.take("a ratio")
+    return SegmentRatio(*ids, ratio=_parse_number(value, vline)), line
 
 
 def _parse_prove_block(tokens: list[tuple[str, int]], start_line: int):
@@ -267,7 +232,10 @@ def parse_dsl(text: str) -> Problem:
             if not any(tok == "}" for tok, _ in tokens):
                 in_block = True
             continue
-        if keyword == "point":
+        kind = _STATEMENTS.get(keyword)
+        if kind is None:
+            raise DslSyntaxError(lineno, f"unknown statement {keyword!r}")
+        if kind is ConstraintKind.FREE_POINT:
             if len(tokens) != 4:
                 raise DslSyntaxError(lineno, "usage: point <id> <x> <y>")
             out_id = _check_id_token(tokens[1][0], lineno)
@@ -275,27 +243,21 @@ def parse_dsl(text: str) -> Problem:
             x = _parse_number(tokens[2][0], lineno)
             y = _parse_number(tokens[3][0], lineno)
             free_assign[out_id] = (x, y)
-            constraints.append(Constraint(output=out_id, kind=ConstraintKind.FREE_POINT))
+            constraints.append(Constraint(output=out_id, kind=kind))
             continue
-        if keyword in _STATEMENTS:
-            kind, in_kinds = _STATEMENTS[keyword]
-            takes_param = kind in (ConstraintKind.POINT_ON_LINE, ConstraintKind.POINT_ON_CIRCLE)
-            want = 2 + len(in_kinds) + (1 if takes_param else 0)
-            if len(tokens) != want:
-                raise DslSyntaxError(lineno, f"{keyword} takes {want - 2} arguments")
-            out_id = _check_id_token(tokens[1][0], lineno)
-            inputs = []
-            for (ref, _), want_kind in zip(tokens[2 : 2 + len(in_kinds)], in_kinds):
-                _check_id_token(ref, lineno)
-                require(ref, want_kind, lineno)
-                inputs.append(ref)
-            parameter = _parse_number(tokens[-1][0], lineno) if takes_param else None
-            define(out_id, CONSTRAINT_SIGNATURES[kind][1], lineno)
-            constraints.append(
-                Constraint(output=out_id, kind=kind, inputs=tuple(inputs), parameter=parameter)
-            )
-            continue
-        raise DslSyntaxError(lineno, f"unknown statement {keyword!r}")
+        in_kinds, out_kind, takes_param = CONSTRAINT_SIGNATURES[kind]
+        want = 2 + len(in_kinds) + takes_param
+        if len(tokens) != want:
+            raise DslSyntaxError(lineno, f"{keyword} takes {want - 2} arguments")
+        out_id = _check_id_token(tokens[1][0], lineno)
+        inputs = []
+        for (ref, _), want_kind in zip(tokens[2 : 2 + len(in_kinds)], in_kinds):
+            _check_id_token(ref, lineno)
+            require(ref, want_kind, lineno)
+            inputs.append(ref)
+        parameter = _parse_number(tokens[-1][0], lineno) if takes_param else None
+        define(out_id, out_kind, lineno)
+        constraints.append(Constraint(output=out_id, kind=kind, inputs=tuple(inputs), parameter=parameter))
 
     if in_block:
         raise DslSyntaxError(prove_line, "unterminated prove block")
@@ -352,45 +314,30 @@ def parse_dsl(text: str) -> Problem:
 
 
 def _term_text(t: Term) -> str:
+    name = TERM_NAMES[type(t)]
     if isinstance(t, Const):
-        return f"const {_fmt(t.value)}"
+        return f"{name} {format_number(t.value)}"
     if isinstance(t, SegmentLength):
-        return f"segment_length {t.a} {t.b}"
-    if isinstance(t, Plus):
-        return f"plus {_term_text(t.left)} {_term_text(t.right)}"
-    if isinstance(t, Mult):
-        return f"mult {_term_text(t.left)} {_term_text(t.right)}"
-    raise TypeError(f"not a Term: {t!r}")
+        return f"{name} {t.a} {t.b}"
+    return f"{name} {_term_text(t.left)} {_term_text(t.right)}"
 
 
 def predicate_text(p: Predicate) -> str:
     """Fixed prefix notation shared by the DSL and the prover input."""
 
+    name = PREDICATE_NAMES[type(p)]
     if isinstance(p, Equal):
-        return f"equal {_term_text(p.left)} {_term_text(p.right)}"
-    if isinstance(p, SegmentRatio):
-        return f"segment_ratio {p.a} {p.b} {p.c} {p.d} {_fmt(p.ratio)}"
-    name = {
-        NotEqual: "not_equal",
-        NotParallel: "not_parallel",
-        Collinear: "collinear",
-        Perpendicular: "perpendicular",
-        Parallel: "parallel",
-        Midpoint: "midpoint",
-        SameLength: "same_length",
-        Harmonic: "harmonic",
-    }[type(p)]
-    return " ".join((name,) + predicate_point_ids(p))
+        return f"{name} {_term_text(p.left)} {_term_text(p.right)}"
+    text = " ".join((name,) + predicate_point_ids(p))
+    return f"{text} {format_number(p.ratio)}" if isinstance(p, SegmentRatio) else text
 
 
-def _statement_text(c: Constraint, coords: dict[str, tuple[float, ...]]) -> str:
-    if c.kind is ConstraintKind.FREE_POINT:
-        x, y = coords[c.output][:2]
-        return f"point {c.output} {_fmt(x)} {_fmt(y)}"
-    keyword = _STATEMENT_KEYWORDS[c.kind]
-    parts = [keyword, c.output, *c.inputs]
-    if c.kind in (ConstraintKind.POINT_ON_LINE, ConstraintKind.POINT_ON_CIRCLE):
-        parts.append(_fmt(c.parameter or 0.0))
+def _step_text(name: str, c: Constraint) -> str:
+    """One construction step with its stored parameter, if its kind has one."""
+
+    parts = [name, c.output, *c.inputs]
+    if CONSTRAINT_SIGNATURES[c.kind][2]:
+        parts.append(format_number(c.parameter or 0.0))
     return " ".join(parts)
 
 
@@ -408,7 +355,11 @@ def emit_dsl(problem: Problem) -> str:
     for c in problem.construction.constraints:
         if c.kind is ConstraintKind.OPAQUE:
             raise OpaqueConstraintError(c.output)
-        lines.append(_statement_text(c, coords))
+        if c.kind is ConstraintKind.FREE_POINT:
+            x, y = coords[c.output][:2]
+            lines.append(f"point {c.output} {format_number(x)} {format_number(y)}")
+        else:
+            lines.append(_step_text(_STATEMENT_KEYWORDS[c.kind], c))
     if problem.conjecture is not None:
         lines.append("prove {")
         for keyword, preds in (
@@ -434,10 +385,7 @@ def emit_prover_input(problem: Problem) -> str:
     for c in problem.construction.constraints:
         if c.kind is ConstraintKind.OPAQUE:
             raise OpaqueConstraintError(c.output)
-        parts = [c.kind.value, c.output, *c.inputs]
-        if c.kind in (ConstraintKind.POINT_ON_LINE, ConstraintKind.POINT_ON_CIRCLE):
-            parts.append(_fmt(c.parameter or 0.0))
-        lines.append(" ".join(parts))
+        lines.append(_step_text(c.kind.value, c))
     for heading, preds in (
         ("ndg:", problem.conjecture.ndg),
         ("hypothesis:", problem.conjecture.hypothesis),

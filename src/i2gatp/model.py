@@ -69,6 +69,18 @@ PROBLEM_NAME_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_-]*\Z")
 ATTEMPT_FIELD_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
 # Element ids appear whitespace-separated in XML text and DSL statements
 ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.']*\Z")
+# Reals as conjecture.xml, intergeo.xml, proofInfo.xml and the DSL read them
+# (the ``number`` production of docs/dsl.md)
+NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
+
+
+def format_number(x: float) -> str:
+    """Shortest round-trip decimal form of a real, as every format writes it.
+
+    The float coercion keeps hand-built values with int coordinates
+    byte-identical to parsed ones."""
+
+    return repr(float(x))
 
 
 class GeoKind(enum.Enum):
@@ -289,6 +301,28 @@ class SegmentRatio(Predicate):
     c: str
     d: str
     ratio: float
+
+
+# The conjecture vocabulary shared by conjecture.xml, the DSL and the prover
+# input: predicate name -> (class, number of point ids).  SegmentRatio also
+# carries a ratio; Equal carries two terms instead of point ids.
+PREDICATES: dict[str, tuple[type, int | None]] = {
+    "not_equal": (NotEqual, 2),
+    "not_parallel": (NotParallel, 4),
+    "equal": (Equal, None),
+    "collinear": (Collinear, 3),
+    "perpendicular": (Perpendicular, 4),
+    "parallel": (Parallel, 4),
+    "midpoint": (Midpoint, 3),
+    "same_length": (SameLength, 4),
+    "harmonic": (Harmonic, 4),
+    "segment_ratio": (SegmentRatio, 4),
+}
+PREDICATE_NAMES: dict[type, str] = {cls: name for name, (cls, _n) in PREDICATES.items()}
+# term name -> class; Const carries a number, SegmentLength two point ids,
+# Plus and Mult two terms
+TERMS: dict[str, type] = {"const": Const, "segment_length": SegmentLength, "plus": Plus, "mult": Mult}
+TERM_NAMES: dict[type, str] = {cls: name for name, cls in TERMS.items()}
 
 
 def term_point_ids(t: Term) -> tuple[str, ...]:
@@ -526,7 +560,7 @@ def is_well_formed_xml(data: bytes) -> bool:
     parser = xml.parsers.expat.ParserCreate()
     try:
         parser.Parse(data, True)
-    except xml.parsers.expat.ExpatError:
+    except (xml.parsers.expat.ExpatError, LookupError):  # LookupError: unknown encoding
         return False
     return True
 
@@ -662,31 +696,13 @@ def _validate_constants(t: Term, path: str, out: list[Violation]) -> None:
         _validate_constants(t.right, path, out)
 
 
-def _predicate_tag(p: Predicate) -> str:
-    return _PREDICATE_TAGS[type(p)]
-
-
-_PREDICATE_TAGS: dict[type, str] = {
-    NotEqual: "not_equal",
-    NotParallel: "not_parallel",
-    Equal: "equal",
-    Collinear: "collinear",
-    Perpendicular: "perpendicular",
-    Parallel: "parallel",
-    Midpoint: "midpoint",
-    SameLength: "same_length",
-    Harmonic: "harmonic",
-    SegmentRatio: "segment_ratio",
-}
-
-
 def _validate_conjecture(c: Conjecture, k: Construction | None, out: list[Violation]) -> None:
     if not c.conclusion:
         _violation(out, "MissingConclusion", "/conjecture/conclusion", "conclusion must contain at least one predicate")
     kinds = k.element_kinds() if k is not None else None
     for section, preds in (("hypothesis", c.hypothesis), ("ndg", c.ndg), ("conclusion", c.conclusion)):
         for i, p in enumerate(preds):
-            path = f"/conjecture/{section}/{_predicate_tag(p)}[{i}]"
+            path = f"/conjecture/{section}/{PREDICATE_NAMES[type(p)]}[{i}]"
             # a repeated id is reported once per predicate
             for ref in dict.fromkeys(predicate_point_ids(p)):
                 if not ID_RE.match(ref):

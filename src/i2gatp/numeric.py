@@ -136,16 +136,6 @@ def _normalized_line(a: float, b: float, c: float) -> SceneLine:
     return SceneLine(a, b, c)
 
 
-def _point(scene: NumericScene, ref: str) -> ScenePoint:
-    try:
-        obj = scene[ref]
-    except KeyError:
-        raise UnresolvedIdError(ref) from None
-    if not isinstance(obj, ScenePoint):
-        raise KindMismatchError(ref, "point", type(obj).__name__.removeprefix("Scene").lower())
-    return obj
-
-
 def _object(scene: NumericScene, ref: str, want: type) -> SceneObject:
     try:
         obj = scene[ref]
@@ -265,7 +255,7 @@ def eval_term(scene: NumericScene, term: Term) -> float:
     if isinstance(term, Const):
         return term.value
     if isinstance(term, SegmentLength):
-        return _dist(_point(scene, term.a), _point(scene, term.b))
+        return _dist(_object(scene, term.a, ScenePoint), _object(scene, term.b, ScenePoint))
     if isinstance(term, Plus):
         return eval_term(scene, term.left) + eval_term(scene, term.right)
     if isinstance(term, Mult):
@@ -292,29 +282,29 @@ def eval_predicate(scene: NumericScene, pred: Predicate, tol: Tolerance | None =
     eps2 = tol.eps_rel * scale * scale
 
     if isinstance(pred, Collinear):
-        p, q, r = (_point(scene, i) for i in (pred.p, pred.q, pred.r))
+        p, q, r = (_object(scene, i, ScenePoint) for i in (pred.p, pred.q, pred.r))
         residual = abs((q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x))
         return residual <= eps2, residual - eps2
     if isinstance(pred, (Parallel, NotParallel)):
-        a, b, c, d = (_point(scene, i) for i in (pred.a, pred.b, pred.c, pred.d))
+        a, b, c, d = (_object(scene, i, ScenePoint) for i in (pred.a, pred.b, pred.c, pred.d))
         residual = abs((b.x - a.x) * (d.y - c.y) - (b.y - a.y) * (d.x - c.x))
         if isinstance(pred, Parallel):
             return residual <= eps2, residual - eps2
         return residual > eps2, residual - eps2
     if isinstance(pred, Perpendicular):
-        a, b, c, d = (_point(scene, i) for i in (pred.a, pred.b, pred.c, pred.d))
+        a, b, c, d = (_object(scene, i, ScenePoint) for i in (pred.a, pred.b, pred.c, pred.d))
         residual = abs((b.x - a.x) * (d.x - c.x) + (b.y - a.y) * (d.y - c.y))
         return residual <= eps2, residual - eps2
     if isinstance(pred, Midpoint):
-        m, a, b = (_point(scene, i) for i in (pred.m, pred.a, pred.b))
+        m, a, b = (_object(scene, i, ScenePoint) for i in (pred.m, pred.a, pred.b))
         residual = math.sqrt((m.x - (a.x + b.x) / 2.0) ** 2 + (m.y - (a.y + b.y) / 2.0) ** 2)
         return residual <= eps1, residual - eps1
     if isinstance(pred, SameLength):
-        a, b, c, d = (_point(scene, i) for i in (pred.a, pred.b, pred.c, pred.d))
+        a, b, c, d = (_object(scene, i, ScenePoint) for i in (pred.a, pred.b, pred.c, pred.d))
         residual = abs(_dist(a, b) - _dist(c, d))
         return residual <= eps1, residual - eps1
     if isinstance(pred, SegmentRatio):
-        a, b, c, d = (_point(scene, i) for i in (pred.a, pred.b, pred.c, pred.d))
+        a, b, c, d = (_object(scene, i, ScenePoint) for i in (pred.a, pred.b, pred.c, pred.d))
         residual = abs(_dist(a, b) - pred.ratio * _dist(c, d))
         return residual <= eps1, residual - eps1
     if isinstance(pred, Equal):
@@ -324,11 +314,11 @@ def eval_predicate(scene: NumericScene, pred: Predicate, tol: Tolerance | None =
         eps = tol.eps_rel * max(1.0, abs(lhs), abs(rhs))
         return residual <= eps, residual - eps
     if isinstance(pred, NotEqual):
-        p, q = _point(scene, pred.p), _point(scene, pred.q)
+        p, q = _object(scene, pred.p, ScenePoint), _object(scene, pred.q, ScenePoint)
         residual = _dist(p, q)
         return residual > eps1, residual - eps1
     if isinstance(pred, Harmonic):
-        a, b, c, d = (_point(scene, i) for i in (pred.a, pred.b, pred.c, pred.d))
+        a, b, c, d = (_object(scene, i, ScenePoint) for i in (pred.a, pred.b, pred.c, pred.d))
         ab = _dist(a, b)
         if ab < eps1:
             raise DegeneratePredicateError(f"base points {pred.a} and {pred.b} coincide")

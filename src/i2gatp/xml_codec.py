@@ -21,8 +21,12 @@ from dataclasses import dataclass, field
 
 from .errors import CodecError
 from .model import (
+    NUMBER_RE,
+    PREDICATE_NAMES,
+    PREDICATES,
+    TERM_NAMES,
+    TERMS,
     BibEntry,
-    Collinear,
     Conjecture,
     Const,
     Constraint,
@@ -31,26 +35,19 @@ from .model import (
     ElementInstance,
     Equal,
     GeoKind,
-    Harmonic,
-    Midpoint,
-    Mult,
-    NotEqual,
-    NotParallel,
-    Parallel,
-    Perpendicular,
     Platform,
-    Plus,
     Predicate,
     ProblemInfo,
     ProofAttempt,
     ProofLimits,
     ProofMeasures,
     ProofStatus,
-    SameLength,
     SegmentLength,
     SegmentRatio,
     Term,
     Violation,
+    format_number,
+    predicate_point_ids,
     validate_attempt,
     validate_conjecture,
     validate_construction,
@@ -79,7 +76,6 @@ class DocumentKind(enum.Enum):
     PROOF_INFO = "proof_info"
 
 
-_NUM_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 
 
@@ -135,7 +131,8 @@ def _find_tag_end(data: bytes, start: int) -> int:
 
 
 def _parse_raw(data: bytes) -> _RawNode:
-    """Parse ``data`` into a raw tree; raises expat.ExpatError."""
+    """Parse ``data`` into a raw tree; raises expat.ExpatError, or
+    LookupError when the XML declaration names an unknown encoding."""
 
     parser = xml.parsers.expat.ParserCreate()
     roots: list[_RawNode] = []
@@ -176,7 +173,7 @@ class _Report(list):
 
 
 def _parse_num(text: str, path: str, rep: _Report) -> float | None:
-    if not _NUM_RE.match(text.strip()):
+    if not NUMBER_RE.match(text.strip()):
         rep.error("BadNumber", path, f"malformed number {text.strip()!r}")
         return None
     return float(text)
@@ -261,73 +258,61 @@ def _analyze_information(root: _RawNode, data: bytes, rep: _Report, strict: bool
 # ---------------------------------------------------------------------------
 # conjecture.xml
 
-_TEXT_PREDICATES: dict[str, tuple[type, int]] = {
-    "not_equal": (NotEqual, 2),
-    "not_parallel": (NotParallel, 4),
-    "collinear": (Collinear, 3),
-    "perpendicular": (Perpendicular, 4),
-    "parallel": (Parallel, 4),
-    "midpoint": (Midpoint, 3),
-    "same_length": (SameLength, 4),
-    "harmonic": (Harmonic, 4),
-}
+
+def _point_ids(node: _RawNode, want: int, path: str, rep: _Report) -> list[str] | None:
+    ids = node.ids()
+    if len(ids) != want:
+        rep.error("ArityError", path, f"{node.tag} takes {want} point ids, got {len(ids)}")
+        return None
+    return ids
+
+
+def _operands(node: _RawNode, path: str, rep: _Report) -> tuple[Term, Term] | None:
+    """The two terms of an equal, plus or mult element."""
+
+    if len(node.children) != 2:
+        rep.error("ArityError", path, f"{node.tag} takes 2 terms, got {len(node.children)}")
+        return None
+    left = _analyze_term(node.children[0], f"{path}/{node.children[0].tag}", rep)
+    right = _analyze_term(node.children[1], f"{path}/{node.children[1].tag}", rep)
+    if left is None or right is None:
+        return None
+    return left, right
 
 
 def _analyze_term(node: _RawNode, path: str, rep: _Report) -> Term | None:
-    if node.tag == "const":
+    cls = TERMS.get(node.tag)
+    if cls is None:
+        rep.error("UnknownPredicate", path, f"unknown term <{node.tag}>")
+        return None
+    if cls is Const:
         value = _num_attr(node, "value", path, rep)
         return None if value is None else Const(value)
-    if node.tag == "segment_length":
-        ids = node.ids()
-        if len(ids) != 2:
-            rep.error("ArityError", path, f"segment_length takes 2 point ids, got {len(ids)}")
-            return None
-        return SegmentLength(*ids)
-    if node.tag in ("plus", "mult"):
-        if len(node.children) != 2:
-            rep.error("ArityError", path, f"{node.tag} takes 2 terms, got {len(node.children)}")
-            return None
-        left = _analyze_term(node.children[0], f"{path}/{node.children[0].tag}", rep)
-        right = _analyze_term(node.children[1], f"{path}/{node.children[1].tag}", rep)
-        if left is None or right is None:
-            return None
-        return (Plus if node.tag == "plus" else Mult)(left, right)
-    rep.error("UnknownPredicate", path, f"unknown term <{node.tag}>")
-    return None
+    if cls is SegmentLength:
+        ids = _point_ids(node, 2, path, rep)
+        return None if ids is None else SegmentLength(*ids)
+    terms = _operands(node, path, rep)
+    return None if terms is None else cls(*terms)
 
 
 def _analyze_predicate(node: _RawNode, path: str, rep: _Report) -> Predicate | None:
-    tag = node.tag
-    if tag in _TEXT_PREDICATES:
-        cls, want = _TEXT_PREDICATES[tag]
-        ids = node.ids()
-        if len(ids) != want:
-            rep.error("ArityError", path, f"{tag} takes {want} point ids, got {len(ids)}")
-            return None
+    if node.tag not in PREDICATES:
+        rep.error("UnknownPredicate", path, f"unknown predicate <{node.tag}>")
+        return None
+    cls, want = PREDICATES[node.tag]
+    if cls is Equal:
+        terms = _operands(node, path, rep)
+        return None if terms is None else Equal(*terms)
+    ids = _point_ids(node, want, path, rep)
+    if ids is None:
+        return None
+    if cls is not SegmentRatio:
         return cls(*ids)
-    if tag == "segment_ratio":
-        ids = node.ids()
-        if len(ids) != 4:
-            rep.error("ArityError", path, f"segment_ratio takes 4 point ids, got {len(ids)}")
-            return None
-        if "ratio" not in node.attrs:
-            rep.error("BadRatio", path, "segment_ratio requires a ratio attribute")
-            return None
-        ratio = _parse_num(node.attrs["ratio"], f"{path}/@ratio", rep)
-        if ratio is None:
-            return None
-        return SegmentRatio(*ids, ratio=ratio)
-    if tag == "equal":
-        if len(node.children) != 2:
-            rep.error("ArityError", path, f"equal takes 2 terms, got {len(node.children)}")
-            return None
-        left = _analyze_term(node.children[0], f"{path}/{node.children[0].tag}", rep)
-        right = _analyze_term(node.children[1], f"{path}/{node.children[1].tag}", rep)
-        if left is None or right is None:
-            return None
-        return Equal(left, right)
-    rep.error("UnknownPredicate", path, f"unknown predicate <{tag}>")
-    return None
+    if "ratio" not in node.attrs:
+        rep.error("BadRatio", path, f"{node.tag} requires a ratio attribute")
+        return None
+    ratio = _parse_num(node.attrs["ratio"], f"{path}/@ratio", rep)
+    return None if ratio is None else SegmentRatio(*ids, ratio=ratio)
 
 
 def _analyze_conjecture(root: _RawNode, data: bytes, rep: _Report, strict: bool) -> Conjecture | None:
@@ -542,7 +527,7 @@ def _violations(kind: DocumentKind, data: bytes, strict: bool):
     rep = _Report()
     try:
         root = _parse_raw(data)
-    except xml.parsers.expat.ExpatError as exc:
+    except (xml.parsers.expat.ExpatError, LookupError) as exc:
         rep.error("MalformedXml", "/", f"XML parse error: {exc}")
         return None, rep
     value = _ANALYZERS[kind](root, data, rep, strict)
@@ -590,12 +575,6 @@ def validate_document(kind: DocumentKind, data: bytes) -> list[Violation]:
 
 # ---------------------------------------------------------------------------
 # Canonical serialization
-
-
-def _fmt_float(x: float) -> str:
-    # shortest round-trip decimal form; coercion keeps hand-built values
-    # with int coordinates byte-identical to parsed ones
-    return repr(float(x))
 
 
 def _fmt_int(x: int) -> str:
@@ -682,47 +661,30 @@ def serialize_information(info: ProblemInfo) -> bytes:
     return w.bytes()
 
 
+def _write_operands(w: _Writer, tag: str, left: Term, right: Term) -> None:
+    w.open(tag)
+    _write_term(w, left)
+    _write_term(w, right)
+    w.close(tag)
+
+
 def _write_term(w: _Writer, t: Term) -> None:
+    tag = TERM_NAMES[type(t)]
     if isinstance(t, Const):
-        w.empty("const", {"value": _fmt_float(t.value)})
+        w.empty(tag, {"value": format_number(t.value)})
     elif isinstance(t, SegmentLength):
-        w.leaf("segment_length", f"{t.a} {t.b}")
-    elif isinstance(t, (Plus, Mult)):
-        tag = "plus" if isinstance(t, Plus) else "mult"
-        w.open(tag)
-        _write_term(w, t.left)
-        _write_term(w, t.right)
-        w.close(tag)
+        w.leaf(tag, f"{t.a} {t.b}")
     else:
-        raise TypeError(f"not a Term: {t!r}")
+        _write_operands(w, tag, t.left, t.right)
 
 
 def _write_predicate(w: _Writer, p: Predicate) -> None:
-    if isinstance(p, NotEqual):
-        w.leaf("not_equal", f"{p.p} {p.q}")
-    elif isinstance(p, NotParallel):
-        w.leaf("not_parallel", f"{p.a} {p.b} {p.c} {p.d}")
-    elif isinstance(p, Collinear):
-        w.leaf("collinear", f"{p.p} {p.q} {p.r}")
-    elif isinstance(p, Perpendicular):
-        w.leaf("perpendicular", f"{p.a} {p.b} {p.c} {p.d}")
-    elif isinstance(p, Parallel):
-        w.leaf("parallel", f"{p.a} {p.b} {p.c} {p.d}")
-    elif isinstance(p, Midpoint):
-        w.leaf("midpoint", f"{p.m} {p.a} {p.b}")
-    elif isinstance(p, SameLength):
-        w.leaf("same_length", f"{p.a} {p.b} {p.c} {p.d}")
-    elif isinstance(p, Harmonic):
-        w.leaf("harmonic", f"{p.a} {p.b} {p.c} {p.d}")
-    elif isinstance(p, SegmentRatio):
-        w.leaf("segment_ratio", f"{p.a} {p.b} {p.c} {p.d}", {"ratio": _fmt_float(p.ratio)})
-    elif isinstance(p, Equal):
-        w.open("equal")
-        _write_term(w, p.left)
-        _write_term(w, p.right)
-        w.close("equal")
+    tag = PREDICATE_NAMES[type(p)]
+    if isinstance(p, Equal):
+        _write_operands(w, tag, p.left, p.right)
     else:
-        raise TypeError(f"not a Predicate: {p!r}")
+        attrs = {"ratio": format_number(p.ratio)} if isinstance(p, SegmentRatio) else None
+        w.leaf(tag, " ".join(predicate_point_ids(p)), attrs)
 
 
 def serialize_conjecture(c: Conjecture) -> bytes:
@@ -749,7 +711,7 @@ def serialize_construction(k: Construction) -> bytes:
         for e in k.elements:
             attrs = {"id": e.id}
             for name, value in zip(_ELEMENT_ATTRS[e.kind.value], e.coords):
-                attrs[name] = _fmt_float(value)
+                attrs[name] = format_number(value)
             w.empty(e.kind.value, attrs)
         w.close("elements")
     else:
@@ -763,7 +725,7 @@ def serialize_construction(k: Construction) -> bytes:
             attrs = {"out": c.output}
             param_attr = _PARAM_ATTRS.get(c.kind)
             if param_attr is not None and c.parameter is not None:
-                attrs[param_attr] = _fmt_float(c.parameter)
+                attrs[param_attr] = format_number(c.parameter)
             if c.inputs:
                 w.leaf(c.kind.value, " ".join(c.inputs), attrs)
             else:
@@ -787,7 +749,7 @@ def serialize_proof_info(a: ProofAttempt) -> bytes:
     if any(v is not None for v in (lim.time_limit_seconds, lim.iterations_limit, lim.memory_limit_mb)):
         w.open("limits")
         if lim.time_limit_seconds is not None:
-            w.leaf("time_limit_seconds", _fmt_float(lim.time_limit_seconds))
+            w.leaf("time_limit_seconds", format_number(lim.time_limit_seconds))
         if lim.iterations_limit is not None:
             w.leaf("iterations_limit", _fmt_int(lim.iterations_limit))
         if lim.memory_limit_mb is not None:
@@ -800,7 +762,7 @@ def serialize_proof_info(a: ProofAttempt) -> bytes:
     ):
         w.open("measures")
         if meas.cpu_time_seconds is not None:
-            w.leaf("CPU_time", _fmt_float(meas.cpu_time_seconds))
+            w.leaf("CPU_time", format_number(meas.cpu_time_seconds))
         if meas.elimination_steps is not None:
             w.leaf("elimination_steps", _fmt_int(meas.elimination_steps))
         if meas.number_terms_largest_polynomial is not None:
@@ -814,7 +776,7 @@ def serialize_proof_info(a: ProofAttempt) -> bytes:
         if plat.computer_name is not None:
             w.leaf("computer_name", plat.computer_name)
         if plat.clock_speed_mhz is not None:
-            w.leaf("clock_speed", _fmt_float(plat.clock_speed_mhz))
+            w.leaf("clock_speed", format_number(plat.clock_speed_mhz))
         if plat.ram_mb is not None:
             w.leaf("RAM", _fmt_int(plat.ram_mb))
         if plat.operating_system is not None:

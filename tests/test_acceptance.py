@@ -181,6 +181,8 @@ def _mutations(docs):
         ("missing stored parameter", DocumentKind.CONSTRUCTION,
          sub(cons_h, b'<point_on_line out="C" parameter="-1.0">l</point_on_line>',
              b'<point_on_line out="C">l</point_on_line>'), "MissingParameter"),
+        ("unknown encoding declaration", DocumentKind.CONSTRUCTION,
+         sub(cons_v, b'encoding="UTF-8"', b'encoding="inf"'), "MalformedXml"),
         ("unknown status text", DocumentKind.PROOF_INFO,
          sub(proof, b"<status>proved</status>", b"<status>maybe</status>"), "UnknownStatus"),
         ("negative measure", DocumentKind.PROOF_INFO,

@@ -18,6 +18,7 @@ from i2gatp.model import (
     Equal,
     GeoKind,
     Problem,
+    ProblemInfo,
     ProofAttempt,
     ProofStatus,
     canonicalize_problem,
@@ -118,8 +119,10 @@ def test_bad_element_data_flagged():
             Constraint(output="k", kind=ConstraintKind.OPAQUE, opaque_tag="y", opaque_payload=b'<y out="k"/>'),
         ),
     )
-    codes = [v.code for v in validate_problem(Problem(construction=k))]
-    assert "ZeroLine" in codes and "NegativeRadius" in codes
+    # an XML declaration naming an unknown encoding is malformed, not a crash
+    info = ProblemInfo(name="x", statement=b'<?xml version="1.0" encoding="inf"?><math/>')
+    codes = [v.code for v in validate_problem(Problem(construction=k, info=info))]
+    assert "ZeroLine" in codes and "NegativeRadius" in codes and "MalformedXml" in codes
 
 
 def test_resolve_ids_in_first_use_order():
