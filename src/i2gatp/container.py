@@ -31,16 +31,20 @@ from .model import (
 )
 from .xml_codec import (
     DocumentKind,
+    _write_conjecture,
+    _write_construction,
+    _write_information,
+    _write_proof_info,
     parse_conjecture,
     parse_construction,
     parse_information,
     parse_proof_info,
-    serialize_conjecture,
-    serialize_construction,
-    serialize_information,
-    serialize_proof_info,
     validate_document,
 )
+
+# Unused here: every value is validated once before its _write_* call.  Kept
+# importable because bench/tracer.py swaps these names in this module.
+from .xml_codec import serialize_conjecture, serialize_construction, serialize_information, serialize_proof_info  # noqa: F401
 
 __all__ = [
     "add_proof_attempt",
@@ -100,7 +104,10 @@ def _write_zip(entries: list[Entry]) -> bytes:
     return buf.getvalue()
 
 
-def _read_zip(data: bytes) -> list[Entry]:
+def read_container_entries(data: bytes) -> list[Entry]:
+    """Raw (path, bytes) entries of a container, path-checked; directory
+    entries carry None."""
+
     try:
         zf = zipfile.ZipFile(io.BytesIO(data))
     except (zipfile.BadZipFile, ValueError) as exc:
@@ -133,9 +140,18 @@ def _parent_dirs(path: str) -> list[str]:
 # Problem <-> entries
 
 
-def entries_from_problem(problem: Problem) -> list[Entry]:
-    """Container entries of a problem, in canonical order."""
+def _refuse_invalid(what: str, violations: list[Violation]) -> None:
+    if violations:
+        first = violations[0]
+        message = f"{what} has {len(violations)} violation(s); first: {first.code} at {first.path}"
+        raise ContainerError("InvalidProblem", message, violations)
 
+
+def entries_from_problem(problem: Problem) -> list[Entry]:
+    """Container entries of a valid problem, in canonical order; raises
+    ``InvalidProblem`` with every violation otherwise."""
+
+    _refuse_invalid("problem", validate_problem(problem))
     files: dict[str, bytes] = {}
 
     def put(path: str, data: bytes) -> None:
@@ -144,13 +160,13 @@ def entries_from_problem(problem: Problem) -> list[Entry]:
         files[path] = data
 
     if problem.info is not None:
-        put(INFORMATION_PATH, serialize_information(problem.info))
-    put(INTERGEO_PATH, serialize_construction(problem.construction))
+        put(INFORMATION_PATH, _write_information(problem.info))
+    put(INTERGEO_PATH, _write_construction(problem.construction))
     if problem.conjecture is not None:
-        put(CONJECTURE_PATH, serialize_conjecture(problem.conjecture))
+        put(CONJECTURE_PATH, _write_conjecture(problem.conjecture))
     for attempt in problem.proofs:
         base = f"proofs/{attempt.directory_name}/"
-        put(base + PROOF_INFO_NAME, serialize_proof_info(attempt))
+        put(base + PROOF_INFO_NAME, _write_proof_info(attempt))
         for name, data in attempt.outputs:
             put(base + name, data)
     for section in (problem.resources, problem.metadata, problem.private):
@@ -241,13 +257,6 @@ def problem_from_entries(entries: list[Entry]) -> Problem:
 def pack(problem: Problem) -> bytes:
     """Pack a valid problem into deterministic zip bytes."""
 
-    violations = validate_problem(problem)
-    if violations:
-        raise ContainerError(
-            "InvalidProblem",
-            f"problem has {len(violations)} violation(s); first: {violations[0].code} at {violations[0].path}",
-            violations,
-        )
     return _write_zip(entries_from_problem(problem))
 
 
@@ -261,17 +270,10 @@ def suggested_filename(problem: Problem, name: str | None = None) -> str:
     return f"problem{name}.zip"
 
 
-def read_container_entries(data: bytes) -> list[Entry]:
-    """Raw (path, bytes) entries of a container, path-checked; directory
-    entries carry None."""
-
-    return _read_zip(data)
-
-
 def unpack(data: bytes) -> Problem:
     """Read a container back into a problem (canonical order)."""
 
-    return problem_from_entries(_read_zip(data))
+    return problem_from_entries(read_container_entries(data))
 
 
 def canonicalize_container(data: bytes) -> bytes:
@@ -285,7 +287,7 @@ def strip_to_i2g(data: bytes) -> bytes:
     content to the archive root (the i2g layout).  File bytes, in particular
     intergeo.xml, are carried unchanged; idempotent."""
 
-    entries = _read_zip(data)
+    entries = read_container_entries(data)
     files: dict[str, bytes] = {}
     has_intergeo = False
     for name, content in entries:
@@ -307,14 +309,8 @@ def add_proof_attempt(data: bytes, attempt: ProofAttempt) -> bytes:
     """Insert one proof attempt directory; every other entry's content is
     carried unchanged (the archive is rewritten canonically)."""
 
-    violations = validate_attempt(attempt)
-    if violations:
-        raise ContainerError(
-            "InvalidProblem",
-            f"attempt has {len(violations)} violation(s); first: {violations[0].code}",
-            violations,
-        )
-    entries = _read_zip(data)
+    _refuse_invalid("attempt", validate_attempt(attempt))
+    entries = read_container_entries(data)
     new_dir = f"proofs/{attempt.directory_name}/"
     existing = {name for name, _ in entries}
     if any(name == new_dir or name.startswith(new_dir) for name in existing):
@@ -331,7 +327,7 @@ def add_proof_attempt(data: bytes, attempt: ProofAttempt) -> bytes:
                 "DuplicateAttempt",
                 f"attempt {attempt.prover}/{attempt.version}/{attempt.method} already present",
             )
-    added: list[Entry] = [(new_dir + PROOF_INFO_NAME, serialize_proof_info(attempt))]
+    added: list[Entry] = [(new_dir + PROOF_INFO_NAME, _write_proof_info(attempt))]
     added.extend((new_dir + name, out_data) for name, out_data in attempt.outputs)
     return _write_zip(entries + added)
 
@@ -358,7 +354,7 @@ def validate_container(data: bytes, i2g: bool = False) -> list[Violation]:
     """
 
     try:
-        entries = _read_zip(data)
+        entries = read_container_entries(data)
     except ContainerError as exc:
         return [Violation(exc.code, "/", str(exc))]
     return validate_entries(entries, i2g)

@@ -442,6 +442,32 @@ class ProofAttempt:
         return f"proof{self.prover}{self.version}{self.method}"
 
 
+# The proofInfo.xml layout below the status, shared by its reader, its writer
+# and the attempt validator: section (also the ProofAttempt attribute) ->
+# (record class, violation code, whether 0 is allowed, children as (XML tag,
+# record field, type) in document order).  Numbers must be finite and >= 0,
+# or > 0 where 0 is not allowed; str children are free text.
+PROOF_INFO_SECTIONS: dict[str, tuple[type, str, bool, tuple[tuple[str, str, type], ...]]] = {
+    "limits": (ProofLimits, "NegativeLimit", True, (
+        ("time_limit_seconds", "time_limit_seconds", float),
+        ("iterations_limit", "iterations_limit", int),
+        ("memory_limit_mb", "memory_limit_mb", int),
+    )),
+    "measures": (ProofMeasures, "NegativeMeasure", True, (
+        ("CPU_time", "cpu_time_seconds", float),
+        ("elimination_steps", "elimination_steps", int),
+        ("number_terms_largest_polynomial", "number_terms_largest_polynomial", int),
+        ("proof_steps", "proof_steps", int),
+    )),
+    "platform": (Platform, "NonPositivePlatform", False, (
+        ("computer_name", "computer_name", str),
+        ("clock_speed", "clock_speed_mhz", float),
+        ("RAM", "ram_mb", int),
+        ("operating_system", "operating_system", str),
+    )),
+}
+
+
 # ---------------------------------------------------------------------------
 # Generic information
 
@@ -725,27 +751,15 @@ def _validate_attempt(a: ProofAttempt, path: str, out: list[Violation]) -> None:
     for fld, value in (("prover", a.prover), ("version", a.version), ("method", a.method)):
         if not ATTEMPT_FIELD_RE.match(value):
             _violation(out, "BadName", f"{path}/{fld}", f"invalid {fld} {value!r} (composes a directory name)")
-    lim = a.limits
-    for fld, value in (
-        ("time_limit_seconds", lim.time_limit_seconds),
-        ("iterations_limit", lim.iterations_limit),
-        ("memory_limit_mb", lim.memory_limit_mb),
-    ):
-        if value is not None and (not _finite(value) or value < 0):
-            _violation(out, "NegativeLimit", f"{path}/limits/{fld}", f"{fld} must be finite and >= 0")
-    meas = a.measures
-    for fld, value in (
-        ("cpu_time_seconds", meas.cpu_time_seconds),
-        ("elimination_steps", meas.elimination_steps),
-        ("number_terms_largest_polynomial", meas.number_terms_largest_polynomial),
-        ("proof_steps", meas.proof_steps),
-    ):
-        if value is not None and (not _finite(value) or value < 0):
-            _violation(out, "NegativeMeasure", f"{path}/measures/{fld}", f"{fld} must be finite and >= 0")
-    plat = a.platform
-    for fld, value in (("clock_speed_mhz", plat.clock_speed_mhz), ("ram_mb", plat.ram_mb)):
-        if value is not None and (not _finite(value) or value <= 0):
-            _violation(out, "NonPositivePlatform", f"{path}/platform/{fld}", f"{fld} must be finite and > 0")
+    for section, (_record, code, zero_ok, children) in PROOF_INFO_SECTIONS.items():
+        record = getattr(a, section)
+        for tag, fld, as_type in children:
+            value = getattr(record, fld)
+            if as_type is str or value is None:
+                continue
+            if not _finite(value) or value < 0 or (value == 0 and not zero_ok):
+                bound = ">= 0" if zero_ok else "> 0"
+                _violation(out, code, f"{path}/{section}/{tag}", f"{fld} must be finite and {bound}")
     seen: set[str] = set()
     for name, _data in a.outputs:
         if not is_safe_relative_path(name):
@@ -828,11 +842,11 @@ def validate_conjecture(c: Conjecture, k: Construction | None = None) -> list[Vi
     return out
 
 
-def validate_attempt(a: ProofAttempt, prefix: str = "/proof_info") -> list[Violation]:
+def validate_attempt(a: ProofAttempt) -> list[Violation]:
     """Violations of one proof attempt's invariants."""
 
     out: list[Violation] = []
-    _validate_attempt(a, prefix, out)
+    _validate_attempt(a, "/proof_info", out)
     return out
 
 

@@ -24,6 +24,7 @@ from .model import (
     NUMBER_RE,
     PREDICATE_NAMES,
     PREDICATES,
+    PROOF_INFO_SECTIONS,
     TERM_NAMES,
     TERMS,
     BibEntry,
@@ -35,12 +36,9 @@ from .model import (
     ElementInstance,
     Equal,
     GeoKind,
-    Platform,
     Predicate,
     ProblemInfo,
     ProofAttempt,
-    ProofLimits,
-    ProofMeasures,
     ProofStatus,
     SegmentLength,
     SegmentRatio,
@@ -166,10 +164,22 @@ def _parse_raw(data: bytes) -> _RawNode:
 
 class _Report(list):
     """Syntax violations found while reading a document; value checks are
-    left to the model validators."""
+    left to the model validators.  ``moved`` maps the model's locator of a
+    kept child to its source locator when earlier siblings were dropped."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.moved: dict[str, str] = {}
 
     def error(self, code: str, path: str, message: str) -> None:
         self.append(Violation(code, path, message))
+
+    def keep(self, kept: list, item: object, parent: str, tag: str, index: int) -> None:
+        """Append ``item``, read from source child ``index`` of ``parent``."""
+
+        if len(kept) != index:
+            self.moved[f"{parent}/{tag}[{len(kept)}]"] = f"{parent}/{tag}[{index}]"
+        kept.append(item)
 
 
 def _parse_num(text: str, path: str, rep: _Report) -> float | None:
@@ -237,7 +247,8 @@ def _analyze_information(root: _RawNode, data: bytes, rep: _Report, strict: bool
             if ch.tag != "bibentry":
                 rep.error("UnknownTag", path, f"expected <bibentry>, found <{ch.tag}>")
                 continue
-            bibrefs.append(BibEntry(id=ch.attrs.get("id", ""), payload=ch.inner(data)))
+            entry = BibEntry(id=ch.attrs.get("id", ""), payload=ch.inner(data))
+            rep.keep(bibrefs, entry, "/information/bibrefs", ch.tag, i)
     keywords: list[str] = []
     if "keywords" in kids:
         for i, ch in enumerate(kids["keywords"].children):
@@ -245,7 +256,7 @@ def _analyze_information(root: _RawNode, data: bytes, rep: _Report, strict: bool
             if ch.tag != "keyword":
                 rep.error("UnknownTag", path, f"expected <keyword>, found <{ch.tag}>")
                 continue
-            keywords.append(ch.text.strip())
+            rep.keep(keywords, ch.text.strip(), "/information/keywords", ch.tag, i)
     return ProblemInfo(
         name=name,
         description=description,
@@ -326,7 +337,7 @@ def _analyze_conjecture(root: _RawNode, data: bytes, rep: _Report, strict: bool)
             for i, ch in enumerate(kids[section].children):
                 p = _analyze_predicate(ch, f"/conjecture/{section}/{ch.tag}[{i}]", rep)
                 if p is not None:
-                    preds.append(p)
+                    rep.keep(preds, p, f"/conjecture/{section}", ch.tag, i)
         sections[section] = tuple(preds)
     return Conjecture(
         hypothesis=sections["hypothesis"],
@@ -375,7 +386,8 @@ def _analyze_construction(root: _RawNode, data: bytes, rep: _Report, strict: boo
             else:
                 coords.append(value)
         if ok:
-            elements.append(ElementInstance(id=ch.attrs.get("id", ""), kind=GeoKind(ch.tag), coords=tuple(coords)))
+            element = ElementInstance(id=ch.attrs.get("id", ""), kind=GeoKind(ch.tag), coords=tuple(coords))
+            rep.keep(elements, element, "/construction/elements", ch.tag, i)
     constraints: list[Constraint] = []
     if "constraints" in kids:
         for i, ch in enumerate(kids["constraints"].children):
@@ -386,20 +398,14 @@ def _analyze_construction(root: _RawNode, data: bytes, rep: _Report, strict: boo
                 continue
             kind = _CONSTRAINT_TAGS.get(ch.tag)
             if kind is None:
-                constraints.append(
-                    Constraint(
-                        output=out_id,
-                        kind=ConstraintKind.OPAQUE,
-                        opaque_tag=ch.tag,
-                        opaque_payload=ch.raw(data),
-                    )
-                )
-                continue
-            parameter = None
-            param_attr = _PARAM_ATTRS.get(kind)
-            if param_attr in ch.attrs:
-                parameter = _parse_num(ch.attrs[param_attr], f"{path}/@{param_attr}", rep)
-            constraints.append(Constraint(output=out_id, kind=kind, inputs=tuple(ch.ids()), parameter=parameter))
+                c = Constraint(output=out_id, kind=ConstraintKind.OPAQUE, opaque_tag=ch.tag, opaque_payload=ch.raw(data))
+            else:
+                parameter = None
+                param_attr = _PARAM_ATTRS.get(kind)
+                if param_attr in ch.attrs:
+                    parameter = _parse_num(ch.attrs[param_attr], f"{path}/@{param_attr}", rep)
+                c = Constraint(output=out_id, kind=kind, inputs=tuple(ch.ids()), parameter=parameter)
+            rep.keep(constraints, c, "/construction/constraints", ch.tag, i)
     display = kids["display"].raw(data) if "display" in kids else b""
     return Construction(elements=tuple(elements), constraints=tuple(constraints), display=display)
 
@@ -409,33 +415,10 @@ def _analyze_construction(root: _RawNode, data: bytes, rep: _Report, strict: boo
 
 _STATUS_BY_TEXT = {status.value: status for status in ProofStatus}
 
-_LIMIT_FIELDS = (("time_limit_seconds", float), ("iterations_limit", int), ("memory_limit_mb", int))
-# XML tag -> (model field, type); tags follow the format's symbol list
-_MEASURE_FIELDS = (
-    ("CPU_time", "cpu_time_seconds", float),
-    ("elimination_steps", "elimination_steps", int),
-    ("number_terms_largest_polynomial", "number_terms_largest_polynomial", int),
-    ("proof_steps", "proof_steps", int),
-)
-_PLATFORM_NUMERIC = (("clock_speed", "clock_speed_mhz", float), ("RAM", "ram_mb", int))
-
-
-def _leaf_number(node: _RawNode, path: str, rep: _Report, as_type: type) -> float | int | None:
-    if as_type is int:
-        return _parse_int_text(node.text, path, rep)
-    return _parse_num(node.text, path, rep)
-
-
 def _analyze_proof_info(root: _RawNode, data: bytes, rep: _Report, strict: bool) -> ProofAttempt | None:
     if not _expect_root(root, "proof_info", rep):
         return None
-    kids = _singletons(
-        root,
-        "/proof_info",
-        ("prover", "version", "method", "status", "limits", "measures", "platform"),
-        rep,
-        strict,
-    )
+    kids = _singletons(root, "/proof_info", ("prover", "version", "method", "status", *PROOF_INFO_SECTIONS), rep, strict)
     identity = {fld: kids[fld].text.strip() if fld in kids else "" for fld in ("prover", "version", "method")}
     status_text = kids["status"].text.strip() if "status" in kids else ""
     status = _STATUS_BY_TEXT.get(status_text.lower())
@@ -444,57 +427,24 @@ def _analyze_proof_info(root: _RawNode, data: bytes, rep: _Report, strict: bool)
         status = ProofStatus.UNKNOWN
 
     # range checks (non-negative, positive) come from model validation
-    limit_values: dict[str, float | int | None] = {name: None for name, _t in _LIMIT_FIELDS}
-    if "limits" in kids:
-        found = _singletons(kids["limits"], "/proof_info/limits", tuple(n for n, _t in _LIMIT_FIELDS), rep, strict)
-        for name, as_type in _LIMIT_FIELDS:
-            if name in found:
-                limit_values[name] = _leaf_number(found[name], f"/proof_info/limits/{name}", rep, as_type)
-
-    measure_values: dict[str, float | int | None] = {fld: None for _tag, fld, _t in _MEASURE_FIELDS}
-    if "measures" in kids:
-        found = _singletons(
-            kids["measures"], "/proof_info/measures", tuple(t for t, _f, _ty in _MEASURE_FIELDS), rep, strict
-        )
-        for tag, fld, as_type in _MEASURE_FIELDS:
-            if tag in found:
-                measure_values[fld] = _leaf_number(found[tag], f"/proof_info/measures/{tag}", rep, as_type)
-
-    platform_values: dict[str, object] = {
-        "computer_name": None,
-        "clock_speed_mhz": None,
-        "ram_mb": None,
-        "operating_system": None,
-    }
-    if "platform" in kids:
-        found = _singletons(
-            kids["platform"],
-            "/proof_info/platform",
-            ("computer_name", "clock_speed", "RAM", "operating_system"),
-            rep,
-            strict,
-        )
-        if "computer_name" in found:
-            platform_values["computer_name"] = found["computer_name"].text.strip()
-        if "operating_system" in found:
-            platform_values["operating_system"] = found["operating_system"].text.strip()
-        for tag, fld, as_type in _PLATFORM_NUMERIC:
-            if tag in found:
-                platform_values[fld] = _leaf_number(found[tag], f"/proof_info/platform/{tag}", rep, as_type)
-
-    return ProofAttempt(
-        prover=identity["prover"],
-        version=identity["version"],
-        method=identity["method"],
-        status=status,
-        limits=ProofLimits(
-            time_limit_seconds=limit_values["time_limit_seconds"],
-            iterations_limit=limit_values["iterations_limit"],
-            memory_limit_mb=limit_values["memory_limit_mb"],
-        ),
-        measures=ProofMeasures(**measure_values),
-        platform=Platform(**platform_values),  # type: ignore[arg-type]
-    )
+    records: dict[str, object] = {}
+    for section, (record, _code, _zero_ok, children) in PROOF_INFO_SECTIONS.items():
+        values: dict[str, object] = {}
+        if section in kids:
+            parent = f"/proof_info/{section}"
+            found = _singletons(kids[section], parent, tuple(tag for tag, _f, _t in children), rep, strict)
+            for tag, fld, as_type in children:
+                if tag not in found:
+                    continue
+                text = found[tag].text
+                if as_type is str:
+                    values[fld] = text.strip()
+                elif as_type is int:
+                    values[fld] = _parse_int_text(text, f"{parent}/{tag}", rep)
+                else:
+                    values[fld] = _parse_num(text, f"{parent}/{tag}", rep)
+        records[section] = record(**values)
+    return ProofAttempt(status=status, **identity, **records)  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +472,8 @@ def _model_violations(kind: DocumentKind, value) -> list[Violation]:
 
 def _violations(kind: DocumentKind, data: bytes, strict: bool):
     """The value read from ``data`` and every violation: syntax ones from
-    the reader, then value ones from the model validators."""
+    the reader, then value ones from the model validators, each located at
+    its source tag and child index."""
 
     rep = _Report()
     try:
@@ -531,7 +482,11 @@ def _violations(kind: DocumentKind, data: bytes, strict: bool):
         rep.error("MalformedXml", "/", f"XML parse error: {exc}")
         return None, rep
     value = _ANALYZERS[kind](root, data, rep, strict)
-    return value, rep + _model_violations(kind, value)
+    model = [
+        Violation(v.code, rep.moved[v.path], v.message) if v.path in rep.moved else v
+        for v in _model_violations(kind, value)
+    ]
+    return value, rep + model
 
 
 def _parse(kind: DocumentKind, data: bytes, strict: bool):
@@ -575,10 +530,6 @@ def validate_document(kind: DocumentKind, data: bytes) -> list[Violation]:
 
 # ---------------------------------------------------------------------------
 # Canonical serialization
-
-
-def _fmt_int(x: int) -> str:
-    return str(int(x))
 
 
 def _esc_text(s: str) -> str:
@@ -638,8 +589,16 @@ def _require_valid(violations: list[Violation]) -> None:
         raise CodecError(violations)
 
 
+# Each serialize_* is its model check plus a _write_* writer; callers that
+# have just validated the value call the writer directly.
+
+
 def serialize_information(info: ProblemInfo) -> bytes:
     _require_valid(validate_info(info))
+    return _write_information(info)
+
+
+def _write_information(info: ProblemInfo) -> bytes:
     w = _Writer()
     w.open("information")
     w.leaf("name", info.name)
@@ -689,6 +648,10 @@ def _write_predicate(w: _Writer, p: Predicate) -> None:
 
 def serialize_conjecture(c: Conjecture) -> bytes:
     _require_valid(validate_conjecture(c, None))
+    return _write_conjecture(c)
+
+
+def _write_conjecture(c: Conjecture) -> bytes:
     w = _Writer()
     w.open("conjecture")
     for section, preds in (("hypothesis", c.hypothesis), ("ndg", c.ndg), ("conclusion", c.conclusion)):
@@ -704,6 +667,10 @@ def serialize_conjecture(c: Conjecture) -> bytes:
 
 def serialize_construction(k: Construction) -> bytes:
     _require_valid(validate_construction(k))
+    return _write_construction(k)
+
+
+def _write_construction(k: Construction) -> bytes:
     w = _Writer()
     w.open("construction")
     if k.elements:
@@ -739,65 +706,35 @@ def serialize_construction(k: Construction) -> bytes:
 
 def serialize_proof_info(a: ProofAttempt) -> bytes:
     _require_valid(validate_attempt(a))
+    return _write_proof_info(a)
+
+
+def _write_proof_info(a: ProofAttempt) -> bytes:
     w = _Writer()
     w.open("proof_info")
     w.leaf("prover", a.prover)
     w.leaf("version", a.version)
     w.leaf("method", a.method)
     w.leaf("status", a.status.value)
-    lim = a.limits
-    if any(v is not None for v in (lim.time_limit_seconds, lim.iterations_limit, lim.memory_limit_mb)):
-        w.open("limits")
-        if lim.time_limit_seconds is not None:
-            w.leaf("time_limit_seconds", format_number(lim.time_limit_seconds))
-        if lim.iterations_limit is not None:
-            w.leaf("iterations_limit", _fmt_int(lim.iterations_limit))
-        if lim.memory_limit_mb is not None:
-            w.leaf("memory_limit_mb", _fmt_int(lim.memory_limit_mb))
-        w.close("limits")
-    meas = a.measures
-    if any(
-        v is not None
-        for v in (meas.cpu_time_seconds, meas.elimination_steps, meas.number_terms_largest_polynomial, meas.proof_steps)
-    ):
-        w.open("measures")
-        if meas.cpu_time_seconds is not None:
-            w.leaf("CPU_time", format_number(meas.cpu_time_seconds))
-        if meas.elimination_steps is not None:
-            w.leaf("elimination_steps", _fmt_int(meas.elimination_steps))
-        if meas.number_terms_largest_polynomial is not None:
-            w.leaf("number_terms_largest_polynomial", _fmt_int(meas.number_terms_largest_polynomial))
-        if meas.proof_steps is not None:
-            w.leaf("proof_steps", _fmt_int(meas.proof_steps))
-        w.close("measures")
-    plat = a.platform
-    if any(v is not None for v in (plat.computer_name, plat.clock_speed_mhz, plat.ram_mb, plat.operating_system)):
-        w.open("platform")
-        if plat.computer_name is not None:
-            w.leaf("computer_name", plat.computer_name)
-        if plat.clock_speed_mhz is not None:
-            w.leaf("clock_speed", format_number(plat.clock_speed_mhz))
-        if plat.ram_mb is not None:
-            w.leaf("RAM", _fmt_int(plat.ram_mb))
-        if plat.operating_system is not None:
-            w.leaf("operating_system", plat.operating_system)
-        w.close("platform")
+    for section, (_record, _code, _zero_ok, children) in PROOF_INFO_SECTIONS.items():
+        record = getattr(a, section)
+        values = [(tag, as_type, getattr(record, fld)) for tag, fld, as_type in children]
+        if all(value is None for _tag, _type, value in values):
+            continue  # empty sections are omitted entirely
+        w.open(section)
+        for tag, as_type, value in values:
+            if value is not None:
+                w.leaf(tag, format_number(value) if as_type is float else str(as_type(value)))
+        w.close(section)
     w.close("proof_info")
     return w.bytes()
 
 
-_SERIALIZERS = {
-    DocumentKind.INFORMATION: serialize_information,
-    DocumentKind.CONJECTURE: serialize_conjecture,
-    DocumentKind.CONSTRUCTION: serialize_construction,
-    DocumentKind.PROOF_INFO: serialize_proof_info,
-}
-
-_PARSERS = {
-    DocumentKind.INFORMATION: parse_information,
-    DocumentKind.CONJECTURE: parse_conjecture,
-    DocumentKind.CONSTRUCTION: parse_construction,
-    DocumentKind.PROOF_INFO: parse_proof_info,
+_WRITERS = {
+    DocumentKind.INFORMATION: _write_information,
+    DocumentKind.CONJECTURE: _write_conjecture,
+    DocumentKind.CONSTRUCTION: _write_construction,
+    DocumentKind.PROOF_INFO: _write_proof_info,
 }
 
 
@@ -805,4 +742,6 @@ def canonicalize(kind: DocumentKind, data: bytes) -> bytes:
     """Serialize-after-parse; idempotent, and the identity on canonical
     documents."""
 
-    return _SERIALIZERS[kind](_PARSERS[kind](data))
+    # the parse has validated the value; strict only matters for the lenient
+    # information and proofInfo readers, whose parse_* default is lenient too
+    return _WRITERS[kind](_parse(kind, data, False))

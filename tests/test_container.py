@@ -170,6 +170,15 @@ def test_add_proof_attempt_round_trip(corpus):
     assert exc.value.code == "DuplicateAttempt"
 
 
+def test_add_proof_attempt_rejects_invalid_attempt(corpus):
+    # a name that cannot compose a directory name is refused before writing
+    attempt = ProofAttempt("GCLC prover", "2.0", "areamethod", ProofStatus.PROVED)
+    with pytest.raises(ContainerError) as exc:
+        add_proof_attempt(pack(corpus["varignon"]), attempt)
+    assert exc.value.code == "InvalidProblem"
+    assert [(v.code, v.path) for v in exc.value.violations] == [("BadName", "/proof_info/prover")]
+
+
 def test_add_proof_attempt_writes_missing_parent_dirs(corpus):
     data = pack(corpus["varignon"])
     files_only = _rezip([(n, _read(data, n)) for n in _names(data) if not n.endswith("/")])

@@ -1,6 +1,8 @@
 """The conjecture vocabulary is declared once, in ``model.PREDICATES``; every
 notation (conjecture.xml, the DSL, the prover input, the documented
-grammars) must read and write exactly that table."""
+grammars) must read and write exactly that table.  The proofInfo.xml layout
+is declared once too, in ``model.PROOF_INFO_SECTIONS``, and its schema must
+list the same children."""
 
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import pytest
 from i2gatp.dsl import emit_prover_input, parse_dsl, predicate_text
 from i2gatp.model import (
     PREDICATES,
+    PROOF_INFO_SECTIONS,
     Conjecture,
     Const,
     Equal,
@@ -94,3 +97,20 @@ def test_dsl_grammar_lists_the_table():
             assert args[:count] == ["id"] * count
             shapes[name] = f"{count}{'+ratio' if ratio else ''}"
     assert shapes == _expected_shapes()
+
+
+def test_proof_info_schema_lists_the_table():
+    rnc = (DOCS / "schema" / "proof_info.rnc").read_text()
+    # rnc type -> (table type, whether 0 is allowed); None where it does not apply
+    types = {
+        "non-negative-double": (float, True),
+        "positive-double": (float, False),
+        "xsd:nonNegativeInteger": (int, True),
+        "xsd:positiveInteger": (int, False),
+        "text": (str, None),
+    }
+    for section, (_record, _code, zero_ok, children) in PROOF_INFO_SECTIONS.items():
+        block = re.search(rf"element {section} {{\n(.*?)\n  }}\?", rnc, re.S).group(1)
+        listed = [(tag, *types[kind]) for tag, kind in re.findall(r"element (\w+) {\s*(\S+)\s*}\?", block)]
+        expected = [(tag, as_type, None if as_type is str else zero_ok) for tag, _fld, as_type in children]
+        assert listed == expected, section

@@ -248,14 +248,29 @@ def test_unknown_status_rejected():
     assert exc.value.code == "UnknownStatus"
 
 
-def test_negative_measure_rejected():
-    doc = (
-        b"<proof_info><prover>p</prover><version>1</version><method>m</method>"
-        b"<status>proved</status><measures><elimination_steps>-3</elimination_steps></measures></proof_info>"
-    )
-    with pytest.raises(CodecError) as exc:
-        parse_proof_info(doc)
-    assert any(v.code == "NegativeMeasure" and "elimination_steps" in v.path for v in exc.value.violations)
+# tag -> (section, a value out of range, its code)
+_OUT_OF_RANGE = {
+    "elimination_steps": ("measures", "-3", "NegativeMeasure"),
+    "CPU_time": ("measures", "-0.5", "NegativeMeasure"),
+    "RAM": ("platform", "0", "NonPositivePlatform"),
+    "clock_speed": ("platform", "0.0", "NonPositivePlatform"),
+}
+
+
+@pytest.mark.parametrize("tag", list(_OUT_OF_RANGE))
+def test_negative_measure_rejected(tag):
+    section, out_of_range, code = _OUT_OF_RANGE[tag]
+
+    def doc(value: str) -> bytes:
+        return (
+            b"<proof_info><prover>p</prover><version>1</version><method>m</method><status>proved</status>"
+            + f"<{section}><{tag}>{value}</{tag}></{section}></proof_info>".encode()
+        )
+
+    # a value out of range and a malformed one are located at the same tag
+    path = f"/proof_info/{section}/{tag}"
+    assert [(v.code, v.path) for v in validate_document(DocumentKind.PROOF_INFO, doc(out_of_range))] == [(code, path)]
+    assert [(v.code, v.path) for v in validate_document(DocumentKind.PROOF_INFO, doc("1x"))] == [("BadNumber", path)]
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +293,25 @@ def test_validate_document_reports_all_not_first():
     )
     codes = {v.code for v in validate_document(DocumentKind.CONJECTURE, doc)}
     assert {"ArityError", "UnknownPredicate"} <= codes
+    # a child after a dropped one is located at its source index
+    doc = (
+        b"<conjecture><conclusion><foo>A B</foo>"
+        b'<equal><segment_length>A 1x</segment_length><const value="1"/></equal>'
+        b"</conclusion></conjecture>"
+    )
+    assert [(v.code, v.path) for v in validate_document(DocumentKind.CONJECTURE, doc)] == [
+        ("UnknownPredicate", "/conjecture/conclusion/foo[0]"),
+        ("BadId", "/conjecture/conclusion/equal[1]"),
+    ]
+    doc = (
+        b'<construction><elements><segment id="s"/><point id="1A" x="0" y="0"/></elements>'
+        b'<constraints><free_point out="1A"/></constraints></construction>'
+    )
+    assert [(v.code, v.path) for v in validate_document(DocumentKind.CONSTRUCTION, doc)] == [
+        ("UnknownTag", "/construction/elements/segment[0]"),
+        ("BadId", "/construction/elements/point[1]"),
+        ("BadId", "/construction/constraints/free_point[0]"),
+    ]
 
 
 def test_malformed_xml_is_a_violation_not_a_crash():
