@@ -59,7 +59,6 @@ from .model import (
     Term,
     Violation,
     canonicalize_problem,
-    resolve_ids,
     validate_problem,
 )
 from .numeric import (

@@ -1,9 +1,10 @@
 """Command-line front end: pack, unpack, strip, validate, info, convert, check.
 
-Exit codes are stable: 0 ok, 1 validation failed, 2 I/O or format error,
-3 usage error, 4 conjecture falsified.  ``-`` selects stdin/stdout where a
-file path is expected.  The environment variable I2GATP_EPS overrides the
-default check tolerance when --eps is not given.
+Exit codes are stable: 0 ok, 1 validation failed, 2 I/O or format error
+(or any unexpected error, reported in one line), 3 usage error, 4 conjecture
+falsified.  ``-`` selects stdin/stdout where a file path is expected.  The
+environment variable I2GATP_EPS overrides the default check tolerance when
+--eps is not given.
 """
 
 from __future__ import annotations
@@ -299,11 +300,11 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except I2gatpError as exc:
+    except (I2gatpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO_OR_FORMAT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # no traceback reaches the user; repr keeps it one line
+        print(f"error: unexpected {exc!r}", file=sys.stderr)
         return EXIT_IO_OR_FORMAT
 
 

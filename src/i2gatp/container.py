@@ -19,8 +19,9 @@ import re
 import zipfile
 from dataclasses import replace
 
-from .errors import CodecError, ContainerError
+from .errors import ContainerError
 from .model import (
+    Construction,
     Problem,
     ProofAttempt,
     Violation,
@@ -31,6 +32,7 @@ from .model import (
 )
 from .xml_codec import (
     DocumentKind,
+    _read,
     _write_conjecture,
     _write_construction,
     _write_information,
@@ -39,12 +41,13 @@ from .xml_codec import (
     parse_construction,
     parse_information,
     parse_proof_info,
-    validate_document,
 )
 
-# Unused here: every value is validated once before its _write_* call.  Kept
-# importable because bench/tracer.py swaps these names in this module.
+# Unused here: every value is validated once before its _write_* call, and
+# validation reads each document once through _read.  Kept importable
+# because bench/tracer.py swaps these names in this module.
 from .xml_codec import serialize_conjecture, serialize_construction, serialize_information, serialize_proof_info  # noqa: F401
+from .xml_codec import validate_document  # noqa: F401
 
 __all__ = [
     "add_proof_attempt",
@@ -61,6 +64,7 @@ __all__ = [
 ]
 
 MANDATORY_DIRS = ("information/", "construction/", "conjecture/", "proofs/")
+EXTENSION_DIRS = ("information/", "conjecture/", "proofs/")  # absent from the i2g layout
 INTERGEO_PATH = "construction/intergeo.xml"
 INFORMATION_PATH = "information/information.xml"
 CONJECTURE_PATH = "conjecture/conjecture.xml"
@@ -293,7 +297,7 @@ def strip_to_i2g(data: bytes) -> bytes:
     for name, content in entries:
         if content is None:
             continue
-        if name.startswith(("information/", "conjecture/", "proofs/")):
+        if name.startswith(EXTENSION_DIRS):
             continue
         if name.startswith("construction/"):
             name = name[len("construction/") :]
@@ -312,17 +316,14 @@ def add_proof_attempt(data: bytes, attempt: ProofAttempt) -> bytes:
     _refuse_invalid("attempt", validate_attempt(attempt))
     entries = read_container_entries(data)
     new_dir = f"proofs/{attempt.directory_name}/"
-    existing = {name for name, _ in entries}
-    if any(name == new_dir or name.startswith(new_dir) for name in existing):
+    if any(name.startswith(new_dir) for name, _ in entries):
         raise ContainerError("DuplicateAttempt", f"directory {new_dir!r} already present")
     for name, content in entries:
         if content is None or not name.startswith("proofs/") or not name.endswith("/" + PROOF_INFO_NAME):
             continue
-        try:
-            other = parse_proof_info(content)
-        except CodecError:
-            continue
-        if other.identity == attempt.identity:
+        # an invalid attempt still has an identity; only an unreadable one has none
+        other = _read(DocumentKind.PROOF_INFO, content)[0]
+        if other is not None and other.identity == attempt.identity:
             raise ContainerError(
                 "DuplicateAttempt",
                 f"attempt {attempt.prover}/{attempt.version}/{attempt.method} already present",
@@ -335,15 +336,18 @@ def add_proof_attempt(data: bytes, attempt: ProofAttempt) -> bytes:
 # ---------------------------------------------------------------------------
 # Container validation
 
-_KNOWN_TOP_DIRS = ("information/", "construction/", "conjecture/", "proofs/", "metadata/", "resources/", "private/")
+_KNOWN_TOP_DIRS = (*MANDATORY_DIRS, "metadata/", "resources/", "private/")
 
 
-def _located(entry: str, violations: list[Violation]) -> list[Violation]:
-    return [Violation(v.code, f"{entry}{v.path}", v.message) for v in violations]
+def _read_entry(
+    out: list[Violation], kind: DocumentKind, entry: str, data: bytes, construction: Construction | None = None
+):
+    """The value read from one entry (None if unreadable); its violations,
+    unknown tags included, are appended to ``out`` located at the entry."""
 
-
-def _doc_violations(kind: DocumentKind, entry: str, data: bytes) -> list[Violation]:
-    return _located(entry, validate_document(kind, data))
+    value, violations, _strangers = _read(kind, data, construction)
+    out.extend(Violation(v.code, f"{entry}{v.path}", v.message) for v in violations)
+    return value
 
 
 def validate_container(data: bytes, i2g: bool = False) -> list[Violation]:
@@ -385,23 +389,27 @@ def validate_entries(entries: list[Entry], i2g: bool = False) -> list[Violation]
         if "intergeo.xml" not in files:
             out.append(Violation("MissingIntergeo", "intergeo.xml", "i2g container lacks a root intergeo.xml"))
         else:
-            out.extend(_doc_violations(DocumentKind.CONSTRUCTION, "intergeo.xml", files["intergeo.xml"]))
+            _read_entry(out, DocumentKind.CONSTRUCTION, "intergeo.xml", files["intergeo.xml"])
         for name in sorted(files) + sorted(prefixes):
-            if name.startswith(("information/", "conjecture/", "proofs/")):
+            if name.startswith(EXTENSION_DIRS):
                 out.append(Violation("UnexpectedEntry", name, "extension directories must be stripped from an i2g container"))
         return out
 
     for d in MANDATORY_DIRS:
         if d not in prefixes:
             out.append(Violation("MissingMandatoryDir", d, f"mandatory directory {d!r} is absent"))
+    construction = None
     if INTERGEO_PATH not in files:
         out.append(Violation("MissingIntergeo", INTERGEO_PATH, "the construction document is mandatory"))
     else:
-        out.extend(_doc_violations(DocumentKind.CONSTRUCTION, INTERGEO_PATH, files[INTERGEO_PATH]))
+        found = len(out)
+        construction = _read_entry(out, DocumentKind.CONSTRUCTION, INTERGEO_PATH, files[INTERGEO_PATH])
+        if len(out) > found:
+            construction = None  # so its faults do not return as unresolved conjecture ids
     if INFORMATION_PATH in files:
-        out.extend(_doc_violations(DocumentKind.INFORMATION, INFORMATION_PATH, files[INFORMATION_PATH]))
+        _read_entry(out, DocumentKind.INFORMATION, INFORMATION_PATH, files[INFORMATION_PATH])
     if CONJECTURE_PATH in files:
-        out.extend(_doc_violations(DocumentKind.CONJECTURE, CONJECTURE_PATH, files[CONJECTURE_PATH]))
+        _read_entry(out, DocumentKind.CONJECTURE, CONJECTURE_PATH, files[CONJECTURE_PATH], construction)
 
     proof_dirs = sorted(
         {p[len("proofs/") :].split("/", 1)[0] for p in (set(files) | prefixes) if p.startswith("proofs/") and p != "proofs/"}
@@ -415,16 +423,9 @@ def validate_entries(entries: list[Entry], i2g: bool = False) -> list[Violation]
         info_path = dir_path + PROOF_INFO_NAME
         if info_path not in files:
             continue  # proofInfo.xml itself is optional
-        try:
-            attempt = parse_proof_info(files[info_path], strict=True)
-        except CodecError as exc:
-            # strict violations are validate_document's; unknown tags alone
-            # still leave an attempt to check the directory against
-            out.extend(_located(info_path, exc.violations))
-            try:
-                attempt = parse_proof_info(files[info_path])
-            except CodecError:
-                continue
+        attempt = _read_entry(out, DocumentKind.PROOF_INFO, info_path, files[info_path])
+        if attempt is None:
+            continue
         if attempt.identity in triples_seen:
             out.append(
                 Violation(

@@ -54,7 +54,6 @@ __all__ = [
     "Violation",
     "canonicalize_problem",
     "predicate_point_ids",
-    "resolve_ids",
     "term_point_ids",
     "validate_attempt",
     "validate_conjecture",
@@ -848,37 +847,6 @@ def validate_attempt(a: ProofAttempt) -> list[Violation]:
     out: list[Violation] = []
     _validate_attempt(a, "/proof_info", out)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Conjecture / construction reference resolution
-
-
-def resolve_ids(conjecture: Conjecture, construction: Construction) -> list[tuple[str, GeoKind]]:
-    """Each distinct id used by the conjecture with its construction kind.
-
-    Order follows first use (hypothesis, then ndg, then conclusion).  Raises
-    :class:`~i2gatp.errors.UnresolvedIdError` on a missing id and
-    :class:`~i2gatp.errors.KindMismatchError` when a predicate references a
-    non-point element.
-    """
-
-    from .errors import KindMismatchError, UnresolvedIdError
-
-    kinds = construction.element_kinds()
-    resolved: list[tuple[str, GeoKind]] = []
-    seen: set[str] = set()
-    for p in conjecture.all_predicates():
-        for ref in predicate_point_ids(p):
-            if ref in seen:
-                continue
-            if ref not in kinds:
-                raise UnresolvedIdError(ref)
-            if kinds[ref] is not GeoKind.POINT:
-                raise KindMismatchError(ref, GeoKind.POINT.value, kinds[ref].value)
-            seen.add(ref)
-            resolved.append((ref, kinds[ref]))
-    return resolved
 
 
 def canonicalize_problem(p: Problem) -> Problem:

@@ -165,11 +165,13 @@ def _parse_raw(data: bytes) -> _RawNode:
 class _Report(list):
     """Syntax violations found while reading a document; value checks are
     left to the model validators.  ``moved`` maps the model's locator of a
-    kept child to its source locator when earlier siblings were dropped."""
+    kept child to its source locator when earlier siblings were dropped;
+    ``strangers`` are the unknown child tags the reader skipped."""
 
     def __init__(self) -> None:
         super().__init__()
         self.moved: dict[str, str] = {}
+        self.strangers: list[Violation] = []
 
     def error(self, code: str, path: str, message: str) -> None:
         self.append(Violation(code, path, message))
@@ -210,17 +212,15 @@ def _expect_root(root: _RawNode, tag: str, rep: _Report) -> bool:
     return True
 
 
-def _singletons(
-    root: _RawNode, path: str, allowed: tuple[str, ...], rep: _Report, strict: bool
-) -> dict[str, _RawNode]:
+def _singletons(root: _RawNode, path: str, allowed: tuple[str, ...], rep: _Report) -> dict[str, _RawNode]:
     """First occurrence of each allowed child; duplicates are violations,
-    and so are strangers when ``strict`` (otherwise they are ignored)."""
+    and strangers are skipped and reported as such."""
 
     found: dict[str, _RawNode] = {}
     for ch in root.children:
         if ch.tag not in allowed:
-            if strict:
-                rep.error("UnknownTag", f"{path}/{ch.tag}", f"unknown tag <{ch.tag}>")
+            rep.error("UnknownTag", f"{path}/{ch.tag}", f"unknown tag <{ch.tag}>")
+            rep.strangers.append(rep[-1])
             continue
         if ch.tag in found:
             rep.error("DuplicateEntry", f"{path}/{ch.tag}", f"repeated <{ch.tag}> element")
@@ -233,10 +233,10 @@ def _singletons(
 # information.xml
 
 
-def _analyze_information(root: _RawNode, data: bytes, rep: _Report, strict: bool) -> ProblemInfo | None:
+def _analyze_information(root: _RawNode, data: bytes, rep: _Report) -> ProblemInfo | None:
     if not _expect_root(root, "information", rep):
         return None
-    kids = _singletons(root, "/information", ("name", "description", "statement", "bibrefs", "keywords"), rep, strict)
+    kids = _singletons(root, "/information", ("name", "description", "statement", "bibrefs", "keywords"), rep)
     name = kids["name"].text.strip() if "name" in kids else ""
     description = kids["description"].text.strip() if "description" in kids else ""
     statement = kids["statement"].inner(data) if "statement" in kids else b""
@@ -326,10 +326,10 @@ def _analyze_predicate(node: _RawNode, path: str, rep: _Report) -> Predicate | N
     return None if ratio is None else SegmentRatio(*ids, ratio=ratio)
 
 
-def _analyze_conjecture(root: _RawNode, data: bytes, rep: _Report, strict: bool) -> Conjecture | None:
+def _analyze_conjecture(root: _RawNode, data: bytes, rep: _Report) -> Conjecture | None:
     if not _expect_root(root, "conjecture", rep):
         return None
-    kids = _singletons(root, "/conjecture", ("hypothesis", "ndg", "conclusion"), rep, True)
+    kids = _singletons(root, "/conjecture", ("hypothesis", "ndg", "conclusion"), rep)
     sections: dict[str, tuple[Predicate, ...]] = {}
     for section in ("hypothesis", "ndg", "conclusion"):
         preds: list[Predicate] = []
@@ -364,10 +364,10 @@ _PARAM_ATTRS = {
 }
 
 
-def _analyze_construction(root: _RawNode, data: bytes, rep: _Report, strict: bool) -> Construction | None:
+def _analyze_construction(root: _RawNode, data: bytes, rep: _Report) -> Construction | None:
     if not _expect_root(root, "construction", rep):
         return None
-    kids = _singletons(root, "/construction", ("elements", "constraints", "display"), rep, True)
+    kids = _singletons(root, "/construction", ("elements", "constraints", "display"), rep)
     if "elements" not in kids:
         rep.error("MissingElementsPart", "/construction/elements", "the elements part is required")
         return None
@@ -415,10 +415,10 @@ def _analyze_construction(root: _RawNode, data: bytes, rep: _Report, strict: boo
 
 _STATUS_BY_TEXT = {status.value: status for status in ProofStatus}
 
-def _analyze_proof_info(root: _RawNode, data: bytes, rep: _Report, strict: bool) -> ProofAttempt | None:
+def _analyze_proof_info(root: _RawNode, data: bytes, rep: _Report) -> ProofAttempt | None:
     if not _expect_root(root, "proof_info", rep):
         return None
-    kids = _singletons(root, "/proof_info", ("prover", "version", "method", "status", *PROOF_INFO_SECTIONS), rep, strict)
+    kids = _singletons(root, "/proof_info", ("prover", "version", "method", "status", *PROOF_INFO_SECTIONS), rep)
     identity = {fld: kids[fld].text.strip() if fld in kids else "" for fld in ("prover", "version", "method")}
     status_text = kids["status"].text.strip() if "status" in kids else ""
     status = _STATUS_BY_TEXT.get(status_text.lower())
@@ -432,7 +432,7 @@ def _analyze_proof_info(root: _RawNode, data: bytes, rep: _Report, strict: bool)
         values: dict[str, object] = {}
         if section in kids:
             parent = f"/proof_info/{section}"
-            found = _singletons(kids[section], parent, tuple(tag for tag, _f, _t in children), rep, strict)
+            found = _singletons(kids[section], parent, tuple(tag for tag, _f, _t in children), rep)
             for tag, fld, as_type in children:
                 if tag not in found:
                     continue
@@ -458,7 +458,12 @@ _ANALYZERS = {
 }
 
 
-def _model_violations(kind: DocumentKind, value) -> list[Violation]:
+# Readers of these kinds skip unknown child tags (see _singletons);
+# validate_document still reports them.
+_FORGIVES_STRANGERS = (DocumentKind.INFORMATION, DocumentKind.PROOF_INFO)
+
+
+def _model_violations(kind: DocumentKind, value, construction: Construction | None) -> list[Violation]:
     if value is None:
         return []
     if kind is DocumentKind.INFORMATION:
@@ -466,66 +471,72 @@ def _model_violations(kind: DocumentKind, value) -> list[Violation]:
     if kind is DocumentKind.CONSTRUCTION:
         return validate_construction(value)
     if kind is DocumentKind.CONJECTURE:
-        return validate_conjecture(value, None)
+        return validate_conjecture(value, construction)
     return validate_attempt(value)
 
 
-def _violations(kind: DocumentKind, data: bytes, strict: bool):
-    """The value read from ``data`` and every violation: syntax ones from
-    the reader, then value ones from the model validators, each located at
-    its source tag and child index."""
+def _read(kind: DocumentKind, data: bytes, construction: Construction | None = None):
+    """The value read from ``data``, every violation and the skipped
+    strangers among them.  Violations are syntax ones from the reader, then
+    value ones from the model validators, each located at its source tag and
+    child index; a conjecture's ids are resolved against ``construction``
+    when one is given."""
 
     rep = _Report()
     try:
         root = _parse_raw(data)
     except (xml.parsers.expat.ExpatError, LookupError) as exc:
         rep.error("MalformedXml", "/", f"XML parse error: {exc}")
-        return None, rep
-    value = _ANALYZERS[kind](root, data, rep, strict)
+        return None, rep, []
+    value = _ANALYZERS[kind](root, data, rep)
     model = [
         Violation(v.code, rep.moved[v.path], v.message) if v.path in rep.moved else v
-        for v in _model_violations(kind, value)
+        for v in _model_violations(kind, value, construction)
     ]
-    return value, rep + model
+    return value, rep + model, rep.strangers
 
 
-def _parse(kind: DocumentKind, data: bytes, strict: bool):
-    value, violations = _violations(kind, data, strict)
+def _parse(kind: DocumentKind, data: bytes):
+    value, violations, strangers = _read(kind, data)
+    if kind in _FORGIVES_STRANGERS:
+        violations = [v for v in violations if v not in strangers]
     if violations:
         raise CodecError(violations)
     return value
 
 
-def parse_information(data: bytes, strict: bool = False) -> ProblemInfo:
-    """Parse information.xml.  Lenient by default: unknown tags are ignored
-    (they become errors under ``strict``); a missing name always fails."""
+def parse_information(data: bytes) -> ProblemInfo:
+    """Parse information.xml; unknown child tags are skipped, a missing
+    name fails."""
 
-    return _parse(DocumentKind.INFORMATION, data, strict)
+    return _parse(DocumentKind.INFORMATION, data)
 
 
 def parse_conjecture(data: bytes) -> Conjecture:
-    """Parse conjecture.xml; unknown predicate tags are errors."""
+    """Parse conjecture.xml; unknown tags are errors."""
 
-    return _parse(DocumentKind.CONJECTURE, data, True)
+    return _parse(DocumentKind.CONJECTURE, data)
 
 
 def parse_construction(data: bytes) -> Construction:
     """Parse intergeo.xml (supported subset); unknown constraint elements
     become OPAQUE constraints carrying their source bytes verbatim."""
 
-    return _parse(DocumentKind.CONSTRUCTION, data, True)
+    return _parse(DocumentKind.CONSTRUCTION, data)
 
 
-def parse_proof_info(data: bytes, strict: bool = False) -> ProofAttempt:
-    """Parse proofInfo.xml; status text maps case-insensitively."""
+def parse_proof_info(data: bytes) -> ProofAttempt:
+    """Parse proofInfo.xml; status text maps case-insensitively and unknown
+    child tags are skipped."""
 
-    return _parse(DocumentKind.PROOF_INFO, data, strict)
+    return _parse(DocumentKind.PROOF_INFO, data)
 
 
 def validate_document(kind: DocumentKind, data: bytes) -> list[Violation]:
-    """All structural violations of one document, without parse commitment."""
+    """All structural violations of one document, unknown tags included,
+    without parse commitment."""
 
-    return _violations(kind, data, True)[1]
+    return _read(kind, data)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -742,6 +753,5 @@ def canonicalize(kind: DocumentKind, data: bytes) -> bytes:
     """Serialize-after-parse; idempotent, and the identity on canonical
     documents."""
 
-    # the parse has validated the value; strict only matters for the lenient
-    # information and proofInfo readers, whose parse_* default is lenient too
-    return _WRITERS[kind](_parse(kind, data, False))
+    # the parse has validated the value
+    return _WRITERS[kind](_parse(kind, data))

@@ -210,6 +210,12 @@ def _container_mutations(corpus_containers):
 
     attempts = entries(corpus_containers["varignon_attempts"])
     wu = next(d for n, d in attempts if n == "proofs/proofGCLCprover2.0wu/proofInfo.xml")
+    varignon = entries(corpus_containers["varignon"])
+    undefined = [
+        (n, d.replace(b"<midpoint>P A B</midpoint>", b"<midpoint>P A Zq</midpoint>") if n == "conjecture/conjecture.xml" else d)
+        for n, d in varignon
+    ]
+    assert undefined != varignon
     return [
         ("duplicate attempt triple",
          rezip(attempts + [("proofs/proofSomethingelse1/proofInfo.xml", wu)]), "DuplicateAttempt"),
@@ -217,6 +223,7 @@ def _container_mutations(corpus_containers):
          rezip(attempts + [("proofs/myattempt/notes.txt", b"x")]), "BadProofDirName"),
         ("missing intergeo",
          rezip([(n, d) for n, d in attempts if n != "construction/intergeo.xml"]), "MissingIntergeo"),
+        ("conjecture names an undefined point", rezip(undefined), "UnresolvedId"),
     ]
 
 

@@ -139,6 +139,25 @@ def test_malformed_archive_exit_2(tmp_path, capsys):
     assert main(["info", str(bad)]) == 2
 
 
+def test_unexpected_error_exits_2_in_one_line(varignon_zip, tmp_path, capsys):
+    import io
+    import zipfile
+
+    term = "<plus>" * 5000 + '<const value="1"/>' + '<const value="1"/></plus>' * 5000
+    deep = f'<conjecture><conclusion><equal>{term}<const value="1"/></equal></conclusion></conjecture>'
+    buf = io.BytesIO()
+    with zipfile.ZipFile(varignon_zip) as src, zipfile.ZipFile(buf, "w") as zf:
+        for info in src.infolist():
+            data = deep.encode() if info.filename == "conjecture/conjecture.xml" else src.read(info)
+            zf.writestr(info, data)
+    path = tmp_path / "deep.zip"
+    path.write_bytes(buf.getvalue())
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_unpack_rejects_traversal_before_writing(tmp_path, capsys):
     import io
     import zipfile

@@ -223,19 +223,30 @@ def test_validate_locates_malformed_documents(corpus):
     assert violations[0].code == "MalformedXml"
 
 
-def test_unknown_tag_in_proof_info_still_checks_its_directory(corpus):
+@pytest.mark.parametrize(
+    "extra, code, where",
+    [
+        (b"<mood>tired</mood>", "UnknownTag", "mood"),
+        (b"<measures><proof_steps>-1</proof_steps></measures>", "NegativeMeasure", "measures/proof_steps"),
+    ],
+    ids=["unknown-tag", "negative-measure"],
+)
+def test_unknown_tag_in_proof_info_still_checks_its_directory(corpus, extra, code, where):
     data = pack(corpus["varignon_attempts"])
+    entries = [(n, None if n.endswith("/") else _read(data, n)) for n in _names(data)]
     wu = _read(data, "proofs/proofGCLCprover2.0wu/proofInfo.xml")
-    moved = wu.replace(b"</proof_info>", b"<mood>tired</mood></proof_info>")
-    violations = validate_container(_rezip([
-        *((n, None if n.endswith("/") else _read(data, n)) for n in _names(data)),
-        ("proofs/proofOtherdir1.0x/proofInfo.xml", moved),
-    ]))
-    pairs = [(v.code, v.path) for v in violations]
-    assert ("UnknownTag", "proofs/proofOtherdir1.0x/proofInfo.xml/proof_info/mood") in pairs
+    misplaced = ("proofs/proofOtherdir1.0x/proofInfo.xml", wu.replace(b"</proof_info>", extra + b"</proof_info>"))
+    pairs = [(v.code, v.path) for v in validate_container(_rezip([*entries, misplaced]))]
+    assert (code, f"proofs/proofOtherdir1.0x/proofInfo.xml/proof_info/{where}") in pairs
     assert ("DirNameMismatch", "proofs/proofOtherdir1.0x/") in pairs
     assert ("DuplicateAttempt", "proofs/proofOtherdir1.0x/proofInfo.xml") in pairs
     assert len(pairs) == len(set(pairs))
+    # the misplaced document alone still holds the identity
+    others = [e for e in entries if not e[0].startswith("proofs/proofGCLCprover2.0wu/")]
+    wu_attempt = next(a for a in corpus["varignon_attempts"].proofs if a.method == "wu")
+    with pytest.raises(ContainerError) as exc:
+        add_proof_attempt(_rezip([*others, misplaced]), wu_attempt)
+    assert exc.value.code == "DuplicateAttempt"
 
 
 def test_validate_missing_mandatory_dir():

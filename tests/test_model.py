@@ -1,28 +1,22 @@
-"""Model invariants: validate_problem, resolve_ids, canonical ordering."""
+"""Model invariants: validate_problem, canonical ordering."""
 
 from __future__ import annotations
 
 import dataclasses
 
-import pytest
-
-from i2gatp.errors import KindMismatchError, UnresolvedIdError
 from i2gatp.model import (
     Collinear,
     Conjecture,
-    Const,
     Constraint,
     ConstraintKind,
     Construction,
     ElementInstance,
-    Equal,
     GeoKind,
     Problem,
     ProblemInfo,
     ProofAttempt,
     ProofStatus,
     canonicalize_problem,
-    resolve_ids,
     validate_problem,
 )
 
@@ -70,6 +64,19 @@ def test_conjecture_with_unknown_point_is_unresolved():
     )
     codes = [v.code for v in validate_problem(p)]
     assert "UnresolvedId" in codes
+
+
+def test_conjecture_naming_a_line_is_kind_mismatch():
+    k = Construction(
+        elements=(_point("A", 0.0, 0.0), _point("B", 1.0, 0.0), ElementInstance("L", GeoKind.LINE, (0.0, 1.0, 0.0))),
+        constraints=(
+            _free("A"),
+            _free("B"),
+            Constraint(output="L", kind=ConstraintKind.LINE_THROUGH_TWO_POINTS, inputs=("A", "B")),
+        ),
+    )
+    p = Problem(construction=k, conjecture=Conjecture((), (), (Collinear("A", "B", "L"),)))
+    assert [v.code for v in validate_problem(p)] == ["KindMismatch"]
 
 
 def test_varignon_fixture_is_valid(varignon):
@@ -123,37 +130,6 @@ def test_bad_element_data_flagged():
     info = ProblemInfo(name="x", statement=b'<?xml version="1.0" encoding="inf"?><math/>')
     codes = [v.code for v in validate_problem(Problem(construction=k, info=info))]
     assert "ZeroLine" in codes and "NegativeRadius" in codes and "MalformedXml" in codes
-
-
-def test_resolve_ids_in_first_use_order():
-    k = _two_point_construction()
-    c = Conjecture(hypothesis=(), ndg=(), conclusion=(Collinear("A", "B", "M"),))
-    assert resolve_ids(c, k) == [("A", GeoKind.POINT), ("B", GeoKind.POINT), ("M", GeoKind.POINT)]
-
-
-def test_resolve_ids_kind_mismatch():
-    k = Construction(
-        elements=(
-            _point("A", 0.0, 0.0),
-            _point("B", 1.0, 0.0),
-            ElementInstance("L", GeoKind.LINE, (0.0, 1.0, 0.0)),
-        ),
-        constraints=(
-            _free("A"),
-            _free("B"),
-            Constraint(output="L", kind=ConstraintKind.LINE_THROUGH_TWO_POINTS, inputs=("A", "B")),
-        ),
-    )
-    c = Conjecture(hypothesis=(), ndg=(), conclusion=(Collinear("A", "B", "L"),))
-    with pytest.raises(KindMismatchError):
-        resolve_ids(c, k)
-    with pytest.raises(UnresolvedIdError):
-        resolve_ids(Conjecture((), (), (Collinear("A", "B", "X"),)), k)
-
-
-def test_resolve_ids_empty_for_constant_conjecture():
-    c = Conjecture(hypothesis=(), ndg=(), conclusion=(Equal(Const(1.0), Const(1.0)),))
-    assert resolve_ids(c, _two_point_construction()) == []
 
 
 def test_canonicalize_sorts_proofs_and_files(varignon):

@@ -87,11 +87,25 @@ def test_information_round_trip_preserves_payloads():
     assert info.statement in canonical and info.bibrefs[0].payload in canonical
 
 
-def test_unknown_info_tag_lenient_vs_strict():
-    doc = b"<information><name>x</name><mood>sunny</mood></information>"
-    assert parse_information(doc).name == "x"
+@pytest.mark.parametrize(
+    "kind, parse, doc",
+    [
+        (DocumentKind.INFORMATION, parse_information, b"<information><name>x</name><mood>sunny</mood></information>"),
+        (DocumentKind.PROOF_INFO, parse_proof_info,
+         b"<proof_info><prover>P</prover><version>1</version><method>m</method><status>proved</status>"
+         b"<limits><mood>sunny</mood></limits></proof_info>"),
+    ],
+    ids=["information", "proof_info"],
+)
+def test_unknown_child_tag_skipped_by_reader_reported_by_validate(kind, parse, doc):
+    assert parse(doc) == parse(doc.replace(b"<mood>sunny</mood>", b""))
+    assert [v.code for v in validate_document(kind, doc)] == ["UnknownTag"]
+
+
+def test_unknown_child_tag_fails_conjecture_reader():
+    doc = b"<conjecture><conclusion><collinear>A B C</collinear></conclusion><mood>sunny</mood></conjecture>"
     with pytest.raises(CodecError) as exc:
-        parse_information(doc, strict=True)
+        parse_conjecture(doc)
     assert exc.value.code == "UnknownTag"
 
 
