@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path, PurePosixPath
 
 from .container import (
@@ -142,10 +143,9 @@ def _cmd_validate(args) -> int:
 
 
 def _count_kinds(problem: Problem) -> str:
-    points = sum(1 for e in problem.construction.elements if e.kind is GeoKind.POINT)
-    lines = sum(1 for e in problem.construction.elements if e.kind is GeoKind.LINE)
-    circles = sum(1 for e in problem.construction.elements if e.kind is GeoKind.CIRCLE)
-    return f"{len(problem.construction.elements)} ({points} points, {lines} lines, {circles} circles)"
+    counts = Counter(e.kind for e in problem.construction.elements)
+    by_kind = ", ".join(f"{counts[kind]} {kind.value}s" for kind in GeoKind)
+    return f"{len(problem.construction.elements)} ({by_kind})"
 
 
 def _cmd_info(args) -> int:
@@ -218,14 +218,13 @@ def _report_json(report: CheckReport) -> dict:
 
 def _cmd_check(args) -> int:
     problem = _load_problem(_read_bytes(args.input), args.input)
-    eps = args.eps
-    if eps is None:
-        eps = float(os.environ.get("I2GATP_EPS", "1e-9"))
+    # float, Tolerance and check_conjecture own the rules on these arguments;
+    # nothing else in a check of a parsed problem raises ValueError
     try:
-        tol = Tolerance(eps_rel=eps)
+        eps = args.eps if args.eps is not None else float(os.environ.get("I2GATP_EPS", "1e-9"))
+        report = check_conjecture(problem, args.trials, seed=args.seed, tol=Tolerance(eps_rel=eps))
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    report = check_conjecture(problem, args.trials, seed=args.seed, tol=tol)
     if args.json:
         print(json.dumps(_report_json(report), sort_keys=True))
     else:

@@ -19,6 +19,7 @@ docs/prover_input.md) writes construction steps as typed facts followed by
 
 from __future__ import annotations
 
+import operator
 import re
 
 from .errors import (
@@ -31,6 +32,7 @@ from .errors import (
 )
 from .model import (
     CONSTRAINT_SIGNATURES,
+    ELEMENT_COORDS,
     ID_RE,
     NUMBER_RE,
     PREDICATE_NAMES,
@@ -54,7 +56,7 @@ from .model import (
     format_number,
     predicate_point_ids,
 )
-from .numeric import SceneLine, ScenePoint, instantiate
+from .numeric import instantiate
 
 __all__ = ["emit_dsl", "emit_prover_input", "parse_dsl"]
 
@@ -70,6 +72,8 @@ _STATEMENT_KEYWORDS = {
     ConstraintKind.POINT_ON_CIRCLE: "oncircle",
 }
 _STATEMENTS = {keyword: kind for kind, keyword in _STATEMENT_KEYWORDS.items()}
+# a scene object's stored coordinates, by kind
+_COORDS_OF = {kind: operator.attrgetter(*names) for kind, names in ELEMENT_COORDS.items()}
 
 _HEADER_RE = re.compile(r"%\s*(name|description|keyword)\s*:\s*(.*?)\s*$")
 
@@ -245,8 +249,8 @@ def parse_dsl(text: str) -> Problem:
             free_assign[out_id] = (x, y)
             constraints.append(Constraint(output=out_id, kind=kind))
             continue
-        in_kinds, out_kind, takes_param = CONSTRAINT_SIGNATURES[kind]
-        want = 2 + len(in_kinds) + takes_param
+        in_kinds, out_kind, param_attr = CONSTRAINT_SIGNATURES[kind]
+        want = 2 + len(in_kinds) + (param_attr is not None)
         if len(tokens) != want:
             raise DslSyntaxError(lineno, f"{keyword} takes {want - 2} arguments")
         out_id = _check_id_token(tokens[1][0], lineno)
@@ -255,7 +259,7 @@ def parse_dsl(text: str) -> Problem:
             _check_id_token(ref, lineno)
             require(ref, want_kind, lineno)
             inputs.append(ref)
-        parameter = _parse_number(tokens[-1][0], lineno) if takes_param else None
+        parameter = _parse_number(tokens[-1][0], lineno) if param_attr is not None else None
         define(out_id, out_kind, lineno)
         constraints.append(Constraint(output=out_id, kind=kind, inputs=tuple(inputs), parameter=parameter))
 
@@ -270,16 +274,10 @@ def parse_dsl(text: str) -> Problem:
             line_of.get(exc.step_id, 1), f"step {exc.step_id!r} is degenerate: {exc.reason}"
         ) from exc
 
-    elements = []
-    for c in constraints:
-        obj = scene[c.output]
-        if isinstance(obj, ScenePoint):
-            elements.append(ElementInstance(c.output, GeoKind.POINT, (obj.x, obj.y)))
-        elif isinstance(obj, SceneLine):
-            elements.append(ElementInstance(c.output, GeoKind.LINE, (obj.a, obj.b, obj.c)))
-        else:
-            elements.append(ElementInstance(c.output, GeoKind.CIRCLE, (obj.cx, obj.cy, obj.r)))
-    construction = Construction(elements=tuple(elements), constraints=tuple(constraints))
+    elements = tuple(
+        ElementInstance(c.output, kinds[c.output], _COORDS_OF[kinds[c.output]](scene[c.output])) for c in constraints
+    )
+    construction = Construction(elements=elements, constraints=tuple(constraints))
 
     conjecture = None
     if prove_tokens is not None:
@@ -336,7 +334,7 @@ def _step_text(name: str, c: Constraint) -> str:
     """One construction step with its stored parameter, if its kind has one."""
 
     parts = [name, c.output, *c.inputs]
-    if CONSTRAINT_SIGNATURES[c.kind][2]:
+    if CONSTRAINT_SIGNATURES[c.kind][2] is not None:
         parts.append(format_number(c.parameter or 0.0))
     return " ".join(parts)
 

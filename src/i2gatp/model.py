@@ -27,6 +27,7 @@ __all__ = [
     "ConstraintKind",
     "CONSTRAINT_SIGNATURES",
     "Construction",
+    "ELEMENT_COORDS",
     "ElementInstance",
     "Equal",
     "GeoKind",
@@ -90,9 +91,14 @@ class GeoKind(enum.Enum):
     CIRCLE = "circle"
 
 
-# Number of stored coordinates per kind: point (x, y); line homogeneous
-# (a, b, c); circle (cx, cy, r).
-ELEMENT_ARITY = {GeoKind.POINT: 2, GeoKind.LINE: 3, GeoKind.CIRCLE: 3}
+# Stored coordinates per kind, in order: a point (x, y), a homogeneous line
+# ax + by + c = 0, a circle by centre and radius.  The names are both the
+# intergeo.xml attributes and the fields of the numeric scene objects.
+ELEMENT_COORDS: dict[GeoKind, tuple[str, ...]] = {
+    GeoKind.POINT: ("x", "y"),
+    GeoKind.LINE: ("a", "b", "c"),
+    GeoKind.CIRCLE: ("cx", "cy", "r"),
+}
 
 
 @dataclass(frozen=True)
@@ -119,17 +125,18 @@ class ConstraintKind(enum.Enum):
     OPAQUE = "opaque"
 
 
-# kind -> (input kinds, output kind, takes a stored real parameter)
-CONSTRAINT_SIGNATURES: dict[ConstraintKind, tuple[tuple[GeoKind, ...], GeoKind, bool]] = {
-    ConstraintKind.FREE_POINT: ((), GeoKind.POINT, False),
-    ConstraintKind.LINE_THROUGH_TWO_POINTS: ((GeoKind.POINT, GeoKind.POINT), GeoKind.LINE, False),
-    ConstraintKind.INTERSECTION_OF_TWO_LINES: ((GeoKind.LINE, GeoKind.LINE), GeoKind.POINT, False),
-    ConstraintKind.MIDPOINT_OF_TWO_POINTS: ((GeoKind.POINT, GeoKind.POINT), GeoKind.POINT, False),
-    ConstraintKind.CIRCLE_BY_CENTER_AND_POINT: ((GeoKind.POINT, GeoKind.POINT), GeoKind.CIRCLE, False),
-    ConstraintKind.PERPENDICULAR_LINE_THROUGH_POINT: ((GeoKind.LINE, GeoKind.POINT), GeoKind.LINE, False),
-    ConstraintKind.PARALLEL_LINE_THROUGH_POINT: ((GeoKind.LINE, GeoKind.POINT), GeoKind.LINE, False),
-    ConstraintKind.POINT_ON_LINE: ((GeoKind.LINE,), GeoKind.POINT, True),
-    ConstraintKind.POINT_ON_CIRCLE: ((GeoKind.CIRCLE,), GeoKind.POINT, True),
+# kind -> (input kinds, output kind, intergeo.xml attribute of the stored real
+# parameter, or None for a step that takes none)
+CONSTRAINT_SIGNATURES: dict[ConstraintKind, tuple[tuple[GeoKind, ...], GeoKind, str | None]] = {
+    ConstraintKind.FREE_POINT: ((), GeoKind.POINT, None),
+    ConstraintKind.LINE_THROUGH_TWO_POINTS: ((GeoKind.POINT, GeoKind.POINT), GeoKind.LINE, None),
+    ConstraintKind.INTERSECTION_OF_TWO_LINES: ((GeoKind.LINE, GeoKind.LINE), GeoKind.POINT, None),
+    ConstraintKind.MIDPOINT_OF_TWO_POINTS: ((GeoKind.POINT, GeoKind.POINT), GeoKind.POINT, None),
+    ConstraintKind.CIRCLE_BY_CENTER_AND_POINT: ((GeoKind.POINT, GeoKind.POINT), GeoKind.CIRCLE, None),
+    ConstraintKind.PERPENDICULAR_LINE_THROUGH_POINT: ((GeoKind.LINE, GeoKind.POINT), GeoKind.LINE, None),
+    ConstraintKind.PARALLEL_LINE_THROUGH_POINT: ((GeoKind.LINE, GeoKind.POINT), GeoKind.LINE, None),
+    ConstraintKind.POINT_ON_LINE: ((GeoKind.LINE,), GeoKind.POINT, "parameter"),
+    ConstraintKind.POINT_ON_CIRCLE: ((GeoKind.CIRCLE,), GeoKind.POINT, "angle"),
 }
 
 
@@ -363,9 +370,6 @@ class Conjecture:
     ndg: tuple[Predicate, ...]
     conclusion: tuple[Predicate, ...]
 
-    def all_predicates(self) -> tuple[Predicate, ...]:
-        return self.hypothesis + self.ndg + self.conclusion
-
 
 # ---------------------------------------------------------------------------
 # Proof attempt metadata
@@ -569,7 +573,6 @@ VIOLATION_CODES = frozenset(
         "BadProofDirName",
         "DirNameMismatch",
         "MalformedZip",
-        "InvalidValue",
     }
 )
 
@@ -635,7 +638,7 @@ def _validate_info(info: ProblemInfo, out: list[Violation]) -> None:
 
 
 def _validate_element(e: ElementInstance, path: str, out: list[Violation]) -> None:
-    want = ELEMENT_ARITY[e.kind]
+    want = len(ELEMENT_COORDS[e.kind])
     if len(e.coords) != want:
         _violation(out, "ArityError", path, f"{e.kind.value} needs {want} coordinates, got {len(e.coords)}")
         return
@@ -682,7 +685,7 @@ def _validate_construction(k: Construction, out: list[Violation]) -> None:
                 _violation(out, "MalformedXml", path, "opaque constraint payload is not well-formed XML")
             defined.add(c.output)
             continue
-        in_kinds, out_kind, takes_param = CONSTRAINT_SIGNATURES[c.kind]
+        in_kinds, out_kind, param_attr = CONSTRAINT_SIGNATURES[c.kind]
         if len(c.inputs) != len(in_kinds):
             _violation(out, "ArityError", path, f"{c.kind.value} takes {len(in_kinds)} inputs, got {len(c.inputs)}")
         else:
@@ -695,11 +698,13 @@ def _validate_construction(k: Construction, out: list[Violation]) -> None:
                     _violation(out, "KindMismatch", path, f"input {ref!r} is a {kinds[ref].value}, expected {want_kind.value}")
         if c.output in kinds and kinds[c.output] is not out_kind:
             _violation(out, "KindMismatch", path, f"output {c.output!r} is a {kinds[c.output].value}, {c.kind.value} produces a {out_kind.value}")
-        if takes_param:
-            if c.parameter is None:
-                _violation(out, "MissingParameter", path, f"{c.kind.value} requires a parameter")
-            elif not _finite(c.parameter):
-                _violation(out, "NonFinite", path, "parameter must be finite")
+        if param_attr is None:
+            if c.parameter is not None:
+                _violation(out, "ArityError", path, f"{c.kind.value} takes no parameter")
+        elif c.parameter is None:
+            _violation(out, "MissingParameter", path, f"{c.kind.value} requires a parameter")
+        elif not _finite(c.parameter):
+            _violation(out, "NonFinite", path, "parameter must be finite")
         defined.add(c.output)
 
     for i, e in enumerate(k.elements):

@@ -379,10 +379,14 @@ def sample_free_points(
     construction) pairs reproduce identical maps on any platform.
     """
 
-    if coord_range <= 0.0:
-        raise ValueError(f"coord_range must be > 0, got {coord_range}")
+    _check_sample_range(coord_range)
     gen = _SplitMix64(seed)
     return _draw_assignment(gen, construction.free_point_ids(), coord_range)
+
+
+def _check_sample_range(coord_range: float) -> None:
+    if not (math.isfinite(coord_range) and coord_range > 0.0):
+        raise ValueError(f"coord_range must be > 0, got {coord_range}")
 
 
 def _draw_assignment(
@@ -451,6 +455,7 @@ def check_conjecture(
             raise OpaqueConstraintError(c.output)
     if trials <= 0:
         raise ValueError(f"trials must be > 0, got {trials}")
+    _check_sample_range(coord_range)
     tol = tol or Tolerance()
     conjecture = problem.conjecture
     free_ids = problem.construction.free_point_ids()

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 from .errors import CodecError
 from .model import (
+    CONSTRAINT_SIGNATURES,
+    ELEMENT_COORDS,
     NUMBER_RE,
     PREDICATE_NAMES,
     PREDICATES,
@@ -35,7 +37,6 @@ from .model import (
     Construction,
     ElementInstance,
     Equal,
-    GeoKind,
     Predicate,
     ProblemInfo,
     ProofAttempt,
@@ -349,19 +350,8 @@ def _analyze_conjecture(root: _RawNode, data: bytes, rep: _Report) -> Conjecture
 # ---------------------------------------------------------------------------
 # intergeo.xml (supported subset)
 
-_ELEMENT_ATTRS = {
-    "point": ("x", "y"),
-    "line": ("a", "b", "c"),
-    "circle": ("cx", "cy", "r"),
-}
-
-_CONSTRAINT_TAGS = {kind.value: kind for kind in ConstraintKind if kind is not ConstraintKind.OPAQUE}
-
-# stored-parameter attribute name per parametric constraint
-_PARAM_ATTRS = {
-    ConstraintKind.POINT_ON_LINE: "parameter",
-    ConstraintKind.POINT_ON_CIRCLE: "angle",
-}
+_ELEMENT_TAGS = {kind.value: kind for kind in ELEMENT_COORDS}
+_CONSTRAINT_TAGS = {kind.value: kind for kind in CONSTRAINT_SIGNATURES}
 
 
 def _analyze_construction(root: _RawNode, data: bytes, rep: _Report) -> Construction | None:
@@ -374,19 +364,13 @@ def _analyze_construction(root: _RawNode, data: bytes, rep: _Report) -> Construc
     elements: list[ElementInstance] = []
     for i, ch in enumerate(kids["elements"].children):
         path = f"/construction/elements/{ch.tag}[{i}]"
-        if ch.tag not in _ELEMENT_ATTRS:
+        kind = _ELEMENT_TAGS.get(ch.tag)
+        if kind is None:
             rep.error("UnknownTag", path, f"unsupported element kind <{ch.tag}>")
             continue
-        coords: list[float] = []
-        ok = True
-        for attr in _ELEMENT_ATTRS[ch.tag]:
-            value = _num_attr(ch, attr, path, rep)
-            if value is None:
-                ok = False
-            else:
-                coords.append(value)
-        if ok:
-            element = ElementInstance(id=ch.attrs.get("id", ""), kind=GeoKind(ch.tag), coords=tuple(coords))
+        coords = tuple(_num_attr(ch, attr, path, rep) for attr in ELEMENT_COORDS[kind])
+        if None not in coords:
+            element = ElementInstance(id=ch.attrs.get("id", ""), kind=kind, coords=coords)
             rep.keep(elements, element, "/construction/elements", ch.tag, i)
     constraints: list[Constraint] = []
     if "constraints" in kids:
@@ -400,10 +384,8 @@ def _analyze_construction(root: _RawNode, data: bytes, rep: _Report) -> Construc
             if kind is None:
                 c = Constraint(output=out_id, kind=ConstraintKind.OPAQUE, opaque_tag=ch.tag, opaque_payload=ch.raw(data))
             else:
-                parameter = None
-                param_attr = _PARAM_ATTRS.get(kind)
-                if param_attr in ch.attrs:
-                    parameter = _parse_num(ch.attrs[param_attr], f"{path}/@{param_attr}", rep)
+                param_attr = CONSTRAINT_SIGNATURES[kind][2]
+                parameter = _parse_num(ch.attrs[param_attr], f"{path}/@{param_attr}", rep) if param_attr in ch.attrs else None
                 c = Constraint(output=out_id, kind=kind, inputs=tuple(ch.ids()), parameter=parameter)
             rep.keep(constraints, c, "/construction/constraints", ch.tag, i)
     display = kids["display"].raw(data) if "display" in kids else b""
@@ -687,9 +669,7 @@ def _write_construction(k: Construction) -> bytes:
     if k.elements:
         w.open("elements")
         for e in k.elements:
-            attrs = {"id": e.id}
-            for name, value in zip(_ELEMENT_ATTRS[e.kind.value], e.coords):
-                attrs[name] = format_number(value)
+            attrs = dict(zip(ELEMENT_COORDS[e.kind], map(format_number, e.coords)), id=e.id)
             w.empty(e.kind.value, attrs)
         w.close("elements")
     else:
@@ -701,9 +681,8 @@ def _write_construction(k: Construction) -> bytes:
                 w.raw(c.opaque_payload or b"")
                 continue
             attrs = {"out": c.output}
-            param_attr = _PARAM_ATTRS.get(c.kind)
-            if param_attr is not None and c.parameter is not None:
-                attrs[param_attr] = format_number(c.parameter)
+            if c.parameter is not None:  # validated: only a step with a parameter attribute has one
+                attrs[CONSTRAINT_SIGNATURES[c.kind][2]] = format_number(c.parameter)
             if c.inputs:
                 w.leaf(c.kind.value, " ".join(c.inputs), attrs)
             else:

@@ -124,6 +124,17 @@ def test_check_eps_env_override(varignon_zip, monkeypatch, capsys):
     assert main(["check", str(varignon_zip), "--trials", "10"]) == 0
     monkeypatch.setenv("I2GATP_EPS", "5.0")  # outside (0, 1e-2]
     assert main(["check", str(varignon_zip), "--trials", "10"]) == 3
+    capsys.readouterr()
+    monkeypatch.setenv("I2GATP_EPS", "abc")  # not a number
+    assert main(["check", str(varignon_zip), "--trials", "10"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def test_check_nonpositive_trials_is_usage_error(varignon_zip, capsys):
+    for trials in ("0", "-3"):
+        assert main(["check", str(varignon_zip), "--trials", trials]) == 3
+        assert capsys.readouterr().err == f"usage error: trials must be > 0, got {trials}\n"
 
 
 def test_usage_errors_exit_3(capsys):

@@ -115,6 +115,26 @@ def test_kind_mismatch_when_constraint_inputs_swap():
     assert "KindMismatch" in codes
 
 
+def test_parameter_on_a_step_that_takes_none_is_arity_error():
+    k = Construction(
+        elements=(
+            _point("A", 0.0, 0.0),
+            _point("B", 1.0, 0.0),
+            ElementInstance("l", GeoKind.LINE, (0.0, 1.0, 0.0)),
+        ),
+        constraints=(
+            _free("A"),
+            _free("B"),
+            Constraint(output="l", kind=ConstraintKind.LINE_THROUGH_TWO_POINTS, inputs=("A", "B"), parameter=2.5),
+        ),
+    )
+    # pack would drop the parameter, so unpack(pack(p)) could not equal p
+    violations = validate_problem(Problem(construction=k))
+    assert [(v.code, v.path) for v in violations] == [
+        ("ArityError", "/construction/constraints/line_through_two_points[2]")
+    ]
+
+
 def test_bad_element_data_flagged():
     k = Construction(
         elements=(

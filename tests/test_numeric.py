@@ -281,9 +281,18 @@ def test_no_free_points_empty_map():
     assert sample_free_points(k, 7, 5.0) == {}
 
 
-def test_bad_range_rejected(varignon):
-    with pytest.raises(ValueError):
-        sample_free_points(varignon.construction, 1, 0.0)
+@pytest.mark.parametrize("coord_range", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda p, r: sample_free_points(p.construction, 1, r),
+        lambda p, r: check_conjecture(p, 10, seed=1, coord_range=r),
+    ],
+    ids=["sample_free_points", "check_conjecture"],
+)
+def test_bad_range_rejected(varignon, draw, coord_range):
+    with pytest.raises(ValueError, match="coord_range must be > 0"):
+        draw(varignon, coord_range)
 
 
 # ---------------------------------------------------------------------------

@@ -2,28 +2,39 @@
 notation (conjecture.xml, the DSL, the prover input, the documented
 grammars) must read and write exactly that table.  The proofInfo.xml layout
 is declared once too, in ``model.PROOF_INFO_SECTIONS``, and its schema must
-list the same children."""
+list the same children.  So is the construction vocabulary, in
+``model.ELEMENT_COORDS`` and ``model.CONSTRAINT_SIGNATURES``: the intergeo.xml
+schema, the DSL grammar and the numeric scene objects must agree with them,
+and the violation catalogue must list exactly ``model.VIOLATION_CODES``."""
 
 from __future__ import annotations
 
+import dataclasses
 import re
+import typing
 from pathlib import Path
 
 import pytest
 
-from i2gatp.dsl import emit_prover_input, parse_dsl, predicate_text
+from i2gatp.dsl import _STATEMENT_KEYWORDS, emit_prover_input, parse_dsl, predicate_text
 from i2gatp.model import (
+    CONSTRAINT_SIGNATURES,
+    ELEMENT_COORDS,
     PREDICATES,
     PROOF_INFO_SECTIONS,
+    VIOLATION_CODES,
     Conjecture,
     Const,
+    ConstraintKind,
     Equal,
+    GeoKind,
     Mult,
     Plus,
     Predicate,
     SegmentLength,
     SegmentRatio,
 )
+from i2gatp.numeric import SceneCircle, SceneLine, SceneObject, ScenePoint
 from i2gatp.xml_codec import parse_conjecture, serialize_conjecture
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -114,3 +125,78 @@ def test_proof_info_schema_lists_the_table():
         listed = [(tag, *types[kind]) for tag, kind in re.findall(r"element (\w+) {\s*(\S+)\s*}\?", block)]
         expected = [(tag, as_type, None if as_type is str else zero_ok) for tag, _fld, as_type in children]
         assert listed == expected, section
+
+
+def test_intergeo_schema_lists_the_element_coordinates():
+    rnc = (DOCS / "schema" / "intergeo.rnc").read_text()
+    kinds = re.search(r"element elements { \((.*?)\)\* }", rnc).group(1).split(" | ")
+    attrs = {}
+    for kind in kinds:
+        body = re.search(rf"\n{kind} = element {kind} {{\n(.*?)\n}}", rnc, re.S).group(1)
+        attrs[kind] = tuple(re.findall(r"attribute (\w+) { xsd:double }", body))
+    assert attrs == {kind.value: coords for kind, coords in ELEMENT_COORDS.items()}
+
+
+def test_intergeo_schema_lists_the_signatures():
+    rnc = (DOCS / "schema" / "intergeo.rnc").read_text()
+    block = rnc.split("\nconstraint =", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for alternative in block.split("\n  |"):
+        match = re.search(r"element (\w+) { out(.*) }", alternative)
+        if match is None:
+            assert alternative.strip() == "opaque-constraint"
+            continue
+        ids = re.search(r"ids-(\d)", match.group(2))
+        param = re.search(r"attribute (\w+) { xsd:double }", match.group(2))
+        listed[match.group(1)] = (int(ids.group(1)) if ids else 0, param and param.group(1))
+    assert listed == {
+        kind.value: (len(ins), param) for kind, (ins, _out, param) in CONSTRAINT_SIGNATURES.items()
+    }
+    defined = {int(n): members.split(", ") for n, members in re.findall(r"\nids-(\d) = list { (.*?) }", rnc)}
+    assert defined == {n: ["identifier"] * n for n, _param in listed.values() if n}
+
+
+def test_intergeo_signature_comment_lists_the_signatures():
+    rnc = (DOCS / "schema" / "intergeo.rnc").read_text()
+    block = rnc.split("# Constraint signatures (inputs -> output):\n", 1)[1].split("\n#\n", 1)[0]
+    listed = {}
+    for line in block.splitlines():
+        name, param, ins, out = re.fullmatch(r"#   (\w+)(?: \[(\w+)\])?\s+\(([\w ]*)\)\s+-> (\w+)", line).groups()
+        listed[name] = (tuple(ins.split()), out, param)
+    assert listed == {
+        kind.value: (tuple(k.value for k in ins), out.value, param)
+        for kind, (ins, out, param) in CONSTRAINT_SIGNATURES.items()
+    }
+
+
+def test_dsl_grammar_lists_the_statements():
+    grammar = (DOCS / "dsl.md").read_text()
+    productions = re.search(r"\nstatement\s+=(.*?);", grammar, re.S).group(1).split("|")
+    listed = {}
+    for production in (p.strip() for p in productions):
+        if production == "prove-block":
+            continue
+        keyword, args = re.search(rf"\n{production}\s+=\s+\"(\w+)\"\s+([^;]*);", grammar).groups()
+        listed[keyword] = args.split()
+    expected = {}
+    for kind, keyword in _STATEMENT_KEYWORDS.items():
+        ins, out, param = CONSTRAINT_SIGNATURES[kind]
+        # a free point's numbers are its coordinates; another step's number
+        # is its stored parameter
+        numbers = len(ELEMENT_COORDS[out]) if kind is ConstraintKind.FREE_POINT else int(param is not None)
+        expected[keyword] = ["id"] * (1 + len(ins)) + ["number"] * numbers
+    assert listed == expected
+    assert set(_STATEMENT_KEYWORDS) == set(CONSTRAINT_SIGNATURES)
+
+
+def test_scene_objects_carry_the_element_coordinates():
+    scene_classes = {GeoKind.POINT: ScenePoint, GeoKind.LINE: SceneLine, GeoKind.CIRCLE: SceneCircle}
+    assert set(typing.get_args(SceneObject)) == set(scene_classes.values())
+    for kind, coords in ELEMENT_COORDS.items():
+        assert tuple(f.name for f in dataclasses.fields(scene_classes[kind])) == coords
+
+
+def test_violation_catalogue_lists_the_codes():
+    doc = (DOCS / "violations.md").read_text()
+    listed = [code for code in re.findall(r"^\| (\w+)\s+\|", doc, re.M) if code != "code"]
+    assert sorted(listed) == sorted(VIOLATION_CODES)
