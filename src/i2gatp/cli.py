@@ -10,6 +10,7 @@ environment variable I2GATP_EPS overrides the default check tolerance when
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -241,7 +242,10 @@ def _cmd_check(args) -> int:
     return EXIT_FALSIFIED if report.verdict is Verdict.FALSIFIED else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process and shared by every call."""
+
     parser = _Parser(prog="i2gatp", description="i2gatp container and conversion toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -19,6 +19,7 @@ docs/prover_input.md) writes construction steps as typed facts followed by
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 
@@ -110,7 +111,10 @@ def _check_id_token(token: str, line: int) -> str:
 def _parse_number(token: str, line: int) -> float:
     if not NUMBER_RE.match(token):
         raise DslSyntaxError(line, f"malformed number {token!r}")
-    return float(token)
+    value = float(token)
+    if not math.isfinite(value):
+        raise DslSyntaxError(line, f"number {token!r} is not finite")
+    return value
 
 
 def _parse_point_ids(toks: _Tokens, count: int) -> list[str]:

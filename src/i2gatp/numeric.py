@@ -108,9 +108,34 @@ class Tolerance:
             raise ValueError(f"eps_rel must be in (0, 1e-2], got {self.eps_rel}")
 
 
-def scene_scale(scene: NumericScene) -> float:
-    """Max absolute coordinate magnitude across the scene, floored at 1."""
+class _Scene(dict):
+    """A scene returned by :func:`instantiate`, carrying the scale that a
+    scan by :func:`scene_scale` would compute for it.
 
+    It is read-only, so the carried value never goes stale; ``dict(scene)``,
+    ``copy.deepcopy`` and pickle give an ordinary mutable mapping.
+    """
+
+    __slots__ = ("scale",)
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("an instantiated scene is read-only; copy it with dict(scene)")
+
+    __setitem__ = __delitem__ = __ior__ = __setattr__ = __delattr__ = _read_only
+    update = pop = popitem = clear = setdefault = _read_only
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
+def scene_scale(scene: NumericScene) -> float:
+    """Max absolute coordinate magnitude across the scene, floored at 1.
+
+    A scene from :func:`instantiate` carries it; any other mapping is
+    scanned."""
+
+    if isinstance(scene, _Scene):
+        return scene.scale
     scale = 1.0
     for obj in scene.values():
         if isinstance(obj, ScenePoint):
@@ -160,7 +185,9 @@ def instantiate(
     ``free_assign`` must cover exactly the free-point outputs.  Degeneracy
     checks (coincident points given to a line, parallel lines given to an
     intersection) compare against eps_rel times the running coordinate
-    magnitude of the partial scene.
+    magnitude of the partial scene.  The returned scene is read-only and
+    carries the final magnitude, which :func:`scene_scale` returns without
+    a scan; ``dict(scene)`` is a mutable copy.
     """
 
     tol = tol or Tolerance()
@@ -242,7 +269,11 @@ def instantiate(
         else:  # pragma: no cover - closed enumeration
             raise AssertionError(kind)
         scene[c.output] = obj
-    return scene
+    if len(scene) < len(construction.constraints):
+        scale = scene_scale(scene)  # a repeated output id replaced an object that grew the scale
+    carried = _Scene(scene)
+    object.__setattr__(carried, "scale", scale)
+    return carried
 
 
 # ---------------------------------------------------------------------------

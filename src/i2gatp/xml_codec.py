@@ -352,6 +352,7 @@ def _analyze_conjecture(root: _RawNode, data: bytes, rep: _Report) -> Conjecture
 
 _ELEMENT_TAGS = {kind.value: kind for kind in ELEMENT_COORDS}
 _CONSTRAINT_TAGS = {kind.value: kind for kind in CONSTRAINT_SIGNATURES}
+_PARAMETER_ATTRS = tuple(sorted({sig[2] for sig in CONSTRAINT_SIGNATURES.values()} - {None}))
 
 
 def _analyze_construction(root: _RawNode, data: bytes, rep: _Report) -> Construction | None:
@@ -385,6 +386,8 @@ def _analyze_construction(root: _RawNode, data: bytes, rep: _Report) -> Construc
                 c = Constraint(output=out_id, kind=ConstraintKind.OPAQUE, opaque_tag=ch.tag, opaque_payload=ch.raw(data))
             else:
                 param_attr = CONSTRAINT_SIGNATURES[kind][2]
+                if param_attr is None:  # keep a stray parameter, so the model reports it as ArityError
+                    param_attr = next(filter(ch.attrs.__contains__, _PARAMETER_ATTRS), None)
                 parameter = _parse_num(ch.attrs[param_attr], f"{path}/@{param_attr}", rep) if param_attr in ch.attrs else None
                 c = Constraint(output=out_id, kind=kind, inputs=tuple(ch.ids()), parameter=parameter)
             rep.keep(constraints, c, "/construction/constraints", ch.tag, i)

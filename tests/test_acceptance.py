@@ -178,6 +178,9 @@ def _mutations(docs):
          sub(cons_c, b'r="2.0"', b'r="-2.0"'), "NegativeRadius"),
         ("input of wrong kind", DocumentKind.CONSTRUCTION,
          sub(cons_f, b'<intersection_of_two_lines out="F">l m<', b'<intersection_of_two_lines out="F">A m<'), "KindMismatch"),
+        ("stray step parameter", DocumentKind.CONSTRUCTION,
+         sub(cons_v, b'<line_through_two_points out="a">P Q<', b'<line_through_two_points out="a" parameter="2.5">P Q<'),
+         "ArityError"),
         ("missing stored parameter", DocumentKind.CONSTRUCTION,
          sub(cons_h, b'<point_on_line out="C" parameter="-1.0">l</point_on_line>',
              b'<point_on_line out="C">l</point_on_line>'), "MissingParameter"),

@@ -150,6 +150,15 @@ def test_malformed_archive_exit_2(tmp_path, capsys):
     assert main(["info", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("command", [["convert", "--from", "dsl", "--to", "i2gatp", "--out", "-"], ["check"]])
+def test_dsl_number_that_overflows_is_located(tmp_path, capsys, command):
+    source = tmp_path / "overflow.gcl"
+    source.write_text("point A 0 0\npoint B 1 0\ncircle k A B\noncircle X k 1e999\nprove { conclude not_equal A X }\n")
+    assert main([command[0], str(source), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 4: number '1e999' is not finite\n"
+
+
 def test_unexpected_error_exits_2_in_one_line(varignon_zip, tmp_path, capsys):
     import io
     import zipfile

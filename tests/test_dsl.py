@@ -52,6 +52,22 @@ def test_unresolved_and_syntax_diagnostics():
         parse_dsl("point A 0 0\npoint A 1 1\n")  # duplicate id
 
 
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("point A 0 0\npoint B 1 0\ncircle k A B\noncircle X k 1e999\n", 4),
+        ("point A 1e999 0\n", 1),
+        ("point A 0 -1e999\n", 1),
+        ("point A 0 0\npoint B 1 0\nprove { conclude segment_ratio A B A B 1e400 }\n", 3),
+    ],
+    ids=["oncircle angle", "point x", "point y", "segment ratio"],
+)
+def test_number_that_overflows_is_a_syntax_error(text, line):
+    with pytest.raises(DslSyntaxError, match="is not finite") as exc:
+        parse_dsl(text)
+    assert exc.value.line == line
+
+
 def test_comments_and_blank_lines_ignored():
     p = parse_dsl("\n% a comment\npoint A 0 0  % trailing comment\n\npoint B 1 1\n")
     assert len(p.construction.elements) == 2

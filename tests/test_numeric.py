@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import copy
+import importlib.util
 import math
+import operator
+import pickle
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from i2gatp.dsl import parse_dsl, predicate_text
 from i2gatp.errors import (
     DegeneratePredicateError,
     DegenerateStep,
@@ -53,6 +60,20 @@ from oracles import (
     instantiate_exact,
     normalize_line_float,
 )
+
+
+def _bench_workloads():
+    """bench/workloads.py, the generator of the benchmark's problems."""
+
+    spec = importlib.util.spec_from_file_location("bench_workloads", Path(__file__).parents[1] / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _generated(n: int, seed: int):
+    return parse_dsl(_bench_workloads().generate_dsl(random.Random(seed), n, f"generated_{n}"))
 
 
 def _free(eid: str) -> Constraint:
@@ -384,3 +405,127 @@ def test_scale_covariance_same_length():
         scaled = _scene(**{n: (p.x * lam, p.y * lam) for n, p in base.items()})
         assert eval_predicate(base, SameLength("A", "B", "C", "D"), tol)[0]
         assert eval_predicate(scaled, SameLength("A", "B", "C", "D"), tol)[0]
+
+
+# ---------------------------------------------------------------------------
+# determinism contract: reports and scales pinned to their recorded values
+
+# (verdict, total, degenerate, hypothesis-failed, checked, witness as
+# (predicate text, assignment)), recorded with a checker that rescanned the
+# scene for every predicate; reports are part of the format contract, so any
+# faster checker reproduces them bit for bit
+GOLDEN = {
+    ("varignon", 0): ("consistent_over_samples", 200, 0, 0, 200, None),
+    ("varignon", 1): ("consistent_over_samples", 200, 0, 0, 200, None),
+    ("varignon", 2): ("consistent_over_samples", 200, 0, 0, 200, None),
+    ("midpoint_thm", 0): ("consistent_over_samples", 200, 0, 0, 200, None),
+    ("midpoint_thm", 1): ("consistent_over_samples", 200, 0, 0, 200, None),
+    ("midpoint_thm", 2): ("consistent_over_samples", 200, 0, 0, 200, None),
+    ("collinear_free", 0): ("falsified", 0, 0, 0, 0, ("collinear A B C", (("A", (7.6662161642728535, -1.3694400590298006)), ("B", (-9.471324568148045, 9.41763956307657)), ("C", (-7.873066168655751, -3.453484715637485))))),
+    ("collinear_free", 1): ("falsified", 0, 0, 0, 0, ("collinear A B C", (("A", (1.3312315034456184, 4.915635145254022)), ("B", (9.420055071735923, -1.1128156588845588)), ("C", (-1.1147059834728381, 5.25788783823522))))),
+    ("collinear_free", 2): ("falsified", 0, 0, 0, 0, ("collinear A B C", (("A", (1.8237946839615873, 4.982993677476493)), ("B", (1.912761628000105, 5.3083830839005905)), ("C", (-3.7682262563777176, -3.0675545917660196))))),
+    ("harmonic_range", 0): ("falsified", 0, 0, 0, 0, ("harmonic A B C D", (("A", (7.6662161642728535, -1.3694400590298006)), ("B", (-9.471324568148045, 9.41763956307657))))),
+    ("harmonic_range", 1): ("falsified", 0, 0, 0, 0, ("harmonic A B C D", (("A", (1.3312315034456184, 4.915635145254022)), ("B", (9.420055071735923, -1.1128156588845588))))),
+    ("harmonic_range", 2): ("falsified", 0, 0, 0, 0, ("harmonic A B C D", (("A", (1.8237946839615873, 4.982993677476493)), ("B", (1.912761628000105, 5.3083830839005905))))),
+    ("circle_radii", 0): ("consistent_over_samples", 200, 0, 0, 200, None),
+    ("circle_radii", 1): ("consistent_over_samples", 200, 0, 0, 200, None),
+    ("circle_radii", 2): ("consistent_over_samples", 200, 0, 0, 200, None),
+    ("perpendicular_foot", 0): ("consistent_over_samples", 200, 0, 0, 200, None),
+    ("perpendicular_foot", 1): ("consistent_over_samples", 200, 0, 0, 200, None),
+    ("perpendicular_foot", 2): ("consistent_over_samples", 200, 0, 0, 200, None),
+    ("half_segment", 0): ("consistent_over_samples", 200, 0, 0, 200, None),
+    ("half_segment", 1): ("consistent_over_samples", 200, 0, 0, 200, None),
+    ("half_segment", 2): ("consistent_over_samples", 200, 0, 0, 200, None),
+    ("parallel_transport", 0): ("consistent_over_samples", 200, 0, 0, 200, None),
+    ("parallel_transport", 1): ("consistent_over_samples", 200, 0, 0, 200, None),
+    ("parallel_transport", 2): ("consistent_over_samples", 200, 0, 0, 200, None),
+    ("triangle_sides", 0): ("consistent_over_samples", 200, 0, 0, 200, None),
+    ("triangle_sides", 1): ("consistent_over_samples", 200, 0, 0, 200, None),
+    ("triangle_sides", 2): ("consistent_over_samples", 200, 0, 0, 200, None),
+    ("varignon_attempts", 0): ("consistent_over_samples", 200, 0, 0, 200, None),
+    ("varignon_attempts", 1): ("consistent_over_samples", 200, 0, 0, 200, None),
+    ("varignon_attempts", 2): ("consistent_over_samples", 200, 0, 0, 200, None),
+    ("varignon_files", 0): ("consistent_over_samples", 200, 0, 0, 200, None),
+    ("varignon_files", 1): ("consistent_over_samples", 200, 0, 0, 200, None),
+    ("varignon_files", 2): ("consistent_over_samples", 200, 0, 0, 200, None),
+    ("generated_100", 0): ("consistent_over_samples", 100, 0, 0, 100, None),
+}
+
+
+def test_reports_match_recorded_values(corpus):
+    cases = {(name, seed): (p, 200) for name, p in corpus.items() if p.conjecture is not None for seed in range(3)}
+    cases["generated_100", 0] = (_generated(100, 0), 100)
+    assert cases.keys() == GOLDEN.keys()
+    for (name, seed), (problem, trials) in cases.items():
+        r = check_conjecture(problem, trials, seed=seed)
+        witness = None if r.witness is None else (predicate_text(r.witness.predicate), r.witness.assignment)
+        got = (r.verdict.value, r.samples_total, r.samples_degenerate, r.samples_hypothesis_failed, r.samples_checked, witness)
+        assert got == GOLDEN[name, seed], (name, seed)
+
+
+def _scenes(problem, seeds):
+    for seed in seeds:
+        try:
+            yield instantiate(problem.construction, sample_free_points(problem.construction, seed, 10.0))
+        except DegenerateStep:
+            pass
+
+
+def test_instantiated_scene_carries_the_scanned_scale(corpus):
+    problems = [p for p in corpus.values() if not p.construction.has_opaque()]
+    problems += [_generated(10, 1), _generated(100, 1), _generated(1000, 1)]
+    seen = 0
+    for problem in problems:
+        c = problem.conjecture
+        predicates = c.ndg + c.hypothesis + c.conclusion if c is not None else ()
+        for scene in _scenes(problem, range(5)):
+            plain = dict(scene)
+            assert scene_scale(scene).hex() == scene_scale(plain).hex()
+            for pred in predicates:
+                try:
+                    assert eval_predicate(scene, pred) == eval_predicate(plain, pred)
+                except DegeneratePredicateError:
+                    pass
+            seen += 1
+    assert seen == 5 * len(problems)
+
+
+def test_repeated_output_id_scale_is_the_scan():
+    k = Construction(
+        elements=(),
+        constraints=(_free("P"), _free("Q"), _free("R"),
+                     Constraint(output="P", kind=ConstraintKind.MIDPOINT_OF_TWO_POINTS, inputs=("Q", "R"))),
+    )
+    scene = instantiate(k, {"P": (50.0, 50.0), "Q": (0.0, 0.0), "R": (1.0, 1.0)})
+    assert scene_scale(scene) == scene_scale(dict(scene)) == 1.0
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda s: s.__setitem__("Z", ScenePoint(1e6, 0.0)),
+        lambda s: s.__delitem__("A"),
+        lambda s: s.update(Z=ScenePoint(1e6, 0.0)),
+        lambda s: s.pop("A"),
+        lambda s: s.popitem(),
+        lambda s: s.clear(),
+        lambda s: s.setdefault("Z", ScenePoint(1e6, 0.0)),
+        lambda s: operator.ior(s, {"Z": ScenePoint(1e6, 0.0)}),
+        lambda s: setattr(s, "scale", 1e6),
+    ],
+    ids=["setitem", "delitem", "update", "pop", "popitem", "clear", "setdefault", "ior", "setattr"],
+)
+def test_instantiated_scene_is_read_only(varignon, mutate):
+    scene = next(_scenes(varignon, [0]))
+    before = (dict(scene), scene_scale(scene))
+    with pytest.raises(TypeError, match="read-only"):
+        mutate(scene)
+    assert (dict(scene), scene_scale(scene)) == before
+
+
+def test_copies_of_a_scene_are_plain_dicts(varignon):
+    scene = next(_scenes(varignon, [0]))
+    for copied in (copy.copy(scene), copy.deepcopy(scene), pickle.loads(pickle.dumps(scene)), dict(scene)):
+        assert type(copied) is dict and copied == scene
+        copied["Z"] = ScenePoint(1e6, 0.0)
+        assert scene_scale(copied) == 1e6
