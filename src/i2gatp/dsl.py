@@ -35,6 +35,7 @@ from .model import (
     CONSTRAINT_SIGNATURES,
     ELEMENT_COORDS,
     ID_RE,
+    MAX_TERM_DEPTH,
     NUMBER_RE,
     PREDICATE_NAMES,
     PREDICATES,
@@ -125,17 +126,19 @@ def _parse_point_ids(toks: _Tokens, count: int) -> list[str]:
     return ids
 
 
-def _parse_term(toks: _Tokens) -> Term:
+def _parse_term(toks: _Tokens, depth: int = 1) -> Term:
     token, line = toks.take("a term")
     cls = TERMS.get(token)
     if cls is None:
         raise DslSyntaxError(line, f"unknown term {token!r}")
+    if depth > MAX_TERM_DEPTH:
+        raise DslSyntaxError(line, f"term nested deeper than {MAX_TERM_DEPTH} levels")
     if cls is Const:
         value, vline = toks.take("a number")
         return Const(_parse_number(value, vline))
     if cls is SegmentLength:
         return SegmentLength(*_parse_point_ids(toks, 2))
-    return cls(_parse_term(toks), _parse_term(toks))
+    return cls(_parse_term(toks, depth + 1), _parse_term(toks, depth + 1))
 
 
 def _parse_predicate(toks: _Tokens) -> tuple[Predicate, int]:

@@ -329,6 +329,11 @@ PREDICATE_NAMES: dict[type, str] = {cls: name for name, (cls, _n) in PREDICATES.
 # Plus and Mult two terms
 TERMS: dict[str, type] = {"const": Const, "segment_length": SegmentLength, "plus": Plus, "mult": Mult}
 TERM_NAMES: dict[type, str] = {cls: name for name, cls in TERMS.items()}
+# The deepest term a reader accepts: `const` and `segment_length` have depth
+# 1, `plus` and `mult` one more than their deeper operand.  Term readers,
+# writers and evaluators recurse once per level, so the limit keeps every one
+# of them far below the interpreter's recursion limit.
+MAX_TERM_DEPTH = 100
 
 
 def term_point_ids(t: Term) -> tuple[str, ...]:

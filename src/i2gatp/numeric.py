@@ -25,11 +25,13 @@ from .errors import (
     UnresolvedIdError,
 )
 from .model import (
+    CONSTRAINT_SIGNATURES,
     Collinear,
     Const,
     ConstraintKind,
     Construction,
     Equal,
+    GeoKind,
     Harmonic,
     Midpoint,
     Mult,
@@ -136,8 +138,12 @@ def scene_scale(scene: NumericScene) -> float:
 
     if isinstance(scene, _Scene):
         return scene.scale
+    return _scanned_scale(scene.values())
+
+
+def _scanned_scale(objects) -> float:
     scale = 1.0
-    for obj in scene.values():
+    for obj in objects:
         if isinstance(obj, ScenePoint):
             scale = max(scale, abs(obj.x), abs(obj.y))
         elif isinstance(obj, SceneLine):
@@ -153,26 +159,192 @@ def _dist(p: ScenePoint, q: ScenePoint) -> float:
     return math.sqrt(dx * dx + dy * dy)
 
 
-def _normalized_line(a: float, b: float, c: float) -> SceneLine:
-    n = math.sqrt(a * a + b * b)
-    a, b, c = a / n, b / n, c / n
-    if a < 0.0 or (a == 0.0 and b < 0.0):
-        a, b, c = -a, -b, -c
-    return SceneLine(a, b, c)
-
-
-def _object(scene: NumericScene, ref: str, want: type) -> SceneObject:
+def _point(scene: NumericScene, ref: str) -> ScenePoint:
     try:
         obj = scene[ref]
     except KeyError:
         raise UnresolvedIdError(ref) from None
-    if not isinstance(obj, want):
-        raise KindMismatchError(ref, want.__name__.removeprefix("Scene").lower(), type(obj).__name__.removeprefix("Scene").lower())
+    if not isinstance(obj, ScenePoint):
+        raise KindMismatchError(ref, "point", type(obj).__name__.removeprefix("Scene").lower())
     return obj
 
 
 # ---------------------------------------------------------------------------
 # Construction execution
+#
+# A construction is compiled once into a plan, which then runs once per set
+# of free coordinates.  A run keeps its objects in a list of slots: slot i
+# holds the object of the plan's i-th output id, and the slots after those
+# hold the free coordinate pairs of the run.  Each step is a module-level
+# function from the table below, called with its constraint, the contents of
+# its two input slots (a one-input step gets its input twice, a free point its
+# coordinate pair), eps_rel and the running scale; it returns the new object
+# and the scale grown by it.
+
+_NOT_FINITE = "coordinates are not finite"
+
+
+def _grow(out: str, a: float) -> float:
+    """The new running scale for an absolute coordinate ``a`` that is not
+    within the old one; DegenerateStep if ``a`` is inf or NaN."""
+
+    if a < math.inf:
+        return a
+    raise DegenerateStep(out, _NOT_FINITE)
+
+
+def _new_point(out: str, x: float, y: float, scale: float) -> tuple[ScenePoint, float]:
+    ax = abs(x)
+    if not ax <= scale:
+        scale = _grow(out, ax)
+    ay = abs(y)
+    if not ay <= scale:
+        scale = _grow(out, ay)
+    return ScenePoint(x, y), scale
+
+
+def _new_line(out: str, a: float, b: float, c: float, scale: float) -> tuple[SceneLine, float]:
+    n = math.sqrt(a * a + b * b)
+    if not 0.0 < n < math.inf:
+        raise DegenerateStep(out, _NOT_FINITE)
+    a, b, c = a / n, b / n, c / n
+    if a < 0.0 or (a == 0.0 and b < 0.0):
+        a, b, c = -a, -b, -c
+    # |a| and |b| are at most 1, so only c can grow the scale
+    ac = abs(c)
+    if not ac <= scale:
+        scale = _grow(out, ac)
+    return SceneLine(a, b, c), scale
+
+
+def _free_point(c, xy, _xy, eps_rel, scale):
+    return _new_point(c.output, xy[0], xy[1], scale)
+
+
+def _line_through_two_points(c, p, q, eps_rel, scale):
+    a = p.y - q.y
+    b = q.x - p.x
+    if math.sqrt(a * a + b * b) < eps_rel * scale:
+        raise DegenerateStep(c.output, f"points {c.inputs[0]} and {c.inputs[1]} coincide")
+    return _new_line(c.output, a, b, p.x * q.y - q.x * p.y, scale)
+
+
+def _intersection_of_two_lines(c, l, m, eps_rel, scale):
+    h3 = l.a * m.b - l.b * m.a
+    if abs(h3) < eps_rel * scale:
+        raise DegenerateStep(c.output, f"lines {c.inputs[0]} and {c.inputs[1]} are parallel")
+    return _new_point(c.output, (l.b * m.c - l.c * m.b) / h3, (l.c * m.a - l.a * m.c) / h3, scale)
+
+
+def _midpoint_of_two_points(c, p, q, eps_rel, scale):
+    return _new_point(c.output, (p.x + q.x) / 2.0, (p.y + q.y) / 2.0, scale)
+
+
+def _circle_by_center_and_point(c, o, p, eps_rel, scale):
+    # the centre's coordinates grew the scale when the centre was made
+    r = _dist(o, p)
+    if not r <= scale:
+        scale = _grow(c.output, r)
+    return SceneCircle(o.x, o.y, r), scale
+
+
+def _perpendicular_line_through_point(c, l, p, eps_rel, scale):
+    return _new_line(c.output, l.b, -l.a, l.a * p.y - l.b * p.x, scale)
+
+
+def _parallel_line_through_point(c, l, p, eps_rel, scale):
+    return _new_line(c.output, l.a, l.b, -(l.a * p.x + l.b * p.y), scale)
+
+
+def _point_on_line(c, l, _l, eps_rel, scale):
+    t = c.parameter or 0.0
+    # base point: foot of the perpendicular from the origin
+    return _new_point(c.output, -l.a * l.c - l.b * t, -l.b * l.c + l.a * t, scale)
+
+
+def _point_on_circle(c, k, _k, eps_rel, scale):
+    ang = c.parameter or 0.0
+    return _new_point(c.output, k.cx + k.r * math.cos(ang), k.cy + k.r * math.sin(ang), scale)
+
+
+_STEPS = {
+    ConstraintKind.FREE_POINT: _free_point,
+    ConstraintKind.LINE_THROUGH_TWO_POINTS: _line_through_two_points,
+    ConstraintKind.INTERSECTION_OF_TWO_LINES: _intersection_of_two_lines,
+    ConstraintKind.MIDPOINT_OF_TWO_POINTS: _midpoint_of_two_points,
+    ConstraintKind.CIRCLE_BY_CENTER_AND_POINT: _circle_by_center_and_point,
+    ConstraintKind.PERPENDICULAR_LINE_THROUGH_POINT: _perpendicular_line_through_point,
+    ConstraintKind.PARALLEL_LINE_THROUGH_POINT: _parallel_line_through_point,
+    ConstraintKind.POINT_ON_LINE: _point_on_line,
+    ConstraintKind.POINT_ON_CIRCLE: _point_on_circle,
+}
+# kind -> (step function, input kinds, output kind), so that compiling looks
+# each step up once; OPAQUE is not in it
+_SIGNED_STEPS = {kind: (_STEPS[kind], ins, out) for kind, (ins, out, _attr) in CONSTRAINT_SIGNATURES.items()}
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """A construction compiled for repeated runs: its output ids in slot
+    order, its free ids in draw order, and per constraint (step function,
+    constraint, input slot, input slot, output slot)."""
+
+    ids: tuple[str, ...]
+    free_ids: tuple[str, ...]
+    steps: tuple[tuple, ...]
+
+
+def _compile(construction: Construction) -> _Plan:
+    """Resolve every reference once.  Raises, for the first step in program
+    order that no run could execute, OpaqueConstraintError,
+    UnresolvedIdError, KindMismatchError, or ValueError when its number of
+    inputs is not its signature's."""
+
+    constraints = construction.constraints
+    ids = tuple(dict.fromkeys(c.output for c in constraints))
+    slot = {eid: i for i, eid in enumerate(ids)}
+    free_ids = construction.free_point_ids()
+    # a repeated free id reads the last pair drawn for it, as a map from id
+    # to pair would
+    pair_slot = {fid: len(ids) + i for i, fid in enumerate(free_ids)}
+    kinds: dict[str, GeoKind] = {}
+    steps = []
+    for c in constraints:
+        try:
+            step, in_kinds, out_kind = _SIGNED_STEPS[c.kind]
+        except KeyError:
+            raise OpaqueConstraintError(c.output) from None
+        inputs = c.inputs
+        if len(inputs) != len(in_kinds):
+            raise ValueError(f"{c.kind.value} {c.output!r} takes {len(in_kinds)} inputs, got {len(inputs)}")
+        for ref, want in zip(inputs, in_kinds):
+            got = kinds.get(ref)
+            if got is not want:
+                if got is None:
+                    raise UnresolvedIdError(ref)
+                raise KindMismatchError(ref, want.value, got.value)
+        if inputs:
+            first, second = slot[inputs[0]], slot[inputs[-1]]
+        else:
+            first = second = pair_slot[c.output]
+        steps.append((step, c, first, second, slot[c.output]))
+        kinds[c.output] = out_kind
+    return _Plan(ids, free_ids, tuple(steps))
+
+
+def _run(plan: _Plan, pairs: list[tuple[float, float]], eps_rel: float) -> _Scene:
+    """One run of ``plan`` over free coordinate pairs in ``plan.free_ids``
+    order."""
+
+    slots = [None] * len(plan.ids) + pairs
+    scale = 1.0
+    for step, c, first, second, out in plan.steps:
+        slots[out], scale = step(c, slots[first], slots[second], eps_rel, scale)
+    scene = _Scene(zip(plan.ids, slots))
+    if len(scene) < len(plan.steps):
+        scale = _scanned_scale(scene.values())  # a repeated output id replaced an object that grew the scale
+    object.__setattr__(scene, "scale", scale)
+    return scene
 
 
 def instantiate(
@@ -185,95 +357,24 @@ def instantiate(
     ``free_assign`` must cover exactly the free-point outputs.  Degeneracy
     checks (coincident points given to a line, parallel lines given to an
     intersection) compare against eps_rel times the running coordinate
-    magnitude of the partial scene.  The returned scene is read-only and
-    carries the final magnitude, which :func:`scene_scale` returns without
-    a scan; ``dict(scene)`` is a mutable copy.
+    magnitude of the partial scene; a step whose result is not finite is
+    degenerate too.  Opaque steps and ids that do not resolve to an object
+    of the kind a step takes are rejected before any step runs.  The
+    returned scene is read-only and carries the final magnitude, which
+    :func:`scene_scale` returns without a scan; ``dict(scene)`` is a mutable
+    copy.
     """
 
     tol = tol or Tolerance()
-    free_ids = set(construction.free_point_ids())
-    if set(free_assign) != free_ids:
-        missing = sorted(free_ids - set(free_assign))
-        extra = sorted(set(free_assign) - free_ids)
+    free_ids = construction.free_point_ids()
+    wanted = set(free_ids)
+    if set(free_assign) != wanted:
+        missing = sorted(wanted - set(free_assign))
+        extra = sorted(set(free_assign) - wanted)
         raise ValueError(f"free assignment mismatch: missing {missing}, extra {extra}")
-
-    scene: NumericScene = {}
-    scale = 1.0
-
-    def grow(*values: float) -> None:
-        nonlocal scale
-        for v in values:
-            a = abs(v)
-            if a > scale:
-                scale = a
-
-    for c in construction.constraints:
-        kind = c.kind
-        if kind is ConstraintKind.OPAQUE:
-            raise OpaqueConstraintError(c.output)
-        if kind is ConstraintKind.FREE_POINT:
-            x, y = free_assign[c.output]
-            obj: SceneObject = ScenePoint(float(x), float(y))
-            grow(obj.x, obj.y)
-        elif kind is ConstraintKind.LINE_THROUGH_TWO_POINTS:
-            p = _object(scene, c.inputs[0], ScenePoint)
-            q = _object(scene, c.inputs[1], ScenePoint)
-            a = p.y - q.y
-            b = q.x - p.x
-            cc = p.x * q.y - q.x * p.y
-            if math.sqrt(a * a + b * b) < tol.eps_rel * scale:
-                raise DegenerateStep(c.output, f"points {c.inputs[0]} and {c.inputs[1]} coincide")
-            obj = _normalized_line(a, b, cc)
-            grow(obj.c)
-        elif kind is ConstraintKind.INTERSECTION_OF_TWO_LINES:
-            l = _object(scene, c.inputs[0], SceneLine)
-            m = _object(scene, c.inputs[1], SceneLine)
-            h1 = l.b * m.c - l.c * m.b
-            h2 = l.c * m.a - l.a * m.c
-            h3 = l.a * m.b - l.b * m.a
-            if abs(h3) < tol.eps_rel * scale:
-                raise DegenerateStep(c.output, f"lines {c.inputs[0]} and {c.inputs[1]} are parallel")
-            obj = ScenePoint(h1 / h3, h2 / h3)
-            grow(obj.x, obj.y)
-        elif kind is ConstraintKind.MIDPOINT_OF_TWO_POINTS:
-            p = _object(scene, c.inputs[0], ScenePoint)
-            q = _object(scene, c.inputs[1], ScenePoint)
-            obj = ScenePoint((p.x + q.x) / 2.0, (p.y + q.y) / 2.0)
-            grow(obj.x, obj.y)
-        elif kind is ConstraintKind.CIRCLE_BY_CENTER_AND_POINT:
-            o = _object(scene, c.inputs[0], ScenePoint)
-            p = _object(scene, c.inputs[1], ScenePoint)
-            obj = SceneCircle(o.x, o.y, _dist(o, p))
-            grow(obj.cx, obj.cy, obj.r)
-        elif kind is ConstraintKind.PERPENDICULAR_LINE_THROUGH_POINT:
-            l = _object(scene, c.inputs[0], SceneLine)
-            p = _object(scene, c.inputs[1], ScenePoint)
-            obj = _normalized_line(l.b, -l.a, l.a * p.y - l.b * p.x)
-            grow(obj.c)
-        elif kind is ConstraintKind.PARALLEL_LINE_THROUGH_POINT:
-            l = _object(scene, c.inputs[0], SceneLine)
-            p = _object(scene, c.inputs[1], ScenePoint)
-            obj = _normalized_line(l.a, l.b, -(l.a * p.x + l.b * p.y))
-            grow(obj.c)
-        elif kind is ConstraintKind.POINT_ON_LINE:
-            l = _object(scene, c.inputs[0], SceneLine)
-            t = c.parameter or 0.0
-            # base point: foot of the perpendicular from the origin
-            obj = ScenePoint(-l.a * l.c - l.b * t, -l.b * l.c + l.a * t)
-            grow(obj.x, obj.y)
-        elif kind is ConstraintKind.POINT_ON_CIRCLE:
-            k = _object(scene, c.inputs[0], SceneCircle)
-            ang = c.parameter or 0.0
-            obj = ScenePoint(k.cx + k.r * math.cos(ang), k.cy + k.r * math.sin(ang))
-            grow(obj.x, obj.y)
-        else:  # pragma: no cover - closed enumeration
-            raise AssertionError(kind)
-        scene[c.output] = obj
-    if len(scene) < len(construction.constraints):
-        scale = scene_scale(scene)  # a repeated output id replaced an object that grew the scale
-    carried = _Scene(scene)
-    object.__setattr__(carried, "scale", scale)
-    return carried
+    plan = _compile(construction)
+    pairs = [(float(x), float(y)) for x, y in map(free_assign.__getitem__, free_ids)]
+    return _run(plan, pairs, tol.eps_rel)
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +387,93 @@ def eval_term(scene: NumericScene, term: Term) -> float:
     if isinstance(term, Const):
         return term.value
     if isinstance(term, SegmentLength):
-        return _dist(_object(scene, term.a, ScenePoint), _object(scene, term.b, ScenePoint))
+        return _dist(_point(scene, term.a), _point(scene, term.b))
     if isinstance(term, Plus):
         return eval_term(scene, term.left) + eval_term(scene, term.right)
     if isinstance(term, Mult):
         return eval_term(scene, term.left) * eval_term(scene, term.right)
     raise TypeError(f"not a Term: {term!r}")
+
+
+# Residual functions: (scene, predicate, eps_rel, scale) -> (residual, eps).
+
+
+def _collinear(scene, pred, eps_rel, scale):
+    p, q, r = _point(scene, pred.p), _point(scene, pred.q), _point(scene, pred.r)
+    return abs((q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)), eps_rel * scale * scale
+
+
+def _cross(scene, pred, eps_rel, scale):
+    a, b, c, d = _point(scene, pred.a), _point(scene, pred.b), _point(scene, pred.c), _point(scene, pred.d)
+    return abs((b.x - a.x) * (d.y - c.y) - (b.y - a.y) * (d.x - c.x)), eps_rel * scale * scale
+
+
+def _dot(scene, pred, eps_rel, scale):
+    a, b, c, d = _point(scene, pred.a), _point(scene, pred.b), _point(scene, pred.c), _point(scene, pred.d)
+    return abs((b.x - a.x) * (d.x - c.x) + (b.y - a.y) * (d.y - c.y)), eps_rel * scale * scale
+
+
+def _midpoint(scene, pred, eps_rel, scale):
+    m, a, b = _point(scene, pred.m), _point(scene, pred.a), _point(scene, pred.b)
+    return math.sqrt((m.x - (a.x + b.x) / 2.0) ** 2 + (m.y - (a.y + b.y) / 2.0) ** 2), eps_rel * scale
+
+
+def _same_length(scene, pred, eps_rel, scale):
+    a, b, c, d = _point(scene, pred.a), _point(scene, pred.b), _point(scene, pred.c), _point(scene, pred.d)
+    return abs(_dist(a, b) - _dist(c, d)), eps_rel * scale
+
+
+def _segment_ratio(scene, pred, eps_rel, scale):
+    a, b, c, d = _point(scene, pred.a), _point(scene, pred.b), _point(scene, pred.c), _point(scene, pred.d)
+    return abs(_dist(a, b) - pred.ratio * _dist(c, d)), eps_rel * scale
+
+
+def _equal(scene, pred, eps_rel, scale):
+    lhs = eval_term(scene, pred.left)
+    rhs = eval_term(scene, pred.right)
+    return abs(lhs - rhs), eps_rel * max(1.0, abs(lhs), abs(rhs))
+
+
+def _distinct(scene, pred, eps_rel, scale):
+    return _dist(_point(scene, pred.p), _point(scene, pred.q)), eps_rel * scale
+
+
+def _harmonic(scene, pred, eps_rel, scale):
+    a, b, c, d = _point(scene, pred.a), _point(scene, pred.b), _point(scene, pred.c), _point(scene, pred.d)
+    eps1 = eps_rel * scale
+    ab = _dist(a, b)
+    if ab < eps1:
+        raise DegeneratePredicateError(f"base points {pred.a} and {pred.b} coincide")
+    ux = (b.x - a.x) / ab
+    uy = (b.y - a.y) / ab
+    # signed coordinates along the ab direction
+    tb = ab
+    tc = (c.x - a.x) * ux + (c.y - a.y) * uy
+    td = (d.x - a.x) * ux + (d.y - a.y) * uy
+    cb = tb - tc
+    ad = td
+    if abs(cb) < eps1:
+        raise DegeneratePredicateError(f"points {pred.c} and {pred.b} coincide")
+    if abs(ad) < eps1:
+        raise DegeneratePredicateError(f"points {pred.a} and {pred.d} coincide")
+    cross_ratio = (tc * (tb - td)) / (cb * ad)
+    return abs(cross_ratio + 1.0), eps_rel
+
+
+# predicate class -> (residual function, whether the predicate holds when the
+# residual exceeds eps rather than when it is within it)
+_RESIDUALS = {
+    Collinear: (_collinear, False),
+    Parallel: (_cross, False),
+    NotParallel: (_cross, True),
+    Perpendicular: (_dot, False),
+    Midpoint: (_midpoint, False),
+    SameLength: (_same_length, False),
+    SegmentRatio: (_segment_ratio, False),
+    Equal: (_equal, False),
+    NotEqual: (_distinct, True),
+    Harmonic: (_harmonic, False),
+}
 
 
 def eval_predicate(scene: NumericScene, pred: Predicate, tol: Tolerance | None = None) -> tuple[bool, float]:
@@ -309,66 +491,14 @@ def eval_predicate(scene: NumericScene, pred: Predicate, tol: Tolerance | None =
 
     tol = tol or Tolerance()
     scale = scene_scale(scene)
-    eps1 = tol.eps_rel * scale
-    eps2 = tol.eps_rel * scale * scale
-
-    if isinstance(pred, Collinear):
-        p, q, r = (_object(scene, i, ScenePoint) for i in (pred.p, pred.q, pred.r))
-        residual = abs((q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x))
-        return residual <= eps2, residual - eps2
-    if isinstance(pred, (Parallel, NotParallel)):
-        a, b, c, d = (_object(scene, i, ScenePoint) for i in (pred.a, pred.b, pred.c, pred.d))
-        residual = abs((b.x - a.x) * (d.y - c.y) - (b.y - a.y) * (d.x - c.x))
-        if isinstance(pred, Parallel):
-            return residual <= eps2, residual - eps2
-        return residual > eps2, residual - eps2
-    if isinstance(pred, Perpendicular):
-        a, b, c, d = (_object(scene, i, ScenePoint) for i in (pred.a, pred.b, pred.c, pred.d))
-        residual = abs((b.x - a.x) * (d.x - c.x) + (b.y - a.y) * (d.y - c.y))
-        return residual <= eps2, residual - eps2
-    if isinstance(pred, Midpoint):
-        m, a, b = (_object(scene, i, ScenePoint) for i in (pred.m, pred.a, pred.b))
-        residual = math.sqrt((m.x - (a.x + b.x) / 2.0) ** 2 + (m.y - (a.y + b.y) / 2.0) ** 2)
-        return residual <= eps1, residual - eps1
-    if isinstance(pred, SameLength):
-        a, b, c, d = (_object(scene, i, ScenePoint) for i in (pred.a, pred.b, pred.c, pred.d))
-        residual = abs(_dist(a, b) - _dist(c, d))
-        return residual <= eps1, residual - eps1
-    if isinstance(pred, SegmentRatio):
-        a, b, c, d = (_object(scene, i, ScenePoint) for i in (pred.a, pred.b, pred.c, pred.d))
-        residual = abs(_dist(a, b) - pred.ratio * _dist(c, d))
-        return residual <= eps1, residual - eps1
-    if isinstance(pred, Equal):
-        lhs = eval_term(scene, pred.left)
-        rhs = eval_term(scene, pred.right)
-        residual = abs(lhs - rhs)
-        eps = tol.eps_rel * max(1.0, abs(lhs), abs(rhs))
-        return residual <= eps, residual - eps
-    if isinstance(pred, NotEqual):
-        p, q = _object(scene, pred.p, ScenePoint), _object(scene, pred.q, ScenePoint)
-        residual = _dist(p, q)
-        return residual > eps1, residual - eps1
-    if isinstance(pred, Harmonic):
-        a, b, c, d = (_object(scene, i, ScenePoint) for i in (pred.a, pred.b, pred.c, pred.d))
-        ab = _dist(a, b)
-        if ab < eps1:
-            raise DegeneratePredicateError(f"base points {pred.a} and {pred.b} coincide")
-        ux = (b.x - a.x) / ab
-        uy = (b.y - a.y) / ab
-        # signed coordinates along the ab direction
-        tb = ab
-        tc = (c.x - a.x) * ux + (c.y - a.y) * uy
-        td = (d.x - a.x) * ux + (d.y - a.y) * uy
-        cb = tb - tc
-        ad = td
-        if abs(cb) < eps1:
-            raise DegeneratePredicateError(f"points {pred.c} and {pred.b} coincide")
-        if abs(ad) < eps1:
-            raise DegeneratePredicateError(f"points {pred.a} and {pred.d} coincide")
-        cross_ratio = (tc * (tb - td)) / (cb * ad)
-        residual = abs(cross_ratio + 1.0)
-        return residual <= tol.eps_rel, residual - tol.eps_rel
-    raise TypeError(f"not a Predicate: {pred!r}")
+    try:
+        residual_of, negative = _RESIDUALS[type(pred)]
+    except KeyError:
+        raise TypeError(f"not a Predicate: {pred!r}") from None
+    residual, eps = residual_of(scene, pred, tol.eps_rel, scale)
+    if negative:
+        return residual > eps, residual - eps
+    return residual <= eps, residual - eps
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +506,7 @@ def eval_predicate(scene: NumericScene, pred: Predicate, tol: Tolerance | None =
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_UNIT = 2.0 ** -53
 
 
 class _SplitMix64:
@@ -391,12 +522,14 @@ class _SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
-    def next_unit(self) -> float:
-        # uniform in [0, 1) with 53-bit resolution
-        return (self.next_u64() >> 11) * (2.0 ** -53)
+    def next_points(self, count: int, coord_range: float) -> list[tuple[float, float]]:
+        """``count`` points uniform in [-coord_range, coord_range]^2, x drawn
+        before y; a unit double is (output >> 11) * 2^-53."""
 
-    def next_coord(self, coord_range: float) -> float:
-        return -coord_range + 2.0 * coord_range * self.next_unit()
+        lo = -coord_range
+        span = 2.0 * coord_range
+        draw = self.next_u64
+        return [(lo + span * ((draw() >> 11) * _UNIT), lo + span * ((draw() >> 11) * _UNIT)) for _ in range(count)]
 
 
 def sample_free_points(
@@ -411,19 +544,13 @@ def sample_free_points(
     """
 
     _check_sample_range(coord_range)
-    gen = _SplitMix64(seed)
-    return _draw_assignment(gen, construction.free_point_ids(), coord_range)
+    free_ids = construction.free_point_ids()
+    return dict(zip(free_ids, _SplitMix64(seed).next_points(len(free_ids), coord_range)))
 
 
 def _check_sample_range(coord_range: float) -> None:
     if not (math.isfinite(coord_range) and coord_range > 0.0):
         raise ValueError(f"coord_range must be > 0, got {coord_range}")
-
-
-def _draw_assignment(
-    gen: _SplitMix64, free_ids: tuple[str, ...], coord_range: float
-) -> dict[str, tuple[float, float]]:
-    return {fid: (gen.next_coord(coord_range), gen.next_coord(coord_range)) for fid in free_ids}
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +598,9 @@ def check_conjecture(
 ) -> CheckReport:
     """Sample free points ``trials`` times and test the conjecture.
 
-    Per sample: instantiate (degenerate steps count as degenerate samples);
+    The construction is compiled once, so opaque steps and unresolved or
+    mis-kinded ids raise before the first sample.  Per sample: run the
+    compiled construction (degenerate steps count as degenerate samples);
     evaluate ndg predicates first (any false or degenerate: degenerate
     sample); then hypotheses (any false: hypothesis-failed sample); then the
     conclusion conjunction.  The first false conclusion stops the run with a
@@ -481,15 +610,13 @@ def check_conjecture(
 
     if problem.conjecture is None:
         raise NoConjectureError()
-    for c in problem.construction.constraints:
-        if c.kind is ConstraintKind.OPAQUE:
-            raise OpaqueConstraintError(c.output)
+    plan = _compile(problem.construction)
     if trials <= 0:
         raise ValueError(f"trials must be > 0, got {trials}")
     _check_sample_range(coord_range)
     tol = tol or Tolerance()
     conjecture = problem.conjecture
-    free_ids = problem.construction.free_point_ids()
+    free_ids = plan.free_ids
     gen = _SplitMix64(seed)
 
     degenerate = 0
@@ -498,9 +625,9 @@ def check_conjecture(
     witness: Witness | None = None
 
     for _ in range(trials):
-        assignment = _draw_assignment(gen, free_ids, coord_range)
+        pairs = gen.next_points(len(free_ids), coord_range)
         try:
-            scene = instantiate(problem.construction, assignment, tol)
+            scene = _run(plan, pairs, tol.eps_rel)
         except DegenerateStep:
             degenerate += 1
             continue
@@ -520,6 +647,7 @@ def check_conjecture(
             degenerate += 1
             continue
         if failing is not None:
+            assignment = dict(zip(free_ids, pairs))
             witness = Witness(
                 assignment=tuple((fid, assignment[fid]) for fid in free_ids),
                 predicate=failing,

@@ -159,6 +159,23 @@ def test_dsl_number_that_overflows_is_located(tmp_path, capsys, command):
     assert err == "error: line 4: number '1e999' is not finite\n"
 
 
+@pytest.mark.parametrize(
+    "source,message",
+    [
+        ("point A 0 0\nprove { conclude equal " + "plus " * 4999 + "const 1" + " const 1" * 4999 + " const 1 }\n",
+         "line 2: term nested deeper than 100 levels"),
+        ("point A 1e300 0\npoint B -1e300 1e300\nline l A B\n",
+         "line 3: step 'l' is degenerate: coordinates are not finite"),
+    ],
+    ids=["deep term", "overflowing instance"],
+)
+def test_dsl_beyond_the_numeric_range_is_located(tmp_path, capsys, source, message):
+    path = tmp_path / "hostile.gcl"
+    path.write_text(source)
+    assert main(["convert", str(path), "--from", "dsl", "--to", "i2gatp", "--out", "-"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_unexpected_error_exits_2_in_one_line(varignon_zip, tmp_path, capsys):
     import io
     import zipfile

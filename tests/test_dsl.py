@@ -20,12 +20,13 @@ from i2gatp.model import (
     Conjecture,
     ConstraintKind,
     Equal,
+    MAX_TERM_DEPTH,
     Midpoint,
     SegmentRatio,
     canonicalize_problem,
     validate_problem,
 )
-from i2gatp.numeric import check_conjecture
+from i2gatp.numeric import Verdict, check_conjecture
 
 
 def test_minimal_program():
@@ -66,6 +67,34 @@ def test_number_that_overflows_is_a_syntax_error(text, line):
     with pytest.raises(DslSyntaxError, match="is not finite") as exc:
         parse_dsl(text)
     assert exc.value.line == line
+
+
+def _nested_equal(depth: int) -> str:
+    """A program whose conclusion's left term nests ``depth`` levels: its
+    ``plus`` terms are on line 3 and the rest on line 4."""
+
+    opening = "plus " * (depth - 1) + "\n"
+    return f"point A 0 0\npoint B 1 0\nprove {{ conclude equal {opening}const 1{' const 1' * (depth - 1)} const {depth} }}\n"
+
+
+def test_term_at_the_depth_limit_parses():
+    problem = parse_dsl(_nested_equal(MAX_TERM_DEPTH))
+    assert check_conjecture(problem, 3).verdict is Verdict.CONSISTENT_OVER_SAMPLES
+    assert parse_dsl(emit_dsl(problem)) == problem
+
+
+@pytest.mark.parametrize("depth,line", [(MAX_TERM_DEPTH + 1, 4), (5000, 3)])
+def test_term_beyond_the_depth_limit_is_a_syntax_error(depth, line):
+    # the error names the line of the first term beyond the limit
+    with pytest.raises(DslSyntaxError, match=f"term nested deeper than {MAX_TERM_DEPTH} levels") as exc:
+        parse_dsl(_nested_equal(depth))
+    assert exc.value.line == line
+
+
+def test_overflowing_initial_instance_is_degenerate():
+    with pytest.raises(DegenerateInitialInstance, match="step 'l' is degenerate: coordinates are not finite") as exc:
+        parse_dsl("point A 1e300 0\npoint B -1e300 1e300\nline l A B\n")
+    assert exc.value.line == 3
 
 
 def test_comments_and_blank_lines_ignored():

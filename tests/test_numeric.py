@@ -18,8 +18,10 @@ from i2gatp.dsl import parse_dsl, predicate_text
 from i2gatp.errors import (
     DegeneratePredicateError,
     DegenerateStep,
+    KindMismatchError,
     NoConjectureError,
     OpaqueConstraintError,
+    UnresolvedIdError,
 )
 from i2gatp.model import (
     Collinear,
@@ -37,6 +39,7 @@ from i2gatp.model import (
     Parallel,
     Perpendicular,
     Plus,
+    Problem,
     SameLength,
     SegmentLength,
     SegmentRatio,
@@ -45,6 +48,8 @@ from i2gatp.numeric import (
     ScenePoint,
     Tolerance,
     Verdict,
+    _compile,
+    _run,
     _SplitMix64,
     check_conjecture,
     eval_predicate,
@@ -166,6 +171,56 @@ def test_opaque_constraint_blocks_instantiation(corpus):
     p = corpus["opaque_circumcircle"]
     with pytest.raises(OpaqueConstraintError):
         instantiate(p.construction, {fid: (0.0, 0.0) for fid in p.construction.free_point_ids()})
+
+
+def _line(out: str, a: str, b: str) -> Constraint:
+    return Constraint(output=out, kind=ConstraintKind.LINE_THROUGH_TWO_POINTS, inputs=(a, b))
+
+
+# steps that no run can execute, placed after a step ("l") that is degenerate
+# at every sample
+_UNRUNNABLE = {
+    "unresolved": (Constraint(output="M", kind=ConstraintKind.MIDPOINT_OF_TWO_POINTS, inputs=("A", "Z")), UnresolvedIdError),
+    "defined later": (Constraint(output="M", kind=ConstraintKind.MIDPOINT_OF_TWO_POINTS, inputs=("A", "N")), UnresolvedIdError),
+    "kind mismatch": (Constraint(output="M", kind=ConstraintKind.MIDPOINT_OF_TWO_POINTS, inputs=("A", "l")), KindMismatchError),
+    "opaque": (Constraint(output="M", kind=ConstraintKind.OPAQUE, opaque_tag="circumcircle", opaque_payload=b"<circumcircle/>"), OpaqueConstraintError),
+    "arity": (Constraint(output="M", kind=ConstraintKind.MIDPOINT_OF_TWO_POINTS, inputs=("A",)), ValueError),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNRUNNABLE))
+def test_unrunnable_step_raises_before_any_sample(case):
+    step, error = _UNRUNNABLE[case]
+    conjecture = Conjecture(hypothesis=(), ndg=(), conclusion=(NotEqual("A", "N"),))
+    runnable = (_free("A"), _line("l", "A", "A"), _free("N"))
+    report = check_conjecture(Problem(construction=Construction((), runnable), conjecture=conjecture), 10)
+    assert (report.verdict, report.samples_degenerate) == (Verdict.VACUOUS, 10)
+    k = Construction(elements=(), constraints=runnable[:2] + (step,) + runnable[2:])
+    with pytest.raises(error) as exc:
+        instantiate(k, {"A": (0.0, 0.0), "N": (1.0, 1.0)})
+    if error is KindMismatchError:
+        assert (exc.value.element_id, exc.value.expected, exc.value.got) == ("l", "point", "line")
+    with pytest.raises(error):
+        check_conjecture(Problem(construction=k, conjecture=conjecture), 10)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_free_point_that_is_not_finite_is_degenerate(bad):
+    k = Construction(elements=(), constraints=(_free("A"), _free("B")))
+    with pytest.raises(DegenerateStep, match="coordinates are not finite") as exc:
+        instantiate(k, {"A": (0.0, 0.0), "B": (1.0, bad)})
+    assert exc.value.step_id == "B"
+
+
+@pytest.mark.parametrize(
+    "name,coord_range",
+    [("varignon", 1e160), ("perpendicular_foot", 1e155), ("parallel_transport", 1e155)],
+)
+def test_step_that_overflows_is_degenerate(corpus, name, coord_range):
+    # these theorems were FALSIFIED on lines with a NaN offset, or raised
+    # ZeroDivisionError on a line of zero norm
+    report = check_conjecture(corpus[name], 50, 0, coord_range=coord_range)
+    assert (report.verdict, report.samples_degenerate) == (Verdict.VACUOUS, 50)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +373,14 @@ def test_bad_range_rejected(varignon, draw, coord_range):
 
 # ---------------------------------------------------------------------------
 # check_conjecture
+
+
+@pytest.mark.parametrize("seed,coord_range", [(3, 10.0), (0, 1e6), (123456789, 0.5)])
+def test_trial_0_witness_is_sample_free_points(corpus, seed, coord_range):
+    p = corpus["collinear_free"]
+    report = check_conjecture(p, 100, seed=seed, coord_range=coord_range)
+    assert report.samples_total == 0  # falsified on trial 0
+    assert dict(report.witness.assignment) == sample_free_points(p.construction, seed, coord_range)
 
 
 def test_collinear_conjecture_falsified(corpus):
@@ -498,6 +561,14 @@ def test_repeated_output_id_scale_is_the_scan():
     )
     scene = instantiate(k, {"P": (50.0, 50.0), "Q": (0.0, 0.0), "R": (1.0, 1.0)})
     assert scene_scale(scene) == scene_scale(dict(scene)) == 1.0
+
+
+def test_repeated_free_id_reads_the_last_pair_drawn_for_it():
+    # as a map from free id to pair does: sample_free_points, the witness
+    # assignment and the scenes the checker decides on all agree
+    k = Construction(elements=(), constraints=(_free("A"), _free("B"), _free("A")))
+    scene = _run(_compile(k), [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)], Tolerance().eps_rel)
+    assert scene == {"A": ScenePoint(3.0, 3.0), "B": ScenePoint(2.0, 2.0)}
 
 
 @pytest.mark.parametrize(

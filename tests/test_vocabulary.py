@@ -4,8 +4,9 @@ grammars) must read and write exactly that table.  The proofInfo.xml layout
 is declared once too, in ``model.PROOF_INFO_SECTIONS``, and its schema must
 list the same children.  So is the construction vocabulary, in
 ``model.ELEMENT_COORDS`` and ``model.CONSTRAINT_SIGNATURES``: the intergeo.xml
-schema, the DSL grammar and the numeric scene objects must agree with them,
-and the violation catalogue must list exactly ``model.VIOLATION_CODES``."""
+schema, the DSL grammar, the numeric step table and the numeric scene objects
+must agree with them, and the violation catalogue must list exactly
+``model.VIOLATION_CODES``."""
 
 from __future__ import annotations
 
@@ -34,7 +35,15 @@ from i2gatp.model import (
     SegmentLength,
     SegmentRatio,
 )
-from i2gatp.numeric import SceneCircle, SceneLine, SceneObject, ScenePoint
+from i2gatp.numeric import (
+    _STEPS,
+    SceneCircle,
+    SceneLine,
+    SceneObject,
+    ScenePoint,
+    instantiate,
+    sample_free_points,
+)
 from i2gatp.xml_codec import parse_conjecture, serialize_conjecture
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -189,11 +198,27 @@ def test_dsl_grammar_lists_the_statements():
     assert set(_STATEMENT_KEYWORDS) == set(CONSTRAINT_SIGNATURES)
 
 
+_SCENE_CLASSES = {GeoKind.POINT: ScenePoint, GeoKind.LINE: SceneLine, GeoKind.CIRCLE: SceneCircle}
+
+
 def test_scene_objects_carry_the_element_coordinates():
-    scene_classes = {GeoKind.POINT: ScenePoint, GeoKind.LINE: SceneLine, GeoKind.CIRCLE: SceneCircle}
-    assert set(typing.get_args(SceneObject)) == set(scene_classes.values())
+    assert set(typing.get_args(SceneObject)) == set(_SCENE_CLASSES.values())
     for kind, coords in ELEMENT_COORDS.items():
-        assert tuple(f.name for f in dataclasses.fields(scene_classes[kind])) == coords
+        assert tuple(f.name for f in dataclasses.fields(_SCENE_CLASSES[kind])) == coords
+
+
+def test_numeric_steps_follow_the_signatures():
+    assert set(_STEPS) == set(CONSTRAINT_SIGNATURES) - {ConstraintKind.OPAQUE}
+    # one statement of each kind; each output is the scene class of its kind
+    problem = parse_dsl(
+        "point A 0 0\npoint B 4 0\npoint C 1 3\nline l A B\nline m A C\nintersec P l m\n"
+        "midpoint M B C\ncircle k A B\nperp p l C\nparallel q l C\nonline X l 0.5\noncircle Y k 1\n"
+    )
+    constraints = problem.construction.constraints
+    assert {c.kind for c in constraints} == set(_STEPS)
+    scene = instantiate(problem.construction, sample_free_points(problem.construction, 1, 10.0))
+    for c in constraints:
+        assert type(scene[c.output]) is _SCENE_CLASSES[CONSTRAINT_SIGNATURES[c.kind][1]], c.kind
 
 
 def test_violation_catalogue_lists_the_codes():
