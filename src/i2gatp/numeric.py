@@ -46,6 +46,7 @@ from .model import (
     SegmentLength,
     SegmentRatio,
     Term,
+    predicate_point_ids,
 )
 
 __all__ = [
@@ -111,11 +112,16 @@ class Tolerance:
 
 
 class _Scene(dict):
-    """A scene returned by :func:`instantiate`, carrying the scale that a
-    scan by :func:`scene_scale` would compute for it.
+    """A scene made from one run of a compiled construction, carrying that
+    run's scale: the value a scan by :func:`scene_scale` computes for the
+    scene that holds every object of the run.
 
-    It is read-only, so the carried value never goes stale; ``dict(scene)``,
-    ``copy.deepcopy`` and pickle give an ordinary mutable mapping.
+    :func:`instantiate` returns such a full scene.  A trial of
+    :func:`check_conjecture` makes one that may hold only a subset of the
+    run's objects (the ids its predicates name) and still carries the full
+    run's scale.  It is read-only, so the carried value never goes stale;
+    ``dict(scene)``, ``copy.deepcopy`` and pickle give an ordinary mutable
+    mapping.
     """
 
     __slots__ = ("scale",)
@@ -173,13 +179,14 @@ def _point(scene: NumericScene, ref: str) -> ScenePoint:
 # Construction execution
 #
 # A construction is compiled once into a plan, which then runs once per set
-# of free coordinates.  A run keeps its objects in a list of slots: slot i
-# holds the object of the plan's i-th output id, and the slots after those
-# hold the free coordinate pairs of the run.  Each step is a module-level
-# function from the table below, called with its constraint, the contents of
-# its two input slots (a one-input step gets its input twice, a free point its
-# coordinate pair), eps_rel and the running scale; it returns the new object
-# and the scale grown by it.
+# of free coordinates.  A run keeps plain coordinate tuples in a list of
+# slots: slot i holds the (x, y), (a, b, c) or (cx, cy, r) of the plan's i-th
+# output id, and the slots after those hold the free coordinate pairs of the
+# run.  Each step is a module-level function from the table below, called
+# with its constraint, the contents of its two input slots (a one-input step
+# gets its input twice, a free point its coordinate pair), eps_rel and the
+# running scale; it returns the new tuple and the scale grown by it.  Scene
+# objects are made from the slots only for the ids a scene holds.
 
 _NOT_FINITE = "coordinates are not finite"
 
@@ -193,17 +200,17 @@ def _grow(out: str, a: float) -> float:
     raise DegenerateStep(out, _NOT_FINITE)
 
 
-def _new_point(out: str, x: float, y: float, scale: float) -> tuple[ScenePoint, float]:
+def _new_point(out: str, x: float, y: float, scale: float) -> tuple[tuple[float, float], float]:
     ax = abs(x)
     if not ax <= scale:
         scale = _grow(out, ax)
     ay = abs(y)
     if not ay <= scale:
         scale = _grow(out, ay)
-    return ScenePoint(x, y), scale
+    return (x, y), scale
 
 
-def _new_line(out: str, a: float, b: float, c: float, scale: float) -> tuple[SceneLine, float]:
+def _new_line(out: str, a: float, b: float, c: float, scale: float) -> tuple[tuple[float, float, float], float]:
     n = math.sqrt(a * a + b * b)
     if not 0.0 < n < math.inf:
         raise DegenerateStep(out, _NOT_FINITE)
@@ -214,7 +221,7 @@ def _new_line(out: str, a: float, b: float, c: float, scale: float) -> tuple[Sce
     ac = abs(c)
     if not ac <= scale:
         scale = _grow(out, ac)
-    return SceneLine(a, b, c), scale
+    return (a, b, c), scale
 
 
 def _free_point(c, xy, _xy, eps_rel, scale):
@@ -222,49 +229,60 @@ def _free_point(c, xy, _xy, eps_rel, scale):
 
 
 def _line_through_two_points(c, p, q, eps_rel, scale):
-    a = p.y - q.y
-    b = q.x - p.x
+    px, py = p
+    qx, qy = q
+    a = py - qy
+    b = qx - px
     if math.sqrt(a * a + b * b) < eps_rel * scale:
         raise DegenerateStep(c.output, f"points {c.inputs[0]} and {c.inputs[1]} coincide")
-    return _new_line(c.output, a, b, p.x * q.y - q.x * p.y, scale)
+    return _new_line(c.output, a, b, px * qy - qx * py, scale)
 
 
 def _intersection_of_two_lines(c, l, m, eps_rel, scale):
-    h3 = l.a * m.b - l.b * m.a
+    la, lb, lc = l
+    ma, mb, mc = m
+    h3 = la * mb - lb * ma
     if abs(h3) < eps_rel * scale:
         raise DegenerateStep(c.output, f"lines {c.inputs[0]} and {c.inputs[1]} are parallel")
-    return _new_point(c.output, (l.b * m.c - l.c * m.b) / h3, (l.c * m.a - l.a * m.c) / h3, scale)
+    return _new_point(c.output, (lb * mc - lc * mb) / h3, (lc * ma - la * mc) / h3, scale)
 
 
 def _midpoint_of_two_points(c, p, q, eps_rel, scale):
-    return _new_point(c.output, (p.x + q.x) / 2.0, (p.y + q.y) / 2.0, scale)
+    return _new_point(c.output, (p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0, scale)
 
 
 def _circle_by_center_and_point(c, o, p, eps_rel, scale):
     # the centre's coordinates grew the scale when the centre was made
-    r = _dist(o, p)
+    ox, oy = o
+    dx = ox - p[0]
+    dy = oy - p[1]
+    r = math.sqrt(dx * dx + dy * dy)
     if not r <= scale:
         scale = _grow(c.output, r)
-    return SceneCircle(o.x, o.y, r), scale
+    return (ox, oy, r), scale
 
 
 def _perpendicular_line_through_point(c, l, p, eps_rel, scale):
-    return _new_line(c.output, l.b, -l.a, l.a * p.y - l.b * p.x, scale)
+    la, lb, _lc = l
+    return _new_line(c.output, lb, -la, la * p[1] - lb * p[0], scale)
 
 
 def _parallel_line_through_point(c, l, p, eps_rel, scale):
-    return _new_line(c.output, l.a, l.b, -(l.a * p.x + l.b * p.y), scale)
+    la, lb, _lc = l
+    return _new_line(c.output, la, lb, -(la * p[0] + lb * p[1]), scale)
 
 
 def _point_on_line(c, l, _l, eps_rel, scale):
+    la, lb, lc = l
     t = c.parameter or 0.0
     # base point: foot of the perpendicular from the origin
-    return _new_point(c.output, -l.a * l.c - l.b * t, -l.b * l.c + l.a * t, scale)
+    return _new_point(c.output, -la * lc - lb * t, -lb * lc + la * t, scale)
 
 
 def _point_on_circle(c, k, _k, eps_rel, scale):
+    cx, cy, r = k
     ang = c.parameter or 0.0
-    return _new_point(c.output, k.cx + k.r * math.cos(ang), k.cy + k.r * math.sin(ang), scale)
+    return _new_point(c.output, cx + r * math.cos(ang), cy + r * math.sin(ang), scale)
 
 
 _STEPS = {
@@ -278,20 +296,29 @@ _STEPS = {
     ConstraintKind.POINT_ON_LINE: _point_on_line,
     ConstraintKind.POINT_ON_CIRCLE: _point_on_circle,
 }
-# kind -> (step function, input kinds, output kind), so that compiling looks
-# each step up once; OPAQUE is not in it
-_SIGNED_STEPS = {kind: (_STEPS[kind], ins, out) for kind, (ins, out, _attr) in CONSTRAINT_SIGNATURES.items()}
+_SCENE_CLASSES = {GeoKind.POINT: ScenePoint, GeoKind.LINE: SceneLine, GeoKind.CIRCLE: SceneCircle}
+# kind -> (step function, input kinds, output kind, output scene class), so
+# that compiling looks each step up once; OPAQUE is not in it
+_SIGNED_STEPS = {
+    kind: (_STEPS[kind], ins, out, _SCENE_CLASSES[out]) for kind, (ins, out, _attr) in CONSTRAINT_SIGNATURES.items()
+}
+
+# per id of a scene, the slot its coordinates are in and the scene class
+# they make
+_Builds = tuple[tuple[int, type], ...]
 
 
 @dataclass(frozen=True)
 class _Plan:
-    """A construction compiled for repeated runs: its output ids in slot
-    order, its free ids in draw order, and per constraint (step function,
-    constraint, input slot, input slot, output slot)."""
+    """A construction compiled for repeated runs: its free ids in draw
+    order, per constraint (step function, constraint, input slot, input
+    slot, output slot), and its output ids in slot order with their
+    builds."""
 
-    ids: tuple[str, ...]
     free_ids: tuple[str, ...]
     steps: tuple[tuple, ...]
+    ids: tuple[str, ...]
+    builds: _Builds
 
 
 def _compile(construction: Construction) -> _Plan:
@@ -308,10 +335,11 @@ def _compile(construction: Construction) -> _Plan:
     # to pair would
     pair_slot = {fid: len(ids) + i for i, fid in enumerate(free_ids)}
     kinds: dict[str, GeoKind] = {}
+    classes = [None] * len(ids)
     steps = []
     for c in constraints:
         try:
-            step, in_kinds, out_kind = _SIGNED_STEPS[c.kind]
+            step, in_kinds, out_kind, cls = _SIGNED_STEPS[c.kind]
         except KeyError:
             raise OpaqueConstraintError(c.output) from None
         inputs = c.inputs
@@ -327,22 +355,49 @@ def _compile(construction: Construction) -> _Plan:
             first, second = slot[inputs[0]], slot[inputs[-1]]
         else:
             first = second = pair_slot[c.output]
-        steps.append((step, c, first, second, slot[c.output]))
+        out = slot[c.output]
+        steps.append((step, c, first, second, out))
         kinds[c.output] = out_kind
-    return _Plan(ids, free_ids, tuple(steps))
+        classes[out] = cls
+    return _Plan(free_ids, tuple(steps), ids, tuple(enumerate(classes)))
 
 
-def _run(plan: _Plan, pairs: list[tuple[float, float]], eps_rel: float) -> _Scene:
+def _run(plan: _Plan, pairs: list[tuple[float, float]], eps_rel: float) -> tuple[list, float]:
     """One run of ``plan`` over free coordinate pairs in ``plan.free_ids``
-    order."""
+    order: the slots and the scale of the scene that holds every output id."""
 
     slots = [None] * len(plan.ids) + pairs
     scale = 1.0
     for step, c, first, second, out in plan.steps:
         slots[out], scale = step(c, slots[first], slots[second], eps_rel, scale)
-    scene = _Scene(zip(plan.ids, slots))
-    if len(scene) < len(plan.steps):
-        scale = _scanned_scale(scene.values())  # a repeated output id replaced an object that grew the scale
+    if len(plan.ids) < len(plan.steps):
+        # a repeated output id replaced an object that grew the scale
+        scale = _scanned_scale(cls(*slots[i]) for i, cls in plan.builds)
+    return slots, scale
+
+
+def _named(plan: _Plan, predicates) -> tuple[tuple[str, ...], _Builds]:
+    """The ids that ``predicates`` name and the plan defines, with their
+    builds.
+
+    An id of a line or circle stays in, so ``_point`` still raises
+    KindMismatchError for it; an id the plan does not define stays out, so
+    it still raises UnresolvedIdError.  A value that is not a predicate or a
+    term gets every id, so eval_predicate still reports it when reached."""
+
+    try:
+        named = {eid for p in predicates for eid in predicate_point_ids(p)}
+    except TypeError:
+        return plan.ids, plan.builds
+    kept = [k for k, eid in enumerate(plan.ids) if eid in named]
+    return tuple(plan.ids[k] for k in kept), tuple(plan.builds[k] for k in kept)
+
+
+def _scene_of(ids: tuple[str, ...], builds: _Builds, slots: list, scale: float) -> _Scene:
+    """The read-only scene of ``ids``, made from the slots of a run and
+    carrying that run's scale."""
+
+    scene = _Scene(zip(ids, [cls(*slots[i]) for i, cls in builds]))
     object.__setattr__(scene, "scale", scale)
     return scene
 
@@ -374,7 +429,7 @@ def instantiate(
         raise ValueError(f"free assignment mismatch: missing {missing}, extra {extra}")
     plan = _compile(construction)
     pairs = [(float(x), float(y)) for x, y in map(free_assign.__getitem__, free_ids)]
-    return _run(plan, pairs, tol.eps_rel)
+    return _scene_of(plan.ids, plan.builds, *_run(plan, pairs, tol.eps_rel))
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +541,8 @@ def eval_predicate(scene: NumericScene, pred: Predicate, tol: Tolerance | None =
     negative ones (not_equal, not_parallel) when it exceeds eps.
 
     Raises DegeneratePredicateError when the predicate's own denominators
-    vanish; that outcome is distinct from false.
+    vanish, or when the residual or eps is not finite (an overflow, say of
+    a squared length near 1e154); that outcome is distinct from false.
     """
 
     tol = tol or Tolerance()
@@ -496,9 +552,14 @@ def eval_predicate(scene: NumericScene, pred: Predicate, tol: Tolerance | None =
     except KeyError:
         raise TypeError(f"not a Predicate: {pred!r}") from None
     residual, eps = residual_of(scene, pred, tol.eps_rel, scale)
+    margin = residual - eps
+    # both are >= 0, so the margin is finite exactly when both are; on finite
+    # coordinates anything else is an overflow
+    if not math.isfinite(margin):
+        raise DegeneratePredicateError("residual is not finite")
     if negative:
-        return residual > eps, residual - eps
-    return residual <= eps, residual - eps
+        return residual > eps, margin
+    return residual <= eps, margin
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +589,17 @@ class _SplitMix64:
 
         lo = -coord_range
         span = 2.0 * coord_range
-        draw = self.next_u64
-        return [(lo + span * ((draw() >> 11) * _UNIT), lo + span * ((draw() >> 11) * _UNIT)) for _ in range(count)]
+        # next_u64 inlined over a local state
+        s = self.state
+        coords = []
+        for _ in range(2 * count):
+            s = (s + _GAMMA) & _MASK64
+            z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            coords.append(lo + span * (((z ^ (z >> 31)) >> 11) * _UNIT))
+        self.state = s
+        xs = iter(coords)
+        return list(zip(xs, xs))
 
 
 def sample_free_points(
@@ -600,10 +670,11 @@ def check_conjecture(
 
     The construction is compiled once, so opaque steps and unresolved or
     mis-kinded ids raise before the first sample.  Per sample: run the
-    compiled construction (degenerate steps count as degenerate samples);
-    evaluate ndg predicates first (any false or degenerate: degenerate
-    sample); then hypotheses (any false: hypothesis-failed sample); then the
-    conclusion conjunction.  The first false conclusion stops the run with a
+    compiled construction (degenerate steps count as degenerate samples)
+    and make scene objects for only the ids the predicates name; evaluate
+    ndg predicates first (any false or degenerate: degenerate sample); then
+    hypotheses (any false: hypothesis-failed sample); then the conclusion
+    conjunction.  The first false conclusion stops the run with a
     witness.  All trials draw from one splitmix64 stream started at ``seed``
     (trial 0 matches :func:`sample_free_points`), so reports are bit-stable.
     """
@@ -616,6 +687,7 @@ def check_conjecture(
     _check_sample_range(coord_range)
     tol = tol or Tolerance()
     conjecture = problem.conjecture
+    ids, builds = _named(plan, conjecture.ndg + conjecture.hypothesis + conjecture.conclusion)
     free_ids = plan.free_ids
     gen = _SplitMix64(seed)
 
@@ -627,7 +699,7 @@ def check_conjecture(
     for _ in range(trials):
         pairs = gen.next_points(len(free_ids), coord_range)
         try:
-            scene = _run(plan, pairs, tol.eps_rel)
+            scene = _scene_of(ids, builds, *_run(plan, pairs, tol.eps_rel))
         except DegenerateStep:
             degenerate += 1
             continue

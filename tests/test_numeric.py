@@ -49,7 +49,9 @@ from i2gatp.numeric import (
     Tolerance,
     Verdict,
     _compile,
+    _named,
     _run,
+    _scene_of,
     _SplitMix64,
     check_conjecture,
     eval_predicate,
@@ -223,6 +225,41 @@ def test_step_that_overflows_is_degenerate(corpus, name, coord_range):
     assert (report.verdict, report.samples_degenerate) == (Verdict.VACUOUS, 50)
 
 
+@pytest.mark.parametrize(
+    "name,coord_range,predicate",
+    [("midpoint_thm", 1e154, "segment_ratio A B A M 2.0"), ("triangle_sides", 1e155, "not_parallel A B A C")],
+)
+def test_residual_that_overflows_is_not_a_falsification(corpus, name, coord_range, predicate):
+    # the witness scene at seed 0 is finite, but the predicate's residual
+    # overflows there to a NaN margin, which must not read as false
+    problem = corpus[name]
+    report = check_conjecture(problem, 50, 0, coord_range=coord_range)
+    assert report.verdict is not Verdict.FALSIFIED
+    assert report.samples_degenerate > 0
+    scene = instantiate(problem.construction, sample_free_points(problem.construction, 0, coord_range))
+    failing = next(p for p in problem.conjecture.conclusion if predicate_text(p) == predicate)
+    with pytest.raises(DegeneratePredicateError, match="residual is not finite"):
+        eval_predicate(scene, failing)
+
+
+@pytest.mark.parametrize(
+    "pred",
+    [
+        SameLength("A", "B", "A", "C"),
+        NotEqual("A", "B"),
+        Collinear("A", "B", "C"),
+        Equal(SegmentLength("A", "B"), Const(1.0)),
+    ],
+    ids=["same_length", "not_equal", "collinear", "equal"],
+)
+def test_eval_predicate_on_overflowing_coordinates_is_degenerate(pred):
+    # squares of lengths near 1e155 overflow; an inf or NaN margin would read
+    # true for not_equal and false for the others
+    scene = _scene(A=(1e155, -1e155), B=(-1e155, 1e155), C=(-1e155, -1e155))
+    with pytest.raises(DegeneratePredicateError, match="residual is not finite"):
+        eval_predicate(scene, pred)
+
+
 # ---------------------------------------------------------------------------
 # eval_term
 
@@ -336,6 +373,19 @@ def test_splitmix64_known_answer():
     ]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 1234567, 2**64 - 1, 2**70 + 3])
+def test_next_points_draws_as_next_u64(seed):
+    # next_points runs next_u64 inline; both continue one stream
+    gen, ref = _SplitMix64(seed), _SplitMix64(seed)
+
+    def coord(r):
+        return -r + 2.0 * r * ((ref.next_u64() >> 11) * 2.0**-53)
+
+    for count, r in [(0, 10.0), (1, 10.0), (4, 1e6), (41, 1e-3), (7, 0.5), (400, 10.0), (3, 1e155)]:
+        assert gen.next_points(count, r) == [(coord(r), coord(r)) for _ in range(count)]
+        assert gen.state == ref.state
+
+
 def test_sampling_is_deterministic(varignon):
     a = sample_free_points(varignon.construction, 42, 10.0)
     b = sample_free_points(varignon.construction, 42, 10.0)
@@ -417,6 +467,29 @@ def test_counter_partition(varignon):
     assert report.samples_total == (
         report.samples_degenerate + report.samples_hypothesis_failed + report.samples_checked
     )
+
+
+@pytest.mark.parametrize(
+    "conclusion,error",
+    [
+        (NotEqual("A", "l"), KindMismatchError),
+        (Equal(SegmentLength("l", "B"), Const(1.0)), KindMismatchError),
+        (NotEqual("A", "Z"), UnresolvedIdError),
+        (Equal(SegmentLength("A", "B"), SegmentLength("A", "Z")), UnresolvedIdError),
+    ],
+    ids=["line id", "line id in a term", "undefined id", "undefined id in a term"],
+)
+def test_predicate_ids_resolve_as_in_the_full_scene(conclusion, error):
+    # a trial scene holds only the ids the predicates name; a line id named
+    # as a point is still a kind mismatch and an undefined id still unresolved
+    k = Construction(elements=(), constraints=(_free("A"), _free("B"), _line("l", "A", "B")))
+    problem = Problem(construction=k, conjecture=Conjecture(hypothesis=(), ndg=(), conclusion=(conclusion,)))
+    with pytest.raises(error) as exc:
+        check_conjecture(problem, 10)
+    if error is KindMismatchError:
+        assert (exc.value.element_id, exc.value.expected, exc.value.got) == ("l", "point", "line")
+    else:
+        assert exc.value.element_id == "Z"
 
 
 def test_check_requires_conjecture(corpus):
@@ -567,7 +640,8 @@ def test_repeated_free_id_reads_the_last_pair_drawn_for_it():
     # as a map from free id to pair does: sample_free_points, the witness
     # assignment and the scenes the checker decides on all agree
     k = Construction(elements=(), constraints=(_free("A"), _free("B"), _free("A")))
-    scene = _run(_compile(k), [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)], Tolerance().eps_rel)
+    plan = _compile(k)
+    scene = _scene_of(plan.ids, plan.builds, *_run(plan, [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)], Tolerance().eps_rel))
     assert scene == {"A": ScenePoint(3.0, 3.0), "B": ScenePoint(2.0, 2.0)}
 
 
@@ -600,3 +674,39 @@ def test_copies_of_a_scene_are_plain_dicts(varignon):
         assert type(copied) is dict and copied == scene
         copied["Z"] = ScenePoint(1e6, 0.0)
         assert scene_scale(copied) == 1e6
+
+
+def test_trial_scene_agrees_with_the_full_scene(corpus):
+    # a trial makes scene objects only for the ids its predicates name, and
+    # carries the scale of the whole run
+    problems = [p for p in corpus.values() if p.conjecture is not None and not p.construction.has_opaque()]
+    problems += [_generated(10, 2), _generated(100, 2), _generated(1000, 2)]
+    compared = 0
+    for problem in problems:
+        c = problem.conjecture
+        predicates = c.ndg + c.hypothesis + c.conclusion
+        plan = _compile(problem.construction)
+        ids, builds = _named(plan, predicates)
+        for seed in range(5):
+            for coord_range in (10.0, 1e6, 1e-3):
+                assignment = sample_free_points(problem.construction, seed, coord_range)
+                try:
+                    full = instantiate(problem.construction, assignment)
+                except DegenerateStep:
+                    continue
+                pairs = _SplitMix64(seed).next_points(len(plan.free_ids), coord_range)
+                trial = _scene_of(ids, builds, *_run(plan, pairs, Tolerance().eps_rel))
+                assert scene_scale(trial).hex() == scene_scale(full).hex()
+                assert trial.items() <= full.items()
+                for pred in predicates:
+                    try:
+                        expected = eval_predicate(full, pred)
+                    except DegeneratePredicateError as e:
+                        expected = e.reason
+                    try:
+                        got = eval_predicate(trial, pred)
+                    except DegeneratePredicateError as e:
+                        got = e.reason
+                    assert got == expected, (predicate_text(pred), seed, coord_range)
+                    compared += 1
+    assert compared > 5000
