@@ -29,7 +29,7 @@ from .container import (
     validate_entries,
 )
 from .dsl import emit_dsl, emit_prover_input, parse_dsl, predicate_text
-from .errors import I2gatpError
+from .errors import DslSyntaxError, I2gatpError
 from .model import ConstraintKind, GeoKind, Problem
 from .numeric import CheckReport, Tolerance, Verdict, check_conjecture
 
@@ -174,16 +174,27 @@ def _cmd_info(args) -> int:
     return EXIT_OK
 
 
+def _dsl_text(data: bytes) -> str:
+    """DSL source bytes as text; DslSyntaxError at the line of the first
+    byte that is not UTF-8."""
+
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DslSyntaxError(line, f"not UTF-8: {exc.reason} at byte 0x{data[exc.start]:02x}") from None
+
+
 def _load_problem(data: bytes, path: str) -> Problem:
     if path.endswith(".gcl") or not data.startswith(b"PK"):
-        return parse_dsl(data.decode("utf-8"))
+        return parse_dsl(_dsl_text(data))
     return unpack(data)
 
 
 def _cmd_convert(args) -> int:
     data = _read_bytes(args.input)
     if args.src_format == "dsl":
-        problem = parse_dsl(data.decode("utf-8"))
+        problem = parse_dsl(_dsl_text(data))
     else:
         problem = unpack(data)
     if args.dst_format == "dsl":

@@ -20,7 +20,6 @@ docs/prover_input.md) writes construction steps as typed facts followed by
 from __future__ import annotations
 
 import math
-import operator
 import re
 
 from .errors import (
@@ -33,7 +32,6 @@ from .errors import (
 )
 from .model import (
     CONSTRAINT_SIGNATURES,
-    ELEMENT_COORDS,
     ID_RE,
     MAX_TERM_DEPTH,
     NUMBER_RE,
@@ -74,8 +72,6 @@ _STATEMENT_KEYWORDS = {
     ConstraintKind.POINT_ON_CIRCLE: "oncircle",
 }
 _STATEMENTS = {keyword: kind for kind, keyword in _STATEMENT_KEYWORDS.items()}
-# a scene object's stored coordinates, by kind
-_COORDS_OF = {kind: operator.attrgetter(*names) for kind, names in ELEMENT_COORDS.items()}
 
 _HEADER_RE = re.compile(r"%\s*(name|description|keyword)\s*:\s*(.*?)\s*$")
 
@@ -282,7 +278,7 @@ def parse_dsl(text: str) -> Problem:
         ) from exc
 
     elements = tuple(
-        ElementInstance(c.output, kinds[c.output], _COORDS_OF[kinds[c.output]](scene[c.output])) for c in constraints
+        ElementInstance(c.output, kinds[c.output], tuple(scene[c.output])) for c in constraints
     )
     construction = Construction(elements=elements, constraints=tuple(constraints))
 

@@ -78,7 +78,8 @@ class KindMismatchError(EvalError):
 
 
 class DegeneratePredicateError(EvalError):
-    """A predicate's own denominators vanished; the predicate is neither
+    """A predicate's own denominators vanished, or its residual is not
+    finite (an overflow on finite coordinates); the predicate is neither
     true nor false on this scene."""
 
     def __init__(self, reason: str):

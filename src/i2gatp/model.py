@@ -598,10 +598,6 @@ def is_well_formed_xml(data: bytes) -> bool:
     return True
 
 
-def _finite(x: float) -> bool:
-    return math.isfinite(x)
-
-
 def is_safe_relative_path(path: str) -> bool:
     """Forward slashes, relative, no '.'/'..' segments, no backslashes."""
 
@@ -647,7 +643,7 @@ def _validate_element(e: ElementInstance, path: str, out: list[Violation]) -> No
     if len(e.coords) != want:
         _violation(out, "ArityError", path, f"{e.kind.value} needs {want} coordinates, got {len(e.coords)}")
         return
-    if not all(_finite(c) for c in e.coords):
+    if not all(math.isfinite(c) for c in e.coords):
         _violation(out, "NonFinite", path, "coordinates must be finite")
         return
     if e.kind is GeoKind.LINE and all(c == 0.0 for c in e.coords):
@@ -708,7 +704,7 @@ def _validate_construction(k: Construction, out: list[Violation]) -> None:
                 _violation(out, "ArityError", path, f"{c.kind.value} takes no parameter")
         elif c.parameter is None:
             _violation(out, "MissingParameter", path, f"{c.kind.value} requires a parameter")
-        elif not _finite(c.parameter):
+        elif not math.isfinite(c.parameter):
             _violation(out, "NonFinite", path, "parameter must be finite")
         defined.add(c.output)
 
@@ -724,7 +720,7 @@ def _validate_construction(k: Construction, out: list[Violation]) -> None:
 
 def _validate_constants(t: Term, path: str, out: list[Violation]) -> None:
     if isinstance(t, Const):
-        if not _finite(t.value):
+        if not math.isfinite(t.value):
             _violation(out, "NonFinite", path, "constant must be finite")
     elif isinstance(t, (Plus, Mult)):
         _validate_constants(t.left, path, out)
@@ -752,7 +748,7 @@ def _validate_conjecture(c: Conjecture, k: Construction | None, out: list[Violat
                 _validate_constants(p.left, path, out)
                 _validate_constants(p.right, path, out)
             elif isinstance(p, SegmentRatio):
-                if not _finite(p.ratio) or p.ratio < 0.0:
+                if not math.isfinite(p.ratio) or p.ratio < 0.0:
                     _violation(out, "BadRatio", path, f"segment ratio {p.ratio} must be finite and >= 0")
 
 
@@ -766,7 +762,7 @@ def _validate_attempt(a: ProofAttempt, path: str, out: list[Violation]) -> None:
             value = getattr(record, fld)
             if as_type is str or value is None:
                 continue
-            if not _finite(value) or value < 0 or (value == 0 and not zero_ok):
+            if not math.isfinite(value) or value < 0 or (value == 0 and not zero_ok):
                 bound = ">= 0" if zero_ok else "> 0"
                 _violation(out, code, f"{path}/{section}/{tag}", f"{fld} must be finite and {bound}")
     seen: set[str] = set()

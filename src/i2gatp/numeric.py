@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DegeneratePredicateError,
@@ -46,7 +47,6 @@ from .model import (
     SegmentLength,
     SegmentRatio,
     Term,
-    predicate_point_ids,
 )
 
 __all__ = [
@@ -69,14 +69,12 @@ __all__ = [
 DEFAULT_SAMPLE_RANGE = 10.0
 
 
-@dataclass(frozen=True)
-class ScenePoint:
+class ScenePoint(NamedTuple):
     x: float
     y: float
 
 
-@dataclass(frozen=True)
-class SceneLine:
+class SceneLine(NamedTuple):
     """Homogeneous line ax + by + c = 0, normalized so a^2 + b^2 = 1 and
     (a, b) lexicographically positive."""
 
@@ -85,8 +83,7 @@ class SceneLine:
     c: float
 
 
-@dataclass(frozen=True)
-class SceneCircle:
+class SceneCircle(NamedTuple):
     cx: float
     cy: float
     r: float
@@ -112,16 +109,13 @@ class Tolerance:
 
 
 class _Scene(dict):
-    """A scene made from one run of a compiled construction, carrying that
-    run's scale: the value a scan by :func:`scene_scale` computes for the
-    scene that holds every object of the run.
+    """The scene of one run of a compiled construction, carrying that run's
+    scale: the value a scan by :func:`scene_scale` computes for it.
 
-    :func:`instantiate` returns such a full scene.  A trial of
-    :func:`check_conjecture` makes one that may hold only a subset of the
-    run's objects (the ids its predicates name) and still carries the full
-    run's scale.  It is read-only, so the carried value never goes stale;
-    ``dict(scene)``, ``copy.deepcopy`` and pickle give an ordinary mutable
-    mapping.
+    :func:`instantiate` returns one, and each trial of
+    :func:`check_conjecture` decides on one.  It is read-only, so the
+    carried value never goes stale; ``dict(scene)``, ``copy.deepcopy`` and
+    pickle give an ordinary mutable mapping.
     """
 
     __slots__ = ("scale",)
@@ -179,16 +173,18 @@ def _point(scene: NumericScene, ref: str) -> ScenePoint:
 # Construction execution
 #
 # A construction is compiled once into a plan, which then runs once per set
-# of free coordinates.  A run keeps plain coordinate tuples in a list of
-# slots: slot i holds the (x, y), (a, b, c) or (cx, cy, r) of the plan's i-th
-# output id, and the slots after those hold the free coordinate pairs of the
-# run.  Each step is a module-level function from the table below, called
-# with its constraint, the contents of its two input slots (a one-input step
-# gets its input twice, a free point its coordinate pair), eps_rel and the
-# running scale; it returns the new tuple and the scale grown by it.  Scene
-# objects are made from the slots only for the ids a scene holds.
+# of free coordinates.  A run keeps its objects in a list of slots: slot i
+# holds the scene object of the plan's i-th output id, and the slots after
+# those hold the free coordinate pairs of the run.  Each step is a
+# module-level function from the table below, called with its constraint,
+# the contents of its two input slots (a one-input step gets its input twice,
+# a free point its coordinate pair), eps_rel and the running scale; it
+# returns the new scene object and the scale grown by it.  The first slots
+# of a run are then its scene.
 
 _NOT_FINITE = "coordinates are not finite"
+# the generated __new__ of a named tuple costs a Python call per step
+_new = tuple.__new__
 
 
 def _grow(out: str, a: float) -> float:
@@ -200,17 +196,17 @@ def _grow(out: str, a: float) -> float:
     raise DegenerateStep(out, _NOT_FINITE)
 
 
-def _new_point(out: str, x: float, y: float, scale: float) -> tuple[tuple[float, float], float]:
+def _new_point(out: str, x: float, y: float, scale: float) -> tuple[ScenePoint, float]:
     ax = abs(x)
     if not ax <= scale:
         scale = _grow(out, ax)
     ay = abs(y)
     if not ay <= scale:
         scale = _grow(out, ay)
-    return (x, y), scale
+    return _new(ScenePoint, (x, y)), scale
 
 
-def _new_line(out: str, a: float, b: float, c: float, scale: float) -> tuple[tuple[float, float, float], float]:
+def _new_line(out: str, a: float, b: float, c: float, scale: float) -> tuple[SceneLine, float]:
     n = math.sqrt(a * a + b * b)
     if not 0.0 < n < math.inf:
         raise DegenerateStep(out, _NOT_FINITE)
@@ -221,7 +217,7 @@ def _new_line(out: str, a: float, b: float, c: float, scale: float) -> tuple[tup
     ac = abs(c)
     if not ac <= scale:
         scale = _grow(out, ac)
-    return (a, b, c), scale
+    return _new(SceneLine, (a, b, c)), scale
 
 
 def _free_point(c, xy, _xy, eps_rel, scale):
@@ -259,7 +255,7 @@ def _circle_by_center_and_point(c, o, p, eps_rel, scale):
     r = math.sqrt(dx * dx + dy * dy)
     if not r <= scale:
         scale = _grow(c.output, r)
-    return (ox, oy, r), scale
+    return _new(SceneCircle, (ox, oy, r)), scale
 
 
 def _perpendicular_line_through_point(c, l, p, eps_rel, scale):
@@ -296,29 +292,20 @@ _STEPS = {
     ConstraintKind.POINT_ON_LINE: _point_on_line,
     ConstraintKind.POINT_ON_CIRCLE: _point_on_circle,
 }
-_SCENE_CLASSES = {GeoKind.POINT: ScenePoint, GeoKind.LINE: SceneLine, GeoKind.CIRCLE: SceneCircle}
-# kind -> (step function, input kinds, output kind, output scene class), so
-# that compiling looks each step up once; OPAQUE is not in it
-_SIGNED_STEPS = {
-    kind: (_STEPS[kind], ins, out, _SCENE_CLASSES[out]) for kind, (ins, out, _attr) in CONSTRAINT_SIGNATURES.items()
-}
-
-# per id of a scene, the slot its coordinates are in and the scene class
-# they make
-_Builds = tuple[tuple[int, type], ...]
+# kind -> (step function, input kinds, output kind), so that compiling looks
+# each step up once; OPAQUE is not in it
+_SIGNED_STEPS = {kind: (_STEPS[kind], ins, out) for kind, (ins, out, _attr) in CONSTRAINT_SIGNATURES.items()}
 
 
 @dataclass(frozen=True)
 class _Plan:
     """A construction compiled for repeated runs: its free ids in draw
     order, per constraint (step function, constraint, input slot, input
-    slot, output slot), and its output ids in slot order with their
-    builds."""
+    slot, output slot), and its output ids in slot order."""
 
     free_ids: tuple[str, ...]
     steps: tuple[tuple, ...]
     ids: tuple[str, ...]
-    builds: _Builds
 
 
 def _compile(construction: Construction) -> _Plan:
@@ -335,11 +322,10 @@ def _compile(construction: Construction) -> _Plan:
     # to pair would
     pair_slot = {fid: len(ids) + i for i, fid in enumerate(free_ids)}
     kinds: dict[str, GeoKind] = {}
-    classes = [None] * len(ids)
     steps = []
     for c in constraints:
         try:
-            step, in_kinds, out_kind, cls = _SIGNED_STEPS[c.kind]
+            step, in_kinds, out_kind = _SIGNED_STEPS[c.kind]
         except KeyError:
             raise OpaqueConstraintError(c.output) from None
         inputs = c.inputs
@@ -355,16 +341,15 @@ def _compile(construction: Construction) -> _Plan:
             first, second = slot[inputs[0]], slot[inputs[-1]]
         else:
             first = second = pair_slot[c.output]
-        out = slot[c.output]
-        steps.append((step, c, first, second, out))
+        steps.append((step, c, first, second, slot[c.output]))
         kinds[c.output] = out_kind
-        classes[out] = cls
-    return _Plan(free_ids, tuple(steps), ids, tuple(enumerate(classes)))
+    return _Plan(free_ids, tuple(steps), ids)
 
 
 def _run(plan: _Plan, pairs: list[tuple[float, float]], eps_rel: float) -> tuple[list, float]:
     """One run of ``plan`` over free coordinate pairs in ``plan.free_ids``
-    order: the slots and the scale of the scene that holds every output id."""
+    order: its slots, which start with the scene objects of ``plan.ids``,
+    and the scale of that scene."""
 
     slots = [None] * len(plan.ids) + pairs
     scale = 1.0
@@ -372,32 +357,14 @@ def _run(plan: _Plan, pairs: list[tuple[float, float]], eps_rel: float) -> tuple
         slots[out], scale = step(c, slots[first], slots[second], eps_rel, scale)
     if len(plan.ids) < len(plan.steps):
         # a repeated output id replaced an object that grew the scale
-        scale = _scanned_scale(cls(*slots[i]) for i, cls in plan.builds)
+        scale = _scanned_scale(slots[: len(plan.ids)])
     return slots, scale
 
 
-def _named(plan: _Plan, predicates) -> tuple[tuple[str, ...], _Builds]:
-    """The ids that ``predicates`` name and the plan defines, with their
-    builds.
+def _scene_of(plan: _Plan, slots: list, scale: float) -> _Scene:
+    """The read-only scene of a run of ``plan``, carrying the run's scale."""
 
-    An id of a line or circle stays in, so ``_point`` still raises
-    KindMismatchError for it; an id the plan does not define stays out, so
-    it still raises UnresolvedIdError.  A value that is not a predicate or a
-    term gets every id, so eval_predicate still reports it when reached."""
-
-    try:
-        named = {eid for p in predicates for eid in predicate_point_ids(p)}
-    except TypeError:
-        return plan.ids, plan.builds
-    kept = [k for k, eid in enumerate(plan.ids) if eid in named]
-    return tuple(plan.ids[k] for k in kept), tuple(plan.builds[k] for k in kept)
-
-
-def _scene_of(ids: tuple[str, ...], builds: _Builds, slots: list, scale: float) -> _Scene:
-    """The read-only scene of ``ids``, made from the slots of a run and
-    carrying that run's scale."""
-
-    scene = _Scene(zip(ids, [cls(*slots[i]) for i, cls in builds]))
+    scene = _Scene(zip(plan.ids, slots))
     object.__setattr__(scene, "scale", scale)
     return scene
 
@@ -429,7 +396,7 @@ def instantiate(
         raise ValueError(f"free assignment mismatch: missing {missing}, extra {extra}")
     plan = _compile(construction)
     pairs = [(float(x), float(y)) for x, y in map(free_assign.__getitem__, free_ids)]
-    return _scene_of(plan.ids, plan.builds, *_run(plan, pairs, tol.eps_rel))
+    return _scene_of(plan, *_run(plan, pairs, tol.eps_rel))
 
 
 # ---------------------------------------------------------------------------
@@ -670,13 +637,13 @@ def check_conjecture(
 
     The construction is compiled once, so opaque steps and unresolved or
     mis-kinded ids raise before the first sample.  Per sample: run the
-    compiled construction (degenerate steps count as degenerate samples)
-    and make scene objects for only the ids the predicates name; evaluate
-    ndg predicates first (any false or degenerate: degenerate sample); then
-    hypotheses (any false: hypothesis-failed sample); then the conclusion
-    conjunction.  The first false conclusion stops the run with a
-    witness.  All trials draw from one splitmix64 stream started at ``seed``
-    (trial 0 matches :func:`sample_free_points`), so reports are bit-stable.
+    compiled construction into the scene :func:`instantiate` would return
+    (degenerate steps count as degenerate samples); evaluate ndg predicates
+    first (any false or degenerate: degenerate sample); then hypotheses (any
+    false: hypothesis-failed sample); then the conclusion conjunction.  The
+    first false conclusion stops the run with a witness.  All trials draw
+    from one splitmix64 stream started at ``seed`` (trial 0 matches
+    :func:`sample_free_points`), so reports are bit-stable.
     """
 
     if problem.conjecture is None:
@@ -687,7 +654,6 @@ def check_conjecture(
     _check_sample_range(coord_range)
     tol = tol or Tolerance()
     conjecture = problem.conjecture
-    ids, builds = _named(plan, conjecture.ndg + conjecture.hypothesis + conjecture.conclusion)
     free_ids = plan.free_ids
     gen = _SplitMix64(seed)
 
@@ -699,7 +665,7 @@ def check_conjecture(
     for _ in range(trials):
         pairs = gen.next_points(len(free_ids), coord_range)
         try:
-            scene = _scene_of(ids, builds, *_run(plan, pairs, tol.eps_rel))
+            scene = _scene_of(plan, *_run(plan, pairs, tol.eps_rel))
         except DegenerateStep:
             degenerate += 1
             continue

@@ -23,6 +23,7 @@ from .errors import CodecError
 from .model import (
     CONSTRAINT_SIGNATURES,
     ELEMENT_COORDS,
+    MAX_TERM_DEPTH,
     NUMBER_RE,
     PREDICATE_NAMES,
     PREDICATES,
@@ -279,20 +280,24 @@ def _point_ids(node: _RawNode, want: int, path: str, rep: _Report) -> list[str] 
     return ids
 
 
-def _operands(node: _RawNode, path: str, rep: _Report) -> tuple[Term, Term] | None:
-    """The two terms of an equal, plus or mult element."""
+def _operands(node: _RawNode, path: str, rep: _Report, depth: int) -> tuple[Term, Term] | None:
+    """The two terms of an equal, plus or mult element, at term depth
+    ``depth``; a term deeper than MAX_TERM_DEPTH is one ArityError."""
 
     if len(node.children) != 2:
         rep.error("ArityError", path, f"{node.tag} takes 2 terms, got {len(node.children)}")
         return None
-    left = _analyze_term(node.children[0], f"{path}/{node.children[0].tag}", rep)
-    right = _analyze_term(node.children[1], f"{path}/{node.children[1].tag}", rep)
+    if depth > MAX_TERM_DEPTH:
+        rep.error("ArityError", f"{path}/{node.children[0].tag}", f"term nested deeper than {MAX_TERM_DEPTH} levels")
+        return None
+    left = _analyze_term(node.children[0], f"{path}/{node.children[0].tag}", rep, depth)
+    right = _analyze_term(node.children[1], f"{path}/{node.children[1].tag}", rep, depth)
     if left is None or right is None:
         return None
     return left, right
 
 
-def _analyze_term(node: _RawNode, path: str, rep: _Report) -> Term | None:
+def _analyze_term(node: _RawNode, path: str, rep: _Report, depth: int) -> Term | None:
     cls = TERMS.get(node.tag)
     if cls is None:
         rep.error("UnknownPredicate", path, f"unknown term <{node.tag}>")
@@ -303,7 +308,7 @@ def _analyze_term(node: _RawNode, path: str, rep: _Report) -> Term | None:
     if cls is SegmentLength:
         ids = _point_ids(node, 2, path, rep)
         return None if ids is None else SegmentLength(*ids)
-    terms = _operands(node, path, rep)
+    terms = _operands(node, path, rep, depth + 1)
     return None if terms is None else cls(*terms)
 
 
@@ -313,7 +318,7 @@ def _analyze_predicate(node: _RawNode, path: str, rep: _Report) -> Predicate | N
         return None
     cls, want = PREDICATES[node.tag]
     if cls is Equal:
-        terms = _operands(node, path, rep)
+        terms = _operands(node, path, rep, 1)
         return None if terms is None else Equal(*terms)
     ids = _point_ids(node, want, path, rep)
     if ids is None:

@@ -180,12 +180,26 @@ def test_dsl_beyond_the_numeric_range_is_located(tmp_path, capsys, source, messa
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_unexpected_error_exits_2_in_one_line(varignon_zip, tmp_path, capsys):
+def test_unexpected_error_exits_2_in_one_line(varignon_zip, monkeypatch, capsys):
+    def boom(data, i2g=False):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr("i2gatp.cli.validate_container", boom)
+    assert main(["validate", str(varignon_zip)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_deep_conjecture_term_is_one_violation(varignon_zip, tmp_path, capsys):
     import io
     import zipfile
 
     term = "<plus>" * 5000 + '<const value="1"/>' + '<const value="1"/></plus>' * 5000
-    deep = f'<conjecture><conclusion><equal>{term}<const value="1"/></equal></conclusion></conjecture>'
+    deep = (
+        f'<conjecture><conclusion><equal>{term}<const value="1"/></equal>'
+        "<not_equal>A B</not_equal></conclusion></conjecture>"
+    )
     buf = io.BytesIO()
     with zipfile.ZipFile(varignon_zip) as src, zipfile.ZipFile(buf, "w") as zf:
         for info in src.infolist():
@@ -193,10 +207,17 @@ def test_unexpected_error_exits_2_in_one_line(varignon_zip, tmp_path, capsys):
             zf.writestr(info, data)
     path = tmp_path / "deep.zip"
     path.write_bytes(buf.getvalue())
-    assert main(["validate", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert main(["validate", str(path)]) == 1
+    path = "conjecture/conjecture.xml/conjecture/conclusion/equal[0]" + "/plus" * 101
+    assert capsys.readouterr().out == f"ArityError {path} term nested deeper than 100 levels\n"
+
+
+@pytest.mark.parametrize("command", [["convert", "--from", "dsl", "--to", "i2gatp", "--out", "-"], ["check"]])
+def test_dsl_that_is_not_utf8_is_located(tmp_path, capsys, command):
+    source = tmp_path / "latin1.gcl"
+    source.write_bytes("point A 0 0\npoint B 1 0\n% caf\u00e9\nprove { conclude not_equal A B }\n".encode("latin-1"))
+    assert main([command[0], str(source), *command[1:]]) == 2
+    assert capsys.readouterr().err == "error: line 3: not UTF-8: invalid continuation byte at byte 0xe9\n"
 
 
 def test_unpack_rejects_traversal_before_writing(tmp_path, capsys):

@@ -49,7 +49,6 @@ from i2gatp.numeric import (
     Tolerance,
     Verdict,
     _compile,
-    _named,
     _run,
     _scene_of,
     _SplitMix64,
@@ -480,8 +479,8 @@ def test_counter_partition(varignon):
     ids=["line id", "line id in a term", "undefined id", "undefined id in a term"],
 )
 def test_predicate_ids_resolve_as_in_the_full_scene(conclusion, error):
-    # a trial scene holds only the ids the predicates name; a line id named
-    # as a point is still a kind mismatch and an undefined id still unresolved
+    # a trial decides on the full scene, so a line id named as a point is a
+    # kind mismatch and an undefined id is unresolved
     k = Construction(elements=(), constraints=(_free("A"), _free("B"), _line("l", "A", "B")))
     problem = Problem(construction=k, conjecture=Conjecture(hypothesis=(), ndg=(), conclusion=(conclusion,)))
     with pytest.raises(error) as exc:
@@ -641,7 +640,7 @@ def test_repeated_free_id_reads_the_last_pair_drawn_for_it():
     # assignment and the scenes the checker decides on all agree
     k = Construction(elements=(), constraints=(_free("A"), _free("B"), _free("A")))
     plan = _compile(k)
-    scene = _scene_of(plan.ids, plan.builds, *_run(plan, [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)], Tolerance().eps_rel))
+    scene = _scene_of(plan, *_run(plan, [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)], Tolerance().eps_rel))
     assert scene == {"A": ScenePoint(3.0, 3.0), "B": ScenePoint(2.0, 2.0)}
 
 
@@ -677,16 +676,12 @@ def test_copies_of_a_scene_are_plain_dicts(varignon):
 
 
 def test_trial_scene_agrees_with_the_full_scene(corpus):
-    # a trial makes scene objects only for the ids its predicates name, and
-    # carries the scale of the whole run
+    # a trial decides on the scene instantiate returns, scale included
     problems = [p for p in corpus.values() if p.conjecture is not None and not p.construction.has_opaque()]
     problems += [_generated(10, 2), _generated(100, 2), _generated(1000, 2)]
     compared = 0
     for problem in problems:
-        c = problem.conjecture
-        predicates = c.ndg + c.hypothesis + c.conclusion
         plan = _compile(problem.construction)
-        ids, builds = _named(plan, predicates)
         for seed in range(5):
             for coord_range in (10.0, 1e6, 1e-3):
                 assignment = sample_free_points(problem.construction, seed, coord_range)
@@ -695,18 +690,8 @@ def test_trial_scene_agrees_with_the_full_scene(corpus):
                 except DegenerateStep:
                     continue
                 pairs = _SplitMix64(seed).next_points(len(plan.free_ids), coord_range)
-                trial = _scene_of(ids, builds, *_run(plan, pairs, Tolerance().eps_rel))
+                trial = _scene_of(plan, *_run(plan, pairs, Tolerance().eps_rel))
+                assert list(trial.items()) == list(full.items()) and repr(trial) == repr(full)
                 assert scene_scale(trial).hex() == scene_scale(full).hex()
-                assert trial.items() <= full.items()
-                for pred in predicates:
-                    try:
-                        expected = eval_predicate(full, pred)
-                    except DegeneratePredicateError as e:
-                        expected = e.reason
-                    try:
-                        got = eval_predicate(trial, pred)
-                    except DegeneratePredicateError as e:
-                        got = e.reason
-                    assert got == expected, (predicate_text(pred), seed, coord_range)
-                    compared += 1
-    assert compared > 5000
+                compared += 1
+    assert compared > 200

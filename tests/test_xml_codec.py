@@ -12,6 +12,9 @@ from i2gatp.model import (
     BibEntry,
     Collinear,
     Conjecture,
+    Const,
+    Equal,
+    MAX_TERM_DEPTH,
     Midpoint,
     Parallel,
     ProblemInfo,
@@ -149,6 +152,40 @@ def test_unknown_predicate_rejected():
     with pytest.raises(CodecError) as exc:
         parse_conjecture(b"<conjecture><conclusion><cocyclic>A B C D</cocyclic></conclusion></conjecture>")
     assert exc.value.code == "UnknownPredicate"
+
+
+def _nested_equal(depth: int) -> bytes:
+    """A conjecture whose first conclusion's left term nests ``depth``
+    levels, followed by a second conclusion."""
+
+    term = "<plus>" * (depth - 1) + '<const value="1"/>' + '<const value="1"/></plus>' * (depth - 1)
+    return (
+        f'<conjecture><conclusion><equal>{term}<const value="{depth}"/></equal>'
+        "<collinear>A B C</collinear></conclusion></conjecture>"
+    ).encode()
+
+
+def test_term_at_the_depth_limit_reads():
+    doc = _nested_equal(MAX_TERM_DEPTH)
+    assert validate_document(DocumentKind.CONJECTURE, doc) == []
+    first, second = parse_conjecture(doc).conclusion
+    assert isinstance(first, Equal) and first.right == Const(float(MAX_TERM_DEPTH))
+    assert second == Collinear("A", "B", "C")
+
+
+@pytest.mark.parametrize("depth,tag", [(MAX_TERM_DEPTH + 1, "const"), (5000, "plus")])
+def test_term_beyond_the_depth_limit_is_one_arity_error(depth, tag):
+    # reported at the first term past the limit, the left operand of the plus
+    # at depth MAX_TERM_DEPTH; its predicate is dropped, the next one kept
+    doc = _nested_equal(depth)
+    path = "/conjecture/conclusion/equal[0]" + "/plus" * MAX_TERM_DEPTH + f"/{tag}"
+    violations = validate_document(DocumentKind.CONJECTURE, doc)
+    assert [(v.code, v.path, v.message) for v in violations] == [
+        ("ArityError", path, f"term nested deeper than {MAX_TERM_DEPTH} levels")
+    ]
+    with pytest.raises(CodecError) as exc:
+        parse_conjecture(doc)
+    assert exc.value.code == "ArityError"
 
 
 # ---------------------------------------------------------------------------
