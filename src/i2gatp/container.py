@@ -17,6 +17,7 @@ from __future__ import annotations
 import io
 import re
 import zipfile
+import zlib
 from dataclasses import replace
 
 from .errors import ContainerError
@@ -108,13 +109,18 @@ def _write_zip(entries: list[Entry]) -> bytes:
     return buf.getvalue()
 
 
+# what zipfile raises for an archive or entry whose header, data or checksum
+# is broken
+_UNREADABLE = (zipfile.BadZipFile, zlib.error, NotImplementedError, ValueError, EOFError, RuntimeError)
+
+
 def read_container_entries(data: bytes) -> list[Entry]:
     """Raw (path, bytes) entries of a container, path-checked; directory
     entries carry None."""
 
     try:
         zf = zipfile.ZipFile(io.BytesIO(data))
-    except (zipfile.BadZipFile, ValueError) as exc:
+    except _UNREADABLE as exc:
         raise ContainerError("MalformedZip", str(exc)) from exc
     entries: list[Entry] = []
     seen: set[str] = set()
@@ -130,8 +136,11 @@ def read_container_entries(data: bytes) -> list[Entry]:
             if info.is_dir():
                 entries.append((name, None))
             else:
-                with zf.open(info) as fh:
-                    entries.append((name, fh.read()))
+                try:
+                    with zf.open(info) as fh:
+                        entries.append((name, fh.read()))
+                except _UNREADABLE as exc:
+                    raise ContainerError("MalformedZip", f"cannot read entry {name!r}: {exc or type(exc).__name__}") from exc
     return entries
 
 

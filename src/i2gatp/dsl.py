@@ -53,6 +53,7 @@ from .model import (
     SegmentLength,
     SegmentRatio,
     Term,
+    check_term_depth,
     format_number,
     predicate_point_ids,
 )
@@ -127,6 +128,8 @@ def _parse_term(toks: _Tokens, depth: int = 1) -> Term:
     cls = TERMS.get(token)
     if cls is None:
         raise DslSyntaxError(line, f"unknown term {token!r}")
+    # model.check_term_depth bounds a built term; the parser stops first,
+    # since building a deeper term would recurse without bound
     if depth > MAX_TERM_DEPTH:
         raise DslSyntaxError(line, f"term nested deeper than {MAX_TERM_DEPTH} levels")
     if cls is Const:
@@ -343,7 +346,9 @@ def _step_text(name: str, c: Constraint) -> str:
 
 
 def emit_dsl(problem: Problem) -> str:
-    """Canonical DSL text; parse_dsl is its inverse within DSL coverage."""
+    """Canonical DSL text; parse_dsl is its inverse within DSL coverage.
+    A term deeper than MAX_TERM_DEPTH, which parse_dsl refuses, raises
+    CodecError."""
 
     coords = {e.id: e.coords for e in problem.construction.elements}
     lines: list[str] = []
@@ -362,6 +367,7 @@ def emit_dsl(problem: Problem) -> str:
         else:
             lines.append(_step_text(_STATEMENT_KEYWORDS[c.kind], c))
     if problem.conjecture is not None:
+        check_term_depth(problem.conjecture)
         lines.append("prove {")
         for keyword, preds in (
             ("hyp", problem.conjecture.hypothesis),
@@ -379,6 +385,7 @@ def emit_prover_input(problem: Problem) -> str:
 
     if problem.conjecture is None:
         raise NoConjectureError()
+    check_term_depth(problem.conjecture)
     lines = ["gpi 1"]
     if problem.info is not None:
         lines.append(f"problem {problem.info.name}")

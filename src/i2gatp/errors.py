@@ -14,7 +14,8 @@ class I2gatpError(Exception):
 
 
 class CodecError(I2gatpError):
-    """An XML document could not be parsed into a model value.
+    """An XML document could not be parsed into a model value, or a model
+    value is one that no reader accepts (a term deeper than MAX_TERM_DEPTH).
 
     Carries the full violation list found before parsing gave up; the first
     violation's code is the headline reason (also exposed as ``code``).

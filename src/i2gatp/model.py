@@ -18,6 +18,8 @@ import re
 import xml.parsers.expat
 from dataclasses import dataclass, replace
 
+from .errors import CodecError
+
 __all__ = [
     "BibEntry",
     "Conjecture",
@@ -54,6 +56,7 @@ __all__ = [
     "VIOLATION_CODES",
     "Violation",
     "canonicalize_problem",
+    "check_term_depth",
     "predicate_point_ids",
     "term_point_ids",
     "validate_attempt",
@@ -339,13 +342,18 @@ MAX_TERM_DEPTH = 100
 def term_point_ids(t: Term) -> tuple[str, ...]:
     """Point ids referenced by a term, in syntactic order."""
 
-    if isinstance(t, Const):
-        return ()
-    if isinstance(t, SegmentLength):
-        return (t.a, t.b)
-    if isinstance(t, (Plus, Mult)):
-        return term_point_ids(t.left) + term_point_ids(t.right)
-    raise TypeError(f"not a Term: {t!r}")
+    # iterative, as validation must walk a term of any depth
+    ids: list[str] = []
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, SegmentLength):
+            ids += (t.a, t.b)
+        elif isinstance(t, (Plus, Mult)):
+            stack += (t.right, t.left)
+        elif not isinstance(t, Const):
+            raise TypeError(f"not a Term: {t!r}")
+    return tuple(ids)
 
 
 def predicate_point_ids(p: Predicate) -> tuple[str, ...]:
@@ -718,38 +726,71 @@ def _validate_construction(k: Construction, out: list[Violation]) -> None:
             )
 
 
-def _validate_constants(t: Term, path: str, out: list[Violation]) -> None:
-    if isinstance(t, Const):
-        if not math.isfinite(t.value):
-            _violation(out, "NonFinite", path, "constant must be finite")
-    elif isinstance(t, (Plus, Mult)):
-        _validate_constants(t.left, path, out)
-        _validate_constants(t.right, path, out)
+def _validate_term(t: Term, path: str, out: list[Violation]) -> None:
+    """One operand of the ``equal`` at ``path``, walked without recursion.
+    Each constant must be finite.  A term deeper than MAX_TERM_DEPTH is one
+    ArityError at the path the XML reader reports, that of the left operand
+    of the plus or mult at the limit; nothing below that is walked."""
+
+    stack = [(t, 1, path)]
+    while stack:
+        t, depth, at = stack.pop()
+        if isinstance(t, Const):
+            if not math.isfinite(t.value):
+                _violation(out, "NonFinite", path, "constant must be finite")
+        elif isinstance(t, (Plus, Mult)):
+            at = f"{at}/{TERM_NAMES[type(t)]}"
+            if depth < MAX_TERM_DEPTH:
+                stack += ((t.right, depth + 1, at), (t.left, depth + 1, at))
+            else:
+                left = TERM_NAMES.get(type(t.left), "term")
+                _violation(out, "ArityError", f"{at}/{left}", f"term nested deeper than {MAX_TERM_DEPTH} levels")
+
+
+def _predicate_paths(c: Conjecture):
+    """(violation path, predicate) for each predicate of ``c``."""
+
+    for section, preds in (("hypothesis", c.hypothesis), ("ndg", c.ndg), ("conclusion", c.conclusion)):
+        for i, p in enumerate(preds):
+            yield f"/conjecture/{section}/{PREDICATE_NAMES[type(p)]}[{i}]", p
 
 
 def _validate_conjecture(c: Conjecture, k: Construction | None, out: list[Violation]) -> None:
     if not c.conclusion:
         _violation(out, "MissingConclusion", "/conjecture/conclusion", "conclusion must contain at least one predicate")
     kinds = k.element_kinds() if k is not None else None
-    for section, preds in (("hypothesis", c.hypothesis), ("ndg", c.ndg), ("conclusion", c.conclusion)):
-        for i, p in enumerate(preds):
-            path = f"/conjecture/{section}/{PREDICATE_NAMES[type(p)]}[{i}]"
-            # a repeated id is reported once per predicate
-            for ref in dict.fromkeys(predicate_point_ids(p)):
-                if not ID_RE.match(ref):
-                    _violation(out, "BadId", path, f"invalid point id {ref!r}")
-                if kinds is None:
-                    continue
-                if ref not in kinds:
-                    _violation(out, "UnresolvedId", path, f"id {ref!r} does not resolve in the construction")
-                elif kinds[ref] is not GeoKind.POINT:
-                    _violation(out, "KindMismatch", path, f"id {ref!r} is a {kinds[ref].value}, predicates take points")
-            if isinstance(p, Equal):
-                _validate_constants(p.left, path, out)
-                _validate_constants(p.right, path, out)
-            elif isinstance(p, SegmentRatio):
-                if not math.isfinite(p.ratio) or p.ratio < 0.0:
-                    _violation(out, "BadRatio", path, f"segment ratio {p.ratio} must be finite and >= 0")
+    for path, p in _predicate_paths(c):
+        # a repeated id is reported once per predicate
+        for ref in dict.fromkeys(predicate_point_ids(p)):
+            if not ID_RE.match(ref):
+                _violation(out, "BadId", path, f"invalid point id {ref!r}")
+            if kinds is None:
+                continue
+            if ref not in kinds:
+                _violation(out, "UnresolvedId", path, f"id {ref!r} does not resolve in the construction")
+            elif kinds[ref] is not GeoKind.POINT:
+                _violation(out, "KindMismatch", path, f"id {ref!r} is a {kinds[ref].value}, predicates take points")
+        if isinstance(p, Equal):
+            _validate_term(p.left, path, out)
+            _validate_term(p.right, path, out)
+        elif isinstance(p, SegmentRatio):
+            if not math.isfinite(p.ratio) or p.ratio < 0.0:
+                _violation(out, "BadRatio", path, f"segment ratio {p.ratio} must be finite and >= 0")
+
+
+def check_term_depth(c: Conjecture) -> None:
+    """Raise CodecError, with an ArityError for each, if a term of ``c`` is
+    deeper than MAX_TERM_DEPTH: no reader takes such a conjecture, and code
+    that recurses per term level need not handle it."""
+
+    out: list[Violation] = []
+    for path, p in _predicate_paths(c):
+        if isinstance(p, Equal):
+            _validate_term(p.left, path, out)
+            _validate_term(p.right, path, out)
+    deep = [v for v in out if v.code == "ArityError"]
+    if deep:
+        raise CodecError(deep)
 
 
 def _validate_attempt(a: ProofAttempt, path: str, out: list[Violation]) -> None:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -47,6 +49,7 @@ from .model import (
     SegmentLength,
     SegmentRatio,
     Term,
+    check_term_depth,
 )
 
 __all__ = [
@@ -535,6 +538,23 @@ def eval_predicate(scene: NumericScene, pred: Predicate, tol: Tolerance | None =
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _UNIT = 2.0 ** -53
+# check_conjecture draws this many coordinates at a time, or one trial's
+# when a trial needs more: a packed draw costs about a third of one from a
+# loop from a few hundred draws on
+_BLOCK_DRAWS = 256
+
+
+def _packing(draws: int) -> tuple[int, int, int]:
+    """Constants that lay ``draws`` 64-bit words side by side in one integer,
+    in 128-bit fields: a 1 in every field, GAMMA * (i + 1) mod 2^64 in field
+    i, and the 64-bit mask of every field."""
+
+    field = array("Q", bytes(16 * draws))
+    field[::2] = array("Q", [1]) * draws
+    ones = int.from_bytes(field, "little")
+    field[::2] = array("Q", range(1, draws + 1))
+    mask = ones * _MASK64
+    return ones, _GAMMA * int.from_bytes(field, "little") & mask, mask
 
 
 class _SplitMix64:
@@ -542,6 +562,10 @@ class _SplitMix64:
 
     def __init__(self, seed: int):
         self.state = seed & _MASK64
+        # the packing constants of the last draw count, for a caller that
+        # draws the same count again
+        self._draws = 0
+        self._packing = (0, 0, 0)
 
     def next_u64(self) -> int:
         self.state = (self.state + _GAMMA) & _MASK64
@@ -552,20 +576,32 @@ class _SplitMix64:
 
     def next_points(self, count: int, coord_range: float) -> list[tuple[float, float]]:
         """``count`` points uniform in [-coord_range, coord_range]^2, x drawn
-        before y; a unit double is (output >> 11) * 2^-53."""
+        before y; a unit double is (output >> 11) * 2^-53.
 
+        The draws are evaluated together, as :meth:`next_u64` would return
+        them one by one: the state of draw i goes in the i-th 128-bit field
+        of one integer, and every step of the output function runs on that
+        integer.  The mask before each multiplication clears the bits a
+        right shift moved in from the field above, and the one after it
+        reduces each product, which fits in its field, modulo 2^64.
+        """
+
+        draws = 2 * count
+        if draws != self._draws:
+            self._draws, self._packing = draws, _packing(draws)
+        ones, increments, mask = self._packing
+        s = self.state
+        z = (s * ones + increments) & mask
+        z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+        z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+        # the low word of field i is then draw i's output >> 11
+        words = array("Q", ((z ^ (z >> 31)) >> 11).to_bytes(16 * draws, "little"))[::2]
+        if sys.byteorder == "big":
+            words.byteswap()
+        self.state = (s + draws * _GAMMA) & _MASK64
         lo = -coord_range
         span = 2.0 * coord_range
-        # next_u64 inlined over a local state
-        s = self.state
-        coords = []
-        for _ in range(2 * count):
-            s = (s + _GAMMA) & _MASK64
-            z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            coords.append(lo + span * (((z ^ (z >> 31)) >> 11) * _UNIT))
-        self.state = s
-        xs = iter(coords)
+        xs = iter([lo + span * (w * _UNIT) for w in words])
         return list(zip(xs, xs))
 
 
@@ -592,6 +628,19 @@ def _check_sample_range(coord_range: float) -> None:
 
 # ---------------------------------------------------------------------------
 # Randomized conjecture checking
+
+
+def _trial_pairs(gen: _SplitMix64, n: int, trials: int, coord_range: float):
+    """The n free coordinate pairs of each of ``trials`` trials: trial i
+    gets outputs [2ni, 2n(i+1)) of ``gen``'s stream.  They are drawn a block
+    of trials at a time, so the last block may draw past the last trial;
+    nothing reads those draws."""
+
+    block = min(trials, max(1, _BLOCK_DRAWS // max(1, 2 * n)))
+    for start in range(0, trials, block):
+        drawn = gen.next_points(n * block, coord_range)
+        for i in range(min(block, trials - start)):
+            yield drawn[n * i : n * (i + 1)]
 
 
 class Verdict(enum.Enum):
@@ -636,7 +685,8 @@ def check_conjecture(
     """Sample free points ``trials`` times and test the conjecture.
 
     The construction is compiled once, so opaque steps and unresolved or
-    mis-kinded ids raise before the first sample.  Per sample: run the
+    mis-kinded ids raise before the first sample, as does a term deeper
+    than MAX_TERM_DEPTH (CodecError).  Per sample: run the
     compiled construction into the scene :func:`instantiate` would return
     (degenerate steps count as degenerate samples); evaluate ndg predicates
     first (any false or degenerate: degenerate sample); then hypotheses (any
@@ -648,6 +698,7 @@ def check_conjecture(
 
     if problem.conjecture is None:
         raise NoConjectureError()
+    check_term_depth(problem.conjecture)
     plan = _compile(problem.construction)
     if trials <= 0:
         raise ValueError(f"trials must be > 0, got {trials}")
@@ -655,15 +706,13 @@ def check_conjecture(
     tol = tol or Tolerance()
     conjecture = problem.conjecture
     free_ids = plan.free_ids
-    gen = _SplitMix64(seed)
 
     degenerate = 0
     hypothesis_failed = 0
     checked = 0
     witness: Witness | None = None
 
-    for _ in range(trials):
-        pairs = gen.next_points(len(free_ids), coord_range)
+    for pairs in _trial_pairs(_SplitMix64(seed), len(free_ids), trials, coord_range):
         try:
             scene = _scene_of(plan, *_run(plan, pairs, tol.eps_rel))
         except DegenerateStep:

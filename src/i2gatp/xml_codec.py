@@ -287,6 +287,8 @@ def _operands(node: _RawNode, path: str, rep: _Report, depth: int) -> tuple[Term
     if len(node.children) != 2:
         rep.error("ArityError", path, f"{node.tag} takes 2 terms, got {len(node.children)}")
         return None
+    # the model bounds a built term too; the reader stops first, since
+    # building a deeper term would recurse without bound
     if depth > MAX_TERM_DEPTH:
         rep.error("ArityError", f"{path}/{node.children[0].tag}", f"term nested deeper than {MAX_TERM_DEPTH} levels")
         return None

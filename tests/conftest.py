@@ -4,6 +4,13 @@ extras (proof attempts, opaque constraints, carried files)."""
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
+import io
+import random
+import struct
+import sys
+import zipfile
+from pathlib import Path
 
 import pytest
 
@@ -238,6 +245,34 @@ def _carried_files() -> Problem:
         metadata=(("metadata/i2g-lom.xml", b"<lom><title>varignon</title></lom>"),),
         private=(("private/example.org/notes.txt", b"internal notes\n"),),
     )
+
+
+def bench_workloads():
+    """bench/workloads.py, the generator of the benchmark's problems."""
+
+    spec = importlib.util.spec_from_file_location("bench_workloads", Path(__file__).parents[1] / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def generated_container() -> bytes:
+    """The container of a generated N=100 problem of the benchmark."""
+
+    return bench_workloads()._generated_container(random.Random(3), 100, "g", 3)
+
+
+def corrupt_intergeo(data: bytes) -> bytes:
+    """``data`` with the middle byte of intergeo.xml's compressed data
+    inverted, so that inflating the entry fails its CRC."""
+
+    with zipfile.ZipFile(io.BytesIO(data)) as zf:
+        info = zf.getinfo("construction/intergeo.xml")
+    assert info.compress_type == zipfile.ZIP_DEFLATED
+    name_len, extra_len = struct.unpack("<HH", data[info.header_offset + 26 : info.header_offset + 30])
+    middle = info.header_offset + 30 + name_len + extra_len + info.compress_size // 2
+    return data[:middle] + bytes([data[middle] ^ 0xFF]) + data[middle + 1 :]
 
 
 def build_corpus() -> dict[str, Problem]:

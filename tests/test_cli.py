@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import i2gatp
-from conftest import COLLINEAR_DSL, VARIGNON_DSL
+from conftest import COLLINEAR_DSL, VARIGNON_DSL, corrupt_intergeo, generated_container
 from i2gatp.cli import main
 from i2gatp.container import pack
 
@@ -152,6 +152,14 @@ def test_malformed_archive_exit_2(tmp_path, capsys):
     assert main(["validate", str(bad)]) == 1  # reported as violation list
     capsys.readouterr()
     assert main(["info", str(bad)]) == 2
+
+
+def test_corrupt_entry_is_a_violation(tmp_path, capsys):
+    bad = tmp_path / "corrupt.zip"
+    bad.write_bytes(corrupt_intergeo(generated_container()))
+    assert main(["validate", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("MalformedZip / ") and "construction/intergeo.xml" in out and err == ""
 
 
 @pytest.mark.parametrize("command", [["convert", "--from", "dsl", "--to", "i2gatp", "--out", "-"], ["check"]])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import random
 import zipfile
 
 import pytest
@@ -17,7 +18,7 @@ from i2gatp.container import (
     unpack,
     validate_container,
 )
-from i2gatp.errors import ContainerError
+from i2gatp.errors import ContainerError, I2gatpError
 from i2gatp.model import (
     Collinear,
     Conjecture,
@@ -25,6 +26,8 @@ from i2gatp.model import (
     ProofStatus,
     canonicalize_problem,
 )
+
+from conftest import corrupt_intergeo, generated_container
 
 
 def _names(data: bytes) -> list[str]:
@@ -111,6 +114,30 @@ def test_unpack_rejects_garbage():
     with pytest.raises(ContainerError) as exc:
         unpack(b"this is not a zip archive")
     assert exc.value.code == "MalformedZip"
+
+
+def test_corrupt_entry_is_malformed_zip():
+    data = corrupt_intergeo(generated_container())
+    [violation] = validate_container(data)
+    assert violation.code == "MalformedZip" and "'construction/intergeo.xml'" in violation.message
+    with pytest.raises(ContainerError) as exc:
+        unpack(data)
+    assert exc.value.code == "MalformedZip"
+
+
+def test_mutated_bytes_raise_only_library_errors():
+    data = generated_container()
+    rng = random.Random(0)
+    for _ in range(300):
+        mutated = bytearray(data)
+        for _ in range(rng.randint(1, 4)):
+            mutated[rng.randrange(len(mutated))] = rng.randrange(256)
+        mutated = bytes(mutated)
+        assert isinstance(validate_container(mutated), list)
+        try:
+            unpack(mutated)
+        except I2gatpError:
+            pass
 
 
 def test_unknown_section_files_are_carried(corpus):

@@ -4,14 +4,23 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
+
+from i2gatp.container import pack
+from i2gatp.dsl import emit_dsl, emit_prover_input
+from i2gatp.errors import CodecError, ContainerError
 from i2gatp.model import (
+    MAX_TERM_DEPTH,
     Collinear,
     Conjecture,
+    Const,
     Constraint,
     ConstraintKind,
     Construction,
     ElementInstance,
+    Equal,
     GeoKind,
+    Plus,
     Problem,
     ProblemInfo,
     ProofAttempt,
@@ -19,6 +28,7 @@ from i2gatp.model import (
     canonicalize_problem,
     validate_problem,
 )
+from i2gatp.numeric import Verdict, check_conjecture
 
 
 def _point(eid: str, x: float, y: float) -> ElementInstance:
@@ -168,3 +178,38 @@ def test_canonicalize_sorts_proofs_and_files(varignon):
 def test_corpus_problems_all_validate(corpus):
     for name, problem in corpus.items():
         assert validate_problem(problem) == [], name
+
+
+def _nested_equal(problem: Problem, levels: int) -> Problem:
+    """``problem`` concluding Equal(t, Const(1)), t ``levels`` plus levels
+    deep over constants, as the XML reader's depth tests nest it."""
+
+    t = Const(1.0)
+    for _ in range(levels):
+        t = Plus(t, Const(1.0))
+    conjecture = dataclasses.replace(problem.conjecture, conclusion=(Equal(t, Const(1.0)),))
+    return dataclasses.replace(problem, conjecture=conjecture)
+
+
+def test_term_at_the_depth_limit_is_valid(varignon):
+    p = _nested_equal(varignon, MAX_TERM_DEPTH - 1)
+    assert validate_problem(p) == []
+    assert check_conjecture(p, 5).verdict is Verdict.FALSIFIED
+    assert "plus" in emit_dsl(p) and "plus" in emit_prover_input(p)
+
+
+@pytest.mark.parametrize("levels", [150, 5000])
+def test_term_beyond_the_depth_limit_is_refused(varignon, levels):
+    # at the path the XML reader reports: the left operand of the plus at
+    # the limit
+    p = _nested_equal(varignon, levels)
+    path = "/conjecture/conclusion/equal[0]" + "/plus" * MAX_TERM_DEPTH + "/plus"
+    message = f"term nested deeper than {MAX_TERM_DEPTH} levels"
+    assert [(v.code, v.path, v.message) for v in validate_problem(p)] == [("ArityError", path, message)]
+    with pytest.raises(ContainerError) as exc:
+        pack(p)
+    assert exc.value.code == "InvalidProblem"
+    for refuse in (lambda p: check_conjecture(p, 5), emit_dsl, emit_prover_input):
+        with pytest.raises(CodecError) as exc:
+            refuse(p)
+        assert exc.value.code == "ArityError" and exc.value.violations[0].path == path

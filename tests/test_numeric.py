@@ -3,17 +3,15 @@
 from __future__ import annotations
 
 import copy
-import importlib.util
 import math
 import operator
 import pickle
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
+from i2gatp import numeric
 from i2gatp.dsl import parse_dsl, predicate_text
 from i2gatp.errors import (
     DegeneratePredicateError,
@@ -60,6 +58,7 @@ from i2gatp.numeric import (
     scene_scale,
 )
 
+from conftest import bench_workloads
 from oracles import (
     collinear_exact,
     cross_ratio_exact,
@@ -68,18 +67,8 @@ from oracles import (
 )
 
 
-def _bench_workloads():
-    """bench/workloads.py, the generator of the benchmark's problems."""
-
-    spec = importlib.util.spec_from_file_location("bench_workloads", Path(__file__).parents[1] / "bench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
 def _generated(n: int, seed: int):
-    return parse_dsl(_bench_workloads().generate_dsl(random.Random(seed), n, f"generated_{n}"))
+    return parse_dsl(bench_workloads().generate_dsl(random.Random(seed), n, f"generated_{n}"))
 
 
 def _free(eid: str) -> Constraint:
@@ -372,15 +361,17 @@ def test_splitmix64_known_answer():
     ]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 1234567, 2**64 - 1, 2**70 + 3])
+@pytest.mark.parametrize("seed", [0, 1, 1234567, 2**64 - 1, 2**64 - 2**20, 2**70 + 3])
 def test_next_points_draws_as_next_u64(seed):
-    # next_points runs next_u64 inline; both continue one stream
+    # next_points evaluates next_u64's draws together; both continue one stream
     gen, ref = _SplitMix64(seed), _SplitMix64(seed)
 
     def coord(r):
         return -r + 2.0 * r * ((ref.next_u64() >> 11) * 2.0**-53)
 
-    for count, r in [(0, 10.0), (1, 10.0), (4, 1e6), (41, 1e-3), (7, 0.5), (400, 10.0), (3, 1e155)]:
+    counts = [(0, 10.0), (1, 10.0), (4, 1e6), (41, 1e-3), (7, 0.5), (400, 10.0), (3, 1e155)]
+    counts += [(128, 10.0), (128, 10.0), (256, 1e308), (257, 5e-324)]
+    for count, r in counts:
         assert gen.next_points(count, r) == [(coord(r), coord(r)) for _ in range(count)]
         assert gen.state == ref.state
 
@@ -430,6 +421,30 @@ def test_trial_0_witness_is_sample_free_points(corpus, seed, coord_range):
     report = check_conjecture(p, 100, seed=seed, coord_range=coord_range)
     assert report.samples_total == 0  # falsified on trial 0
     assert dict(report.witness.assignment) == sample_free_points(p.construction, seed, coord_range)
+
+
+def test_reports_do_not_depend_on_the_draw_block(corpus, monkeypatch):
+    # trial i reads outputs [2ni, 2n(i+1)) however many trials a block draws
+    problems = [p for p in corpus.values() if p.conjecture is not None and not p.construction.has_opaque()]
+    problems += [_generated(100, 0), _generated(100, 1)]
+    cases = [(p, trials, seed, r) for p in problems for trials in (1, 7, 100) for seed in (0, 5) for r in (10.0, 1e308)]
+    blocked = [repr(check_conjecture(p, trials, seed, coord_range=r)) for p, trials, seed, r in cases]
+    monkeypatch.setattr(numeric, "_BLOCK_DRAWS", 1)
+    assert [repr(check_conjecture(p, trials, seed, coord_range=r)) for p, trials, seed, r in cases] == blocked
+
+
+def test_conjecture_without_free_points_draws_nothing(monkeypatch):
+    drawn = []
+    next_points = _SplitMix64.next_points
+    monkeypatch.setattr(_SplitMix64, "next_points", lambda gen, n, r: drawn.append(n) or next_points(gen, n, r))
+    empty = Construction(elements=(), constraints=())
+    for right, verdict in ((1.0, Verdict.CONSISTENT_OVER_SAMPLES), (2.0, Verdict.FALSIFIED)):
+        conjecture = Conjecture(hypothesis=(), ndg=(), conclusion=(Equal(Const(1.0), Const(right)),))
+        report = check_conjecture(Problem(construction=empty, conjecture=conjecture), 1000, seed=3)
+        assert report.verdict is verdict
+        assert report.samples_checked == (1000 if verdict is Verdict.CONSISTENT_OVER_SAMPLES else 0)
+        assert report.witness is None or report.witness.assignment == ()
+    assert drawn and set(drawn) == {0}
 
 
 def test_collinear_conjecture_falsified(corpus):
