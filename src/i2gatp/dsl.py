@@ -318,12 +318,20 @@ def parse_dsl(text: str) -> Problem:
 
 
 def _term_text(t: Term) -> str:
-    name = TERM_NAMES[type(t)]
-    if isinstance(t, Const):
-        return f"{name} {format_number(t.value)}"
-    if isinstance(t, SegmentLength):
-        return f"{name} {t.a} {t.b}"
-    return f"{name} {_term_text(t.left)} {_term_text(t.right)}"
+    # iterative, as a term built in code may be of any depth
+    words: list[str] = []
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        name = TERM_NAMES[type(t)]
+        if isinstance(t, Const):
+            words.append(f"{name} {format_number(t.value)}")
+        elif isinstance(t, SegmentLength):
+            words.append(f"{name} {t.a} {t.b}")
+        else:
+            words.append(name)
+            stack += (t.right, t.left)
+    return " ".join(words)
 
 
 def predicate_text(p: Predicate) -> str:
@@ -357,7 +365,7 @@ def emit_dsl(problem: Problem) -> str:
         if problem.info.description:
             lines.append(f"% description: {' '.join(problem.info.description.split())}")
         for kw in problem.info.keywords:
-            lines.append(f"% keyword: {kw}")
+            lines.append(f"% keyword: {' '.join(kw.split())}")
     for c in problem.construction.constraints:
         if c.kind is ConstraintKind.OPAQUE:
             raise OpaqueConstraintError(c.output)

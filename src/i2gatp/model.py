@@ -75,6 +75,10 @@ ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.']*\Z")
 # Reals as conjecture.xml, intergeo.xml, proofInfo.xml and the DSL read them
 # (the ``number`` production of docs/dsl.md)
 NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
+# What expat raises for a document it cannot read: a syntax error, an
+# encoding it does not know (LookupError) or a multi-byte one it does not
+# support (ValueError), each named by the XML declaration
+XML_READ_ERRORS = (xml.parsers.expat.ExpatError, LookupError, ValueError)
 
 
 def format_number(x: float) -> str:
@@ -333,9 +337,10 @@ PREDICATE_NAMES: dict[type, str] = {cls: name for name, (cls, _n) in PREDICATES.
 TERMS: dict[str, type] = {"const": Const, "segment_length": SegmentLength, "plus": Plus, "mult": Mult}
 TERM_NAMES: dict[type, str] = {cls: name for name, cls in TERMS.items()}
 # The deepest term a reader accepts: `const` and `segment_length` have depth
-# 1, `plus` and `mult` one more than their deeper operand.  Term readers,
-# writers and evaluators recurse once per level, so the limit keeps every one
-# of them far below the interpreter's recursion limit.
+# 1, `plus` and `mult` one more than their deeper operand.  The XML and DSL
+# readers and the XML writer recurse once per level, so the limit keeps them
+# far below the interpreter's recursion limit; the validators, `eval_term`
+# and `predicate_text` walk a term of any depth without recursion.
 MAX_TERM_DEPTH = 100
 
 
@@ -601,7 +606,7 @@ def is_well_formed_xml(data: bytes) -> bool:
     parser = xml.parsers.expat.ParserCreate()
     try:
         parser.Parse(data, True)
-    except (xml.parsers.expat.ExpatError, LookupError):  # LookupError: unknown encoding
+    except XML_READ_ERRORS:
         return False
     return True
 

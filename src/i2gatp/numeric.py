@@ -112,41 +112,23 @@ class Tolerance:
 
 
 class _Scene(dict):
-    """The scene of one run of a compiled construction, carrying that run's
-    scale: the value a scan by :func:`scene_scale` computes for it.
-
-    :func:`instantiate` returns one, and each trial of
-    :func:`check_conjecture` decides on one.  It is read-only, so the
-    carried value never goes stale; ``dict(scene)``, ``copy.deepcopy`` and
-    pickle give an ordinary mutable mapping.
-    """
+    """The scene one trial of :func:`check_conjecture` decides on, carrying
+    the scale of its run: the value a scan by :func:`scene_scale` computes
+    for it."""
 
     __slots__ = ("scale",)
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("an instantiated scene is read-only; copy it with dict(scene)")
-
-    __setitem__ = __delitem__ = __ior__ = __setattr__ = __delattr__ = _read_only
-    update = pop = popitem = clear = setdefault = _read_only
-
-    def __reduce__(self):
-        return dict, (dict(self),)
 
 
 def scene_scale(scene: NumericScene) -> float:
     """Max absolute coordinate magnitude across the scene, floored at 1.
 
-    A scene from :func:`instantiate` carries it; any other mapping is
-    scanned."""
+    A trial scene of :func:`check_conjecture` carries it; any other mapping
+    is scanned."""
 
     if isinstance(scene, _Scene):
         return scene.scale
-    return _scanned_scale(scene.values())
-
-
-def _scanned_scale(objects) -> float:
     scale = 1.0
-    for obj in objects:
+    for obj in scene.values():
         if isinstance(obj, ScenePoint):
             scale = max(scale, abs(obj.x), abs(obj.y))
         elif isinstance(obj, SceneLine):
@@ -315,14 +297,12 @@ def _compile(construction: Construction) -> _Plan:
     """Resolve every reference once.  Raises, for the first step in program
     order that no run could execute, OpaqueConstraintError,
     UnresolvedIdError, KindMismatchError, or ValueError when its number of
-    inputs is not its signature's."""
+    inputs is not its signature's or an earlier step defines its output."""
 
     constraints = construction.constraints
-    ids = tuple(dict.fromkeys(c.output for c in constraints))
+    ids = tuple(c.output for c in constraints)
     slot = {eid: i for i, eid in enumerate(ids)}
     free_ids = construction.free_point_ids()
-    # a repeated free id reads the last pair drawn for it, as a map from id
-    # to pair would
     pair_slot = {fid: len(ids) + i for i, fid in enumerate(free_ids)}
     kinds: dict[str, GeoKind] = {}
     steps = []
@@ -334,6 +314,8 @@ def _compile(construction: Construction) -> _Plan:
         inputs = c.inputs
         if len(inputs) != len(in_kinds):
             raise ValueError(f"{c.kind.value} {c.output!r} takes {len(in_kinds)} inputs, got {len(inputs)}")
+        if c.output in kinds:
+            raise ValueError(f"{c.kind.value} {c.output!r}: id already defined by an earlier step")
         for ref, want in zip(inputs, in_kinds):
             got = kinds.get(ref)
             if got is not want:
@@ -358,17 +340,14 @@ def _run(plan: _Plan, pairs: list[tuple[float, float]], eps_rel: float) -> tuple
     scale = 1.0
     for step, c, first, second, out in plan.steps:
         slots[out], scale = step(c, slots[first], slots[second], eps_rel, scale)
-    if len(plan.ids) < len(plan.steps):
-        # a repeated output id replaced an object that grew the scale
-        scale = _scanned_scale(slots[: len(plan.ids)])
     return slots, scale
 
 
 def _scene_of(plan: _Plan, slots: list, scale: float) -> _Scene:
-    """The read-only scene of a run of ``plan``, carrying the run's scale."""
+    """The scene of a run of ``plan``, carrying the run's scale."""
 
     scene = _Scene(zip(plan.ids, slots))
-    object.__setattr__(scene, "scale", scale)
+    scene.scale = scale
     return scene
 
 
@@ -383,11 +362,9 @@ def instantiate(
     checks (coincident points given to a line, parallel lines given to an
     intersection) compare against eps_rel times the running coordinate
     magnitude of the partial scene; a step whose result is not finite is
-    degenerate too.  Opaque steps and ids that do not resolve to an object
-    of the kind a step takes are rejected before any step runs.  The
-    returned scene is read-only and carries the final magnitude, which
-    :func:`scene_scale` returns without a scan; ``dict(scene)`` is a mutable
-    copy.
+    degenerate too.  Opaque steps, ids that do not resolve to an object of
+    the kind a step takes and ids that more than one step defines are
+    rejected before any step runs.  The scene is a plain dict.
     """
 
     tol = tol or Tolerance()
@@ -399,7 +376,7 @@ def instantiate(
         raise ValueError(f"free assignment mismatch: missing {missing}, extra {extra}")
     plan = _compile(construction)
     pairs = [(float(x), float(y)) for x, y in map(free_assign.__getitem__, free_ids)]
-    return _scene_of(plan, *_run(plan, pairs, tol.eps_rel))
+    return dict(zip(plan.ids, _run(plan, pairs, tol.eps_rel)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +390,29 @@ def eval_term(scene: NumericScene, term: Term) -> float:
         return term.value
     if isinstance(term, SegmentLength):
         return _dist(_point(scene, term.a), _point(scene, term.b))
-    if isinstance(term, Plus):
-        return eval_term(scene, term.left) + eval_term(scene, term.right)
-    if isinstance(term, Mult):
-        return eval_term(scene, term.left) * eval_term(scene, term.right)
-    raise TypeError(f"not a Term: {term!r}")
+    # iterative, as a term built in code may be of any depth: an operator
+    # comes back off the stack as its class once both operands are values
+    values: list[float] = []
+    stack: list = [term]
+    while stack:
+        t = stack.pop()
+        if t is Plus:
+            right = values.pop()
+            values[-1] += right
+        elif t is Mult:
+            right = values.pop()
+            values[-1] *= right
+        elif isinstance(t, Plus):
+            stack += (Plus, t.right, t.left)
+        elif isinstance(t, Mult):
+            stack += (Mult, t.right, t.left)
+        elif isinstance(t, Const):
+            values.append(t.value)
+        elif isinstance(t, SegmentLength):
+            values.append(_dist(_point(scene, t.a), _point(scene, t.b)))
+        else:
+            raise TypeError(f"not a Term: {t!r}")
+    return values[0]
 
 
 # Residual functions: (scene, predicate, eps_rel, scale) -> (residual, eps).
@@ -684,9 +679,9 @@ def check_conjecture(
 ) -> CheckReport:
     """Sample free points ``trials`` times and test the conjecture.
 
-    The construction is compiled once, so opaque steps and unresolved or
-    mis-kinded ids raise before the first sample, as does a term deeper
-    than MAX_TERM_DEPTH (CodecError).  Per sample: run the
+    The construction is compiled once, so opaque steps and unresolved,
+    mis-kinded or redefined ids raise before the first sample, as does a
+    term deeper than MAX_TERM_DEPTH (CodecError).  Per sample: run the
     compiled construction into the scene :func:`instantiate` would return
     (degenerate steps count as degenerate samples); evaluate ndg predicates
     first (any false or degenerate: degenerate sample); then hypotheses (any

@@ -30,6 +30,7 @@ from .model import (
     PROOF_INFO_SECTIONS,
     TERM_NAMES,
     TERMS,
+    XML_READ_ERRORS,
     BibEntry,
     Conjecture,
     Const,
@@ -131,8 +132,8 @@ def _find_tag_end(data: bytes, start: int) -> int:
 
 
 def _parse_raw(data: bytes) -> _RawNode:
-    """Parse ``data`` into a raw tree; raises expat.ExpatError, or
-    LookupError when the XML declaration names an unknown encoding."""
+    """Parse ``data`` into a raw tree; raises one of model.XML_READ_ERRORS
+    when expat cannot read it."""
 
     parser = xml.parsers.expat.ParserCreate()
     roots: list[_RawNode] = []
@@ -477,7 +478,7 @@ def _read(kind: DocumentKind, data: bytes, construction: Construction | None = N
     rep = _Report()
     try:
         root = _parse_raw(data)
-    except (xml.parsers.expat.ExpatError, LookupError) as exc:
+    except XML_READ_ERRORS as exc:
         rep.error("MalformedXml", "/", f"XML parse error: {exc}")
         return None, rep, []
     value = _ANALYZERS[kind](root, data, rep)

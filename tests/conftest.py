@@ -275,6 +275,27 @@ def corrupt_intergeo(data: bytes) -> bytes:
     return data[:middle] + bytes([data[middle] ^ 0xFF]) + data[middle + 1 :]
 
 
+# Encodings expat refuses as multi-byte when an XML declaration names them
+MULTI_BYTE_ENCODINGS = ("shift_jis", "euc-jp", "gb2312", "big5", "utf-32", "cp932")
+
+
+def declaring(encoding: str, data: bytes) -> bytes:
+    """``data``, a document declared UTF-8, declared in ``encoding``."""
+
+    assert b'encoding="UTF-8"' in data
+    return data.replace(b'encoding="UTF-8"', f'encoding="{encoding}"'.encode(), 1)
+
+
+def with_entry(data: bytes, name: str, payload: bytes) -> bytes:
+    """The container ``data`` with entry ``name`` holding ``payload``."""
+
+    buf = io.BytesIO()
+    with zipfile.ZipFile(io.BytesIO(data)) as src, zipfile.ZipFile(buf, "w") as zf:
+        for info in src.infolist():
+            zf.writestr(info, payload if info.filename == name else src.read(info))
+    return buf.getvalue()
+
+
 def build_corpus() -> dict[str, Problem]:
     return {
         "varignon": _varignon(),

@@ -2,16 +2,26 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import pytest
 
 import i2gatp
-from conftest import COLLINEAR_DSL, VARIGNON_DSL, corrupt_intergeo, generated_container
+from conftest import (
+    COLLINEAR_DSL,
+    MULTI_BYTE_ENCODINGS,
+    VARIGNON_DSL,
+    corrupt_intergeo,
+    declaring,
+    generated_container,
+    with_entry,
+)
 from i2gatp.cli import main
 from i2gatp.container import pack
 
@@ -162,6 +172,19 @@ def test_corrupt_entry_is_a_violation(tmp_path, capsys):
     assert out.startswith("MalformedZip / ") and "construction/intergeo.xml" in out and err == ""
 
 
+@pytest.mark.parametrize("encoding", MULTI_BYTE_ENCODINGS)
+def test_multi_byte_encoding_declaration_is_a_violation(varignon_zip, tmp_path, capsys, encoding):
+    data = varignon_zip.read_bytes()
+    with zipfile.ZipFile(io.BytesIO(data)) as zf:
+        info = declaring(encoding, zf.read("information/information.xml"))
+    path = tmp_path / "encoded.zip"
+    path.write_bytes(with_entry(data, "information/information.xml", info))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("MalformedXml information/information.xml/ ")
+    assert main(["info", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: MalformedXml at /: ")
+
+
 @pytest.mark.parametrize("command", [["convert", "--from", "dsl", "--to", "i2gatp", "--out", "-"], ["check"]])
 def test_dsl_number_that_overflows_is_located(tmp_path, capsys, command):
     source = tmp_path / "overflow.gcl"
@@ -200,21 +223,13 @@ def test_unexpected_error_exits_2_in_one_line(varignon_zip, monkeypatch, capsys)
 
 
 def test_deep_conjecture_term_is_one_violation(varignon_zip, tmp_path, capsys):
-    import io
-    import zipfile
-
     term = "<plus>" * 5000 + '<const value="1"/>' + '<const value="1"/></plus>' * 5000
     deep = (
         f'<conjecture><conclusion><equal>{term}<const value="1"/></equal>'
         "<not_equal>A B</not_equal></conclusion></conjecture>"
     )
-    buf = io.BytesIO()
-    with zipfile.ZipFile(varignon_zip) as src, zipfile.ZipFile(buf, "w") as zf:
-        for info in src.infolist():
-            data = deep.encode() if info.filename == "conjecture/conjecture.xml" else src.read(info)
-            zf.writestr(info, data)
     path = tmp_path / "deep.zip"
-    path.write_bytes(buf.getvalue())
+    path.write_bytes(with_entry(varignon_zip.read_bytes(), "conjecture/conjecture.xml", deep.encode()))
     assert main(["validate", str(path)]) == 1
     path = "conjecture/conjecture.xml/conjecture/conclusion/equal[0]" + "/plus" * 101
     assert capsys.readouterr().out == f"ArityError {path} term nested deeper than 100 levels\n"
@@ -229,9 +244,6 @@ def test_dsl_that_is_not_utf8_is_located(tmp_path, capsys, command):
 
 
 def test_unpack_rejects_traversal_before_writing(tmp_path, capsys):
-    import io
-    import zipfile
-
     buf = io.BytesIO()
     with zipfile.ZipFile(buf, "w") as zf:
         zf.writestr("../evil", b"boom")

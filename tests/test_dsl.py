@@ -119,6 +119,15 @@ def test_equal_and_ratio_predicates_round_trip(corpus):
     assert parse_dsl(emit_dsl(q)) == q
 
 
+def test_keyword_with_a_newline_stays_one_header_line(varignon):
+    info = dataclasses.replace(varignon.info, keywords=("geo\npoint Z 5 5", "quad\t rilateral"))
+    p = unpack(pack(dataclasses.replace(varignon, info=info)))
+    assert p.info.keywords == info.keywords
+    q = parse_dsl(emit_dsl(p))
+    assert q.construction == p.construction and q.conjecture == p.conjecture
+    assert q.info.keywords == ("geo point Z 5 5", "quad rilateral")
+
+
 def test_cross_format_equality(corpus):
     for name, p in corpus.items():
         if p.construction.has_opaque():

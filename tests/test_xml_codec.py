@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from i2gatp.container import entries_from_problem
-from i2gatp.errors import CodecError
+from i2gatp.container import entries_from_problem, pack, validate_container
+from i2gatp.errors import CodecError, I2gatpError
 from i2gatp.model import (
     BibEntry,
     Collinear,
@@ -19,6 +22,7 @@ from i2gatp.model import (
     Parallel,
     ProblemInfo,
     ProofStatus,
+    validate_problem,
 )
 from i2gatp.xml_codec import (
     DocumentKind,
@@ -31,6 +35,8 @@ from i2gatp.xml_codec import (
     serialize_information,
     validate_document,
 )
+
+from conftest import MULTI_BYTE_ENCODINGS, declaring, with_entry
 
 KINDS_BY_PATH = {
     "information/information.xml": DocumentKind.INFORMATION,
@@ -370,6 +376,19 @@ def test_malformed_xml_is_a_violation_not_a_crash():
     assert violations[0].code == "MalformedXml"
 
 
+@pytest.mark.parametrize("encoding", MULTI_BYTE_ENCODINGS)
+def test_multi_byte_encoding_declaration_is_malformed_xml(varignon, encoding):
+    doc = declaring(encoding, serialize_information(varignon.info))
+    assert [(v.code, v.path) for v in validate_document(DocumentKind.INFORMATION, doc)] == [("MalformedXml", "/")]
+    with pytest.raises(CodecError):
+        parse_information(doc)
+    statement = declaring(encoding, b'<?xml version="1.0" encoding="UTF-8"?><math/>')
+    problem = dataclasses.replace(varignon, info=dataclasses.replace(varignon.info, statement=statement))
+    assert [(v.code, v.path) for v in validate_problem(problem)] == [("MalformedXml", "/information/statement")]
+    container = with_entry(pack(varignon), "information/information.xml", doc)
+    assert [(v.code, v.path) for v in validate_container(container)] == [("MalformedXml", "information/information.xml/")]
+
+
 def test_serializers_reject_invalid_values():
     with pytest.raises(CodecError) as exc:
         serialize_information(ProblemInfo(name="no spaces allowed"))
@@ -381,6 +400,36 @@ def test_serializers_reject_invalid_values():
     with pytest.raises(CodecError) as exc3:
         serialize_conjecture(Conjecture(hypothesis=(), ndg=(), conclusion=(Collinear("A B", "C", "D"),)))
     assert exc3.value.code == "BadId"
+
+
+_PARSERS = {
+    DocumentKind.INFORMATION: parse_information,
+    DocumentKind.CONSTRUCTION: parse_construction,
+    DocumentKind.CONJECTURE: parse_conjecture,
+    DocumentKind.PROOF_INFO: parse_proof_info,
+}
+
+
+def test_mutated_documents_raise_only_library_errors(corpus):
+    by_kind: dict[DocumentKind, list[bytes]] = {}
+    for _name, kind, data in corpus_documents(corpus):
+        by_kind.setdefault(kind, []).append(data)
+    assert by_kind.keys() == _PARSERS.keys()
+    rng = random.Random(0)
+    for kind, docs in by_kind.items():
+        mutated = [declaring(encoding, docs[0]) for encoding in MULTI_BYTE_ENCODINGS]
+        for _ in range(300):
+            doc = bytearray(rng.choice(docs))
+            for _ in range(rng.randint(1, 4)):
+                doc[rng.randrange(len(doc))] = rng.randrange(256)
+            mutated.append(bytes(doc))
+        for doc in mutated:
+            assert isinstance(validate_document(kind, doc), list)
+            for call in (_PARSERS[kind], lambda d: canonicalize(kind, d)):
+                try:
+                    call(doc)
+                except I2gatpError:
+                    pass
 
 
 _name_st = st.from_regex(r"[A-Za-z0-9_][A-Za-z0-9_-]{0,20}", fullmatch=True)
