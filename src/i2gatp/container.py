@@ -5,7 +5,9 @@ conjecture/ and proofs/ are always present as directories;
 construction/intergeo.xml is the only mandatory file; every proof attempt
 lives in proofs/proof<prover><version><method>/.  Packing is byte
 deterministic: fixed timestamps, lexicographically sorted entries, deflate
-for files above 256 bytes and stored below.
+for files above 256 bytes and stored below.  This module writes the zip
+headers itself, and reads each entry straight from the archive bytes;
+``zipfile`` only parses the central directory.
 
 The i2g container is recovered by dropping the three extra directories and
 relocating construction/ content to the archive root; intergeo.xml bytes are
@@ -16,6 +18,8 @@ from __future__ import annotations
 
 import io
 import re
+import struct
+import sys
 import zipfile
 import zlib
 from dataclasses import replace
@@ -73,9 +77,26 @@ PROOF_INFO_NAME = "proofInfo.xml"
 
 PROOF_DIR_RE = re.compile(r"proof[A-Za-z0-9_.-]+\Z")
 
-_ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 _DEFLATE_THRESHOLD = 256  # bytes; larger files are deflated, smaller stored
 _DEFLATE_LEVEL = 6
+
+# The fixed header fields of every entry (docs/container.md): versions 2.0,
+# created on unix, 1980-01-01 00:00:00 in DOS form, no extra field.
+_LOCAL_HEADER = struct.Struct("<4s2B4HL2L2H")
+_CENTRAL_HEADER = struct.Struct("<4s4B4HL2L5H2L")
+_END_RECORD = struct.Struct("<4s4H2LH")
+_ZIP64_END_RECORD = struct.Struct("<4sQ2H2L4Q")
+_ZIP64_LOCATOR = struct.Struct("<4sLQL")
+_VERSION = 20
+_UNIX = 3
+_DOS_DATE = 0x0021
+_UTF8_NAME = 0x800
+_FILE_ATTR = 0o644 << 16
+_DIR_ATTR = (0o40755 << 16) | 0x10
+_STORED, _DEFLATED = 0, 8
+_ZIP64_LIMIT = (1 << 31) - 1  # past it an entry would need zip64 fields
+_ZIP_FILECOUNT_LIMIT = (1 << 16) - 1  # past it the end record is zip64's
+_UNSUPPORTED_FLAGS = 0x61  # encrypted (bit 0), patched (5), strong encryption (6)
 
 # An entry is (path, bytes) for a file or (path ending in '/', None) for a
 # directory.
@@ -92,26 +113,40 @@ def _write_zip(entries: list[Entry]) -> bytes:
 
     names = {name for name, _ in entries}
     missing = {d for name in names for d in _parent_dirs(name)} - names
-    buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w") as zf:
-        for name, data in sorted(entries + [(d, None) for d in missing], key=lambda e: e[0]):
-            zi = zipfile.ZipInfo(name, date_time=_ZIP_EPOCH)
-            zi.create_system = 3  # unix, pinned for cross-platform identical bytes
-            if data is None:
-                zi.external_attr = (0o40755 << 16) | 0x10
-                zf.writestr(zi, b"", compress_type=zipfile.ZIP_STORED)
-            else:
-                zi.external_attr = 0o644 << 16
-                if len(data) > _DEFLATE_THRESHOLD:
-                    zf.writestr(zi, data, compress_type=zipfile.ZIP_DEFLATED, compresslevel=_DEFLATE_LEVEL)
-                else:
-                    zf.writestr(zi, data, compress_type=zipfile.ZIP_STORED)
-    return buf.getvalue()
+    parts: list[bytes] = []
+    central: list[bytes] = []
+    offset = 0
+    for name, data in sorted(entries + [(d, None) for d in missing], key=lambda e: e[0]):
+        if name.isascii():
+            raw, flags = name.encode("ascii"), 0
+        else:
+            raw, flags = name.encode("utf-8"), _UTF8_NAME
+        if data is None:
+            method, crc, size, body, attr = _STORED, 0, 0, b"", _DIR_ATTR
+        else:
+            method, crc, size, body, attr = _STORED, zlib.crc32(data), len(data), data, _FILE_ATTR
+            if size > _DEFLATE_THRESHOLD:
+                deflater = zlib.compressobj(_DEFLATE_LEVEL, zlib.DEFLATED, -15)
+                method, body = _DEFLATED, deflater.compress(data) + deflater.flush()
+        if offset > _ZIP64_LIMIT or size * 1.05 > _ZIP64_LIMIT:
+            raise ContainerError("ArchiveTooLarge", f"entry {name!r} would need zip64 fields")
+        fields = (flags, method, 0, _DOS_DATE, crc, len(body), size, len(raw), 0)
+        parts += (_LOCAL_HEADER.pack(b"PK\x03\x04", _VERSION, 0, *fields), raw, body)
+        central.append(_CENTRAL_HEADER.pack(b"PK\x01\x02", _VERSION, _UNIX, _VERSION, 0, *fields, 0, 0, 0, attr, offset) + raw)
+        offset += _LOCAL_HEADER.size + len(raw) + len(body)
+    count = len(central)
+    central_size = sum(map(len, central))
+    end_offset = offset + central_size
+    if count > _ZIP_FILECOUNT_LIMIT or offset > _ZIP64_LIMIT or central_size > _ZIP64_LIMIT:
+        central.append(_ZIP64_END_RECORD.pack(b"PK\x06\x06", 44, 45, 45, 0, 0, count, count, central_size, offset))
+        central.append(_ZIP64_LOCATOR.pack(b"PK\x06\x07", 0, end_offset, 1))
+        count, central_size, offset = min(count, 0xFFFF), min(central_size, 0xFFFFFFFF), min(offset, 0xFFFFFFFF)
+    central.append(_END_RECORD.pack(b"PK\x05\x06", 0, 0, count, count, central_size, offset, 0))
+    return b"".join(parts + central)
 
 
-# what zipfile raises for an archive or entry whose header, data or checksum
-# is broken
-_UNREADABLE = (zipfile.BadZipFile, zlib.error, NotImplementedError, ValueError, EOFError, RuntimeError)
+# what zipfile.ZipFile raises for an archive whose central directory is broken
+_UNREADABLE = (zipfile.BadZipFile, NotImplementedError, ValueError)
 
 
 def read_container_entries(data: bytes) -> list[Entry]:
@@ -119,29 +154,67 @@ def read_container_entries(data: bytes) -> list[Entry]:
     entries carry None."""
 
     try:
-        zf = zipfile.ZipFile(io.BytesIO(data))
+        with zipfile.ZipFile(io.BytesIO(data)) as zf:
+            infos = zf.infolist()
     except _UNREADABLE as exc:
         raise ContainerError("MalformedZip", str(exc)) from exc
+    view = memoryview(data)
     entries: list[Entry] = []
     seen: set[str] = set()
-    with zf:
-        for info in zf.infolist():
-            name = info.filename
-            check = name[:-1] if name.endswith("/") else name
-            if not is_safe_relative_path(check):
-                raise ContainerError("BadPath", f"unsafe entry path {name!r}")
-            if name in seen:
-                raise ContainerError("DuplicateEntry", f"duplicate entry {name!r}")
-            seen.add(name)
-            if info.is_dir():
-                entries.append((name, None))
-            else:
-                try:
-                    with zf.open(info) as fh:
-                        entries.append((name, fh.read()))
-                except _UNREADABLE as exc:
-                    raise ContainerError("MalformedZip", f"cannot read entry {name!r}: {exc or type(exc).__name__}") from exc
+    for info in infos:
+        name = info.orig_filename
+        dir_entry = name.endswith("/")
+        if not is_safe_relative_path(name[:-1] if dir_entry else name):
+            raise ContainerError("BadPath", f"unsafe entry path {name!r}")
+        if name in seen:
+            raise ContainerError("DuplicateEntry", f"duplicate entry {name!r}")
+        seen.add(name)
+        entries.append((name, None if dir_entry else _entry_data(view, info)))
     return entries
+
+
+def _entry_data(data: memoryview, info: zipfile.ZipInfo) -> bytes:
+    """The content of a file entry, read from its local header on; it must
+    be stored or deflated, end where its sizes say, and match its CRC-32."""
+
+    def malformed(reason: str) -> ContainerError:
+        return ContainerError("MalformedZip", f"cannot read entry {info.orig_filename!r}: {reason}")
+
+    start = info.header_offset
+    header = data[start : start + _LOCAL_HEADER.size]
+    if start < 0 or len(header) < _LOCAL_HEADER.size:
+        raise malformed(f"no local header at offset {start}")
+    signature, _, _, flags, _, _, _, _, _, _, name_len, extra_len = _LOCAL_HEADER.unpack(header)
+    if signature != b"PK\x03\x04":
+        raise malformed("bad local header signature")
+    start += _LOCAL_HEADER.size
+    try:
+        local_name = str(data[start : start + name_len], "utf-8" if flags & _UTF8_NAME else "cp437")
+    except UnicodeDecodeError:
+        local_name = None
+    if local_name != info.orig_filename:
+        raise malformed("local header names another entry")
+    if info.flag_bits & _UNSUPPORTED_FLAGS:
+        raise malformed("encrypted or patched")
+    start += name_len + extra_len
+    body = data[start : start + info.compress_size]
+    if info.compress_type == _STORED:
+        content = bytes(body)
+    elif info.compress_type == _DEFLATED:
+        inflater = zlib.decompressobj(-15)
+        try:
+            content = inflater.decompress(body, min(info.file_size + 1, sys.maxsize))
+        except zlib.error as exc:
+            raise malformed(str(exc)) from exc
+        if not inflater.eof:
+            raise malformed("deflate stream does not end within the declared size")
+    else:
+        raise malformed(f"unsupported compression method {info.compress_type}")
+    if len(content) != info.file_size:
+        raise malformed(f"{len(content)} bytes where {info.file_size} are declared")
+    if zlib.crc32(content) != info.CRC:
+        raise malformed("bad CRC-32")
+    return content
 
 
 def _parent_dirs(path: str) -> list[str]:
@@ -298,22 +371,21 @@ def canonicalize_container(data: bytes) -> bytes:
 def strip_to_i2g(data: bytes) -> bytes:
     """Drop information/, conjecture/ and proofs/; relocate construction/
     content to the archive root (the i2g layout).  File bytes, in particular
-    intergeo.xml, are carried unchanged; idempotent."""
+    intergeo.xml, are carried unchanged; idempotent.  Two entries that
+    relocate to one path (``construction/a`` and a root ``a``) are
+    ``DuplicateEntry``."""
 
-    entries = read_container_entries(data)
     files: dict[str, bytes] = {}
-    has_intergeo = False
-    for name, content in entries:
-        if content is None:
+    sources: dict[str, str] = {}
+    for name, content in read_container_entries(data):
+        if content is None or name.startswith(EXTENSION_DIRS):
             continue
-        if name.startswith(EXTENSION_DIRS):
-            continue
-        if name.startswith("construction/"):
-            name = name[len("construction/") :]
-        if name == "intergeo.xml":
-            has_intergeo = True
-        files[name] = content
-    if not has_intergeo:
+        target = name[len("construction/") :] if name.startswith("construction/") else name
+        if target in sources:
+            raise ContainerError("DuplicateEntry", f"entries {sources[target]!r} and {name!r} both become {target!r}")
+        sources[target] = name
+        files[target] = content
+    if "intergeo.xml" not in files:
         raise ContainerError("MissingIntergeo", "container lacks construction/intergeo.xml")
     return _write_zip(list(files.items()))
 

@@ -612,9 +612,10 @@ def is_well_formed_xml(data: bytes) -> bool:
 
 
 def is_safe_relative_path(path: str) -> bool:
-    """Forward slashes, relative, no '.'/'..' segments, no backslashes."""
+    """Forward slashes, relative, no '.'/'..' segments, no backslashes and
+    no NUL (zip readers cut a name at its first NUL)."""
 
-    if not path or path.startswith("/") or "\\" in path:
+    if not path or path.startswith("/") or "\\" in path or "\0" in path:
         return False
     return all(seg not in ("", ".", "..") for seg in path.split("/"))
 

@@ -70,6 +70,9 @@ __all__ = [
 ]
 
 DEFAULT_SAMPLE_RANGE = 10.0
+# Free coordinates up to 2**500 keep every squared difference of them below
+# 2**1003, so no residual of free points overflows (docs/checker.md).
+MAX_SAMPLE_RANGE = 2.0**500
 
 
 class ScenePoint(NamedTuple):
@@ -617,8 +620,8 @@ def sample_free_points(
 
 
 def _check_sample_range(coord_range: float) -> None:
-    if not (math.isfinite(coord_range) and coord_range > 0.0):
-        raise ValueError(f"coord_range must be > 0, got {coord_range}")
+    if not 0.0 < coord_range <= MAX_SAMPLE_RANGE:
+        raise ValueError(f"coord_range must be > 0 and <= 2**500, got {coord_range}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,21 @@
-"""Exact-arithmetic oracles used by the tests.
+"""Oracles used by the tests.
 
-Everything here works over ``fractions.Fraction`` so predicate truth and
-construction coordinates can be decided with no rounding at all.  The
-oracles are deliberately independent of the float evaluation path they
-check: collinearity is a determinant, equal length compares squared
-lengths, the construction interpreter below re-executes the straight-line
-program over rationals.
+The exact-arithmetic oracles work over ``fractions.Fraction`` so predicate
+truth and construction coordinates can be decided with no rounding at all.
+They are deliberately independent of the float evaluation path they check:
+collinearity is a determinant, equal length compares squared lengths, the
+construction interpreter below re-executes the straight-line program over
+rationals.
+
+The zip oracles at the end write and read archives through the standard
+library's ``zipfile``, independently of the container's own zip I/O.
 """
 
 from __future__ import annotations
 
+import io
 import math
+import zipfile
 from fractions import Fraction
 
 from i2gatp.model import Construction, ConstraintKind
@@ -101,3 +106,39 @@ def normalize_line_float(a: Fraction, b: Fraction, c: Fraction) -> tuple[float, 
     if af < 0.0 or (af == 0.0 and bf < 0.0):
         af, bf, cf = -af, -bf, -cf
     return af, bf, cf
+
+
+# ---------------------------------------------------------------------------
+# Zip oracles
+
+
+def write_zip_reference(entries: list[tuple[str, bytes | None]]) -> bytes:
+    """The deterministic archive of ``entries`` as ``zipfile`` writes it:
+    sorted by path, a directory entry for every parent, fixed timestamps,
+    unix modes, deflate level 6 above 256 bytes and stored otherwise."""
+
+    names = {name for name, _ in entries}
+    parents = {name[: i + 1] for name in names for i, char in enumerate(name[:-1]) if char == "/"}
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        for name, data in sorted(entries + [(d, None) for d in parents - names], key=lambda e: e[0]):
+            zi = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
+            zi.create_system = 3
+            if data is None:
+                zi.external_attr = (0o40755 << 16) | 0x10
+                zf.writestr(zi, b"", compress_type=zipfile.ZIP_STORED)
+            else:
+                zi.external_attr = 0o644 << 16
+                if len(data) > 256:
+                    zf.writestr(zi, data, compress_type=zipfile.ZIP_DEFLATED, compresslevel=6)
+                else:
+                    zf.writestr(zi, data, compress_type=zipfile.ZIP_STORED)
+    return buf.getvalue()
+
+
+def read_zip_reference(data: bytes) -> list[tuple[str, bytes | None]]:
+    """The (path, bytes) entries ``zipfile`` reads from ``data``, directory
+    entries with None; raises whatever ``zipfile`` raises."""
+
+    with zipfile.ZipFile(io.BytesIO(data)) as zf:
+        return [(info.filename, None if info.is_dir() else zf.read(info)) for info in zf.infolist()]

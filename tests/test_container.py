@@ -2,22 +2,35 @@
 
 from __future__ import annotations
 
+import bz2
 import dataclasses
+import hashlib
 import io
+import lzma
 import random
+import re
+import struct
+import tracemalloc
 import zipfile
+import zlib
 
 import pytest
 
+from i2gatp import container
+from i2gatp.cli import main
 from i2gatp.container import (
+    _write_zip,
     add_proof_attempt,
     canonicalize_container,
+    entries_from_problem,
     pack,
+    read_container_entries,
     strip_to_i2g,
     suggested_filename,
     unpack,
     validate_container,
 )
+from i2gatp.dsl import parse_dsl
 from i2gatp.errors import ContainerError, I2gatpError
 from i2gatp.model import (
     Collinear,
@@ -25,9 +38,11 @@ from i2gatp.model import (
     ProofAttempt,
     ProofStatus,
     canonicalize_problem,
+    validate_problem,
 )
 
-from conftest import corrupt_intergeo, generated_container
+from conftest import bench_workloads, corrupt_intergeo, generated_container
+from oracles import read_zip_reference, write_zip_reference
 
 
 def _names(data: bytes) -> list[str]:
@@ -83,8 +98,6 @@ def test_pack_rejects_invalid_problem(varignon):
 
 
 def test_unpack_inverts_pack(corpus):
-    from i2gatp.model import validate_problem
-
     for name, problem in corpus.items():
         recovered = unpack(pack(problem))
         assert recovered == canonicalize_problem(problem), name
@@ -308,3 +321,248 @@ def test_duplicate_attempt_triple_across_dirs_flagged(corpus):
                 entries.append(("proofs/proofOtherdir1.0x/proofInfo.xml", payload))
     codes = [v.code for v in validate_container(_rezip(entries))]
     assert "DuplicateAttempt" in codes and "DirNameMismatch" in codes
+
+
+@pytest.mark.parametrize("loose", ["intergeo.xml", "a"])
+def test_strip_refuses_entries_that_relocate_to_one_path(corpus_containers, tmp_path, loose):
+    # the later entry used to win: with a loose root intergeo.xml, the
+    # stripped intergeo.xml was that file and not the construction
+    entries = read_container_entries(corpus_containers["varignon"])
+    entries += [("construction/a", b"inner"), (loose, b"loose")]
+    data = _write_zip(entries)
+    with pytest.raises(ContainerError) as exc:
+        strip_to_i2g(data)
+    assert exc.value.code == "DuplicateEntry"
+    assert sorted(re.findall("'([^']*)'", str(exc.value))) == sorted([loose, loose, f"construction/{loose}"])
+    path = tmp_path / "problem.zip"
+    path.write_bytes(data)
+    assert main(["strip", str(path), "--out", str(tmp_path / "i2g.zip")]) == 2
+
+
+def test_nul_in_a_carried_path_is_bad_path(corpus):
+    # zipfile cut such a name at the NUL, so with a second path resources/a
+    # pack wrote an archive that unpack refused as DuplicateEntry
+    p = corpus["varignon_files"]
+    p = dataclasses.replace(p, resources=p.resources + (("resources/a", b"1"), ("resources/a\0b.png", b"2")))
+    assert [(v.code, v.path) for v in validate_problem(p)] == [("BadPath", "/resources/resources/a\0b.png")]
+    with pytest.raises(ContainerError) as exc:
+        pack(p)
+    assert exc.value.code == "InvalidProblem"
+    # an archive from elsewhere is refused too, not read under the cut name
+    data = _write_zip(entries_from_problem(corpus["varignon"]) + [("resources/a\0b.png", b"2")])
+    assert ("resources/a", b"2") in read_zip_reference(data)
+    with pytest.raises(ContainerError) as exc:
+        unpack(data)
+    assert exc.value.code == "BadPath"
+    assert [v.code for v in validate_container(data)] == ["BadPath"]
+
+
+# ---------------------------------------------------------------------------
+# Zip I/O against the zipfile oracles
+
+# sha256 of pack(p) for each corpus problem, as the zipfile writer made them
+PACK_SHA256 = {
+    "varignon": "15eaacd42ed1b789b49a28c29ebfac161ec01b85d67003e864934ca29c82fa0b",
+    "midpoint_thm": "398ae7a722630a402b0d79c4cd437cd2781c32d9b7705bdc1d6619ef20388ca3",
+    "collinear_free": "b217a74da83094bfed63af39c85a5963f3d308dac06c41184ade3d7b84a2d02a",
+    "harmonic_range": "97f9aa291891ccd0201b5c6631f1cb8091ae60f88dc2ea615422bf8035bf851f",
+    "circle_radii": "405d6aff32953cadd23dc08821ac2ab56c79521e284ecfdaf26856586e2f93b2",
+    "perpendicular_foot": "22479cbb25681c2133b27e84fb9868bbf752a34d41913708a26f704eb3a1fb26",
+    "half_segment": "e9d4ef480f7ca298be0a91c3a486d8a7cf8ac8412f69fb4e2fe7010cf1eee48b",
+    "parallel_transport": "18719cd417d8f998463de2b381acee6203dff394df00b97d356e6481f833dc3a",
+    "triangle_sides": "b3ba2d01dfcc9152b90bc6f283134dd13fd5657783fdb03aa00c7e11a8476d23",
+    "minimal": "6794fa1ba28d7f6dc7e6c12f62e4b441b40556a87db32bb16594262ba8682448",
+    "varignon_attempts": "3236da049f90e69f2e173bb3535bbc4bc01708d2843cb03dc77b6459b0d528a3",
+    "opaque_circumcircle": "1f595897fb424ae72fa8040559b3cdfec465a2033edfc66d479b30974c00bfbe",
+    "varignon_files": "d9b86cff814eea007c275ce09910792221fc2b5e63d7e7435a7ba6afe1d1dee5",
+}
+
+
+def test_pack_digests_are_pinned(corpus_containers):
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in corpus_containers.items()} == PACK_SHA256
+
+
+def _writer_cases(corpus):
+    cases = {name: entries_from_problem(p) for name, p in corpus.items()}
+    for n in (10, 100, 1000):
+        dsl = bench_workloads().generate_dsl(random.Random(n), n, f"generated_{n}")
+        cases[f"generated_{n}"] = entries_from_problem(parse_dsl(dsl))
+    cases["non_ascii"] = [("resources/résumé.txt", b"caf\xc3\xa9"), ("resources/über/", None)]
+    cases["empty_file"] = [("resources/empty", b"")]
+    cases["256_and_257_bytes"] = [("resources/a", bytes(range(256))), ("resources/b", bytes(range(256)) + b"!")]
+    cases["missing_parents"] = [("x/y/z.txt", b"deep"), ("x/w/", None), ("top.txt", b"loose")]
+    return cases
+
+
+def test_writer_matches_the_zipfile_writer(corpus):
+    for name, entries in _writer_cases(corpus).items():
+        assert _write_zip(entries) == write_zip_reference(entries), name
+
+
+@pytest.mark.parametrize("limit", ["ZIP_FILECOUNT_LIMIT", "ZIP64_LIMIT"])
+def test_zip64_end_record_matches_the_zipfile_writer(monkeypatch, limit):
+    # past 65535 entries, or a central directory past 2 GiB, zipfile adds the
+    # zip64 end record; lowered limits show the same bytes on small archives
+    entries = [(f"resources/{i:03d}", random.Random(i).randbytes(300)) for i in range(5)]
+    value = {"ZIP_FILECOUNT_LIMIT": 3, "ZIP64_LIMIT": 1500}[limit]
+    monkeypatch.setattr(zipfile, limit, value)
+    monkeypatch.setattr(container, f"_{limit}", value)
+    data = _write_zip(entries)
+    assert b"PK\x06\x06" in data
+    assert data == write_zip_reference(entries)
+    assert read_container_entries(data) == read_zip_reference(data)
+
+
+def test_entry_that_needs_zip64_fields_is_refused(monkeypatch):
+    monkeypatch.setattr(container, "_ZIP64_LIMIT", 1000)
+    for entries in ([("resources/big", bytes(960))], [(f"resources/{i}", bytes(200)) for i in range(6)]):
+        with pytest.raises(ContainerError) as exc:
+            _write_zip(entries)
+        assert exc.value.code == "ArchiveTooLarge"
+
+
+def test_reader_agrees_with_zipfile_on_mutated_archives():
+    # never accepts what zipfile refuses, and reads what both accept alike
+    make = bench_workloads()._generated_container
+    sources = [make(random.Random(seed), n, "g", 3) for seed, n in ((1, 10), (2, 10), (3, 100))]
+    rng = random.Random(0)
+    accepted = 0
+    for i in range(1200):
+        data = bytearray(sources[i % 3])
+        for _ in range(rng.randint(1, 4)):
+            data[rng.randrange(len(data))] ^= rng.randrange(1, 256)
+        data = bytes(data)
+        try:
+            reference = read_zip_reference(data)
+        except Exception:
+            reference = None
+        try:
+            entries = read_container_entries(data)
+        except ContainerError:
+            continue
+        assert entries == reference, i
+        accepted += 1
+    assert accepted > 50
+
+
+def _one_entry(
+    body: bytes, size: int, crc: int, method: int = 8, flags: int = 0, local_name: bytes = b"a.txt", zip64_size: int = 0
+) -> bytes:
+    """An archive of one file entry a.txt with the given raw fields; with
+    ``zip64_size`` the central directory declares that size in a zip64
+    extra field."""
+
+    extra = struct.pack("<HHQ", 1, 8, zip64_size) if zip64_size else b""
+    fields = (flags, method, 0, 0x21, crc, len(body), 0xFFFFFFFF if zip64_size else size)
+    local = struct.pack("<4s2B4HL2L2H", b"PK\x03\x04", 20, 0, *fields, len(local_name), 0) + local_name + body
+    central = struct.pack("<4s4B4HL2L5H2L", b"PK\x01\x02", 20, 3, 20, 0, *fields, 5, len(extra), 0, 0, 0, 0o644 << 16, 0)
+    central += b"a.txt" + extra
+    return local + central + struct.pack("<4s4H2LH", b"PK\x05\x06", 0, 0, 1, 1, len(central), len(local), 0)
+
+
+_TEXT = b"the midpoints of a quadrilateral form a parallelogram\n" * 8
+
+
+def _deflated(data: bytes, end: bool = True) -> bytes:
+    deflater = zlib.compressobj(6, zlib.DEFLATED, -15)
+    return deflater.compress(data) + deflater.flush(zlib.Z_FINISH if end else zlib.Z_SYNC_FLUSH)
+
+
+def test_one_entry_archive_reads():
+    data = _one_entry(_deflated(_TEXT), len(_TEXT), zlib.crc32(_TEXT))
+    assert read_container_entries(data) == read_zip_reference(data) == [("a.txt", _TEXT)]
+
+
+@pytest.mark.parametrize(
+    "fields, reason",
+    [
+        # zipfile reads the first two: it stops at the end of the stream or
+        # of the compressed bytes and checks the CRC of what it got
+        (dict(body=_deflated(_TEXT), size=len(_TEXT) + 1), "432 bytes where 433 are declared"),
+        (dict(body=_deflated(_TEXT, end=False)), "deflate stream does not end"),
+        (dict(body=_deflated(_TEXT), size=len(_TEXT) - 1), "432 bytes where 431 are declared"),
+        (dict(body=_TEXT, method=0, size=len(_TEXT) + 1), "432 bytes where 433 are declared"),
+        (dict(body=_deflated(_TEXT), zip64_size=2**64 - 1), f"432 bytes where {2**64 - 1} are declared"),
+        (dict(body=_deflated(_TEXT), crc=0), "bad CRC-32"),
+        (dict(body=b"\xff" + _deflated(_TEXT)), "invalid block type"),
+        (dict(body=bz2.compress(_TEXT), method=12), "unsupported compression method 12"),
+        (dict(body=lzma.compress(_TEXT, format=lzma.FORMAT_ALONE), method=14), "unsupported compression method 14"),
+        (dict(body=_deflated(_TEXT), flags=0x1), "encrypted or patched"),
+        (dict(body=_deflated(_TEXT), flags=0x20), "encrypted or patched"),
+        (dict(body=_deflated(_TEXT), flags=0x40), "encrypted or patched"),
+        (dict(body=_deflated(_TEXT), local_name=b"b.txt"), "local header names another entry"),
+    ],
+    ids=[
+        "declared_size_too_large",
+        "no_end_marker",
+        "declared_size_too_small",
+        "stored_size_mismatch",
+        "zip64_size_past_any_buffer",
+        "bad_crc",
+        "corrupt_deflate",
+        "bzip2",
+        "lzma",
+        "encrypted",
+        "patched",
+        "strong_encryption",
+        "local_name",
+    ],
+)
+def test_unreadable_entry_is_malformed_zip(request, fields, reason):
+    fields = {"size": len(_TEXT), "crc": zlib.crc32(_TEXT), **fields}
+    data = _one_entry(**fields)
+    if request.node.callspec.id in ("declared_size_too_large", "no_end_marker"):
+        assert read_zip_reference(data) == [("a.txt", _TEXT)]
+    with pytest.raises(ContainerError) as exc:
+        read_container_entries(data)
+    assert exc.value.code == "MalformedZip"
+    assert str(exc.value).startswith("MalformedZip: cannot read entry 'a.txt': ") and reason in str(exc.value)
+    assert [v.code for v in validate_container(data)] == ["MalformedZip"]
+
+
+def test_inflation_stops_at_the_declared_size():
+    # a small archive whose entry inflates to 20 MB but declares 10 bytes
+    zeros = bytes(20_000_000)
+    data = _one_entry(_deflated(zeros), 10, zlib.crc32(zeros[:10]))
+    assert len(data) < 30_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContainerError, match="does not end within the declared size"):
+            read_container_entries(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_entry_before_the_archive_start_is_malformed_zip():
+    # a central directory offset 100 past its place puts the local header
+    # 100 bytes before the start of the archive
+    data = _write_zip([("b.txt", b"text")])
+    offset = struct.unpack("<L", data[-6:-2])[0]
+    moved = data[:-6] + struct.pack("<L", offset + 100) + data[-2:]
+    with pytest.raises(ContainerError, match="'b.txt': no local header at offset -100"):
+        read_container_entries(moved)
+
+
+@pytest.mark.parametrize("cut", [10, 40, 100])
+def test_truncated_entry_is_malformed_zip(corpus_containers, cut):
+    # the central directory survives; the local header or data it points at
+    # is cut off
+    data = corpus_containers["varignon"]
+    info = zipfile.ZipFile(io.BytesIO(data)).getinfo("construction/intergeo.xml")
+    start = info.header_offset + cut
+    size, offset = struct.unpack("<LL", data[-10:-2])
+    cut_data = data[:start] + data[offset : offset + size] + data[-22:-6] + struct.pack("<LH", start, 0)
+    with pytest.raises(ContainerError) as exc:
+        read_container_entries(cut_data)
+    assert exc.value.code == "MalformedZip" and "'construction/intergeo.xml'" in str(exc.value)
+
+
+def test_comment_and_prepended_bytes_still_read(corpus_containers):
+    data = corpus_containers["varignon_attempts"]
+    entries = read_container_entries(data)
+    commented = data[:-2] + struct.pack("<H", 9) + b"a comment"
+    prepended = b"#!/bin/sh\nexit 0\n" + data
+    for variant in (commented, prepended):
+        assert read_container_entries(variant) == entries == read_zip_reference(variant)

@@ -205,15 +205,30 @@ def test_free_point_that_is_not_finite_is_degenerate(bad):
     assert exc.value.step_id == "B"
 
 
+def _trial_draws(problem, trials, coord_range):
+    """The free assignments of the first ``trials`` trials of a check at
+    seed 0, at any range."""
+
+    free_ids = problem.construction.free_point_ids()
+    gen = _SplitMix64(0)
+    for _ in range(trials):
+        yield dict(zip(free_ids, gen.next_points(len(free_ids), coord_range)))
+
+
 @pytest.mark.parametrize(
     "name,coord_range",
     [("varignon", 1e160), ("perpendicular_foot", 1e155), ("parallel_transport", 1e155)],
 )
 def test_step_that_overflows_is_degenerate(corpus, name, coord_range):
     # these theorems were FALSIFIED on lines with a NaN offset, or raised
-    # ZeroDivisionError on a line of zero norm
-    report = check_conjecture(corpus[name], 50, 0, coord_range=coord_range)
-    assert (report.verdict, report.samples_degenerate) == (Verdict.VACUOUS, 50)
+    # ZeroDivisionError on a line of zero norm; the checker now refuses the
+    # range, and each of the 50 trials it used to run is a degenerate step
+    problem = corpus[name]
+    with pytest.raises(ValueError, match=r"<= 2\*\*500"):
+        check_conjecture(problem, 50, 0, coord_range=coord_range)
+    for assignment in _trial_draws(problem, 50, coord_range):
+        with pytest.raises(DegenerateStep, match="coordinates are not finite"):
+            instantiate(problem.construction, assignment)
 
 
 @pytest.mark.parametrize(
@@ -221,13 +236,13 @@ def test_step_that_overflows_is_degenerate(corpus, name, coord_range):
     [("midpoint_thm", 1e154, "segment_ratio A B A M 2.0"), ("triangle_sides", 1e155, "not_parallel A B A C")],
 )
 def test_residual_that_overflows_is_not_a_falsification(corpus, name, coord_range, predicate):
-    # the witness scene at seed 0 is finite, but the predicate's residual
-    # overflows there to a NaN margin, which must not read as false
+    # the scene of trial 0 at seed 0 is finite, but the predicate's residual
+    # overflows there to a NaN margin, which must not read as false; the
+    # checker now refuses the range, so no check reaches this scene
     problem = corpus[name]
-    report = check_conjecture(problem, 50, 0, coord_range=coord_range)
-    assert report.verdict is not Verdict.FALSIFIED
-    assert report.samples_degenerate > 0
-    scene = instantiate(problem.construction, sample_free_points(problem.construction, 0, coord_range))
+    with pytest.raises(ValueError, match=r"<= 2\*\*500"):
+        check_conjecture(problem, 50, 0, coord_range=coord_range)
+    scene = instantiate(problem.construction, next(_trial_draws(problem, 1, coord_range)))
     failing = next(p for p in problem.conjecture.conclusion if predicate_text(p) == predicate)
     with pytest.raises(DegeneratePredicateError, match="residual is not finite"):
         eval_predicate(scene, failing)
@@ -413,7 +428,7 @@ def test_no_free_points_empty_map():
     assert sample_free_points(k, 7, 5.0) == {}
 
 
-@pytest.mark.parametrize("coord_range", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("coord_range", [0.0, -1.0, math.nan, math.inf, math.nextafter(2.0**500, math.inf), 1e155])
 @pytest.mark.parametrize(
     "draw",
     [
@@ -425,6 +440,13 @@ def test_no_free_points_empty_map():
 def test_bad_range_rejected(varignon, draw, coord_range):
     with pytest.raises(ValueError, match="coord_range must be > 0"):
         draw(varignon, coord_range)
+
+
+def test_three_free_points_are_falsified_up_to_the_domain_edge(corpus):
+    # at 1e155, before the domain, the collinear residual overflowed at every
+    # sample and the false conjecture was VACUOUS with 50 degenerate samples
+    report = check_conjecture(corpus["collinear_free"], 50, 0, coord_range=2.0**500)
+    assert report.verdict is Verdict.FALSIFIED
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +465,7 @@ def test_reports_do_not_depend_on_the_draw_block(corpus, monkeypatch):
     # trial i reads outputs [2ni, 2n(i+1)) however many trials a block draws
     problems = [p for p in corpus.values() if p.conjecture is not None and not p.construction.has_opaque()]
     problems += [_generated(100, 0), _generated(100, 1)]
-    cases = [(p, trials, seed, r) for p in problems for trials in (1, 7, 100) for seed in (0, 5) for r in (10.0, 1e308)]
+    cases = [(p, trials, seed, r) for p in problems for trials in (1, 7, 100) for seed in (0, 5) for r in (10.0, 2.0**500)]
     blocked = [repr(check_conjecture(p, trials, seed, coord_range=r)) for p, trials, seed, r in cases]
     monkeypatch.setattr(numeric, "_BLOCK_DRAWS", 1)
     assert [repr(check_conjecture(p, trials, seed, coord_range=r)) for p, trials, seed, r in cases] == blocked
