@@ -384,9 +384,9 @@ def test_pack_digests_are_pinned(corpus_containers):
 
 def _writer_cases(corpus):
     cases = {name: entries_from_problem(p) for name, p in corpus.items()}
+    generate_dsl = bench_workloads().generate_dsl
     for n in (10, 100, 1000):
-        dsl = bench_workloads().generate_dsl(random.Random(n), n, f"generated_{n}")
-        cases[f"generated_{n}"] = entries_from_problem(parse_dsl(dsl))
+        cases[f"generated_{n}"] = entries_from_problem(parse_dsl(generate_dsl(random.Random(n), n, f"generated_{n}")))
     cases["non_ascii"] = [("resources/résumé.txt", b"caf\xc3\xa9"), ("resources/über/", None)]
     cases["empty_file"] = [("resources/empty", b"")]
     cases["256_and_257_bytes"] = [("resources/a", bytes(range(256))), ("resources/b", bytes(range(256)) + b"!")]
