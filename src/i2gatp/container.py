@@ -85,16 +85,18 @@ _DEFLATE_LEVEL = 6
 _LOCAL_HEADER = struct.Struct("<4s2B4HL2L2H")
 _CENTRAL_HEADER = struct.Struct("<4s4B4HL2L5H2L")
 _END_RECORD = struct.Struct("<4s4H2LH")
+_ZIP64_OFFSET = struct.Struct("<2HQ")  # extra field 1 holding only the header offset
 _ZIP64_END_RECORD = struct.Struct("<4sQ2H2L4Q")
 _ZIP64_LOCATOR = struct.Struct("<4sLQL")
 _VERSION = 20
+_ZIP64_VERSION = 45
 _UNIX = 3
 _DOS_DATE = 0x0021
 _UTF8_NAME = 0x800
 _FILE_ATTR = 0o644 << 16
 _DIR_ATTR = (0o40755 << 16) | 0x10
 _STORED, _DEFLATED = 0, 8
-_ZIP64_LIMIT = (1 << 31) - 1  # past it an entry would need zip64 fields
+_ZIP64_LIMIT = (1 << 31) - 1  # past it a size or offset needs zip64 fields
 _ZIP_FILECOUNT_LIMIT = (1 << 16) - 1  # past it the end record is zip64's
 _UNSUPPORTED_FLAGS = 0x61  # encrypted (bit 0), patched (5), strong encryption (6)
 
@@ -128,11 +130,20 @@ def _write_zip(entries: list[Entry]) -> bytes:
             if size > _DEFLATE_THRESHOLD:
                 deflater = zlib.compressobj(_DEFLATE_LEVEL, zlib.DEFLATED, -15)
                 method, body = _DEFLATED, deflater.compress(data) + deflater.flush()
-        if offset > _ZIP64_LIMIT or size * 1.05 > _ZIP64_LIMIT:
-            raise ContainerError("ArchiveTooLarge", f"entry {name!r} would need zip64 fields")
-        fields = (flags, method, 0, _DOS_DATE, crc, len(body), size, len(raw), 0)
-        parts += (_LOCAL_HEADER.pack(b"PK\x03\x04", _VERSION, 0, *fields), raw, body)
-        central.append(_CENTRAL_HEADER.pack(b"PK\x01\x02", _VERSION, _UNIX, _VERSION, 0, *fields, 0, 0, 0, attr, offset) + raw)
+        if size * 1.05 > _ZIP64_LIMIT:
+            raise ContainerError("ArchiveTooLarge", f"entry {name!r} would need zip64 size fields")
+        fields = (flags, method, 0, _DOS_DATE, crc, len(body), size, len(raw))
+        parts += (_LOCAL_HEADER.pack(b"PK\x03\x04", _VERSION, 0, *fields, 0), raw, body)
+        if offset > _ZIP64_LIMIT:
+            # as zipfile does: the offset moves into a zip64 extra field
+            version, extra, header_offset = _ZIP64_VERSION, _ZIP64_OFFSET.pack(1, 8, offset), 0xFFFFFFFF
+        else:
+            version, extra, header_offset = _VERSION, b"", offset
+        central.append(
+            _CENTRAL_HEADER.pack(b"PK\x01\x02", version, _UNIX, version, 0, *fields, len(extra), 0, 0, 0, attr, header_offset)
+            + raw
+            + extra
+        )
         offset += _LOCAL_HEADER.size + len(raw) + len(body)
     count = len(central)
     central_size = sum(map(len, central))
@@ -156,12 +167,21 @@ def read_container_entries(data: bytes) -> list[Entry]:
     try:
         with zipfile.ZipFile(io.BytesIO(data)) as zf:
             infos = zf.infolist()
+            central_start = zf.start_dir
     except _UNREADABLE as exc:
         raise ContainerError("MalformedZip", str(exc)) from exc
+    # an entry's data must end by the next local header, or by the central
+    # directory for the last one; the order of entries sharing an offset is
+    # zipfile's, so this refuses what zipfile refuses as overlapped
+    ends = [0] * len(infos)
+    end = central_start
+    for i in sorted(range(len(infos)), key=lambda i: infos[i].header_offset, reverse=True):
+        ends[i] = end
+        end = infos[i].header_offset
     view = memoryview(data)
     entries: list[Entry] = []
     seen: set[str] = set()
-    for info in infos:
+    for info, end in zip(infos, ends):
         name = info.orig_filename
         dir_entry = name.endswith("/")
         if not is_safe_relative_path(name[:-1] if dir_entry else name):
@@ -169,13 +189,14 @@ def read_container_entries(data: bytes) -> list[Entry]:
         if name in seen:
             raise ContainerError("DuplicateEntry", f"duplicate entry {name!r}")
         seen.add(name)
-        entries.append((name, None if dir_entry else _entry_data(view, info)))
+        entries.append((name, None if dir_entry else _entry_data(view, info, end)))
     return entries
 
 
-def _entry_data(data: memoryview, info: zipfile.ZipInfo) -> bytes:
+def _entry_data(data: memoryview, info: zipfile.ZipInfo, end: int) -> bytes:
     """The content of a file entry, read from its local header on; it must
-    be stored or deflated, end where its sizes say, and match its CRC-32."""
+    be stored or deflated, end where its sizes say and by offset ``end``,
+    and match its CRC-32."""
 
     def malformed(reason: str) -> ContainerError:
         return ContainerError("MalformedZip", f"cannot read entry {info.orig_filename!r}: {reason}")
@@ -197,6 +218,8 @@ def _entry_data(data: memoryview, info: zipfile.ZipInfo) -> bytes:
     if info.flag_bits & _UNSUPPORTED_FLAGS:
         raise malformed("encrypted or patched")
     start += name_len + extra_len
+    if start + info.compress_size > end:
+        raise malformed("overlaps the next entry or the central directory")
     body = data[start : start + info.compress_size]
     if info.compress_type == _STORED:
         content = bytes(body)

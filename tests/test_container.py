@@ -413,12 +413,23 @@ def test_zip64_end_record_matches_the_zipfile_writer(monkeypatch, limit):
     assert read_container_entries(data) == read_zip_reference(data)
 
 
+def test_header_past_the_zip64_limit_matches_the_zipfile_writer(monkeypatch):
+    # zipfile moves a header offset past 2 GiB into a zip64 extra field of
+    # the central directory; a lowered limit shows the same bytes
+    entries = [(f"resources/{i}", random.Random(i).randbytes(200)) for i in range(6)]
+    monkeypatch.setattr(zipfile, "ZIP64_LIMIT", 1000)
+    monkeypatch.setattr(container, "_ZIP64_LIMIT", 1000)
+    data = _write_zip(entries)
+    assert struct.pack("<2HQ", 1, 8, zipfile.ZipFile(io.BytesIO(data)).getinfo("resources/5").header_offset) in data
+    assert data == write_zip_reference(entries)
+    assert read_container_entries(data) == read_zip_reference(data) == [("resources/", None), *entries]
+
+
 def test_entry_that_needs_zip64_fields_is_refused(monkeypatch):
     monkeypatch.setattr(container, "_ZIP64_LIMIT", 1000)
-    for entries in ([("resources/big", bytes(960))], [(f"resources/{i}", bytes(200)) for i in range(6)]):
-        with pytest.raises(ContainerError) as exc:
-            _write_zip(entries)
-        assert exc.value.code == "ArchiveTooLarge"
+    with pytest.raises(ContainerError) as exc:
+        _write_zip([("resources/big", bytes(960))])
+    assert exc.value.code == "ArchiveTooLarge"
 
 
 def test_reader_agrees_with_zipfile_on_mutated_archives():
@@ -543,6 +554,44 @@ def test_entry_before_the_archive_start_is_malformed_zip():
     moved = data[:-6] + struct.pack("<L", offset + 100) + data[-2:]
     with pytest.raises(ContainerError, match="'b.txt': no local header at offset -100"):
         read_container_entries(moved)
+
+
+def _local_record(name: bytes, body: bytes) -> bytes:
+    """A local header and the data of a stored file entry."""
+
+    fields = (0, 0, 0, 0x21, zlib.crc32(body), len(body), len(body), len(name), 0)
+    return struct.pack("<4s2B4HL2L2H", b"PK\x03\x04", 20, 0, *fields) + name + body
+
+
+def test_overlapping_entries_are_malformed_zip():
+    # a.txt's stored data is b.txt's whole local record, and the central
+    # directory points b.txt into it: a quoted overlap, the shape of a zip
+    # bomb whose output grows with the square of its entry count.  zipfile
+    # refuses it only from the patch releases that carry CPython gh-109858
+    inner = _local_record(b"b.txt", _TEXT)
+    outer = _local_record(b"a.txt", inner)
+    central = b""
+    for name, body, offset in ((b"a.txt", inner, 0), (b"b.txt", _TEXT, len(outer) - len(inner))):
+        fields = (0, 0, 0, 0x21, zlib.crc32(body), len(body), len(body), len(name), 0, 0, 0, 0, 0o644 << 16, offset)
+        central += struct.pack("<4s4B4HL2L5H2L", b"PK\x01\x02", 20, 3, 20, 0, *fields) + name
+    data = outer + central + struct.pack("<4s4H2LH", b"PK\x05\x06", 0, 0, 2, 2, len(central), len(outer), 0)
+    with pytest.raises(ContainerError) as exc:
+        read_container_entries(data)
+    assert exc.value.code == "MalformedZip"
+    assert "'a.txt': overlaps the next entry or the central directory" in str(exc.value)
+
+
+def test_entry_running_into_the_central_directory_is_malformed_zip():
+    # the deflate stream ends where it should, but the declared compressed
+    # size takes in ten bytes of the central directory (gh-109858 again)
+    data = _write_zip([("a.txt", _TEXT)])
+    field = data.index(b"PK\x01\x02") + 20
+    (size,) = struct.unpack_from("<L", data, field)
+    data = data[:field] + struct.pack("<L", size + 10) + data[field + 4 :]
+    with pytest.raises(ContainerError) as exc:
+        read_container_entries(data)
+    assert exc.value.code == "MalformedZip"
+    assert "'a.txt': overlaps the next entry or the central directory" in str(exc.value)
 
 
 @pytest.mark.parametrize("cut", [10, 40, 100])
