@@ -22,7 +22,9 @@ import struct
 import sys
 import zipfile
 import zlib
+from collections import Counter
 from dataclasses import replace
+from typing import NamedTuple
 
 from .errors import ContainerError
 from .model import (
@@ -287,72 +289,84 @@ def entries_from_problem(problem: Problem) -> list[Entry]:
     return sorted(entries, key=lambda e: e[0])
 
 
+class _Layout(NamedTuple):
+    files: dict[str, bytes]
+    dirs: set[str]
+    proof_dirs: dict[str, dict[str, bytes]]
+    attempts: dict[str, dict[str, bytes]]
+    duplicates: list[str]
+
+
+def _sort_entries(entries: list[Entry]) -> _Layout:
+    """The one reading of the container layout: the files by path; every
+    directory, listed or implied by an entry below it; for each directory
+    directly under proofs/, by name and in name order, its files by their
+    path inside it; the attempts among those directories (named by
+    ``PROOF_DIR_RE``, with a proofInfo.xml directly inside); and the paths
+    given more than once, of which the last entry is read."""
+
+    files: dict[str, bytes] = {}
+    dirs: set[str] = set()
+    for name, data in entries:
+        if data is not None:
+            files[name] = data
+        # the entry's own directory, then its parents up to the first one seen
+        path = name[: name.rfind("/") + 1]
+        while path and path not in dirs:
+            dirs.add(path)
+            path = path[: path.rfind("/", 0, -1) + 1]
+    proof_dirs = {d[len("proofs/") : -1]: {} for d in sorted(dirs) if d.startswith("proofs/") and d.count("/") == 2}
+    for name, data in files.items():
+        if name.startswith("proofs/"):
+            dirname, _, inner = name[len("proofs/") :].partition("/")
+            if inner:
+                proof_dirs[dirname][inner] = data
+    attempts = {d: group for d, group in proof_dirs.items() if PROOF_DIR_RE.match(d) and PROOF_INFO_NAME in group}
+    duplicates = [name for name, count in Counter(name for name, _ in entries).items() if count > 1]
+    return _Layout(files, dirs, proof_dirs, attempts, duplicates)
+
+
 def problem_from_entries(entries: list[Entry]) -> Problem:
     """Build a problem from container entries (inverse of
     :func:`entries_from_problem` up to canonical order).
 
     Lenient about extras: unknown files under known directories and unknown
-    top-level entries are carried as resources; proof directories without a
-    proofInfo.xml are carried file-by-file.  Strict about the essentials:
-    construction/intergeo.xml must exist and nested documents must parse.
+    top-level entries are carried as resources; proof directories that hold
+    no attempt are carried file-by-file.  Strict about the essentials: no
+    path twice, construction/intergeo.xml must exist and nested documents
+    must parse.
     """
 
-    files: dict[str, bytes] = {}
-    for name, data in entries:
-        if data is None:
-            continue
-        if name in files:
-            raise ContainerError("DuplicateEntry", f"duplicate entry {name!r}")
-        files[name] = data
-
+    layout = _sort_entries(entries)
+    if layout.duplicates:
+        raise ContainerError("DuplicateEntry", f"duplicate entry {layout.duplicates[0]!r}")
+    files = layout.files
     if INTERGEO_PATH not in files:
         raise ContainerError("MissingIntergeo", f"container lacks {INTERGEO_PATH}")
 
     construction = parse_construction(files.pop(INTERGEO_PATH))
-    info = None
-    if INFORMATION_PATH in files:
-        info = parse_information(files.pop(INFORMATION_PATH))
-    conjecture = None
-    if CONJECTURE_PATH in files:
-        conjecture = parse_conjecture(files.pop(CONJECTURE_PATH))
+    info = parse_information(files.pop(INFORMATION_PATH)) if INFORMATION_PATH in files else None
+    conjecture = parse_conjecture(files.pop(CONJECTURE_PATH)) if CONJECTURE_PATH in files else None
+    proofs: list[ProofAttempt] = []
+    for dirname, group in layout.attempts.items():
+        for inner in group:
+            del files[f"proofs/{dirname}/{inner}"]
+        attempt = parse_proof_info(group.pop(PROOF_INFO_NAME))
+        proofs.append(replace(attempt, outputs=tuple(sorted(group.items()))))
 
-    proof_groups: dict[str, dict[str, bytes]] = {}
     resources: list[tuple[str, bytes]] = []
     metadata: list[tuple[str, bytes]] = []
     private: list[tuple[str, bytes]] = []
     for path in sorted(files):
-        data = files[path]
-        if path.startswith("metadata/"):
-            metadata.append((path, data))
-        elif path.startswith("private/"):
-            private.append((path, data))
-        elif path.startswith("proofs/"):
-            rest = path[len("proofs/") :]
-            dirname, _, inner = rest.partition("/")
-            if inner and PROOF_DIR_RE.match(dirname):
-                proof_groups.setdefault(dirname, {})[inner] = data
-            else:
-                resources.append((path, data))
-        else:
-            resources.append((path, data))
-
-    proofs: list[ProofAttempt] = []
-    for dirname in sorted(proof_groups):
-        group = proof_groups[dirname]
-        if PROOF_INFO_NAME not in group:
-            for inner in sorted(group):
-                resources.append((f"proofs/{dirname}/{inner}", group[inner]))
-            continue
-        attempt = parse_proof_info(group.pop(PROOF_INFO_NAME))
-        proofs.append(replace(attempt, outputs=tuple((inner, group[inner]) for inner in sorted(group))))
-
+        section = metadata if path.startswith("metadata/") else private if path.startswith("private/") else resources
+        section.append((path, files[path]))
     return canonicalize_problem(
         Problem(
             construction=construction,
             info=info,
             conjecture=conjecture,
             proofs=tuple(proofs),
-            resources=tuple(sorted(resources)),
+            resources=tuple(resources),
             metadata=tuple(metadata),
             private=tuple(private),
         )
@@ -419,19 +433,16 @@ def add_proof_attempt(data: bytes, attempt: ProofAttempt) -> bytes:
 
     _refuse_invalid("attempt", validate_attempt(attempt))
     entries = read_container_entries(data)
+    layout = _sort_entries(entries)
     new_dir = f"proofs/{attempt.directory_name}/"
-    if any(name.startswith(new_dir) for name, _ in entries):
+    if attempt.directory_name in layout.proof_dirs:
         raise ContainerError("DuplicateAttempt", f"directory {new_dir!r} already present")
-    for name, content in entries:
-        if content is None or not name.startswith("proofs/") or not name.endswith("/" + PROOF_INFO_NAME):
-            continue
+    for group in layout.attempts.values():
         # an invalid attempt still has an identity; only an unreadable one has none
-        other = _read(DocumentKind.PROOF_INFO, content)[0]
+        other = _read(DocumentKind.PROOF_INFO, group[PROOF_INFO_NAME])[0]
         if other is not None and other.identity == attempt.identity:
-            raise ContainerError(
-                "DuplicateAttempt",
-                f"attempt {attempt.prover}/{attempt.version}/{attempt.method} already present",
-            )
+            identity = f"{attempt.prover}/{attempt.version}/{attempt.method}"
+            raise ContainerError("DuplicateAttempt", f"attempt {identity} already present")
     added: list[Entry] = [(new_dir + PROOF_INFO_NAME, _write_proof_info(attempt))]
     added.extend((new_dir + name, out_data) for name, out_data in attempt.outputs)
     return _write_zip(entries + added)
@@ -470,37 +481,28 @@ def validate_container(data: bytes, i2g: bool = False) -> list[Violation]:
 
 def validate_entries(entries: list[Entry], i2g: bool = False) -> list[Violation]:
     """validate_container over already-extracted entries (e.g. a directory
-    tree mirroring the container layout)."""
+    tree mirroring the container layout), whose paths no zip reader has
+    checked; a path given twice is ``DuplicateEntry``."""
 
-    out: list[Violation] = []
-    for name, content in entries:
-        check = name[:-1] if name.endswith("/") else name
-        if not is_safe_relative_path(check):
-            out.append(Violation("BadPath", name, f"unsafe entry path {name!r}"))
-            return out
-
-    files: dict[str, bytes] = {}
-    prefixes: set[str] = set()
-    for name, content in entries:
-        if content is None:
-            prefixes.add(name)
-        else:
-            files[name] = content
-            for parent in _parent_dirs(name):
-                prefixes.add(parent)
+    for name, _content in entries:
+        if not is_safe_relative_path(name[:-1] if name.endswith("/") else name):
+            return [Violation("BadPath", name, f"unsafe entry path {name!r}")]
+    layout = _sort_entries(entries)
+    files = layout.files
+    out = [Violation("DuplicateEntry", name, f"entry {name!r} is given more than once") for name in layout.duplicates]
 
     if i2g:
         if "intergeo.xml" not in files:
             out.append(Violation("MissingIntergeo", "intergeo.xml", "i2g container lacks a root intergeo.xml"))
         else:
             _read_entry(out, DocumentKind.CONSTRUCTION, "intergeo.xml", files["intergeo.xml"])
-        for name in sorted(files) + sorted(prefixes):
+        for name in sorted(files) + sorted(layout.dirs):
             if name.startswith(EXTENSION_DIRS):
                 out.append(Violation("UnexpectedEntry", name, "extension directories must be stripped from an i2g container"))
         return out
 
     for d in MANDATORY_DIRS:
-        if d not in prefixes:
+        if d not in layout.dirs:
             out.append(Violation("MissingMandatoryDir", d, f"mandatory directory {d!r} is absent"))
     construction = None
     if INTERGEO_PATH not in files:
@@ -515,38 +517,25 @@ def validate_entries(entries: list[Entry], i2g: bool = False) -> list[Violation]
     if CONJECTURE_PATH in files:
         _read_entry(out, DocumentKind.CONJECTURE, CONJECTURE_PATH, files[CONJECTURE_PATH], construction)
 
-    proof_dirs = sorted(
-        {p[len("proofs/") :].split("/", 1)[0] for p in (set(files) | prefixes) if p.startswith("proofs/") and p != "proofs/"}
-    )
     triples_seen: set[tuple[str, str, str]] = set()
-    for dirname in proof_dirs:
+    for dirname in layout.proof_dirs:
         dir_path = f"proofs/{dirname}/"
         if not PROOF_DIR_RE.match(dirname):
             out.append(Violation("BadProofDirName", dir_path, "proof directories are named proof<GATP><Version><Method>"))
             continue
-        info_path = dir_path + PROOF_INFO_NAME
-        if info_path not in files:
+        if dirname not in layout.attempts:
             continue  # proofInfo.xml itself is optional
+        info_path = dir_path + PROOF_INFO_NAME
         attempt = _read_entry(out, DocumentKind.PROOF_INFO, info_path, files[info_path])
         if attempt is None:
             continue
         if attempt.identity in triples_seen:
-            out.append(
-                Violation(
-                    "DuplicateAttempt",
-                    info_path,
-                    f"attempt {attempt.prover}/{attempt.version}/{attempt.method} appears in more than one directory",
-                )
-            )
+            message = f"attempt {attempt.prover}/{attempt.version}/{attempt.method} appears in more than one directory"
+            out.append(Violation("DuplicateAttempt", info_path, message))
         triples_seen.add(attempt.identity)
         if attempt.directory_name != dirname:
-            out.append(
-                Violation(
-                    "DirNameMismatch",
-                    dir_path,
-                    f"directory named {dirname!r} but proofInfo.xml identifies {attempt.directory_name!r}",
-                )
-            )
+            message = f"directory named {dirname!r} but proofInfo.xml identifies {attempt.directory_name!r}"
+            out.append(Violation("DirNameMismatch", dir_path, message))
 
     for name in sorted(files):
         top = name.split("/", 1)[0] + "/"
@@ -554,6 +543,8 @@ def validate_entries(entries: list[Entry], i2g: bool = False) -> list[Violation]
             out.append(Violation("UnknownEntry", name, f"unknown top-level directory {top!r}"))
         elif "/" not in name:
             out.append(Violation("UnknownEntry", name, "loose file at container root"))
-        elif top in ("information/", "conjecture/") and name not in (INFORMATION_PATH, CONJECTURE_PATH):
+        elif (top in ("information/", "conjecture/") and name not in (INFORMATION_PATH, CONJECTURE_PATH)) or (
+            top == "proofs/" and name.count("/") == 1
+        ):
             out.append(Violation("UnknownEntry", name, f"unexpected file under {top}"))
     return out

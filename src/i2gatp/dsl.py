@@ -23,6 +23,7 @@ import math
 import re
 
 from .errors import (
+    CodecError,
     DegenerateInitialInstance,
     DegenerateStep,
     DslSyntaxError,
@@ -56,6 +57,7 @@ from .model import (
     check_term_depth,
     format_number,
     predicate_point_ids,
+    validate_construction,
 )
 from .numeric import instantiate
 
@@ -356,9 +358,10 @@ def _step_text(name: str, c: Constraint) -> str:
 def emit_dsl(problem: Problem) -> str:
     """Canonical DSL text; parse_dsl is its inverse within DSL coverage.
     A term deeper than MAX_TERM_DEPTH, which parse_dsl refuses, raises
-    CodecError."""
+    CodecError, and so does a free point with no point instance, carrying
+    the violation that validate_construction reports for its step."""
 
-    coords = {e.id: e.coords for e in problem.construction.elements}
+    points = {e.id: e.coords for e in problem.construction.elements if e.kind is GeoKind.POINT}
     lines: list[str] = []
     if problem.info is not None:
         lines.append(f"% name: {problem.info.name}")
@@ -366,11 +369,15 @@ def emit_dsl(problem: Problem) -> str:
             lines.append(f"% description: {' '.join(problem.info.description.split())}")
         for kw in problem.info.keywords:
             lines.append(f"% keyword: {' '.join(kw.split())}")
-    for c in problem.construction.constraints:
+    for i, c in enumerate(problem.construction.constraints):
         if c.kind is ConstraintKind.OPAQUE:
             raise OpaqueConstraintError(c.output)
         if c.kind is ConstraintKind.FREE_POINT:
-            x, y = coords[c.output][:2]
+            if c.output not in points:
+                step = f"/construction/constraints/{c.kind.value}[{i}]"
+                faults = validate_construction(problem.construction)
+                raise CodecError([v for v in faults if v.path == step and v.code in ("MissingElement", "KindMismatch")])
+            x, y = points[c.output][:2]
             lines.append(f"point {c.output} {format_number(x)} {format_number(y)}")
         else:
             lines.append(_step_text(_STATEMENT_KEYWORDS[c.kind], c))

@@ -271,3 +271,14 @@ def test_importing_the_cli_leaves_numpy_out():
     code = "import sys, i2gatp, i2gatp.cli; sys.exit('numpy' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr or "numpy was imported"
+
+
+@pytest.mark.parametrize("command", ["validate", "pack"])
+def test_unsafe_path_in_a_tree_is_bad_path(tmp_path, varignon_zip, capsys, command):
+    # a tree is checked only by validate_entries: no zip reader sees its paths
+    tree = tmp_path / "tree"
+    assert main(["unpack", str(varignon_zip), "--out", str(tree)]) == 0
+    (tree / "construction" / "a\\b").write_bytes(b"x")
+    capsys.readouterr()
+    assert main([command, str(tree)]) == 1
+    assert capsys.readouterr().out == "BadPath construction/a\\b unsafe entry path 'construction/a\\\\b'\n"

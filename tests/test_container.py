@@ -11,10 +11,13 @@ import random
 import re
 import struct
 import tracemalloc
+import warnings
 import zipfile
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from i2gatp import container
 from i2gatp.cli import main
@@ -24,11 +27,13 @@ from i2gatp.container import (
     canonicalize_container,
     entries_from_problem,
     pack,
+    problem_from_entries,
     read_container_entries,
     strip_to_i2g,
     suggested_filename,
     unpack,
     validate_container,
+    validate_entries,
 )
 from i2gatp.dsl import parse_dsl
 from i2gatp.errors import ContainerError, I2gatpError
@@ -37,12 +42,25 @@ from i2gatp.model import (
     Conjecture,
     ProofAttempt,
     ProofStatus,
+    Violation,
     canonicalize_problem,
     validate_problem,
 )
+from i2gatp.xml_codec import serialize_proof_info
 
-from conftest import bench_workloads, corrupt_intergeo, generated_container
+from conftest import MINIMAL_DSL, bench_workloads, corrupt_intergeo, generated_container
 from oracles import read_zip_reference, write_zip_reference
+
+# When a property test fails, hypothesis's pytest plugin imports its patch
+# writer, whose libcst import warns; under filterwarnings = error that turns
+# the failure into an INTERNALERROR which ends the session.  Imported here
+# once, with the warning ignored, a failing property is reported as a failure.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 def _names(data: bytes) -> list[str]:
@@ -615,3 +633,107 @@ def test_comment_and_prepended_bytes_still_read(corpus_containers):
     prepended = b"#!/bin/sh\nexit 0\n" + data
     for variant in (commented, prepended):
         assert read_container_entries(variant) == entries == read_zip_reference(variant)
+
+
+# ---------------------------------------------------------------------------
+# One reading of the layout: which proofInfo.xml files are attempts
+
+
+def _proof_info(prover: str) -> bytes:
+    return serialize_proof_info(ProofAttempt(prover, "1", "m", ProofStatus.PROVED))
+
+
+@pytest.mark.parametrize(
+    "stray, violations",
+    [
+        ("proofs/proofB1m/notes/proofInfo.xml", []),
+        ("proofs/proofInfo.xml", [Violation("UnknownEntry", "proofs/proofInfo.xml", "unexpected file under proofs/")]),
+    ],
+    ids=["prover-output", "loose"],
+)
+def test_proof_info_outside_an_attempt_names_no_attempt(corpus, stray, violations):
+    # add_proof_attempt used to refuse (C, 1, m) here, though unpack listed
+    # only B and validate read only B's proofInfo.xml
+    entries = read_container_entries(pack(corpus["varignon"]))
+    data = _write_zip([*entries, ("proofs/proofB1m/proofInfo.xml", _proof_info("B")), (stray, _proof_info("C"))])
+    assert validate_container(data) == violations
+    assert [a.prover for a in unpack(data).proofs] == ["B"]
+    updated = add_proof_attempt(data, ProofAttempt("C", "1", "m", ProofStatus.PROVED))
+    assert [a.prover for a in unpack(updated).proofs] == ["B", "C"]
+    assert validate_container(updated) == violations
+
+
+@pytest.mark.parametrize("loose", ["proofs/readme.txt", "proofs/proofInfo.xml"])
+def test_loose_file_under_proofs_is_unknown_entry(corpus, loose):
+    # readme.txt was BadProofDirName at proofs/readme.txt/, and a loose
+    # proofInfo.xml passed, as a proof directory that held nothing
+    entries = read_container_entries(pack(corpus["varignon"]))
+    data = _write_zip([*entries, (loose, _proof_info("C"))])
+    assert validate_container(data) == [Violation("UnknownEntry", loose, "unexpected file under proofs/")]
+
+
+@pytest.mark.parametrize("below", [("proofs/proofA1m/", None), ("proofs/proofA1m/out.txt", b"x")], ids=["dir", "file"])
+def test_entry_below_proofs_implies_the_directory(corpus, below):
+    # a directory entry alone used to leave proofs/ missing
+    entries = [e for e in read_container_entries(pack(corpus["varignon"])) if e[0] != "proofs/"]
+    assert validate_entries([*entries, below]) == []
+
+
+def test_validate_entries_reports_a_path_given_twice(corpus):
+    entries = read_container_entries(pack(corpus["varignon"]))
+    twice = [*entries, ("resources/a.txt", b"1"), ("resources/a.txt", b"2")]
+    message = "entry 'resources/a.txt' is given more than once"
+    assert validate_entries(twice) == [Violation("DuplicateEntry", "resources/a.txt", message)]
+    with pytest.raises(ContainerError) as exc:
+        problem_from_entries(twice)
+    assert exc.value.code == "DuplicateEntry"
+
+
+# Paths where a proofInfo.xml, another file or (ending in '/') a directory
+# entry may sit; every proofInfo.xml names its own identity, so validate
+# reports each one it reads as DirNameMismatch
+_LAYOUT_ALPHABET = (
+    "information/",
+    "conjecture/",
+    "proofs/",
+    "proofs/proofA1m/",
+    "proofs/proofA1m/proofInfo.xml",
+    "proofs/proofA1m/out.txt",
+    "proofs/proofB2.0x_y/proofInfo.xml",
+    "proofs/proofB2.0x_y/notes/proofInfo.xml",
+    "proofs/proofC3n/sub/proofInfo.xml",
+    "proofs/proofD4q/proofInfo.xml/",
+    "proofs/proofE5r/",
+    "proofs/proof/proofInfo.xml",
+    "proofs/myattempt/proofInfo.xml",
+    "proofs/myattempt/",
+    "proofs/proofInfo.xml",
+    "proofs/proofZ9q",
+    "proofs/readme.txt",
+    "proofInfo.xml",
+    "resources/proofInfo.xml",
+    "metadata/proofs/proofF6s/proofInfo.xml",
+    "weird/x.txt",
+)
+_ATTEMPT_PATH = re.compile(r"proofs/proof[A-Za-z0-9_.-]+/proofInfo\.xml")
+_MINIMAL_FILES = [e for e in read_container_entries(pack(parse_dsl(MINIMAL_DSL))) if e[1] is not None]
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.sets(st.sampled_from(_LAYOUT_ALPHABET)))
+def test_unpack_validate_and_add_proof_attempt_agree_on_the_attempts(chosen):
+    infos = sorted(p for p in chosen if p.rpartition("/")[2] == "proofInfo.xml")
+    path_of = {(f"Q{i}", "1", "m"): path for i, path in enumerate(infos)}
+    content = {path: _proof_info(prover) for (prover, _, _), path in path_of.items()}
+    data = _rezip(_MINIMAL_FILES + [(p, None if p.endswith("/") else content.get(p, b"x")) for p in sorted(chosen)])
+
+    unpacked = {path_of[a.identity] for a in unpack(data).proofs}
+    read = {v.path + "proofInfo.xml" for v in validate_container(data) if v.code == "DirNameMismatch"}
+    refused = set()
+    for identity, path in path_of.items():
+        try:
+            add_proof_attempt(data, ProofAttempt(*identity, ProofStatus.PROVED))
+        except ContainerError as exc:
+            assert exc.code == "DuplicateAttempt"
+            refused.add(path)
+    assert unpacked == read == refused == {p for p in infos if _ATTEMPT_PATH.fullmatch(p)}

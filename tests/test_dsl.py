@@ -10,6 +10,7 @@ from conftest import VARIGNON_DSL
 from i2gatp.container import pack, unpack
 from i2gatp.dsl import emit_dsl, emit_prover_input, parse_dsl
 from i2gatp.errors import (
+    CodecError,
     DegenerateInitialInstance,
     DslSyntaxError,
     DslUnresolvedId,
@@ -19,7 +20,9 @@ from i2gatp.errors import (
 from i2gatp.model import (
     Conjecture,
     ConstraintKind,
+    ElementInstance,
     Equal,
+    GeoKind,
     MAX_TERM_DEPTH,
     Midpoint,
     SegmentRatio,
@@ -191,3 +194,18 @@ def test_parametric_statements_round_trip(corpus):
 def test_varignon_dsl_source_is_stable():
     p = parse_dsl(VARIGNON_DSL)
     assert emit_dsl(parse_dsl(emit_dsl(p))) == emit_dsl(p)
+
+
+@pytest.mark.parametrize("instance, code", [(None, "MissingElement"), (GeoKind.LINE, "KindMismatch")])
+def test_emit_refuses_a_free_point_without_a_point_instance(varignon, instance, code):
+    # a KeyError escaped with no instance; a line's first two coefficients
+    # were written as the point's coordinates
+    construction = varignon.construction
+    elements = tuple(e for e in construction.elements if e.id != "A")
+    if instance is not None:
+        elements += (ElementInstance("A", instance, (1.0, 2.0, 3.0)),)
+    problem = dataclasses.replace(varignon, construction=dataclasses.replace(construction, elements=elements))
+    with pytest.raises(CodecError) as exc:
+        emit_dsl(problem)
+    assert [(v.code, v.path) for v in exc.value.violations] == [(code, "/construction/constraints/free_point[0]")]
+    assert exc.value.violations[0] in validate_problem(problem)

@@ -6,7 +6,8 @@ list the same children.  So is the construction vocabulary, in
 ``model.ELEMENT_COORDS`` and ``model.CONSTRAINT_SIGNATURES``: the intergeo.xml
 schema, the DSL grammar, the numeric step table and the numeric scene objects
 must agree with them, and the violation catalogue must list exactly
-``model.VIOLATION_CODES``."""
+``model.VIOLATION_CODES``.  The container layout table lists exactly the
+directories that ``container`` knows."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from i2gatp.container import _KNOWN_TOP_DIRS, MANDATORY_DIRS
 from i2gatp.dsl import _STATEMENT_KEYWORDS, emit_prover_input, parse_dsl, predicate_text
 from i2gatp.model import (
     CONSTRAINT_SIGNATURES,
@@ -224,3 +226,11 @@ def test_violation_catalogue_lists_the_codes():
     doc = (DOCS / "violations.md").read_text()
     listed = [code for code in re.findall(r"^\| (\w+)\s+\|", doc, re.M) if code != "code"]
     assert sorted(listed) == sorted(VIOLATION_CODES)
+
+
+def test_container_layout_table_lists_the_directories():
+    layout = (DOCS / "container.md").read_text().split("\n## Layout\n", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `([^`]*)`[^|]*\| (\w+)\s*\|$", layout, re.M)
+    top_dirs = {entry.split("/", 1)[0] + "/" for entry, _presence in rows}
+    assert top_dirs == set(_KNOWN_TOP_DIRS)
+    assert {entry for entry, presence in rows if entry in top_dirs and presence == "mandatory"} == set(MANDATORY_DIRS)
