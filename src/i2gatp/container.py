@@ -23,6 +23,7 @@ import sys
 import zipfile
 import zlib
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -116,7 +117,7 @@ def _write_zip(entries: list[Entry]) -> bytes:
     directory of an entry gets its own directory entry."""
 
     names = {name for name, _ in entries}
-    missing = {d for name in names for d in _parent_dirs(name)} - names
+    missing = _directories(names) - names
     parts: list[bytes] = []
     central: list[bytes] = []
     offset = 0
@@ -242,9 +243,18 @@ def _entry_data(data: memoryview, info: zipfile.ZipInfo, end: int) -> bytes:
     return content
 
 
-def _parent_dirs(path: str) -> list[str]:
-    parts = path.split("/")[:-1]
-    return [("/".join(parts[: i + 1]) + "/") for i in range(len(parts))]
+def _directories(names: Iterable[str]) -> set[str]:
+    """Every directory that ``names`` list or imply: each name ending in '/'
+    and every parent of a name."""
+
+    dirs: set[str] = set()
+    for name in names:
+        # the name's own directory, then its parents up to the first one seen
+        path = name[: name.rfind("/") + 1]
+        while path and path not in dirs:
+            dirs.add(path)
+            path = path[: path.rfind("/", 0, -1) + 1]
+    return dirs
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +315,8 @@ def _sort_entries(entries: list[Entry]) -> _Layout:
     ``PROOF_DIR_RE``, with a proofInfo.xml directly inside); and the paths
     given more than once, of which the last entry is read."""
 
-    files: dict[str, bytes] = {}
-    dirs: set[str] = set()
-    for name, data in entries:
-        if data is not None:
-            files[name] = data
-        # the entry's own directory, then its parents up to the first one seen
-        path = name[: name.rfind("/") + 1]
-        while path and path not in dirs:
-            dirs.add(path)
-            path = path[: path.rfind("/", 0, -1) + 1]
+    files = {name: data for name, data in entries if data is not None}
+    dirs = _directories(name for name, _ in entries)
     proof_dirs = {d[len("proofs/") : -1]: {} for d in sorted(dirs) if d.startswith("proofs/") and d.count("/") == 2}
     for name, data in files.items():
         if name.startswith("proofs/"):
