@@ -23,7 +23,7 @@ import sys
 import zipfile
 import zlib
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Container, Iterable
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -40,6 +40,7 @@ from .model import (
 )
 from .xml_codec import (
     DocumentKind,
+    _proof_identity,
     _read,
     _write_conjecture,
     _write_construction,
@@ -165,7 +166,15 @@ _UNREADABLE = (zipfile.BadZipFile, NotImplementedError, ValueError)
 
 def read_container_entries(data: bytes) -> list[Entry]:
     """Raw (path, bytes) entries of a container, path-checked; directory
-    entries carry None."""
+    entries carry None.  A path given twice, or held by a file and a
+    directory, is ``DuplicateEntry``."""
+
+    return _read_entries(data)[0]
+
+
+def _read_entries(data: bytes) -> tuple[list[Entry], set[str]]:
+    """read_container_entries, with every directory that the entries list
+    or imply, so that the layout walk need not find them again."""
 
     try:
         with zipfile.ZipFile(io.BytesIO(data)) as zf:
@@ -193,7 +202,11 @@ def read_container_entries(data: bytes) -> list[Entry]:
             raise ContainerError("DuplicateEntry", f"duplicate entry {name!r}")
         seen.add(name)
         entries.append((name, None if dir_entry else _entry_data(view, info, end)))
-    return entries
+    dirs = _directories(seen)
+    clashes = _clashes(seen, dirs)
+    if clashes:
+        raise ContainerError("DuplicateEntry", f"entry {clashes[0]!r} is both a file and a directory")
+    return entries, dirs
 
 
 def _entry_data(data: memoryview, info: zipfile.ZipInfo, end: int) -> bytes:
@@ -257,6 +270,13 @@ def _directories(names: Iterable[str]) -> set[str]:
     return dirs
 
 
+def _clashes(files: Container[str], dirs: set[str]) -> list[str]:
+    """The paths in ``files`` that ``dirs`` also holds as directories, in
+    path order; no file system can hold both."""
+
+    return sorted(d[:-1] for d in dirs if d[:-1] in files)
+
+
 # ---------------------------------------------------------------------------
 # Problem <-> entries
 
@@ -293,6 +313,9 @@ def entries_from_problem(problem: Problem) -> list[Entry]:
     for section in (problem.resources, problem.metadata, problem.private):
         for path, data in section:
             put(path, data)
+    clashes = _clashes(files, _directories(files))
+    if clashes:
+        raise ContainerError("DuplicateEntry", f"path {clashes[0]!r} is both a file and a directory")
 
     entries: list[Entry] = [(d, None) for d in MANDATORY_DIRS]
     entries.extend(files.items())
@@ -305,18 +328,19 @@ class _Layout(NamedTuple):
     proof_dirs: dict[str, dict[str, bytes]]
     attempts: dict[str, dict[str, bytes]]
     duplicates: list[str]
+    clashes: list[str]
 
 
-def _sort_entries(entries: list[Entry]) -> _Layout:
-    """The one reading of the container layout: the files by path; every
-    directory, listed or implied by an entry below it; for each directory
-    directly under proofs/, by name and in name order, its files by their
-    path inside it; the attempts among those directories (named by
-    ``PROOF_DIR_RE``, with a proofInfo.xml directly inside); and the paths
-    given more than once, of which the last entry is read."""
+def _sort_entries(entries: list[Entry], dirs: set[str]) -> _Layout:
+    """The one reading of the container layout, given every directory that
+    the entries list or imply (``_directories``): the files by path; those
+    directories; for each directory directly under proofs/, by name and in
+    name order, its files by their path inside it; the attempts among those
+    directories (named by ``PROOF_DIR_RE``, with a proofInfo.xml directly
+    inside); the paths given more than once, of which the last entry is
+    read; and the file paths that are also directories, in path order."""
 
     files = {name: data for name, data in entries if data is not None}
-    dirs = _directories(name for name, _ in entries)
     proof_dirs = {d[len("proofs/") : -1]: {} for d in sorted(dirs) if d.startswith("proofs/") and d.count("/") == 2}
     for name, data in files.items():
         if name.startswith("proofs/"):
@@ -325,7 +349,7 @@ def _sort_entries(entries: list[Entry]) -> _Layout:
                 proof_dirs[dirname][inner] = data
     attempts = {d: group for d, group in proof_dirs.items() if PROOF_DIR_RE.match(d) and PROOF_INFO_NAME in group}
     duplicates = [name for name, count in Counter(name for name, _ in entries).items() if count > 1]
-    return _Layout(files, dirs, proof_dirs, attempts, duplicates)
+    return _Layout(files, dirs, proof_dirs, attempts, duplicates, _clashes(files, dirs))
 
 
 def problem_from_entries(entries: list[Entry]) -> Problem:
@@ -335,13 +359,20 @@ def problem_from_entries(entries: list[Entry]) -> Problem:
     Lenient about extras: unknown files under known directories and unknown
     top-level entries are carried as resources; proof directories that hold
     no attempt are carried file-by-file.  Strict about the essentials: no
-    path twice, construction/intergeo.xml must exist and nested documents
-    must parse.
+    path twice or as both a file and a directory, construction/intergeo.xml
+    must exist and nested documents must parse.
     """
 
-    layout = _sort_entries(entries)
+    return _problem_from_layout(_sort_entries(entries, _directories(name for name, _ in entries)))
+
+
+def _problem_from_layout(layout: _Layout) -> Problem:
+    """problem_from_entries over the entries' layout."""
+
     if layout.duplicates:
         raise ContainerError("DuplicateEntry", f"duplicate entry {layout.duplicates[0]!r}")
+    if layout.clashes:
+        raise ContainerError("DuplicateEntry", f"entry {layout.clashes[0]!r} is both a file and a directory")
     files = layout.files
     if INTERGEO_PATH not in files:
         raise ContainerError("MissingIntergeo", f"container lacks {INTERGEO_PATH}")
@@ -398,7 +429,7 @@ def suggested_filename(problem: Problem, name: str | None = None) -> str:
 def unpack(data: bytes) -> Problem:
     """Read a container back into a problem (canonical order)."""
 
-    return problem_from_entries(read_container_entries(data))
+    return _problem_from_layout(_sort_entries(*_read_entries(data)))
 
 
 def canonicalize_container(data: bytes) -> bytes:
@@ -434,15 +465,14 @@ def add_proof_attempt(data: bytes, attempt: ProofAttempt) -> bytes:
     carried unchanged (the archive is rewritten canonically)."""
 
     _refuse_invalid("attempt", validate_attempt(attempt))
-    entries = read_container_entries(data)
-    layout = _sort_entries(entries)
+    entries, dirs = _read_entries(data)
+    layout = _sort_entries(entries, dirs)
     new_dir = f"proofs/{attempt.directory_name}/"
     if attempt.directory_name in layout.proof_dirs:
         raise ContainerError("DuplicateAttempt", f"directory {new_dir!r} already present")
     for group in layout.attempts.values():
         # an invalid attempt still has an identity; only an unreadable one has none
-        other = _read(DocumentKind.PROOF_INFO, group[PROOF_INFO_NAME])[0]
-        if other is not None and other.identity == attempt.identity:
+        if _proof_identity(group[PROOF_INFO_NAME]) == attempt.identity:
             identity = f"{attempt.prover}/{attempt.version}/{attempt.method}"
             raise ContainerError("DuplicateAttempt", f"attempt {identity} already present")
     added: list[Entry] = [(new_dir + PROOF_INFO_NAME, _write_proof_info(attempt))]
@@ -475,23 +505,30 @@ def validate_container(data: bytes, i2g: bool = False) -> list[Violation]:
     """
 
     try:
-        entries = read_container_entries(data)
+        entries, dirs = _read_entries(data)
     except ContainerError as exc:
         return [Violation(exc.code, "/", str(exc))]
-    return validate_entries(entries, i2g)
+    return _validate_layout(_sort_entries(entries, dirs), i2g)
 
 
 def validate_entries(entries: list[Entry], i2g: bool = False) -> list[Violation]:
     """validate_container over already-extracted entries (e.g. a directory
     tree mirroring the container layout), whose paths no zip reader has
-    checked; a path given twice is ``DuplicateEntry``."""
+    checked; a path given twice, or held by a file and a directory, is
+    ``DuplicateEntry``."""
 
     for name, _content in entries:
         if not is_safe_relative_path(name[:-1] if name.endswith("/") else name):
             return [Violation("BadPath", name, f"unsafe entry path {name!r}")]
-    layout = _sort_entries(entries)
+    return _validate_layout(_sort_entries(entries, _directories(name for name, _ in entries)), i2g)
+
+
+def _validate_layout(layout: _Layout, i2g: bool) -> list[Violation]:
+    """validate_entries over the layout of entries whose paths are safe."""
+
     files = layout.files
     out = [Violation("DuplicateEntry", name, f"entry {name!r} is given more than once") for name in layout.duplicates]
+    out += [Violation("DuplicateEntry", name, f"entry {name!r} is both a file and a directory") for name in layout.clashes]
 
     if i2g:
         if "intergeo.xml" not in files:

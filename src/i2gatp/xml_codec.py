@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import re
 import xml.parsers.expat
-from dataclasses import dataclass, field
 
 from .errors import CodecError
 from .model import (
@@ -84,17 +83,19 @@ _INT_RE = re.compile(r"[+-]?\d+\Z")
 # Raw parse: element tree with byte offsets into the source
 
 
-@dataclass
 class _RawNode:
     """One element of the raw tree.  Only opaque payloads need source bytes,
     so tag ends are found when ``raw`` or ``inner`` is called."""
 
-    tag: str
-    attrs: dict[str, str]
-    children: list["_RawNode"] = field(default_factory=list)
-    text: str = ""
-    start: int = -1      # offset of '<' of the start tag
-    end_event: int = -1  # offset at the end event: '<' of the end tag unless empty
+    __slots__ = ("tag", "attrs", "children", "text", "start", "end_event")
+
+    def __init__(self, tag: str, attrs: dict[str, str], start: int) -> None:
+        self.tag = tag
+        self.attrs = attrs
+        self.children: list[_RawNode] = []
+        self.text = ""
+        self.start = start  # offset of '<' of the start tag
+        self.end_event = -1  # offset at the end event: '<' of the end tag unless empty
 
     def raw(self, data: bytes) -> bytes:
         tag_end = _find_tag_end(data, self.start)
@@ -136,29 +137,27 @@ def _parse_raw(data: bytes) -> _RawNode:
     when expat cannot read it."""
 
     parser = xml.parsers.expat.ParserCreate()
-    roots: list[_RawNode] = []
-    stack: list[_RawNode] = []
+    parser.buffer_text = True  # one call per text run, or per 8 KiB of it
+    top = _RawNode("", {}, -1)  # the parent of the root element
+    stack = [top]
+    push, pop = stack.append, stack.pop
 
     def on_start(name: str, attrs: dict[str, str]) -> None:
-        node = _RawNode(tag=name, attrs=attrs, start=parser.CurrentByteIndex)
-        if stack:
-            stack[-1].children.append(node)
-        else:
-            roots.append(node)
-        stack.append(node)
+        node = _RawNode(name, attrs, parser.CurrentByteIndex)
+        stack[-1].children.append(node)
+        push(node)
 
     def on_end(name: str) -> None:
-        stack.pop().end_event = parser.CurrentByteIndex
+        pop().end_event = parser.CurrentByteIndex
 
     def on_chars(text: str) -> None:
-        if stack:
-            stack[-1].text += text
+        stack[-1].text += text
 
     parser.StartElementHandler = on_start
     parser.EndElementHandler = on_end
     parser.CharacterDataHandler = on_chars
     parser.Parse(data, True)
-    return roots[0]
+    return top.children[0]
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +406,36 @@ def _analyze_construction(root: _RawNode, data: bytes, rep: _Report) -> Construc
 # proofInfo.xml
 
 _STATUS_BY_TEXT = {status.value: status for status in ProofStatus}
+_IDENTITY_TAGS = ("prover", "version", "method")
+
+
+def _identity(root: _RawNode) -> tuple[str, str, str]:
+    """The (prover, version, method) of a <proof_info> root: the stripped
+    text of the first child of each tag, as _singletons picks it, and ""
+    for a missing one."""
+
+    first = {ch.tag: ch.text for ch in reversed(root.children)}
+    prover, version, method = (first.get(tag, "").strip() for tag in _IDENTITY_TAGS)
+    return prover, version, method
+
+
+def _proof_identity(data: bytes) -> tuple[str, str, str] | None:
+    """The identity of the attempt the proofInfo.xml reader reads from
+    ``data``, with nothing else analysed; None when it reads no attempt
+    (unreadable XML, or a root other than <proof_info>)."""
+
+    try:
+        root = _parse_raw(data)
+    except XML_READ_ERRORS:
+        return None
+    return _identity(root) if root.tag == "proof_info" else None
+
 
 def _analyze_proof_info(root: _RawNode, data: bytes, rep: _Report) -> ProofAttempt | None:
     if not _expect_root(root, "proof_info", rep):
         return None
-    kids = _singletons(root, "/proof_info", ("prover", "version", "method", "status", *PROOF_INFO_SECTIONS), rep)
-    identity = {fld: kids[fld].text.strip() if fld in kids else "" for fld in ("prover", "version", "method")}
+    kids = _singletons(root, "/proof_info", (*_IDENTITY_TAGS, "status", *PROOF_INFO_SECTIONS), rep)
+    identity = dict(zip(_IDENTITY_TAGS, _identity(root)))
     status_text = kids["status"].text.strip() if "status" in kids else ""
     status = _STATUS_BY_TEXT.get(status_text.lower())
     if status is None:

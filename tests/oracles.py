@@ -7,15 +7,19 @@ collinearity is a determinant, equal length compares squared lengths, the
 construction interpreter below re-executes the straight-line program over
 rationals.
 
-The zip oracles at the end write and read archives through the standard
-library's ``zipfile``, independently of the container's own zip I/O.
+The zip oracles write and read archives through the standard library's
+``zipfile``, independently of the container's own zip I/O.  The raw XML
+oracle at the end is the dataclass tree builder the codec's leaner one
+must match node for node.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import xml.parsers.expat
 import zipfile
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from i2gatp.model import Construction, ConstraintKind
@@ -142,3 +146,47 @@ def read_zip_reference(data: bytes) -> list[tuple[str, bytes | None]]:
 
     with zipfile.ZipFile(io.BytesIO(data)) as zf:
         return [(info.filename, None if info.is_dir() else zf.read(info)) for info in zf.infolist()]
+
+
+# ---------------------------------------------------------------------------
+# Raw XML oracle
+
+
+@dataclass
+class RawNodeReference:
+    tag: str
+    attrs: dict[str, str]
+    children: list["RawNodeReference"] = field(default_factory=list)
+    text: str = ""
+    start: int = -1
+    end_event: int = -1
+
+
+def parse_raw_reference(data: bytes) -> RawNodeReference:
+    """The raw tree of ``data``, built one expat callback at a time with no
+    text buffering; raises what expat raises."""
+
+    parser = xml.parsers.expat.ParserCreate()
+    roots: list[RawNodeReference] = []
+    stack: list[RawNodeReference] = []
+
+    def on_start(name: str, attrs: dict[str, str]) -> None:
+        node = RawNodeReference(tag=name, attrs=attrs, start=parser.CurrentByteIndex)
+        if stack:
+            stack[-1].children.append(node)
+        else:
+            roots.append(node)
+        stack.append(node)
+
+    def on_end(name: str) -> None:
+        stack.pop().end_event = parser.CurrentByteIndex
+
+    def on_chars(text: str) -> None:
+        if stack:
+            stack[-1].text += text
+
+    parser.StartElementHandler = on_start
+    parser.EndElementHandler = on_end
+    parser.CharacterDataHandler = on_chars
+    parser.Parse(data, True)
+    return roots[0]

@@ -689,6 +689,41 @@ def test_validate_entries_reports_a_path_given_twice(corpus):
     assert exc.value.code == "DuplicateEntry"
 
 
+@pytest.mark.parametrize("below", [("resources/a/b", b"2"), ("resources/a/", None)], ids=["file", "dir"])
+def test_a_file_and_a_directory_at_one_path_is_duplicate_entry(corpus, tmp_path, capsys, below):
+    # validate used to pass such an archive and unpack to carry both, so
+    # i2gatp unpack failed with EEXIST after writing part of the tree
+    entries = [*read_container_entries(pack(corpus["varignon"])), ("resources/a", b"1"), below]
+    message = "entry 'resources/a' is both a file and a directory"
+    assert validate_entries(entries) == [Violation("DuplicateEntry", "resources/a", message)]
+    with pytest.raises(ContainerError, match=f"DuplicateEntry: {message}"):
+        problem_from_entries(entries)
+    data = _write_zip(entries)
+    attempt = ProofAttempt("GCLCprover", "2.0", "areamethod", ProofStatus.PROVED)
+    for call in (read_container_entries, unpack, strip_to_i2g, lambda d: add_proof_attempt(d, attempt)):
+        with pytest.raises(ContainerError, match=f"DuplicateEntry: {message}"):
+            call(data)
+    assert validate_container(data) == [Violation("DuplicateEntry", "/", f"DuplicateEntry: {message}")]
+    archive = tmp_path / "clash.zip"
+    archive.write_bytes(data)
+    outdir = tmp_path / "out"
+    assert main(["unpack", str(archive), "--out", str(outdir)]) == 2
+    assert capsys.readouterr().err == f"error: DuplicateEntry: {message}\n"
+    assert not outdir.exists()
+
+
+def test_pack_refuses_a_file_and_a_directory_at_one_path(corpus):
+    p = corpus["varignon_files"]
+    p = dataclasses.replace(p, resources=p.resources + (("resources/a", b"1"), ("resources/a/b/c", b"2")))
+    for call in (entries_from_problem, pack):
+        with pytest.raises(ContainerError, match="DuplicateEntry: path 'resources/a' is both a file and a directory"):
+            call(p)
+    # an attempt's outputs are files of the same tree
+    attempt = ProofAttempt("GCLCprover", "2.0", "areamethod", ProofStatus.PROVED, outputs=(("log", b"1"), ("log/2", b"2")))
+    with pytest.raises(ContainerError, match="'proofs/proofGCLCprover2.0areamethod/log' is both"):
+        pack(dataclasses.replace(p, resources=(), proofs=(attempt,)))
+
+
 # Paths where a proofInfo.xml, another file or (ending in '/') a directory
 # entry may sit; every proofInfo.xml names its own identity, so validate
 # reports each one it reads as DirNameMismatch

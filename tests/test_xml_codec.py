@@ -22,10 +22,14 @@ from i2gatp.model import (
     Parallel,
     ProblemInfo,
     ProofStatus,
+    XML_READ_ERRORS,
     validate_problem,
 )
 from i2gatp.xml_codec import (
     DocumentKind,
+    _parse_raw,
+    _proof_identity,
+    _read,
     canonicalize,
     parse_conjecture,
     parse_construction,
@@ -37,6 +41,7 @@ from i2gatp.xml_codec import (
 )
 
 from conftest import MULTI_BYTE_ENCODINGS, declaring, with_entry
+from oracles import parse_raw_reference
 
 KINDS_BY_PATH = {
     "information/information.xml": DocumentKind.INFORMATION,
@@ -410,19 +415,28 @@ _PARSERS = {
 }
 
 
-def test_mutated_documents_raise_only_library_errors(corpus):
+def _mutated_documents(corpus) -> dict[DocumentKind, list[bytes]]:
+    """For each kind, its first corpus document declared in each multi-byte
+    encoding, then 300 seeded edits of 1 to 4 bytes of its documents."""
+
     by_kind: dict[DocumentKind, list[bytes]] = {}
     for _name, kind, data in corpus_documents(corpus):
         by_kind.setdefault(kind, []).append(data)
     assert by_kind.keys() == _PARSERS.keys()
     rng = random.Random(0)
+    mutated: dict[DocumentKind, list[bytes]] = {}
     for kind, docs in by_kind.items():
-        mutated = [declaring(encoding, docs[0]) for encoding in MULTI_BYTE_ENCODINGS]
+        mutated[kind] = [declaring(encoding, docs[0]) for encoding in MULTI_BYTE_ENCODINGS]
         for _ in range(300):
             doc = bytearray(rng.choice(docs))
             for _ in range(rng.randint(1, 4)):
                 doc[rng.randrange(len(doc))] = rng.randrange(256)
-            mutated.append(bytes(doc))
+            mutated[kind].append(bytes(doc))
+    return mutated
+
+
+def test_mutated_documents_raise_only_library_errors(corpus):
+    for kind, mutated in _mutated_documents(corpus).items():
         for doc in mutated:
             assert isinstance(validate_document(kind, doc), list)
             for call in (_PARSERS[kind], lambda d: canonicalize(kind, d)):
@@ -430,6 +444,65 @@ def test_mutated_documents_raise_only_library_errors(corpus):
                     call(doc)
                 except I2gatpError:
                     pass
+
+
+# proofInfo.xml documents whose identity is easy to misread, with the
+# identity the reader reads (None: no attempt)
+_IDENTITY_CASES = [
+    (b"<proof_info><prover>A</prover><prover>B</prover><version>1</version><method>m</method></proof_info>", ("A", "1", "m")),
+    (b"<proof_info><notes><prover>N</prover></notes><version> 1 </version><method>m</method></proof_info>", ("", "1", "m")),
+    (b"<proof_info><prover>GC<!-- c -->LC</prover></proof_info>", ("GCLC", "", "")),
+    (b"<proof_info><prover><![CDATA[GC]]>LC</prover></proof_info>", ("GCLC", "", "")),
+    (b"<proof_info><prover>&#65;B</prover></proof_info>", ("AB", "", "")),
+    (b'<?xml version="1.0" encoding="UTF-16"?><proof_info><prover>A</prover></proof_info>', None),
+    ('<?xml version="1.0" encoding="UTF-16"?><proof_info><prover>\u00c4</prover></proof_info>'.encode("utf-16"), ("\u00c4", "", "")),
+    (b"<information><prover>A</prover></information>", None),
+]
+
+
+def _tree(node) -> tuple:
+    return (node.tag, node.attrs, node.text, node.start, node.end_event, [_tree(ch) for ch in node.children])
+
+
+def _assert_reads_as_the_reference(doc: bytes) -> None:
+    try:
+        expected = _tree(parse_raw_reference(doc))
+    except XML_READ_ERRORS as exc:
+        with pytest.raises(type(exc)):
+            _parse_raw(doc)
+    else:
+        assert _tree(_parse_raw(doc)) == expected
+    value = _read(DocumentKind.PROOF_INFO, doc)[0]
+    assert _proof_identity(doc) == (None if value is None else value.identity)
+
+
+@pytest.mark.parametrize("doc, identity", _IDENTITY_CASES)
+def test_proof_identity_is_the_identity_the_reader_reads(doc, identity):
+    assert _proof_identity(doc) == identity
+    _assert_reads_as_the_reference(doc)
+
+
+def test_raw_tree_matches_the_reference_builder(corpus):
+    # the codec's tree buffers text and has no per-node defaults; every node
+    # must keep the tag, attributes, text and offsets of the plain builder
+    docs = [data for _name, _kind, data in corpus_documents(corpus)]
+    for mutated in _mutated_documents(corpus).values():
+        docs += mutated
+    for doc in docs:
+        _assert_reads_as_the_reference(doc)
+
+
+def test_text_longer_than_the_parser_buffer_reads_whole():
+    # buffered text comes in chunks of at most 8 KiB
+    description = " ".join(f"w{i}" for i in range(4000))
+    assert len(description) > 20 * 1024
+    doc = serialize_information(ProblemInfo(name="long", description=description, keywords=("ab",)))
+    assert parse_information(doc).description == description
+    split = doc.replace(b"<keyword>ab</keyword>", b"<keyword>a<!-- split -->b</keyword>")
+    assert split != doc
+    assert parse_information(split).keywords == ("ab",)
+    for data in (doc, split):
+        assert _tree(_parse_raw(data)) == _tree(parse_raw_reference(data))
 
 
 _name_st = st.from_regex(r"[A-Za-z0-9_][A-Za-z0-9_-]{0,20}", fullmatch=True)
