@@ -19,12 +19,11 @@ from __future__ import annotations
 import io
 import re
 import struct
-import sys
 import zipfile
 import zlib
 from collections import Counter
-from collections.abc import Container, Iterable
 from dataclasses import replace
+from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import ContainerError
@@ -83,25 +82,25 @@ PROOF_DIR_RE = re.compile(r"proof[A-Za-z0-9_.-]+\Z")
 
 _DEFLATE_THRESHOLD = 256  # bytes; larger files are deflated, smaller stored
 _DEFLATE_LEVEL = 6
+# What a container may hold, read or written (docs/container.md).  Within
+# these caps no size, offset or count needs a zip64 field.
+_MAX_ENTRIES = 10_000  # directories implied by a path included
+_MAX_NAME_BYTES = 0xFFFF  # a name's UTF-8 length; its header field has 16 bits
+_MAX_ENTRY_SIZE = 32 << 20  # bytes of one file
+_MAX_TOTAL_SIZE = 128 << 20  # bytes of all files
 
 # The fixed header fields of every entry (docs/container.md): versions 2.0,
 # created on unix, 1980-01-01 00:00:00 in DOS form, no extra field.
 _LOCAL_HEADER = struct.Struct("<4s2B4HL2L2H")
 _CENTRAL_HEADER = struct.Struct("<4s4B4HL2L5H2L")
 _END_RECORD = struct.Struct("<4s4H2LH")
-_ZIP64_OFFSET = struct.Struct("<2HQ")  # extra field 1 holding only the header offset
-_ZIP64_END_RECORD = struct.Struct("<4sQ2H2L4Q")
-_ZIP64_LOCATOR = struct.Struct("<4sLQL")
 _VERSION = 20
-_ZIP64_VERSION = 45
 _UNIX = 3
 _DOS_DATE = 0x0021
 _UTF8_NAME = 0x800
 _FILE_ATTR = 0o644 << 16
 _DIR_ATTR = (0o40755 << 16) | 0x10
 _STORED, _DEFLATED = 0, 8
-_ZIP64_LIMIT = (1 << 31) - 1  # past it a size or offset needs zip64 fields
-_ZIP_FILECOUNT_LIMIT = (1 << 16) - 1  # past it the end record is zip64's
 _UNSUPPORTED_FLAGS = 0x61  # encrypted (bit 0), patched (5), strong encryption (6)
 
 # An entry is (path, bytes) for a file or (path ending in '/', None) for a
@@ -115,14 +114,15 @@ Entry = tuple[str, bytes | None]
 
 def _write_zip(entries: list[Entry]) -> bytes:
     """Deterministic archive of ``entries``, sorted by path; every parent
-    directory of an entry gets its own directory entry."""
+    directory of an entry gets its own directory entry.  What the reader
+    would refuse (``_judge``) is not written."""
 
-    names = {name for name, _ in entries}
-    missing = _directories(names) - names
+    names = [name for name, _ in entries]
+    dirs = _judge(names, [0 if data is None else len(data) for _, data in entries], "ArchiveTooLarge").dirs
     parts: list[bytes] = []
     central: list[bytes] = []
     offset = 0
-    for name, data in sorted(entries + [(d, None) for d in missing], key=lambda e: e[0]):
+    for name, data in sorted(entries + [(d, None) for d in dirs.difference(names)], key=lambda e: e[0]):
         if name.isascii():
             raw, flags = name.encode("ascii"), 0
         else:
@@ -134,29 +134,12 @@ def _write_zip(entries: list[Entry]) -> bytes:
             if size > _DEFLATE_THRESHOLD:
                 deflater = zlib.compressobj(_DEFLATE_LEVEL, zlib.DEFLATED, -15)
                 method, body = _DEFLATED, deflater.compress(data) + deflater.flush()
-        if size * 1.05 > _ZIP64_LIMIT:
-            raise ContainerError("ArchiveTooLarge", f"entry {name!r} would need zip64 size fields")
         fields = (flags, method, 0, _DOS_DATE, crc, len(body), size, len(raw))
         parts += (_LOCAL_HEADER.pack(b"PK\x03\x04", _VERSION, 0, *fields, 0), raw, body)
-        if offset > _ZIP64_LIMIT:
-            # as zipfile does: the offset moves into a zip64 extra field
-            version, extra, header_offset = _ZIP64_VERSION, _ZIP64_OFFSET.pack(1, 8, offset), 0xFFFFFFFF
-        else:
-            version, extra, header_offset = _VERSION, b"", offset
-        central.append(
-            _CENTRAL_HEADER.pack(b"PK\x01\x02", version, _UNIX, version, 0, *fields, len(extra), 0, 0, 0, attr, header_offset)
-            + raw
-            + extra
-        )
+        central.append(_CENTRAL_HEADER.pack(b"PK\x01\x02", _VERSION, _UNIX, _VERSION, 0, *fields, 0, 0, 0, 0, attr, offset) + raw)
         offset += _LOCAL_HEADER.size + len(raw) + len(body)
     count = len(central)
-    central_size = sum(map(len, central))
-    end_offset = offset + central_size
-    if count > _ZIP_FILECOUNT_LIMIT or offset > _ZIP64_LIMIT or central_size > _ZIP64_LIMIT:
-        central.append(_ZIP64_END_RECORD.pack(b"PK\x06\x06", 44, 45, 45, 0, 0, count, count, central_size, offset))
-        central.append(_ZIP64_LOCATOR.pack(b"PK\x06\x07", 0, end_offset, 1))
-        count, central_size, offset = min(count, 0xFFFF), min(central_size, 0xFFFFFFFF), min(offset, 0xFFFFFFFF)
-    central.append(_END_RECORD.pack(b"PK\x05\x06", 0, 0, count, count, central_size, offset, 0))
+    central.append(_END_RECORD.pack(b"PK\x05\x06", 0, 0, count, count, sum(map(len, central)), offset, 0))
     return b"".join(parts + central)
 
 
@@ -165,16 +148,17 @@ _UNREADABLE = (zipfile.BadZipFile, NotImplementedError, ValueError)
 
 
 def read_container_entries(data: bytes) -> list[Entry]:
-    """Raw (path, bytes) entries of a container, path-checked; directory
-    entries carry None.  A path given twice, or held by a file and a
-    directory, is ``DuplicateEntry``."""
+    """Raw (path, bytes) entries of a container; directory entries carry
+    None.  Before any entry is inflated, an unsafe path is ``BadPath``, a
+    path given twice or held by a file and a directory ``DuplicateEntry``,
+    and a container past a cap (docs/container.md) ``MalformedZip``."""
 
     return _read_entries(data)[0]
 
 
-def _read_entries(data: bytes) -> tuple[list[Entry], set[str]]:
-    """read_container_entries, with every directory that the entries list
-    or imply, so that the layout walk need not find them again."""
+def _read_entries(data: bytes) -> tuple[list[Entry], _Judgement]:
+    """read_container_entries, with the judgement of its names, so that the
+    layout walk need not find their directories again."""
 
     try:
         with zipfile.ZipFile(io.BytesIO(data)) as zf:
@@ -182,6 +166,11 @@ def _read_entries(data: bytes) -> tuple[list[Entry], set[str]]:
             central_start = zf.start_dir
     except _UNREADABLE as exc:
         raise ContainerError("MalformedZip", str(exc)) from exc
+    names = [info.orig_filename for info in infos]
+    for name in names:
+        if not is_safe_relative_path(name[:-1] if name.endswith("/") else name):
+            raise ContainerError("BadPath", f"unsafe entry path {name!r}")
+    judgement = _judge(names, [info.file_size for info in infos], "MalformedZip")
     # an entry's data must end by the next local header, or by the central
     # directory for the last one; the order of entries sharing an offset is
     # zipfile's, so this refuses what zipfile refuses as overlapped
@@ -191,22 +180,10 @@ def _read_entries(data: bytes) -> tuple[list[Entry], set[str]]:
         ends[i] = end
         end = infos[i].header_offset
     view = memoryview(data)
-    entries: list[Entry] = []
-    seen: set[str] = set()
-    for info, end in zip(infos, ends):
-        name = info.orig_filename
-        dir_entry = name.endswith("/")
-        if not is_safe_relative_path(name[:-1] if dir_entry else name):
-            raise ContainerError("BadPath", f"unsafe entry path {name!r}")
-        if name in seen:
-            raise ContainerError("DuplicateEntry", f"duplicate entry {name!r}")
-        seen.add(name)
-        entries.append((name, None if dir_entry else _entry_data(view, info, end)))
-    dirs = _directories(seen)
-    clashes = _clashes(seen, dirs)
-    if clashes:
-        raise ContainerError("DuplicateEntry", f"entry {clashes[0]!r} is both a file and a directory")
-    return entries, dirs
+    entries = [
+        (name, None if name.endswith("/") else _entry_data(view, info, end)) for name, info, end in zip(names, infos, ends)
+    ]
+    return entries, judgement
 
 
 def _entry_data(data: memoryview, info: zipfile.ZipInfo, end: int) -> bytes:
@@ -242,7 +219,7 @@ def _entry_data(data: memoryview, info: zipfile.ZipInfo, end: int) -> bytes:
     elif info.compress_type == _DEFLATED:
         inflater = zlib.decompressobj(-15)
         try:
-            content = inflater.decompress(body, min(info.file_size + 1, sys.maxsize))
+            content = inflater.decompress(body, info.file_size + 1)
         except zlib.error as exc:
             raise malformed(str(exc)) from exc
         if not inflater.eof:
@@ -256,10 +233,32 @@ def _entry_data(data: memoryview, info: zipfile.ZipInfo, end: int) -> bytes:
     return content
 
 
-def _directories(names: Iterable[str]) -> set[str]:
-    """Every directory that ``names`` list or imply: each name ending in '/'
-    and every parent of a name."""
+class _Judgement(NamedTuple):
+    dirs: set[str]
+    faults: list[Violation]
 
+
+def _judge(names: list[str], sizes: list[int] | None = None, too_large: str = "", refuse: bool = True) -> _Judgement:
+    """What a container may hold, judged over its entry names (a directory's
+    ending in '/'): every directory that the names list or imply, and as
+    ``DuplicateEntry`` the names given more than once, then the files that
+    are also directories (no file system holds both), each in the order
+    that validate reports them; with ``refuse`` the first is raised.  Given
+    the entries' declared ``sizes``, the caps apply first: past one,
+    ``ContainerError`` with code ``too_large``."""
+
+    # a name of at most a quarter of the cap in characters fits in UTF-8
+    if sizes is not None and max(map(len, names), default=0) > _MAX_NAME_BYTES // 4:
+        for name in names:
+            if len(name.encode("utf-8", "surrogatepass")) > _MAX_NAME_BYTES:
+                raise ContainerError(too_large, f"entry name {name[:40]!r}... is longer than {_MAX_NAME_BYTES} bytes")
+    # files of at most a file's cap in all are within both size caps
+    if sizes is not None and sum(sizes) > _MAX_ENTRY_SIZE:
+        for name, size, total in zip(names, sizes, accumulate(sizes)):
+            if size > _MAX_ENTRY_SIZE:
+                raise ContainerError(too_large, f"entry {name!r} holds {size} bytes, past the {_MAX_ENTRY_SIZE} a file may hold")
+            if total > _MAX_TOTAL_SIZE:
+                raise ContainerError(too_large, f"entry {name!r} takes the files past the {_MAX_TOTAL_SIZE} bytes allowed")
     dirs: set[str] = set()
     for name in names:
         # the name's own directory, then its parents up to the first one seen
@@ -267,14 +266,18 @@ def _directories(names: Iterable[str]) -> set[str]:
         while path and path not in dirs:
             dirs.add(path)
             path = path[: path.rfind("/", 0, -1) + 1]
-    return dirs
-
-
-def _clashes(files: Container[str], dirs: set[str]) -> list[str]:
-    """The paths in ``files`` that ``dirs`` also holds as directories, in
-    path order; no file system can hold both."""
-
-    return sorted(d[:-1] for d in dirs if d[:-1] in files)
+    unique = set(names)
+    if sizes is not None and len(names) + len(dirs) > _MAX_ENTRIES and len(unique | dirs) > _MAX_ENTRIES:
+        raise ContainerError(too_large, f"{len(unique | dirs)} entries with their directories, past the {_MAX_ENTRIES} allowed")
+    faults: list[Violation] = []
+    if len(unique) < len(names):
+        given = Counter(names)
+        faults += [Violation("DuplicateEntry", n, f"entry {n!r} is given more than once") for n in given if given[n] > 1]
+    clashes = sorted(p for p in unique.intersection([d[:-1] for d in dirs]) if not p.endswith("/"))
+    faults += [Violation("DuplicateEntry", p, f"entry {p!r} is both a file and a directory") for p in clashes]
+    if refuse and faults:
+        raise ContainerError("DuplicateEntry", faults[0].message)
+    return _Judgement(dirs, faults)
 
 
 # ---------------------------------------------------------------------------
@@ -290,35 +293,30 @@ def _refuse_invalid(what: str, violations: list[Violation]) -> None:
 
 def entries_from_problem(problem: Problem) -> list[Entry]:
     """Container entries of a valid problem, in canonical order; raises
-    ``InvalidProblem`` with every violation otherwise."""
+    ``InvalidProblem`` with every violation otherwise, and refuses what
+    ``pack`` would not write."""
+
+    entries = _problem_entries(problem)
+    _judge([name for name, _ in entries], [0 if data is None else len(data) for _, data in entries], "ArchiveTooLarge")
+    return entries
+
+
+def _problem_entries(problem: Problem) -> list[Entry]:
+    """entries_from_problem, not yet judged."""
 
     _refuse_invalid("problem", validate_problem(problem))
-    files: dict[str, bytes] = {}
-
-    def put(path: str, data: bytes) -> None:
-        if path in files:
-            raise ContainerError("DuplicateEntry", f"path {path!r} produced twice")
-        files[path] = data
-
+    entries: list[Entry] = [(d, None) for d in MANDATORY_DIRS]
     if problem.info is not None:
-        put(INFORMATION_PATH, _write_information(problem.info))
-    put(INTERGEO_PATH, _write_construction(problem.construction))
+        entries.append((INFORMATION_PATH, _write_information(problem.info)))
+    entries.append((INTERGEO_PATH, _write_construction(problem.construction)))
     if problem.conjecture is not None:
-        put(CONJECTURE_PATH, _write_conjecture(problem.conjecture))
+        entries.append((CONJECTURE_PATH, _write_conjecture(problem.conjecture)))
     for attempt in problem.proofs:
         base = f"proofs/{attempt.directory_name}/"
-        put(base + PROOF_INFO_NAME, _write_proof_info(attempt))
-        for name, data in attempt.outputs:
-            put(base + name, data)
+        entries.append((base + PROOF_INFO_NAME, _write_proof_info(attempt)))
+        entries.extend((base + name, data) for name, data in attempt.outputs)
     for section in (problem.resources, problem.metadata, problem.private):
-        for path, data in section:
-            put(path, data)
-    clashes = _clashes(files, _directories(files))
-    if clashes:
-        raise ContainerError("DuplicateEntry", f"path {clashes[0]!r} is both a file and a directory")
-
-    entries: list[Entry] = [(d, None) for d in MANDATORY_DIRS]
-    entries.extend(files.items())
+        entries.extend(section)
     return sorted(entries, key=lambda e: e[0])
 
 
@@ -327,20 +325,19 @@ class _Layout(NamedTuple):
     dirs: set[str]
     proof_dirs: dict[str, dict[str, bytes]]
     attempts: dict[str, dict[str, bytes]]
-    duplicates: list[str]
-    clashes: list[str]
+    faults: list[Violation]
 
 
-def _sort_entries(entries: list[Entry], dirs: set[str]) -> _Layout:
-    """The one reading of the container layout, given every directory that
-    the entries list or imply (``_directories``): the files by path; those
+def _sort_entries(entries: list[Entry], judgement: _Judgement) -> _Layout:
+    """The one reading of the container layout, given the judgement of the
+    entries' names: the files by path, of a path given twice the last; the
     directories; for each directory directly under proofs/, by name and in
     name order, its files by their path inside it; the attempts among those
     directories (named by ``PROOF_DIR_RE``, with a proofInfo.xml directly
-    inside); the paths given more than once, of which the last entry is
-    read; and the file paths that are also directories, in path order."""
+    inside); and the judgement's faults."""
 
     files = {name: data for name, data in entries if data is not None}
+    dirs = judgement.dirs
     proof_dirs = {d[len("proofs/") : -1]: {} for d in sorted(dirs) if d.startswith("proofs/") and d.count("/") == 2}
     for name, data in files.items():
         if name.startswith("proofs/"):
@@ -348,8 +345,7 @@ def _sort_entries(entries: list[Entry], dirs: set[str]) -> _Layout:
             if inner:
                 proof_dirs[dirname][inner] = data
     attempts = {d: group for d, group in proof_dirs.items() if PROOF_DIR_RE.match(d) and PROOF_INFO_NAME in group}
-    duplicates = [name for name, count in Counter(name for name, _ in entries).items() if count > 1]
-    return _Layout(files, dirs, proof_dirs, attempts, duplicates, _clashes(files, dirs))
+    return _Layout(files, dirs, proof_dirs, attempts, judgement.faults)
 
 
 def problem_from_entries(entries: list[Entry]) -> Problem:
@@ -363,16 +359,12 @@ def problem_from_entries(entries: list[Entry]) -> Problem:
     must exist and nested documents must parse.
     """
 
-    return _problem_from_layout(_sort_entries(entries, _directories(name for name, _ in entries)))
+    return _problem_from_layout(_sort_entries(entries, _judge([name for name, _ in entries])))
 
 
 def _problem_from_layout(layout: _Layout) -> Problem:
-    """problem_from_entries over the entries' layout."""
+    """problem_from_entries over the layout of entries judged sound."""
 
-    if layout.duplicates:
-        raise ContainerError("DuplicateEntry", f"duplicate entry {layout.duplicates[0]!r}")
-    if layout.clashes:
-        raise ContainerError("DuplicateEntry", f"entry {layout.clashes[0]!r} is both a file and a directory")
     files = layout.files
     if INTERGEO_PATH not in files:
         raise ContainerError("MissingIntergeo", f"container lacks {INTERGEO_PATH}")
@@ -413,7 +405,7 @@ def _problem_from_layout(layout: _Layout) -> Problem:
 def pack(problem: Problem) -> bytes:
     """Pack a valid problem into deterministic zip bytes."""
 
-    return _write_zip(entries_from_problem(problem))
+    return _write_zip(_problem_entries(problem))
 
 
 def suggested_filename(problem: Problem, name: str | None = None) -> str:
@@ -443,7 +435,7 @@ def strip_to_i2g(data: bytes) -> bytes:
     content to the archive root (the i2g layout).  File bytes, in particular
     intergeo.xml, are carried unchanged; idempotent.  Two entries that
     relocate to one path (``construction/a`` and a root ``a``) are
-    ``DuplicateEntry``."""
+    ``DuplicateEntry`` naming both."""
 
     files: dict[str, bytes] = {}
     sources: dict[str, str] = {}
@@ -465,8 +457,8 @@ def add_proof_attempt(data: bytes, attempt: ProofAttempt) -> bytes:
     carried unchanged (the archive is rewritten canonically)."""
 
     _refuse_invalid("attempt", validate_attempt(attempt))
-    entries, dirs = _read_entries(data)
-    layout = _sort_entries(entries, dirs)
+    entries, judgement = _read_entries(data)
+    layout = _sort_entries(entries, judgement)
     new_dir = f"proofs/{attempt.directory_name}/"
     if attempt.directory_name in layout.proof_dirs:
         raise ContainerError("DuplicateAttempt", f"directory {new_dir!r} already present")
@@ -505,10 +497,10 @@ def validate_container(data: bytes, i2g: bool = False) -> list[Violation]:
     """
 
     try:
-        entries, dirs = _read_entries(data)
+        entries, judgement = _read_entries(data)
     except ContainerError as exc:
         return [Violation(exc.code, "/", str(exc))]
-    return _validate_layout(_sort_entries(entries, dirs), i2g)
+    return _validate_layout(_sort_entries(entries, judgement), i2g)
 
 
 def validate_entries(entries: list[Entry], i2g: bool = False) -> list[Violation]:
@@ -520,15 +512,14 @@ def validate_entries(entries: list[Entry], i2g: bool = False) -> list[Violation]
     for name, _content in entries:
         if not is_safe_relative_path(name[:-1] if name.endswith("/") else name):
             return [Violation("BadPath", name, f"unsafe entry path {name!r}")]
-    return _validate_layout(_sort_entries(entries, _directories(name for name, _ in entries)), i2g)
+    return _validate_layout(_sort_entries(entries, _judge([name for name, _ in entries], refuse=False)), i2g)
 
 
 def _validate_layout(layout: _Layout, i2g: bool) -> list[Violation]:
     """validate_entries over the layout of entries whose paths are safe."""
 
     files = layout.files
-    out = [Violation("DuplicateEntry", name, f"entry {name!r} is given more than once") for name in layout.duplicates]
-    out += [Violation("DuplicateEntry", name, f"entry {name!r} is both a file and a directory") for name in layout.clashes]
+    out = list(layout.faults)
 
     if i2g:
         if "intergeo.xml" not in files:

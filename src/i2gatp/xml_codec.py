@@ -14,6 +14,7 @@ at the first.
 
 from __future__ import annotations
 
+import codecs
 import enum
 import re
 import xml.parsers.expat
@@ -77,6 +78,8 @@ class DocumentKind(enum.Enum):
 
 
 _INT_RE = re.compile(r"[+-]?\d+\Z")
+# The XML declaration that every document the codec writes starts with
+_DECLARATION = b'<?xml version="1.0" encoding="UTF-8"?>\n'
 
 
 # ---------------------------------------------------------------------------
@@ -132,15 +135,41 @@ def _find_tag_end(data: bytes, start: int) -> int:
     raise ValueError("unterminated tag")
 
 
-def _parse_raw(data: bytes) -> _RawNode:
-    """Parse ``data`` into a raw tree; raises one of model.XML_READ_ERRORS
-    when expat cannot read it."""
+def _parse_raw(data: bytes) -> tuple[_RawNode, bytes]:
+    """Parse ``data`` into a raw tree, with the UTF-8 source that its offsets
+    index: ``data`` itself, or, when expat read ``data`` in another encoding,
+    ``data`` transcoded to UTF-8 once and the tree built again from it, so
+    that opaque payloads are UTF-8 like every document the codec writes.
+    Raises one of model.XML_READ_ERRORS when expat cannot read ``data``."""
+
+    if data.startswith(_DECLARATION):  # UTF-8, as every document the codec writes
+        return _build_raw(data), data
+    declared: list[str | None] = [None]
+    root = _build_raw(data, declared)
+    if data[:2] in (b"\xff\xfe", b"\xfe\xff"):  # a byte order mark
+        codec = "utf-16"
+    elif data[:2] in (b"<\x00", b"\x00<"):
+        codec = "utf-16-le" if data[0] else "utf-16-be"
+    else:
+        codec = codecs.lookup(declared[0] or "utf-8").name
+    if codec in ("utf-8", "ascii"):
+        return root, data
+    text = data.removeprefix(b"\xef\xbb\xbf").decode(codec)  # expat skips a UTF-8 byte order mark
+    return _build_raw(text), text.encode("utf-8")
+
+
+def _build_raw(source: bytes | str, declared: list[str | None] | None = None) -> _RawNode:
+    """The raw tree of ``source``, a str read as UTF-8; given ``declared``,
+    the encoding that its XML declaration names, if any, is put there."""
 
     parser = xml.parsers.expat.ParserCreate()
     parser.buffer_text = True  # one call per text run, or per 8 KiB of it
     top = _RawNode("", {}, -1)  # the parent of the root element
     stack = [top]
     push, pop = stack.append, stack.pop
+
+    def on_decl(_version: str, encoding: str | None, _standalone: int) -> None:
+        declared[0] = encoding
 
     def on_start(name: str, attrs: dict[str, str]) -> None:
         node = _RawNode(name, attrs, parser.CurrentByteIndex)
@@ -153,10 +182,12 @@ def _parse_raw(data: bytes) -> _RawNode:
     def on_chars(text: str) -> None:
         stack[-1].text += text
 
+    if declared is not None:
+        parser.XmlDeclHandler = on_decl
     parser.StartElementHandler = on_start
     parser.EndElementHandler = on_end
     parser.CharacterDataHandler = on_chars
-    parser.Parse(data, True)
+    parser.Parse(source, True)
     return top.children[0]
 
 
@@ -425,7 +456,7 @@ def _proof_identity(data: bytes) -> tuple[str, str, str] | None:
     (unreadable XML, or a root other than <proof_info>)."""
 
     try:
-        root = _parse_raw(data)
+        root = _parse_raw(data)[0]
     except XML_READ_ERRORS:
         return None
     return _identity(root) if root.tag == "proof_info" else None
@@ -500,7 +531,7 @@ def _read(kind: DocumentKind, data: bytes, construction: Construction | None = N
 
     rep = _Report()
     try:
-        root = _parse_raw(data)
+        root, data = _parse_raw(data)
     except XML_READ_ERRORS as exc:
         rep.error("MalformedXml", "/", f"XML parse error: {exc}")
         return None, rep, []
@@ -570,7 +601,7 @@ def _esc_attr(s: str) -> str:
 
 class _Writer:
     def __init__(self) -> None:
-        self.parts: list[bytes] = [b'<?xml version="1.0" encoding="UTF-8"?>\n']
+        self.parts: list[bytes] = [_DECLARATION]
         self.depth = 0
 
     def _tag_open(self, tag: str, attrs: dict[str, str] | None) -> str:

@@ -44,6 +44,7 @@ from i2gatp.model import (
     ProofStatus,
     Violation,
     canonicalize_problem,
+    validate_attempt,
     validate_problem,
 )
 from i2gatp.xml_codec import serialize_proof_info
@@ -418,36 +419,25 @@ def test_writer_matches_the_zipfile_writer(corpus):
 
 
 @pytest.mark.parametrize("limit", ["ZIP_FILECOUNT_LIMIT", "ZIP64_LIMIT"])
-def test_zip64_end_record_matches_the_zipfile_writer(monkeypatch, limit):
+def test_zip64_end_record_of_the_zipfile_writer_reads(monkeypatch, limit):
     # past 65535 entries, or a central directory past 2 GiB, zipfile adds the
-    # zip64 end record; lowered limits show the same bytes on small archives
+    # zip64 end record; lowered limits show it on small archives.  The caps
+    # keep the container's own writer below both limits
     entries = [(f"resources/{i:03d}", random.Random(i).randbytes(300)) for i in range(5)]
-    value = {"ZIP_FILECOUNT_LIMIT": 3, "ZIP64_LIMIT": 1500}[limit]
-    monkeypatch.setattr(zipfile, limit, value)
-    monkeypatch.setattr(container, f"_{limit}", value)
-    data = _write_zip(entries)
+    monkeypatch.setattr(zipfile, limit, {"ZIP_FILECOUNT_LIMIT": 3, "ZIP64_LIMIT": 1500}[limit])
+    data = write_zip_reference(entries)
     assert b"PK\x06\x06" in data
-    assert data == write_zip_reference(entries)
-    assert read_container_entries(data) == read_zip_reference(data)
-
-
-def test_header_past_the_zip64_limit_matches_the_zipfile_writer(monkeypatch):
-    # zipfile moves a header offset past 2 GiB into a zip64 extra field of
-    # the central directory; a lowered limit shows the same bytes
-    entries = [(f"resources/{i}", random.Random(i).randbytes(200)) for i in range(6)]
-    monkeypatch.setattr(zipfile, "ZIP64_LIMIT", 1000)
-    monkeypatch.setattr(container, "_ZIP64_LIMIT", 1000)
-    data = _write_zip(entries)
-    assert struct.pack("<2HQ", 1, 8, zipfile.ZipFile(io.BytesIO(data)).getinfo("resources/5").header_offset) in data
-    assert data == write_zip_reference(entries)
     assert read_container_entries(data) == read_zip_reference(data) == [("resources/", None), *entries]
 
 
-def test_entry_that_needs_zip64_fields_is_refused(monkeypatch):
-    monkeypatch.setattr(container, "_ZIP64_LIMIT", 1000)
-    with pytest.raises(ContainerError) as exc:
-        _write_zip([("resources/big", bytes(960))])
-    assert exc.value.code == "ArchiveTooLarge"
+def test_header_past_the_zip64_limit_of_the_zipfile_writer_reads(monkeypatch):
+    # zipfile moves a header offset past 2 GiB into a zip64 extra field of
+    # the central directory; a lowered limit shows it on a small archive
+    entries = [(f"resources/{i}", random.Random(i).randbytes(200)) for i in range(6)]
+    monkeypatch.setattr(zipfile, "ZIP64_LIMIT", 1000)
+    data = write_zip_reference(entries)
+    assert struct.pack("<2HQ", 1, 8, zipfile.ZipFile(io.BytesIO(data)).getinfo("resources/5").header_offset) in data
+    assert read_container_entries(data) == read_zip_reference(data) == [("resources/", None), *entries]
 
 
 def test_reader_agrees_with_zipfile_on_mutated_archives():
@@ -511,7 +501,7 @@ def test_one_entry_archive_reads():
         (dict(body=_deflated(_TEXT, end=False)), "deflate stream does not end"),
         (dict(body=_deflated(_TEXT), size=len(_TEXT) - 1), "432 bytes where 431 are declared"),
         (dict(body=_TEXT, method=0, size=len(_TEXT) + 1), "432 bytes where 433 are declared"),
-        (dict(body=_deflated(_TEXT), zip64_size=2**64 - 1), f"432 bytes where {2**64 - 1} are declared"),
+        (dict(body=_deflated(_TEXT), zip64_size=2**64 - 1), f"holds {2**64 - 1} bytes, past the 33554432 a file may hold"),
         (dict(body=_deflated(_TEXT), crc=0), "bad CRC-32"),
         (dict(body=b"\xff" + _deflated(_TEXT)), "invalid block type"),
         (dict(body=bz2.compress(_TEXT), method=12), "unsupported compression method 12"),
@@ -545,7 +535,10 @@ def test_unreadable_entry_is_malformed_zip(request, fields, reason):
     with pytest.raises(ContainerError) as exc:
         read_container_entries(data)
     assert exc.value.code == "MalformedZip"
-    assert str(exc.value).startswith("MalformedZip: cannot read entry 'a.txt': ") and reason in str(exc.value)
+    # a cap is judged over the central directory, before the entry is read
+    capped = request.node.callspec.id == "zip64_size_past_any_buffer"
+    prefix = "MalformedZip: entry 'a.txt' " if capped else "MalformedZip: cannot read entry 'a.txt': "
+    assert str(exc.value).startswith(prefix) and reason in str(exc.value)
     assert [v.code for v in validate_container(data)] == ["MalformedZip"]
 
 
@@ -698,7 +691,7 @@ def test_a_file_and_a_directory_at_one_path_is_duplicate_entry(corpus, tmp_path,
     assert validate_entries(entries) == [Violation("DuplicateEntry", "resources/a", message)]
     with pytest.raises(ContainerError, match=f"DuplicateEntry: {message}"):
         problem_from_entries(entries)
-    data = _write_zip(entries)
+    data = _rezip(entries)
     attempt = ProofAttempt("GCLCprover", "2.0", "areamethod", ProofStatus.PROVED)
     for call in (read_container_entries, unpack, strip_to_i2g, lambda d: add_proof_attempt(d, attempt)):
         with pytest.raises(ContainerError, match=f"DuplicateEntry: {message}"):
@@ -716,7 +709,7 @@ def test_pack_refuses_a_file_and_a_directory_at_one_path(corpus):
     p = corpus["varignon_files"]
     p = dataclasses.replace(p, resources=p.resources + (("resources/a", b"1"), ("resources/a/b/c", b"2")))
     for call in (entries_from_problem, pack):
-        with pytest.raises(ContainerError, match="DuplicateEntry: path 'resources/a' is both a file and a directory"):
+        with pytest.raises(ContainerError, match="DuplicateEntry: entry 'resources/a' is both a file and a directory"):
             call(p)
     # an attempt's outputs are files of the same tree
     attempt = ProofAttempt("GCLCprover", "2.0", "areamethod", ProofStatus.PROVED, outputs=(("log", b"1"), ("log/2", b"2")))
@@ -772,3 +765,210 @@ def test_unpack_validate_and_add_proof_attempt_agree_on_the_attempts(chosen):
             assert exc.code == "DuplicateAttempt"
             refused.add(path)
     assert unpacked == read == refused == {p for p in infos if _ATTEMPT_PATH.fullmatch(p)}
+
+
+# ---------------------------------------------------------------------------
+# One judge of what a container may hold, for the reader and every writer
+
+_GCLC_AREA = ProofAttempt("GCLCprover", "2.0", "areamethod", ProofStatus.PROVED)
+
+
+@pytest.mark.parametrize(
+    "outputs, message",
+    [
+        ((("log", b"1"), ("log/2", b"2")), "entry 'proofs/proofGCLCprover2.0areamethod/log' is both a file and a directory"),
+        ((("proofInfo.xml", b"x"),), "entry 'proofs/proofGCLCprover2.0areamethod/proofInfo.xml' is given more than once"),
+    ],
+    ids=["output_is_a_directory", "output_is_the_proof_info"],
+)
+def test_writers_refuse_outputs_the_reader_refuses(corpus, corpus_containers, outputs, message):
+    # add_proof_attempt wrote both archives, which validate and unpack refused
+    attempt = dataclasses.replace(_GCLC_AREA, outputs=outputs)
+    assert validate_attempt(attempt) == []
+    for call in (
+        lambda: add_proof_attempt(corpus_containers["varignon"], attempt),
+        lambda: pack(dataclasses.replace(corpus["varignon"], proofs=(attempt,))),
+    ):
+        with pytest.raises(ContainerError, match=re.escape(f"DuplicateEntry: {message}")):
+            call()
+
+
+def test_strip_refuses_a_relocated_file_that_is_also_a_directory(corpus_containers):
+    # construction/x becomes x, beside x/y: an i2g archive validate --i2g refused
+    entries = read_container_entries(corpus_containers["varignon"]) + [("construction/x", b"1"), ("x/y", b"2")]
+    with pytest.raises(ContainerError, match="DuplicateEntry: entry 'x' is both a file and a directory"):
+        strip_to_i2g(_write_zip(entries))
+
+
+def test_pack_refuses_a_file_at_a_mandatory_directory(varignon):
+    # validate_problem passes it, but the file clashes with proofs/
+    p = dataclasses.replace(varignon, resources=(("proofs", b"x"),))
+    assert validate_problem(p) == []
+    for call in (entries_from_problem, pack):
+        with pytest.raises(ContainerError, match="DuplicateEntry: entry 'proofs' is both a file and a directory"):
+            call(p)
+
+
+def test_pack_refuses_a_name_past_the_header_field(varignon):
+    # a 70,000-byte path raised struct.error
+    p = dataclasses.replace(varignon, resources=(("resources/" + "a" * 70_000, b"x"),))
+    with pytest.raises(ContainerError, match="ArchiveTooLarge: entry name 'resources/a+'... is longer than 65535 bytes"):
+        pack(p)
+    # a name of 65,535 bytes fits, and 16,384 four-byte characters do not
+    assert read_container_entries(_write_zip([("a" * 65_535, b"")])) == [("a" * 65_535, b"")]
+    with pytest.raises(ContainerError, match="ArchiveTooLarge"):
+        _write_zip([("\U0001f600" * 16_384, b"")])
+
+
+def _zeros_bomb(base: bytes, size: int) -> bytes:
+    """``base`` with resources/zeros.bin, ``size`` deflated zero bytes that
+    declare their true size, written in chunks."""
+
+    buf = io.BytesIO()
+    with zipfile.ZipFile(io.BytesIO(base)) as src, zipfile.ZipFile(buf, "w", zipfile.ZIP_DEFLATED) as zf:
+        for info in src.infolist():
+            zf.writestr(info, src.read(info))
+        with zf.open("resources/zeros.bin", "w") as out:
+            for _ in range(size >> 20):
+                out.write(bytes(1 << 20))
+    return buf.getvalue()
+
+
+def test_zip_bomb_is_refused_before_it_is_inflated(corpus_containers):
+    # 50 MB of zeros in about 50 KB passed validate_container, inflated in full
+    data = _zeros_bomb(corpus_containers["varignon"], 50 << 20)
+    assert len(data) < 60_000
+    message = "MalformedZip: entry 'resources/zeros.bin' holds 52428800 bytes, past the 33554432 a file may hold"
+    tracemalloc.start()
+    try:
+        assert validate_container(data) == [Violation("MalformedZip", "/", message)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    for call in (read_container_entries, unpack, strip_to_i2g, lambda d: add_proof_attempt(d, _GCLC_AREA)):
+        with pytest.raises(ContainerError, match=re.escape(message)):
+            call(data)
+
+
+@pytest.mark.parametrize("cap", ["_MAX_ENTRIES", "_MAX_ENTRY_SIZE", "_MAX_TOTAL_SIZE"])
+def test_reader_and_writer_share_the_caps(monkeypatch, cap):
+    # lowered caps show on small archives: the writer refuses what the
+    # reader refuses, and the reader refuses what another tool wrote
+    entries = [("resources/a/b.txt", bytes(300)), ("resources/c.txt", bytes(200))]
+    assert len(read_container_entries(_write_zip(entries))) == 4
+    caps, message = {
+        "_MAX_ENTRIES": ({"_MAX_ENTRIES": 3}, "4 entries with their directories, past the 3 allowed"),
+        "_MAX_ENTRY_SIZE": ({"_MAX_ENTRY_SIZE": 250}, "entry 'resources/a/b.txt' holds 300 bytes, past the 250 a file may hold"),
+        # a file's cap stays below the total's, as the caps are set
+        "_MAX_TOTAL_SIZE": (
+            {"_MAX_ENTRY_SIZE": 300, "_MAX_TOTAL_SIZE": 450},
+            "entry 'resources/c.txt' takes the files past the 450 bytes allowed",
+        ),
+    }[cap]
+    for name, value in caps.items():
+        monkeypatch.setattr(container, name, value)
+    with pytest.raises(ContainerError, match=re.escape(f"ArchiveTooLarge: {message}")):
+        _write_zip(entries)
+    with pytest.raises(ContainerError, match=re.escape(f"MalformedZip: {message}")):
+        read_container_entries(write_zip_reference(entries))
+
+
+def test_caps_keep_every_field_below_the_zip64_limits():
+    # the writer packs no zip64 field: at the caps, the entry count, every
+    # offset and the central directory's size fit the plain end record,
+    # with deflate's worst-case growth (stored blocks, 5 bytes per 16 KiB)
+    headers = container._MAX_ENTRIES * (container._LOCAL_HEADER.size + container._CENTRAL_HEADER.size)
+    names = 2 * container._MAX_ENTRIES * container._MAX_NAME_BYTES
+    bodies = container._MAX_TOTAL_SIZE + 5 * (container._MAX_TOTAL_SIZE // 16384 + 2 * container._MAX_ENTRIES)
+    assert container._MAX_ENTRIES < 0xFFFF
+    assert headers + names + bodies + container._END_RECORD.size < 2**31 - 1
+    assert container._MAX_ENTRY_SIZE <= container._MAX_TOTAL_SIZE
+
+
+def test_name_level_checks_precede_inflation(corpus_containers):
+    # an entry that does not inflate, then a duplicate: the duplicate shows
+    entries = [*read_container_entries(corpus_containers["varignon"]), ("resources/a", b"1"), ("resources/a", b"2")]
+    buf = io.BytesIO()
+    with warnings.catch_warnings(), zipfile.ZipFile(buf, "w", zipfile.ZIP_DEFLATED) as zf:
+        warnings.simplefilter("ignore", UserWarning)  # zipfile warns of the duplicate it writes
+        for name, body in entries:
+            zf.writestr(name, body or b"")
+    data = corrupt_intergeo(buf.getvalue())
+    with pytest.raises(ContainerError, match="MalformedZip: cannot read entry 'construction/intergeo.xml'"):
+        read_container_entries(corrupt_intergeo(_write_zip(entries[:-1])))
+    assert validate_container(data) == [
+        Violation("DuplicateEntry", "/", "DuplicateEntry: entry 'resources/a' is given more than once")
+    ]
+
+
+# Paths a generated entry list draws from, with repeats: nested files and
+# directories, and names that clash once an attempt's outputs or the i2g
+# relocation place them
+_ENTRY_ALPHABET = (
+    "a", "a/", "a/b", "a/b/", "a/b/c", "a/d", "b", "b/c/", "proofInfo.xml", "log", "log/2",
+    "construction/a", "construction/x", "construction/x/y", "x", "x/y", "proofs", "resources/r",
+)  # fmt: skip
+
+
+def _implied_dirs(names: list[str]) -> set[str]:
+    return {name[: i + 1] for name in names for i, c in enumerate(name) if c == "/"}
+
+
+def _writes_what_it_reads(call, entries: list[tuple[str, bytes | None]]) -> None:
+    """``call()`` writes an archive that reads back as ``entries`` and the
+    directories they imply, or refuses them as DuplicateEntry exactly when
+    they repeat a path or hold a file at a directory."""
+
+    names = [name for name, _ in entries]
+    dirs = _implied_dirs(names)
+    refused = len(set(names)) < len(names) or any(n + "/" in dirs for n in names)
+    try:
+        data = call()
+    except ContainerError as exc:
+        assert exc.code == "DuplicateEntry" and refused
+        return
+    assert not refused
+    assert read_container_entries(data) == sorted({**dict.fromkeys(dirs), **dict(entries)}.items())
+
+
+_entry_lists = st.lists(st.sampled_from(_ENTRY_ALPHABET), max_size=8).map(
+    lambda names: [(n, None if n.endswith("/") else n.encode() * 30) for n in names]
+)
+_file_lists = _entry_lists.map(lambda entries: [(name, data) for name, data in entries if data is not None])
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_entry_lists)
+def test_the_writer_writes_only_what_the_reader_reads(entries):
+    _writes_what_it_reads(lambda: _write_zip(entries), entries)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(_file_lists, st.lists(st.sampled_from(_ENTRY_ALPHABET), unique=True, max_size=6))
+def test_pack_and_add_proof_attempt_write_only_what_the_reader_reads(resources, output_names):
+    outputs = tuple((name, b"out") for name in dict.fromkeys(n.rstrip("/") for n in output_names))
+    attempt = dataclasses.replace(_GCLC_AREA, outputs=outputs)
+    problem = dataclasses.replace(parse_dsl(MINIMAL_DSL), resources=tuple(resources))
+    if validate_problem(problem):  # a resource given twice
+        return
+    base = f"proofs/{attempt.directory_name}/"
+    written = [(d, None) for d in ("information/", "conjecture/", "proofs/")] + _MINIMAL_FILES + resources
+    written += [(base + "proofInfo.xml", serialize_proof_info(attempt)), *((base + name, data) for name, data in outputs)]
+    _writes_what_it_reads(lambda: pack(dataclasses.replace(problem, proofs=(attempt,))), written)
+    try:
+        data = pack(problem)
+    except ContainerError:  # a resource at a mandatory directory, or clashing with another
+        return
+    _writes_what_it_reads(lambda: add_proof_attempt(data, attempt), written)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(_file_lists)
+def test_strip_writes_only_what_the_reader_reads(files):
+    try:
+        data = _write_zip(_MINIMAL_FILES + files)
+    except ContainerError:
+        return
+    kept = [(name, body) for name, body in _MINIMAL_FILES + files if not name.startswith(("information/", "conjecture/", "proofs/"))]
+    _writes_what_it_reads(lambda: strip_to_i2g(data), [(name.removeprefix("construction/"), body) for name, body in kept])

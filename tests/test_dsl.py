@@ -8,7 +8,7 @@ import pytest
 
 from conftest import VARIGNON_DSL
 from i2gatp.container import pack, unpack
-from i2gatp.dsl import emit_dsl, emit_prover_input, parse_dsl
+from i2gatp.dsl import _parse_prove_block, emit_dsl, emit_prover_input, parse_dsl
 from i2gatp.errors import (
     CodecError,
     DegenerateInitialInstance,
@@ -209,3 +209,51 @@ def test_emit_refuses_a_free_point_without_a_point_instance(varignon, instance, 
         emit_dsl(problem)
     assert [(v.code, v.path) for v in exc.value.violations] == [(code, "/construction/constraints/free_point[0]")]
     assert exc.value.violations[0] in validate_problem(problem)
+
+
+# One row per diagnostic of the parser: source text, error class, line and
+# a fragment of the message
+_PA = "point A 0 0\npoint B 1 0\n"
+_DIAGNOSTICS = [
+    ("point 1A 0 0", DslSyntaxError, 1, "invalid id '1A'"),
+    ("point A x 0", DslSyntaxError, 1, "malformed number 'x'"),
+    (_PA + "prove { conclude equal minus A }", DslSyntaxError, 3, "unknown term 'minus'"),
+    (_PA + "prove { conclude tangent A B }", DslSyntaxError, 3, "unknown predicate 'tangent'"),
+    (_PA + "prove conclude not_equal A B }", DslSyntaxError, 3, "expected '{' after prove, found 'conclude'"),
+    (_PA + "prove { collinear A B A }", DslSyntaxError, 3, "expected hyp, ndg or conclude, found 'collinear'"),
+    (_PA + "prove { conclude not_equal A B } extra", DslSyntaxError, 3, "unexpected 'extra' after prove block"),
+    (_PA + "prove { ; }", DslSyntaxError, 3, "prove block needs at least one conclude predicate"),
+    (_PA + "line l A B\nmidpoint M l B", DslSyntaxError, 4, "'l' is a line, expected a point"),
+    ("% name: a\n% name: b\npoint A 0 0", DslSyntaxError, 2, "repeated header 'name'"),
+    (_PA + "prove { conclude not_equal A B }\nprove { conclude not_equal A B }", DslSyntaxError, 4, "only one prove block"),
+    ("point A 0", DslSyntaxError, 1, "usage: point <id> <x> <y>"),
+    (_PA + "line l A", DslSyntaxError, 3, "line takes 2 arguments"),
+    (_PA + "prove {\n  conclude not_equal A B", DslSyntaxError, 3, "unterminated prove block"),
+    (_PA + "prove {\n  conclude not_equal A Z\n}", DslUnresolvedId, 4, "undefined id 'Z'"),
+    (_PA + "line l A B\nprove { conclude not_equal A l }", DslSyntaxError, 4, "'l' is a line, predicates take points"),
+    ("% description: no name\npoint A 0 0", DslSyntaxError, 1, "header needs a '% name:' line"),
+]
+
+
+@pytest.mark.parametrize("source, error, line, fragment", _DIAGNOSTICS, ids=[row[3] for row in _DIAGNOSTICS])
+def test_diagnostics_name_their_line(source, error, line, fragment):
+    with pytest.raises(error) as exc:
+        parse_dsl(source)
+    assert type(exc.value) is error and exc.value.line == line
+    assert str(exc.value).startswith(f"line {line}: ") and fragment in str(exc.value)
+
+
+def test_prove_block_parser_refuses_a_stream_that_ends_early():
+    # parse_dsl never passes such a stream: every prove block it reads ends
+    # in the '}' that stops the loop, or is refused as unterminated first
+    with pytest.raises(DslSyntaxError, match="line 1: expected '{', found end of prove block"):
+        _parse_prove_block([], 1)
+    with pytest.raises(DslSyntaxError, match="line 7: unterminated prove block"):
+        _parse_prove_block([("{", 7), ("conclude", 7), ("not_equal", 7), ("A", 7), ("B", 7)], 7)
+
+
+def test_prover_input_refuses_an_opaque_step(corpus):
+    p = corpus["opaque_circumcircle"]
+    p = dataclasses.replace(p, conjecture=Conjecture(hypothesis=(), ndg=(), conclusion=(Midpoint("A", "B", "C"),)))
+    with pytest.raises(OpaqueConstraintError, match="constraint k is opaque"):
+        emit_prover_input(p)

@@ -6,35 +6,59 @@ list the same children.  So is the construction vocabulary, in
 ``model.ELEMENT_COORDS`` and ``model.CONSTRAINT_SIGNATURES``: the intergeo.xml
 schema, the DSL grammar, the numeric step table and the numeric scene objects
 must agree with them, and the violation catalogue must list exactly
-``model.VIOLATION_CODES``.  The container layout table lists exactly the
-directories that ``container`` knows."""
+``model.VIOLATION_CODES``, each of which some minimal case produces.  The
+container layout table lists exactly the directories that ``container``
+knows."""
 
 from __future__ import annotations
 
+import dataclasses
+import io
+import math
 import re
+import struct
 import typing
+import zipfile
+import zlib
 from pathlib import Path
 
 import pytest
 
-from i2gatp.container import _KNOWN_TOP_DIRS, MANDATORY_DIRS
+from i2gatp.container import _KNOWN_TOP_DIRS, MANDATORY_DIRS, strip_to_i2g, validate_container, validate_entries
 from i2gatp.dsl import _STATEMENT_KEYWORDS, emit_prover_input, parse_dsl, predicate_text
+from i2gatp.errors import ContainerError
 from i2gatp.model import (
     CONSTRAINT_SIGNATURES,
     ELEMENT_COORDS,
     PREDICATES,
     PROOF_INFO_SECTIONS,
     VIOLATION_CODES,
+    BibEntry,
     Conjecture,
     Const,
+    Constraint,
     ConstraintKind,
+    Construction,
+    ElementInstance,
     Equal,
     GeoKind,
     Mult,
+    Platform,
     Plus,
     Predicate,
+    ProblemInfo,
+    ProofAttempt,
+    ProofLimits,
+    ProofMeasures,
+    ProofStatus,
     SegmentLength,
     SegmentRatio,
+    Violation,
+    validate_attempt,
+    validate_conjecture,
+    validate_construction,
+    validate_info,
+    validate_problem,
 )
 from i2gatp.numeric import (
     _STEPS,
@@ -45,7 +69,13 @@ from i2gatp.numeric import (
     instantiate,
     sample_free_points,
 )
-from i2gatp.xml_codec import parse_conjecture, serialize_conjecture
+from i2gatp.xml_codec import (
+    DocumentKind,
+    parse_conjecture,
+    serialize_conjecture,
+    serialize_proof_info,
+    validate_document,
+)
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -234,3 +264,165 @@ def test_container_layout_table_lists_the_directories():
     top_dirs = {entry.split("/", 1)[0] + "/" for entry, _presence in rows}
     assert top_dirs == set(_KNOWN_TOP_DIRS)
     assert {entry for entry, presence in rows if entry in top_dirs and presence == "mandatory"} == set(MANDATORY_DIRS)
+
+
+# ---------------------------------------------------------------------------
+# Every violation code is produced: a minimal document, value or archive per
+# code, and one per site that reports a code in more than one way
+
+_K = "<construction><elements>{}</elements><constraints>{}</constraints></construction>"
+_A = '<point id="A" x="0" y="0"/>'
+_FA = '<free_point out="A"/>'
+_AB = _A + '<point id="B" x="1" y="0"/>'
+_FAB = _FA + '<free_point out="B"/>'
+_ABL = _AB + '<line a="0" b="1" c="0" id="l"/>'
+_FABL = _FAB + '<line_through_two_points out="l">A B</line_through_two_points>'
+_CONSTRUCTION = _K.format(_ABL, _FABL).encode()
+
+
+def _doc(kind: DocumentKind, text: str):
+    return lambda: validate_document(kind, text.encode())
+
+
+def _info(body: str):
+    return _doc(DocumentKind.INFORMATION, f"<information>{body}</information>")
+
+
+def _construction(elements: str, constraints: str):
+    return _doc(DocumentKind.CONSTRUCTION, _K.format(elements, constraints))
+
+
+def _conclusion(body: str):
+    # read in a container, so that its ids resolve against the construction
+    return _zip(*_LAYOUT, ("conjecture/conjecture.xml", f"<conjecture><conclusion>{body}</conclusion></conjecture>".encode()))
+
+
+def _proof_info(body: str):
+    return _doc(DocumentKind.PROOF_INFO, f"<proof_info><prover>P</prover><version>1</version><method>m</method>{body}</proof_info>")
+
+
+def _steps(*constraints: Constraint, elements=(ElementInstance("A", GeoKind.POINT, (0.0, 0.0)),), display=b""):
+    return lambda: validate_construction(Construction(elements, (Constraint("A", ConstraintKind.FREE_POINT), *constraints), display))
+
+
+def _attempt(**fields):
+    return lambda: validate_attempt(ProofAttempt("P", "1", "m", ProofStatus.PROVED, **fields))
+
+
+def _problem(**fields):
+    return lambda: validate_problem(dataclasses.replace(parse_dsl("point A 0 0\n"), **fields))
+
+
+def _zip_bytes(*entries: tuple[str, bytes | None]) -> bytes:
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        for name, data in entries:
+            zf.writestr(name, data or b"")
+    return buf.getvalue()
+
+
+def _zip(*entries: tuple[str, bytes | None], i2g: bool = False):
+    return lambda: validate_container(_zip_bytes(*entries), i2g)
+
+
+_LAYOUT = (("information/", None), ("construction/intergeo.xml", _CONSTRUCTION), ("conjecture/", None), ("proofs/", None))
+
+
+def _raised(call):
+    def produce():
+        try:
+            call()
+        except ContainerError as exc:
+            return [Violation(exc.code, "/", str(exc))]
+        return []
+
+    return produce
+
+
+def _garbled_local_name() -> bytes:
+    """An archive whose local header flags its name as UTF-8 but holds bytes
+    that do not decode; the central directory names a.txt."""
+
+    fields = (0x800, 0, 0, 0x21, zlib.crc32(b"x"), 1, 1, 5)
+    local = struct.pack("<4s2B4HL2L2H", b"PK\x03\x04", 20, 0, *fields, 0) + b"\xff\xfe.tx" + b"x"
+    central = struct.pack("<4s4B4HL2L5H2L", b"PK\x01\x02", 20, 3, 20, 0, *fields, 0, 0, 0, 0, 0o644 << 16, 0) + b"a.txt"
+    return local + central + struct.pack("<4s4H2LH", b"PK\x05\x06", 0, 0, 1, 1, len(central), len(local), 0)
+
+
+_PRODUCERS = [
+    ("MalformedXml", "document", _doc(DocumentKind.INFORMATION, "<information><name>x</name>")),
+    ("MalformedXml", "bibentry_payload", lambda: validate_info(ProblemInfo("x", bibrefs=(BibEntry("r", b"<a>"),)))),
+    ("MalformedXml", "display_payload", _steps(display=b"<display>")),
+    ("MalformedXml", "opaque_payload", _steps(Constraint("B", ConstraintKind.OPAQUE, opaque_tag="t", opaque_payload=b"<t"))),
+    ("MalformedXml", "unreadable_proof_info", _zip(*_LAYOUT, ("proofs/proofP1m/proofInfo.xml", b"<proof_info>"))),
+    ("MissingName", "information", _info("<description>d</description>")),
+    ("UnknownTag", "information_child", _info("<name>x</name><colour/>")),
+    ("UnknownTag", "bibrefs_child", _info('<name>x</name><bibrefs><book id="r"/></bibrefs>')),
+    ("UnknownTag", "keywords_child", _info("<name>x</name><keywords><tag>a</tag></keywords>")),
+    ("UnknownPredicate", "predicate", _conclusion("<tangent>A B</tangent>")),
+    ("UnknownPredicate", "term", _conclusion('<equal><minus/><const value="1"/></equal>')),
+    ("ArityError", "missing_coordinate", _construction('<point id="A" x="0"/>', _FA)),
+    ("ArityError", "element_coordinates", _steps(elements=(ElementInstance("A", GeoKind.POINT, (0.0,)),))),
+    ("ArityError", "term_operands", _conclusion('<equal><plus><const value="1"/></plus><const value="1"/></equal>')),
+    ("MissingConclusion", "conjecture", _conclusion("")),
+    ("MissingElementsPart", "construction", _doc(DocumentKind.CONSTRUCTION, "<construction><constraints/></construction>")),
+    ("DanglingReference", "input", _construction(_ABL, _FAB + '<line_through_two_points out="l">A Z</line_through_two_points>')),
+    ("ForwardReference", "input", _construction(_ABL, _FA + '<line_through_two_points out="l">A B</line_through_two_points>' + '<free_point out="B"/>')),
+    ("DuplicateId", "element", _construction(_A + _A, _FA)),
+    ("DuplicateOutput", "constraint", _construction(_A, _FA + _FA)),
+    ("MissingElement", "constraint", _construction(_A, _FAB)),
+    ("UnconstrainedElement", "element", _construction(_AB, _FA)),
+    ("UnresolvedId", "conjecture", _conclusion("<not_equal>A Z</not_equal>")),
+    ("KindMismatch", "conjecture", _conclusion("<not_equal>A l</not_equal>")),
+    ("MissingParameter", "point_on_line", _construction(_ABL + '<point id="P" x="0" y="0"/>', _FABL + '<point_on_line out="P">l</point_on_line>')),
+    ("BadNumber", "attribute", _construction('<point id="A" x="zero" y="0"/>', _FA)),
+    ("NonFinite", "coordinate", _steps(elements=(ElementInstance("A", GeoKind.POINT, (math.inf, 0.0)),))),
+    ("NonFinite", "parameter", _steps(
+        Constraint("l", ConstraintKind.LINE_THROUGH_TWO_POINTS, ("A", "A")),
+        Constraint("P", ConstraintKind.POINT_ON_LINE, ("l",), parameter=math.nan),
+        elements=(ElementInstance("A", GeoKind.POINT, (0.0, 0.0)), ElementInstance("l", GeoKind.LINE, (0.0, 1.0, 0.0)),
+                  ElementInstance("P", GeoKind.POINT, (0.0, 0.0))),
+    )),
+    ("NonFinite", "constant", lambda: validate_conjecture(Conjecture((), (), (Equal(Const(math.inf), Const(1.0)),)))),
+    ("ZeroLine", "line", _construction(_AB + '<line a="0" b="0" c="0" id="l"/>', _FABL)),
+    ("NegativeRadius", "circle", _construction(_AB + '<circle cx="0" cy="0" id="k" r="-1"/>', _FAB + '<circle_by_center_and_point out="k">A B</circle_by_center_and_point>')),
+    ("BadRatio", "negative", _conclusion('<segment_ratio ratio="-1">A B A B</segment_ratio>')),
+    ("BadRatio", "missing", _conclusion("<segment_ratio>A B A B</segment_ratio>")),
+    ("BadId", "element", _construction('<point id="1A" x="0" y="0"/>', '<free_point out="1A"/>')),
+    ("BadId", "bibentry", lambda: validate_info(ProblemInfo("x", bibrefs=(BibEntry("1 r", b""),)))),
+    ("BadId", "input", _steps(Constraint("B", ConstraintKind.MIDPOINT_OF_TWO_POINTS, ("A", "1 A")))),
+    ("BadName", "problem", _info("<name>a b</name>")),
+    ("EmptyKeyword", "keyword", _info("<name>x</name><keywords><keyword> </keyword></keywords>")),
+    ("DuplicateKeyword", "keyword", _info("<name>x</name><keywords><keyword>a</keyword><keyword>a</keyword></keywords>")),
+    ("UnknownStatus", "status", _proof_info("<status>maybe</status>")),
+    ("NegativeMeasure", "measure", _attempt(measures=ProofMeasures(proof_steps=-1))),
+    ("NegativeLimit", "limit", _attempt(limits=ProofLimits(time_limit_seconds=-1.0))),
+    ("NonPositivePlatform", "platform", _attempt(platform=Platform(ram_mb=0))),
+    ("DuplicateAttempt", "problem", _problem(proofs=(ProofAttempt("P", "1", "m", ProofStatus.PROVED),) * 2)),
+    ("BadPath", "output", _attempt(outputs=(("../x", b""),))),
+    ("BadPath", "carried_file", _problem(resources=(("/x", b""),))),
+    ("BadPath", "entry", _zip(*_LAYOUT, ("../x", b""))),
+    ("DuplicateEntry", "output", _attempt(outputs=(("x", b""), ("x", b"")))),
+    ("DuplicateEntry", "carried_file", _problem(resources=(("resources/x", b""), ("resources/x", b"")))),
+    ("DuplicateEntry", "entry_list", lambda: validate_entries([*_LAYOUT, ("a", b""), ("a/b", b"")])),
+    ("UnknownEntry", "loose_file", _zip(*_LAYOUT, ("x.txt", b""))),
+    ("UnexpectedEntry", "carried_file", _problem(metadata=(("resources/x", b""),))),
+    ("UnexpectedEntry", "i2g", _zip(("intergeo.xml", _CONSTRUCTION), ("proofs/", None), i2g=True)),
+    ("MissingIntergeo", "container", _zip(*_LAYOUT[:1])),
+    ("MissingIntergeo", "strip", _raised(lambda: strip_to_i2g(_zip_bytes(("resources/x", b""))))),
+    ("MissingMandatoryDir", "container", _zip(*_LAYOUT[1:])),
+    ("BadProofDirName", "directory", _zip(*_LAYOUT, ("proofs/attempt/x", b""))),
+    ("DirNameMismatch", "directory", _zip(*_LAYOUT, ("proofs/proofQ1m/proofInfo.xml", serialize_proof_info(ProofAttempt("P", "1", "m", ProofStatus.PROVED))))),
+    ("MalformedZip", "archive", lambda: validate_container(b"not a zip")),
+    ("MalformedZip", "local_name_not_utf8", lambda: validate_container(_garbled_local_name())),
+]  # fmt: skip
+
+
+def test_every_violation_code_has_a_producer():
+    assert {code for code, _site, _produce in _PRODUCERS} == VIOLATION_CODES
+
+
+@pytest.mark.parametrize("code, produce", [(code, produce) for code, _site, produce in _PRODUCERS],
+                         ids=[f"{code}-{site}" for code, site, _produce in _PRODUCERS])  # fmt: skip
+def test_producer_yields_its_code(code, produce):
+    assert code in [v.code for v in produce()]

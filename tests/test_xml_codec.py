@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from i2gatp.container import entries_from_problem, pack, validate_container
+from i2gatp.container import entries_from_problem, pack, read_container_entries, strip_to_i2g, unpack, validate_container
 from i2gatp.errors import CodecError, I2gatpError
 from i2gatp.model import (
     BibEntry,
     Collinear,
     Conjecture,
     Const,
+    ConstraintKind,
+    Construction,
     Equal,
     MAX_TERM_DEPTH,
     Midpoint,
@@ -36,6 +38,7 @@ from i2gatp.xml_codec import (
     parse_information,
     parse_proof_info,
     serialize_conjecture,
+    serialize_construction,
     serialize_information,
     validate_document,
 )
@@ -394,6 +397,85 @@ def test_multi_byte_encoding_declaration_is_malformed_xml(varignon, encoding):
     assert [(v.code, v.path) for v in validate_container(container)] == [("MalformedXml", "information/information.xml/")]
 
 
+def _declared_in(encoding: str, doc: bytes) -> bytes:
+    """``doc``, a canonical UTF-8 document, declared and encoded in
+    ``encoding``."""
+
+    return doc.decode("utf-8").replace('encoding="UTF-8"', f'encoding="{encoding}"', 1).encode(encoding)
+
+
+def _with_display(varignon, display: bytes):
+    return dataclasses.replace(varignon.construction, display=display)
+
+
+def _with_opaque(varignon, text: str):
+    k = varignon.construction
+    last = k.constraints[-1]
+    payload = f'<hint out="{last.output}">{text}</hint>'.encode()
+    opaque = dataclasses.replace(last, kind=ConstraintKind.OPAQUE, inputs=(), opaque_tag="hint", opaque_payload=payload)
+    return dataclasses.replace(k, constraints=(*k.constraints[:-1], opaque))
+
+
+@pytest.mark.parametrize(
+    "kind, build, encoding",
+    [
+        (DocumentKind.CONSTRUCTION, lambda p: _with_display(p, b"<display><label/></display>"), "UTF-16"),
+        (DocumentKind.CONSTRUCTION, lambda p: _with_display(p, "<display><label t='\u00e9'/>\u00e9</display>".encode()), "ISO-8859-1"),
+        (DocumentKind.CONSTRUCTION, lambda p: _with_opaque(p, "\u00e9 A"), "ISO-8859-1"),
+        (DocumentKind.INFORMATION, lambda p: dataclasses.replace(p.info, statement=b"<math/>"), "UTF-16"),
+        (DocumentKind.INFORMATION, lambda p: dataclasses.replace(p.info, bibrefs=(BibEntry("r", b"<t>\xc3\xa9</t>"),)), "UTF-16"),
+    ],
+    ids=["utf16_display", "latin1_display", "latin1_opaque_constraint", "utf16_statement", "utf16_bibentry"],
+)
+def test_payloads_of_a_document_in_another_encoding_read_as_utf8(varignon, kind, build, encoding):
+    # payloads were byte slices of the source in its own encoding, so a
+    # well-formed document was refused as MalformedXml
+    value = build(varignon)
+    canonical = (serialize_construction if kind is DocumentKind.CONSTRUCTION else serialize_information)(value)
+    doc = _declared_in(encoding, canonical)
+    assert doc != canonical
+    assert validate_document(kind, doc) == []
+    assert (parse_construction if kind is DocumentKind.CONSTRUCTION else parse_information)(doc) == value
+    assert canonicalize(kind, doc) == canonical
+
+
+def test_byte_order_mark_before_another_declared_encoding_is_skipped(varignon):
+    # expat skips a UTF-8 byte order mark and reads the declared encoding
+    k = _with_display(varignon, "<display>\u00e9</display>".encode())
+    canonical = serialize_construction(k)
+    doc = b"\xef\xbb\xbf" + _declared_in("ISO-8859-1", canonical)
+    assert parse_construction(doc) == k
+    assert canonicalize(DocumentKind.CONSTRUCTION, doc) == canonical
+
+
+# A display with nested elements, a quoted '>' and a comment
+_DISPLAY = b"<display><layer n='1'><style color=\"a>b\"/><!-- keep > this --></layer><label/></display>"
+
+
+def test_display_is_carried_byte_for_byte(varignon, tmp_path):
+    p = dataclasses.replace(varignon, construction=_with_display(varignon, _DISPLAY))
+    doc = serialize_construction(p.construction)
+    assert b"\n  " + _DISPLAY + b"\n</construction>" in doc
+    assert canonicalize(DocumentKind.CONSTRUCTION, doc) == doc
+    data = pack(p)
+    assert unpack(data).construction.display == _DISPLAY
+    assert dict(read_container_entries(strip_to_i2g(data)))["intergeo.xml"] == doc
+
+
+def test_empty_payloads_are_empty_tags(varignon):
+    info = dataclasses.replace(varignon.info, bibrefs=(BibEntry("r", b""),))
+    doc = serialize_information(info)
+    assert b'<bibentry id="r"/>' in doc
+    assert canonicalize(DocumentKind.INFORMATION, doc) == doc
+    p = dataclasses.replace(varignon, info=info)
+    assert unpack(pack(p)).info == info
+    assert dict(read_container_entries(pack(p)))["information/information.xml"] == doc
+    empty = Construction(elements=(), constraints=())
+    doc = serialize_construction(empty)
+    assert doc == b'<?xml version="1.0" encoding="UTF-8"?>\n<construction>\n  <elements/>\n</construction>\n'
+    assert parse_construction(doc) == empty
+
+
 def test_serializers_reject_invalid_values():
     with pytest.raises(CodecError) as exc:
         serialize_information(ProblemInfo(name="no spaces allowed"))
@@ -466,12 +548,14 @@ def _tree(node) -> tuple:
 
 def _assert_reads_as_the_reference(doc: bytes) -> None:
     try:
-        expected = _tree(parse_raw_reference(doc))
+        parse_raw_reference(doc)
     except XML_READ_ERRORS as exc:
         with pytest.raises(type(exc)):
             _parse_raw(doc)
     else:
-        assert _tree(_parse_raw(doc)) == expected
+        root, source = _parse_raw(doc)
+        # a document in another encoding is read from its UTF-8 transcoding
+        assert _tree(root) == _tree(parse_raw_reference(doc if source is doc else source.decode("utf-8")))
     value = _read(DocumentKind.PROOF_INFO, doc)[0]
     assert _proof_identity(doc) == (None if value is None else value.identity)
 
@@ -502,7 +586,7 @@ def test_text_longer_than_the_parser_buffer_reads_whole():
     assert split != doc
     assert parse_information(split).keywords == ("ab",)
     for data in (doc, split):
-        assert _tree(_parse_raw(data)) == _tree(parse_raw_reference(data))
+        assert _tree(_parse_raw(data)[0]) == _tree(parse_raw_reference(data))
 
 
 _name_st = st.from_regex(r"[A-Za-z0-9_][A-Za-z0-9_-]{0,20}", fullmatch=True)
