@@ -80,7 +80,9 @@ def _entries_from_dir(root: Path) -> list[Entry]:
 
 def _print_violations(violations) -> None:
     for v in violations:
-        print(f"{v.code} {v.path} {v.message}")
+        # a name read from a directory keeps each byte that is not UTF-8 as
+        # a lone surrogate, which a strict stream cannot encode
+        print(f"{v.code} {v.path} {v.message}".encode("utf-8", "backslashreplace").decode("utf-8"))
 
 
 def _cmd_pack(args) -> int:

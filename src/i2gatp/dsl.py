@@ -54,7 +54,6 @@ from .model import (
     SegmentLength,
     SegmentRatio,
     Term,
-    check_term_depth,
     format_number,
     predicate_point_ids,
     validate_construction,
@@ -84,7 +83,10 @@ _HEADER_RE = re.compile(r"%\s*(name|description|keyword)\s*:\s*(.*?)\s*$")
 
 
 class _Tokens:
-    """Token stream with line numbers for the prove block."""
+    """Token stream with line numbers for the prove block.  It holds the
+    block's closing '}', which ends the block's loop and which every other
+    reader of a token refuses, so no take runs past its end; parse_dsl
+    refuses a block with no '}' before building the stream."""
 
     def __init__(self, items: list[tuple[str, int]]):
         self.items = items
@@ -93,11 +95,8 @@ class _Tokens:
     def peek(self) -> tuple[str, int] | None:
         return self.items[self.pos] if self.pos < len(self.items) else None
 
-    def take(self, what: str) -> tuple[str, int]:
-        item = self.peek()
-        if item is None:
-            last_line = self.items[-1][1] if self.items else 1
-            raise DslSyntaxError(last_line, f"expected {what}, found end of prove block")
+    def take(self) -> tuple[str, int]:
+        item = self.items[self.pos]
         self.pos += 1
         return item
 
@@ -120,22 +119,22 @@ def _parse_number(token: str, line: int) -> float:
 def _parse_point_ids(toks: _Tokens, count: int) -> list[str]:
     ids = []
     for _ in range(count):
-        ref, rline = toks.take("a point id")
+        ref, rline = toks.take()
         ids.append(_check_id_token(ref, rline))
     return ids
 
 
 def _parse_term(toks: _Tokens, depth: int = 1) -> Term:
-    token, line = toks.take("a term")
+    token, line = toks.take()
     cls = TERMS.get(token)
     if cls is None:
         raise DslSyntaxError(line, f"unknown term {token!r}")
-    # model.check_term_depth bounds a built term; the parser stops first,
-    # since building a deeper term would recurse without bound
+    # the model bounds a built term too; the parser stops first, since
+    # building a deeper term would recurse without bound
     if depth > MAX_TERM_DEPTH:
         raise DslSyntaxError(line, f"term nested deeper than {MAX_TERM_DEPTH} levels")
     if cls is Const:
-        value, vline = toks.take("a number")
+        value, vline = toks.take()
         return Const(_parse_number(value, vline))
     if cls is SegmentLength:
         return SegmentLength(*_parse_point_ids(toks, 2))
@@ -143,7 +142,7 @@ def _parse_term(toks: _Tokens, depth: int = 1) -> Term:
 
 
 def _parse_predicate(toks: _Tokens) -> tuple[Predicate, int]:
-    token, line = toks.take("a predicate")
+    token, line = toks.take()
     if token not in PREDICATES:
         raise DslSyntaxError(line, f"unknown predicate {token!r}")
     cls, arity = PREDICATES[token]
@@ -152,32 +151,24 @@ def _parse_predicate(toks: _Tokens) -> tuple[Predicate, int]:
     ids = _parse_point_ids(toks, arity)
     if cls is not SegmentRatio:
         return cls(*ids), line
-    value, vline = toks.take("a ratio")
+    value, vline = toks.take()
     return SegmentRatio(*ids, ratio=_parse_number(value, vline)), line
 
 
 def _parse_prove_block(tokens: list[tuple[str, int]], start_line: int):
     toks = _Tokens(tokens)
-    opener, oline = toks.take("'{'")
+    opener, oline = toks.take()
     if opener != "{":
         raise DslSyntaxError(oline, f"expected '{{' after prove, found {opener!r}")
     sections: dict[str, list[tuple[Predicate, int]]] = {"hyp": [], "ndg": [], "conclude": []}
     while True:
-        item = toks.peek()
-        if item is None:
-            raise DslSyntaxError(start_line, "unterminated prove block")
-        token, line = item
+        token, line = toks.take()
         if token == "}":
-            toks.pos += 1
             break
-        if token == ";":
-            toks.pos += 1
-            continue
         if token in sections:
-            toks.pos += 1
             sections[token].append(_parse_predicate(toks))
-            continue
-        raise DslSyntaxError(line, f"expected hyp, ndg or conclude, found {token!r}")
+        elif token != ";":
+            raise DslSyntaxError(line, f"expected hyp, ndg or conclude, found {token!r}")
     if toks.peek() is not None:
         token, line = toks.peek()
         raise DslSyntaxError(line, f"unexpected {token!r} after prove block")
@@ -320,20 +311,12 @@ def parse_dsl(text: str) -> Problem:
 
 
 def _term_text(t: Term) -> str:
-    # iterative, as a term built in code may be of any depth
-    words: list[str] = []
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        name = TERM_NAMES[type(t)]
-        if isinstance(t, Const):
-            words.append(f"{name} {format_number(t.value)}")
-        elif isinstance(t, SegmentLength):
-            words.append(f"{name} {t.a} {t.b}")
-        else:
-            words.append(name)
-            stack += (t.right, t.left)
-    return " ".join(words)
+    name = TERM_NAMES[type(t)]
+    if isinstance(t, Const):
+        return f"{name} {format_number(t.value)}"
+    if isinstance(t, SegmentLength):
+        return f"{name} {t.a} {t.b}"
+    return f"{name} {_term_text(t.left)} {_term_text(t.right)}"
 
 
 def predicate_text(p: Predicate) -> str:
@@ -357,9 +340,8 @@ def _step_text(name: str, c: Constraint) -> str:
 
 def emit_dsl(problem: Problem) -> str:
     """Canonical DSL text; parse_dsl is its inverse within DSL coverage.
-    A term deeper than MAX_TERM_DEPTH, which parse_dsl refuses, raises
-    CodecError, and so does a free point with no point instance, carrying
-    the violation that validate_construction reports for its step."""
+    A free point with no point instance raises CodecError, carrying the
+    violation that validate_construction reports for its step."""
 
     points = {e.id: e.coords for e in problem.construction.elements if e.kind is GeoKind.POINT}
     lines: list[str] = []
@@ -382,7 +364,6 @@ def emit_dsl(problem: Problem) -> str:
         else:
             lines.append(_step_text(_STATEMENT_KEYWORDS[c.kind], c))
     if problem.conjecture is not None:
-        check_term_depth(problem.conjecture)
         lines.append("prove {")
         for keyword, preds in (
             ("hyp", problem.conjecture.hypothesis),
@@ -400,7 +381,6 @@ def emit_prover_input(problem: Problem) -> str:
 
     if problem.conjecture is None:
         raise NoConjectureError()
-    check_term_depth(problem.conjecture)
     lines = ["gpi 1"]
     if problem.info is not None:
         lines.append(f"problem {problem.info.name}")

@@ -56,7 +56,6 @@ __all__ = [
     "VIOLATION_CODES",
     "Violation",
     "canonicalize_problem",
-    "check_term_depth",
     "predicate_point_ids",
     "term_point_ids",
     "validate_attempt",
@@ -192,10 +191,20 @@ class Construction:
 # Conjecture ASTs
 
 
+# The deepest term: `const` and `segment_length` have depth 1, `plus` and
+# `mult` one more than their deeper operand.  No deeper term can be built,
+# so the readers, the writers and every term walker recurse once per level,
+# far below the interpreter's recursion limit.
+MAX_TERM_DEPTH = 100
+
+
 class Term:
-    """Base class of arithmetic term nodes (conjecture ``equal`` operands)."""
+    """Base class of arithmetic term nodes (conjecture ``equal`` operands).
+
+    ``depth`` counts the levels of a term, at most MAX_TERM_DEPTH."""
 
     __slots__ = ()
+    depth = 1
 
 
 @dataclass(frozen=True)
@@ -209,16 +218,29 @@ class SegmentLength(Term):
     b: str
 
 
+def _nest(t: Plus | Mult) -> None:
+    """Give a plus or mult its depth; past MAX_TERM_DEPTH, raise CodecError
+    with one ArityError at the refused term."""
+
+    depth = max(t.left.depth, t.right.depth) + 1
+    if depth > MAX_TERM_DEPTH:
+        message = f"term nested deeper than {MAX_TERM_DEPTH} levels"
+        raise CodecError([Violation("ArityError", f"/{TERM_NAMES[type(t)]}", message)])
+    object.__setattr__(t, "depth", depth)
+
+
 @dataclass(frozen=True)
 class Plus(Term):
     left: Term
     right: Term
+    __post_init__ = _nest
 
 
 @dataclass(frozen=True)
 class Mult(Term):
     left: Term
     right: Term
+    __post_init__ = _nest
 
 
 class Predicate:
@@ -336,29 +358,18 @@ PREDICATE_NAMES: dict[type, str] = {cls: name for name, (cls, _n) in PREDICATES.
 # Plus and Mult two terms
 TERMS: dict[str, type] = {"const": Const, "segment_length": SegmentLength, "plus": Plus, "mult": Mult}
 TERM_NAMES: dict[type, str] = {cls: name for name, cls in TERMS.items()}
-# The deepest term a reader accepts: `const` and `segment_length` have depth
-# 1, `plus` and `mult` one more than their deeper operand.  The XML and DSL
-# readers and the XML writer recurse once per level, so the limit keeps them
-# far below the interpreter's recursion limit; the validators, `eval_term`
-# and `predicate_text` walk a term of any depth without recursion.
-MAX_TERM_DEPTH = 100
 
 
 def term_point_ids(t: Term) -> tuple[str, ...]:
     """Point ids referenced by a term, in syntactic order."""
 
-    # iterative, as validation must walk a term of any depth
-    ids: list[str] = []
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, SegmentLength):
-            ids += (t.a, t.b)
-        elif isinstance(t, (Plus, Mult)):
-            stack += (t.right, t.left)
-        elif not isinstance(t, Const):
-            raise TypeError(f"not a Term: {t!r}")
-    return tuple(ids)
+    if isinstance(t, SegmentLength):
+        return (t.a, t.b)
+    if isinstance(t, (Plus, Mult)):
+        return term_point_ids(t.left) + term_point_ids(t.right)
+    if isinstance(t, Const):
+        return ()
+    raise TypeError(f"not a Term: {t!r}")
 
 
 def predicate_point_ids(p: Predicate) -> tuple[str, ...]:
@@ -612,11 +623,18 @@ def is_well_formed_xml(data: bytes) -> bool:
 
 
 def is_safe_relative_path(path: str) -> bool:
-    """Forward slashes, relative, no '.'/'..' segments, no backslashes and
-    no NUL (zip readers cut a name at its first NUL)."""
+    """Forward slashes, relative, no '.'/'..' segments, no backslashes, no
+    NUL (zip readers cut a name at its first NUL) and a UTF-8 form (a
+    container stores every name in UTF-8; a lone surrogate, as a file name
+    that is not UTF-8 decodes to, has none)."""
 
     if not path or path.startswith("/") or "\\" in path or "\0" in path:
         return False
+    if not path.isascii():
+        try:
+            path.encode("utf-8")
+        except UnicodeEncodeError:
+            return False
     return all(seg not in ("", ".", "..") for seg in path.split("/"))
 
 
@@ -733,70 +751,40 @@ def _validate_construction(k: Construction, out: list[Violation]) -> None:
 
 
 def _validate_term(t: Term, path: str, out: list[Violation]) -> None:
-    """One operand of the ``equal`` at ``path``, walked without recursion.
-    Each constant must be finite.  A term deeper than MAX_TERM_DEPTH is one
-    ArityError at the path the XML reader reports, that of the left operand
-    of the plus or mult at the limit; nothing below that is walked."""
+    """Each constant of one operand of the ``equal`` at ``path`` must be
+    finite."""
 
-    stack = [(t, 1, path)]
-    while stack:
-        t, depth, at = stack.pop()
-        if isinstance(t, Const):
-            if not math.isfinite(t.value):
-                _violation(out, "NonFinite", path, "constant must be finite")
-        elif isinstance(t, (Plus, Mult)):
-            at = f"{at}/{TERM_NAMES[type(t)]}"
-            if depth < MAX_TERM_DEPTH:
-                stack += ((t.right, depth + 1, at), (t.left, depth + 1, at))
-            else:
-                left = TERM_NAMES.get(type(t.left), "term")
-                _violation(out, "ArityError", f"{at}/{left}", f"term nested deeper than {MAX_TERM_DEPTH} levels")
-
-
-def _predicate_paths(c: Conjecture):
-    """(violation path, predicate) for each predicate of ``c``."""
-
-    for section, preds in (("hypothesis", c.hypothesis), ("ndg", c.ndg), ("conclusion", c.conclusion)):
-        for i, p in enumerate(preds):
-            yield f"/conjecture/{section}/{PREDICATE_NAMES[type(p)]}[{i}]", p
+    if isinstance(t, Const):
+        if not math.isfinite(t.value):
+            _violation(out, "NonFinite", path, "constant must be finite")
+    elif isinstance(t, (Plus, Mult)):
+        _validate_term(t.left, path, out)
+        _validate_term(t.right, path, out)
 
 
 def _validate_conjecture(c: Conjecture, k: Construction | None, out: list[Violation]) -> None:
     if not c.conclusion:
         _violation(out, "MissingConclusion", "/conjecture/conclusion", "conclusion must contain at least one predicate")
     kinds = k.element_kinds() if k is not None else None
-    for path, p in _predicate_paths(c):
-        # a repeated id is reported once per predicate
-        for ref in dict.fromkeys(predicate_point_ids(p)):
-            if not ID_RE.match(ref):
-                _violation(out, "BadId", path, f"invalid point id {ref!r}")
-            if kinds is None:
-                continue
-            if ref not in kinds:
-                _violation(out, "UnresolvedId", path, f"id {ref!r} does not resolve in the construction")
-            elif kinds[ref] is not GeoKind.POINT:
-                _violation(out, "KindMismatch", path, f"id {ref!r} is a {kinds[ref].value}, predicates take points")
-        if isinstance(p, Equal):
-            _validate_term(p.left, path, out)
-            _validate_term(p.right, path, out)
-        elif isinstance(p, SegmentRatio):
-            if not math.isfinite(p.ratio) or p.ratio < 0.0:
-                _violation(out, "BadRatio", path, f"segment ratio {p.ratio} must be finite and >= 0")
-
-
-def check_term_depth(c: Conjecture) -> None:
-    """Raise CodecError, with an ArityError for each, if a term of ``c`` is
-    deeper than MAX_TERM_DEPTH: no reader takes such a conjecture, and code
-    that recurses per term level need not handle it."""
-
-    out: list[Violation] = []
-    for path, p in _predicate_paths(c):
-        if isinstance(p, Equal):
-            _validate_term(p.left, path, out)
-            _validate_term(p.right, path, out)
-    deep = [v for v in out if v.code == "ArityError"]
-    if deep:
-        raise CodecError(deep)
+    for section, preds in (("hypothesis", c.hypothesis), ("ndg", c.ndg), ("conclusion", c.conclusion)):
+        for i, p in enumerate(preds):
+            path = f"/conjecture/{section}/{PREDICATE_NAMES[type(p)]}[{i}]"
+            # a repeated id is reported once per predicate
+            for ref in dict.fromkeys(predicate_point_ids(p)):
+                if not ID_RE.match(ref):
+                    _violation(out, "BadId", path, f"invalid point id {ref!r}")
+                if kinds is None:
+                    continue
+                if ref not in kinds:
+                    _violation(out, "UnresolvedId", path, f"id {ref!r} does not resolve in the construction")
+                elif kinds[ref] is not GeoKind.POINT:
+                    _violation(out, "KindMismatch", path, f"id {ref!r} is a {kinds[ref].value}, predicates take points")
+            if isinstance(p, Equal):
+                _validate_term(p.left, path, out)
+                _validate_term(p.right, path, out)
+            elif isinstance(p, SegmentRatio):
+                if not math.isfinite(p.ratio) or p.ratio < 0.0:
+                    _violation(out, "BadRatio", path, f"segment ratio {p.ratio} must be finite and >= 0")
 
 
 def _validate_attempt(a: ProofAttempt, path: str, out: list[Violation]) -> None:

@@ -49,7 +49,6 @@ from .model import (
     SegmentLength,
     SegmentRatio,
     Term,
-    check_term_depth,
 )
 
 __all__ = [
@@ -393,29 +392,11 @@ def eval_term(scene: NumericScene, term: Term) -> float:
         return term.value
     if isinstance(term, SegmentLength):
         return _dist(_point(scene, term.a), _point(scene, term.b))
-    # iterative, as a term built in code may be of any depth: an operator
-    # comes back off the stack as its class once both operands are values
-    values: list[float] = []
-    stack: list = [term]
-    while stack:
-        t = stack.pop()
-        if t is Plus:
-            right = values.pop()
-            values[-1] += right
-        elif t is Mult:
-            right = values.pop()
-            values[-1] *= right
-        elif isinstance(t, Plus):
-            stack += (Plus, t.right, t.left)
-        elif isinstance(t, Mult):
-            stack += (Mult, t.right, t.left)
-        elif isinstance(t, Const):
-            values.append(t.value)
-        elif isinstance(t, SegmentLength):
-            values.append(_dist(_point(scene, t.a), _point(scene, t.b)))
-        else:
-            raise TypeError(f"not a Term: {t!r}")
-    return values[0]
+    if isinstance(term, Plus):
+        return eval_term(scene, term.left) + eval_term(scene, term.right)
+    if isinstance(term, Mult):
+        return eval_term(scene, term.left) * eval_term(scene, term.right)
+    raise TypeError(f"not a Term: {term!r}")
 
 
 # Residual functions: (scene, predicate, eps_rel, scale) -> (residual, eps).
@@ -683,20 +664,18 @@ def check_conjecture(
     """Sample free points ``trials`` times and test the conjecture.
 
     The construction is compiled once, so opaque steps and unresolved,
-    mis-kinded or redefined ids raise before the first sample, as does a
-    term deeper than MAX_TERM_DEPTH (CodecError).  Per sample: run the
-    compiled construction into the scene :func:`instantiate` would return
-    (degenerate steps count as degenerate samples); evaluate ndg predicates
-    first (any false or degenerate: degenerate sample); then hypotheses (any
-    false: hypothesis-failed sample); then the conclusion conjunction.  The
-    first false conclusion stops the run with a witness.  All trials draw
-    from one splitmix64 stream started at ``seed`` (trial 0 matches
-    :func:`sample_free_points`), so reports are bit-stable.
+    mis-kinded or redefined ids raise before the first sample.  Per sample:
+    run the compiled construction into the scene :func:`instantiate` would
+    return (degenerate steps count as degenerate samples); evaluate ndg
+    predicates first (any false or degenerate: degenerate sample); then
+    hypotheses (any false: hypothesis-failed sample); then the conclusion
+    conjunction.  The first false conclusion stops the run with a witness.
+    All trials draw from one splitmix64 stream started at ``seed`` (trial 0
+    matches :func:`sample_free_points`), so reports are bit-stable.
     """
 
     if problem.conjecture is None:
         raise NoConjectureError()
-    check_term_depth(problem.conjecture)
     plan = _compile(problem.construction)
     if trials <= 0:
         raise ValueError(f"trials must be > 0, got {trials}")

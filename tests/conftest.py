@@ -9,6 +9,7 @@ import io
 import random
 import struct
 import sys
+import warnings
 import zipfile
 from pathlib import Path
 
@@ -31,6 +32,23 @@ from i2gatp.model import (
     ProofMeasures,
     ProofStatus,
 )
+
+
+def pytest_configure(config):
+    """When a property test fails, hypothesis's pytest plugin imports its
+    patch writer, whose libcst import warns; under filterwarnings = error
+    that turns the failure into an INTERNALERROR which ends the session.
+    Imported here once, with the warning ignored, a failing property is
+    reported as a failure.  A hook, not module code: the benchmark loads
+    this module for its fixtures and needs neither import."""
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            import hypothesis.extra._patching  # noqa: F401
+        except ImportError:
+            pass
+
 
 VARIGNON_DSL = """\
 % name: varignon

@@ -282,3 +282,16 @@ def test_unsafe_path_in_a_tree_is_bad_path(tmp_path, varignon_zip, capsys, comma
     capsys.readouterr()
     assert main([command, str(tree)]) == 1
     assert capsys.readouterr().out == "BadPath construction/a\\b unsafe entry path 'construction/a\\\\b'\n"
+
+
+@pytest.mark.parametrize("command, options", [("validate", []), ("pack", ["--name", "x"])])
+def test_name_with_no_utf8_form_in_a_tree_is_bad_path(tmp_path, varignon_zip, capsys, command, options):
+    # pack exited 2 with an unexpected UnicodeEncodeError after validate passed
+    tree = tmp_path / "tree"
+    assert main(["unpack", str(varignon_zip), "--out", str(tree)]) == 0
+    (tree / "resources").mkdir()
+    with open(os.fsencode(tree / "resources") + b"/\xff.txt", "wb") as f:
+        f.write(b"x")
+    capsys.readouterr()
+    assert main([command, str(tree), *options]) == 1
+    assert capsys.readouterr().out == "BadPath resources/\\udcff.txt unsafe entry path 'resources/\\udcff.txt'\n"

@@ -52,18 +52,6 @@ from i2gatp.xml_codec import serialize_proof_info
 from conftest import MINIMAL_DSL, bench_workloads, corrupt_intergeo, generated_container
 from oracles import read_zip_reference, write_zip_reference
 
-# When a property test fails, hypothesis's pytest plugin imports its patch
-# writer, whose libcst import warns; under filterwarnings = error that turns
-# the failure into an INTERNALERROR which ends the session.  Imported here
-# once, with the warning ignored, a failing property is reported as a failure.
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", DeprecationWarning)
-    try:
-        import hypothesis.extra._patching  # noqa: F401
-    except ImportError:
-        pass
-
-
 def _names(data: bytes) -> list[str]:
     with zipfile.ZipFile(io.BytesIO(data)) as zf:
         return zf.namelist()
@@ -376,6 +364,24 @@ def test_nul_in_a_carried_path_is_bad_path(corpus):
     assert [v.code for v in validate_container(data)] == ["BadPath"]
 
 
+def test_path_with_no_utf8_form_is_bad_path(corpus):
+    # a lone surrogate, as a file name that is not UTF-8 reads back as: pack
+    # raised UnicodeEncodeError on a problem that validate_problem passed
+    attempt = ProofAttempt("P", "1", "m", ProofStatus.PROVED, outputs=(("\udc80", b"2"),))
+    for fields, path in (
+        ({"resources": (("resources/\udc80", b"1"),)}, "/resources/resources/\udc80"),
+        ({"proofs": (attempt,)}, "/proofs/attempt[0]/outputs/\udc80"),
+    ):
+        p = dataclasses.replace(corpus["varignon"], **fields)
+        assert [(v.code, v.path) for v in validate_problem(p)] == [("BadPath", path)]
+        with pytest.raises(ContainerError) as exc:
+            pack(p)
+        assert exc.value.code == "InvalidProblem"
+    with pytest.raises(ContainerError) as exc:
+        add_proof_attempt(pack(corpus["varignon"]), attempt)
+    assert exc.value.code == "InvalidProblem" and exc.value.violations[0].code == "BadPath"
+
+
 # ---------------------------------------------------------------------------
 # Zip I/O against the zipfile oracles
 
@@ -399,6 +405,20 @@ PACK_SHA256 = {
 
 def test_pack_digests_are_pinned(corpus_containers):
     assert {name: hashlib.sha256(data).hexdigest() for name, data in corpus_containers.items()} == PACK_SHA256
+
+
+def test_deflate_is_the_reference_level_6_stream():
+    # PACK_SHA256 holds only where zlib emits its reference stream; another
+    # deflate (zlib-ng, a hardware one) may emit a different valid stream,
+    # which moves compressed sizes and offsets but never what inflates
+    doc = b"".join(b'<point id="P%d" x="%d.%d" y="%d.5"/>\n' % (i, i * 7 % 13, i * i % 97, i * 3 % 11) for i in range(200))
+    deflater = zlib.compressobj(container._DEFLATE_LEVEL, zlib.DEFLATED, -15)
+    body = deflater.compress(doc) + deflater.flush()
+    assert zlib.decompress(body, -15) == doc
+    assert hashlib.sha256(body).hexdigest() == "8e97553f6d3f0616a3a7f10ec2967efc1af7a829a1984069205df4869fd66933", (
+        f"zlib {zlib.ZLIB_RUNTIME_VERSION} does not emit the level-6 deflate stream of zlib 1.2.13; "
+        "packed archives inflate to the same entries but their bytes differ from PACK_SHA256"
+    )
 
 
 def _writer_cases(corpus):

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import VARIGNON_DSL
 from i2gatp.container import pack, unpack
-from i2gatp.dsl import _parse_prove_block, emit_dsl, emit_prover_input, parse_dsl
+from i2gatp.dsl import emit_dsl, emit_prover_input, parse_dsl
 from i2gatp.errors import (
     CodecError,
     DegenerateInitialInstance,
@@ -241,15 +241,6 @@ def test_diagnostics_name_their_line(source, error, line, fragment):
         parse_dsl(source)
     assert type(exc.value) is error and exc.value.line == line
     assert str(exc.value).startswith(f"line {line}: ") and fragment in str(exc.value)
-
-
-def test_prove_block_parser_refuses_a_stream_that_ends_early():
-    # parse_dsl never passes such a stream: every prove block it reads ends
-    # in the '}' that stops the loop, or is refused as unterminated first
-    with pytest.raises(DslSyntaxError, match="line 1: expected '{', found end of prove block"):
-        _parse_prove_block([], 1)
-    with pytest.raises(DslSyntaxError, match="line 7: unterminated prove block"):
-        _parse_prove_block([("{", 7), ("conclude", 7), ("not_equal", 7), ("A", 7), ("B", 7)], 7)
 
 
 def test_prover_input_refuses_an_opaque_step(corpus):

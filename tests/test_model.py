@@ -6,9 +6,8 @@ import dataclasses
 
 import pytest
 
-from i2gatp.container import pack
 from i2gatp.dsl import emit_dsl, emit_prover_input
-from i2gatp.errors import CodecError, ContainerError
+from i2gatp.errors import CodecError
 from i2gatp.model import (
     MAX_TERM_DEPTH,
     Collinear,
@@ -20,6 +19,7 @@ from i2gatp.model import (
     ElementInstance,
     Equal,
     GeoKind,
+    Mult,
     Plus,
     Problem,
     ProblemInfo,
@@ -198,18 +198,14 @@ def test_term_at_the_depth_limit_is_valid(varignon):
     assert "plus" in emit_dsl(p) and "plus" in emit_prover_input(p)
 
 
-@pytest.mark.parametrize("levels", [150, 5000])
-def test_term_beyond_the_depth_limit_is_refused(varignon, levels):
-    # at the path the XML reader reports: the left operand of the plus at
-    # the limit
-    p = _nested_equal(varignon, levels)
-    path = "/conjecture/conclusion/equal[0]" + "/plus" * MAX_TERM_DEPTH + "/plus"
-    message = f"term nested deeper than {MAX_TERM_DEPTH} levels"
-    assert [(v.code, v.path, v.message) for v in validate_problem(p)] == [("ArityError", path, message)]
-    with pytest.raises(ContainerError) as exc:
-        pack(p)
-    assert exc.value.code == "InvalidProblem"
-    for refuse in (lambda p: check_conjecture(p, 5), emit_dsl, emit_prover_input):
+@pytest.mark.parametrize("cls", [Plus, Mult])
+def test_term_beyond_the_depth_limit_cannot_be_built(varignon, cls):
+    # the deepest term's plus or mult one level up, on either side
+    deepest = _nested_equal(varignon, MAX_TERM_DEPTH - 1).conjecture.conclusion[0].left
+    assert deepest.depth == MAX_TERM_DEPTH
+    refused = ("ArityError", f"/{cls.__name__.lower()}", f"term nested deeper than {MAX_TERM_DEPTH} levels")
+    for operands in ((deepest, Const(1.0)), (Const(1.0), deepest)):
         with pytest.raises(CodecError) as exc:
-            refuse(p)
-        assert exc.value.code == "ArityError" and exc.value.violations[0].path == path
+            cls(*operands)
+        assert exc.value.code == "ArityError"
+        assert [(v.code, v.path, v.message) for v in exc.value.violations] == [refused]

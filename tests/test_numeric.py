@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
 import pickle
 import random
@@ -11,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from i2gatp import numeric
+from i2gatp.container import pack, unpack
 from i2gatp.dsl import parse_dsl, predicate_text
 from i2gatp.errors import (
     DegeneratePredicateError,
@@ -21,6 +23,7 @@ from i2gatp.errors import (
     UnresolvedIdError,
 )
 from i2gatp.model import (
+    MAX_TERM_DEPTH,
     Collinear,
     Conjecture,
     Const,
@@ -40,6 +43,7 @@ from i2gatp.model import (
     SameLength,
     SegmentLength,
     SegmentRatio,
+    validate_problem,
 )
 from i2gatp.numeric import (
     ScenePoint,
@@ -276,17 +280,21 @@ def test_term_arithmetic():
     assert eval_term(scene, SegmentLength("A", "B")) == 5.0
 
 
-def test_term_of_any_depth_evaluates_and_prints():
-    # 5000 levels, nested on the left and the right in turn
-    scene = _scene(A=(0, 0), B=(3, 4))
+def test_term_at_the_depth_limit_validates_packs_evaluates_and_prints(varignon):
+    # MAX_TERM_DEPTH levels, nested on the left and the right in turn
     term, text = SegmentLength("A", "B"), "segment_length A B"
-    for i in range(4999):
+    for i in range(MAX_TERM_DEPTH - 1):
         if i % 2:
             term, text = Plus(term, Const(1.0)), f"plus {text} const 1.0"
         else:
             term, text = Plus(Const(1.0), term), f"plus const 1.0 {text}"
-    assert eval_term(scene, term) == 5004.0
-    assert predicate_text(Equal(term, Const(0.0))) == f"equal {text} const 0.0"
+    assert term.depth == MAX_TERM_DEPTH
+    conclusion = Equal(term, Const(0.0))
+    problem = dataclasses.replace(varignon, conjecture=Conjecture(hypothesis=(), ndg=(), conclusion=(conclusion,)))
+    assert validate_problem(problem) == []
+    assert unpack(pack(problem)).conjecture == problem.conjecture
+    assert eval_term(_scene(A=(0, 0), B=(3, 4)), term) == 5.0 + (MAX_TERM_DEPTH - 1)
+    assert predicate_text(conclusion) == f"equal {text} const 0.0"
 
 
 def test_mult_by_zero_annihilates():

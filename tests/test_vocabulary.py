@@ -23,13 +23,17 @@ import zlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from i2gatp import container
 from i2gatp.container import _KNOWN_TOP_DIRS, MANDATORY_DIRS, strip_to_i2g, validate_container, validate_entries
-from i2gatp.dsl import _STATEMENT_KEYWORDS, emit_prover_input, parse_dsl, predicate_text
+from i2gatp.dsl import _STATEMENT_KEYWORDS, emit_dsl, emit_prover_input, parse_dsl, predicate_text
 from i2gatp.errors import ContainerError
 from i2gatp.model import (
     CONSTRAINT_SIGNATURES,
     ELEMENT_COORDS,
+    MAX_TERM_DEPTH,
     PREDICATES,
     PROOF_INFO_SECTIONS,
     VIOLATION_CODES,
@@ -53,6 +57,7 @@ from i2gatp.model import (
     ProofStatus,
     SegmentLength,
     SegmentRatio,
+    Term,
     Violation,
     validate_attempt,
     validate_conjecture,
@@ -108,6 +113,42 @@ def test_each_predicate_round_trips_through_every_notation(name):
 
 def test_every_predicate_class_is_in_the_table():
     assert set(Predicate.__subclasses__()) == {cls for cls, _count in PREDICATES.values()}
+
+
+_leaves = st.one_of(
+    st.builds(Const, st.floats(allow_nan=False, allow_infinity=False)),
+    st.builds(SegmentLength, st.sampled_from("ABCDE"), st.sampled_from("ABCDE")),
+)
+
+
+@st.composite
+def _terms(draw) -> Term:
+    """A term of at most MAX_TERM_DEPTH levels: a spine of plus and mult,
+    nested left or right, over a few drawn leaves.  One byte per level
+    keeps a term of the full depth cheap to draw."""
+
+    leaves = draw(st.lists(_leaves, min_size=1, max_size=4))
+    term = leaves[0]
+    spine = draw(st.integers(0, MAX_TERM_DEPTH - 1))
+    for b in draw(st.binary(min_size=spine, max_size=spine)):
+        cls, side = (Plus, Mult)[b & 1], leaves[(b >> 2) % len(leaves)]
+        term = cls(side, term) if b & 2 else cls(term, side)
+    return term
+
+
+def _levels(t: Term) -> int:
+    return 1 + max(_levels(t.left), _levels(t.right)) if isinstance(t, (Plus, Mult)) else 1
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_terms(), _terms())
+def test_terms_keep_their_depth_bound_and_round_trip(left, right):
+    assert left.depth == _levels(left) <= MAX_TERM_DEPTH
+    assert right.depth == _levels(right) <= MAX_TERM_DEPTH
+    conjecture = Conjecture(hypothesis=(), ndg=(), conclusion=(Equal(left, right),))
+    assert parse_conjecture(serialize_conjecture(conjecture)) == conjecture
+    problem = dataclasses.replace(parse_dsl(_POINTS), conjecture=conjecture)
+    assert parse_dsl(emit_dsl(problem)).conjecture == conjecture
 
 
 def _expected_shapes() -> dict[str, str]:
@@ -266,6 +307,28 @@ def test_container_layout_table_lists_the_directories():
     assert {entry for entry, presence in rows if entry in top_dirs and presence == "mandatory"} == set(MANDATORY_DIRS)
 
 
+_MIB = 1 << 20
+# (document, the phrase that quotes a limit, its unit, the constant)
+_QUOTED_LIMITS = {
+    "dsl-MAX_TERM_DEPTH": ("dsl.md", r"nests at most ([\d,]+) levels", 1, MAX_TERM_DEPTH),
+    "violations-MAX_TERM_DEPTH": ("violations.md", r"nested deeper than ([\d,]+) levels", 1, MAX_TERM_DEPTH),
+    "container-_MAX_NAME_BYTES": ("container.md", r"a path is at most ([\d,]+) bytes", 1, container._MAX_NAME_BYTES),
+    "container-_MAX_ENTRIES": ("container.md", r"at most ([\d,]+) entries", 1, container._MAX_ENTRIES),
+    "container-_MAX_ENTRY_SIZE": ("container.md", r"a file holds at most ([\d,]+) MiB", _MIB, container._MAX_ENTRY_SIZE),
+    "container-_MAX_TOTAL_SIZE": ("container.md", r"all files together at most ([\d,]+) MiB", _MIB, container._MAX_TOTAL_SIZE),
+    "violations-_MAX_NAME_BYTES": ("violations.md", r"longer than ([\d,]+) bytes", 1, container._MAX_NAME_BYTES),
+    "violations-_MAX_ENTRIES": ("violations.md", r"more than ([\d,]+) entries", 1, container._MAX_ENTRIES),
+    "violations-_MAX_ENTRY_SIZE": ("violations.md", r"a file declaring more than ([\d,]+) MiB", _MIB, container._MAX_ENTRY_SIZE),
+    "violations-_MAX_TOTAL_SIZE": ("violations.md", r"files declaring more than ([\d,]+) MiB in all", _MIB, container._MAX_TOTAL_SIZE),
+}
+
+
+@pytest.mark.parametrize("doc, phrase, unit, limit", _QUOTED_LIMITS.values(), ids=_QUOTED_LIMITS.keys())
+def test_docs_quote_each_limit_as_its_constant(doc, phrase, unit, limit):
+    quoted = re.findall(phrase, (DOCS / doc).read_text())
+    assert quoted and {int(q.replace(",", "")) * unit for q in quoted} == {limit}
+
+
 # ---------------------------------------------------------------------------
 # Every violation code is produced: a minimal document, value or archive per
 # code, and one per site that reports a code in more than one way
@@ -402,6 +465,7 @@ _PRODUCERS = [
     ("BadPath", "output", _attempt(outputs=(("../x", b""),))),
     ("BadPath", "carried_file", _problem(resources=(("/x", b""),))),
     ("BadPath", "entry", _zip(*_LAYOUT, ("../x", b""))),
+    ("BadPath", "no_utf8_form", _problem(resources=(("resources/\udc80", b""),))),
     ("DuplicateEntry", "output", _attempt(outputs=(("x", b""), ("x", b"")))),
     ("DuplicateEntry", "carried_file", _problem(resources=(("resources/x", b""), ("resources/x", b"")))),
     ("DuplicateEntry", "entry_list", lambda: validate_entries([*_LAYOUT, ("a", b""), ("a/b", b"")])),
