@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterator
 
 from .errors import (
     CodecError,
@@ -82,23 +83,18 @@ _HEADER_RE = re.compile(r"%\s*(name|description|keyword)\s*:\s*(.*?)\s*$")
 # Parsing
 
 
-class _Tokens:
-    """Token stream with line numbers for the prove block.  It holds the
-    block's closing '}', which ends the block's loop and which every other
-    reader of a token refuses, so no take runs past its end; parse_dsl
-    refuses a block with no '}' before building the stream."""
+# The prove block as parse_dsl hands it over: an iterator of (token, line)
+# pairs that ends at the first line holding a '}'.  Every reader but the
+# block's own loop refuses '}', so no next() runs past it.
+_Block = Iterator[tuple[str, int]]
 
-    def __init__(self, items: list[tuple[str, int]]):
-        self.items = items
-        self.pos = 0
 
-    def peek(self) -> tuple[str, int] | None:
-        return self.items[self.pos] if self.pos < len(self.items) else None
+def _line_tokens(content: str, lineno: int) -> list[tuple[str, int]]:
+    """The tokens of one line's content, each with its line; '{', '}' and
+    ';' are tokens of their own."""
 
-    def take(self) -> tuple[str, int]:
-        item = self.items[self.pos]
-        self.pos += 1
-        return item
+    spaced = content.replace("{", " { ").replace("}", " } ").replace(";", " ; ")
+    return [(tok, lineno) for tok in spaced.split()]
 
 
 def _check_id_token(token: str, line: int) -> str:
@@ -116,16 +112,12 @@ def _parse_number(token: str, line: int) -> float:
     return value
 
 
-def _parse_point_ids(toks: _Tokens, count: int) -> list[str]:
-    ids = []
-    for _ in range(count):
-        ref, rline = toks.take()
-        ids.append(_check_id_token(ref, rline))
-    return ids
+def _parse_point_ids(block: _Block, count: int) -> list[str]:
+    return [_check_id_token(*next(block)) for _ in range(count)]
 
 
-def _parse_term(toks: _Tokens, depth: int = 1) -> Term:
-    token, line = toks.take()
+def _parse_term(block: _Block, depth: int = 1) -> Term:
+    token, line = next(block)
     cls = TERMS.get(token)
     if cls is None:
         raise DslSyntaxError(line, f"unknown term {token!r}")
@@ -134,44 +126,40 @@ def _parse_term(toks: _Tokens, depth: int = 1) -> Term:
     if depth > MAX_TERM_DEPTH:
         raise DslSyntaxError(line, f"term nested deeper than {MAX_TERM_DEPTH} levels")
     if cls is Const:
-        value, vline = toks.take()
-        return Const(_parse_number(value, vline))
+        return Const(_parse_number(*next(block)))
     if cls is SegmentLength:
-        return SegmentLength(*_parse_point_ids(toks, 2))
-    return cls(_parse_term(toks, depth + 1), _parse_term(toks, depth + 1))
+        return SegmentLength(*_parse_point_ids(block, 2))
+    return cls(_parse_term(block, depth + 1), _parse_term(block, depth + 1))
 
 
-def _parse_predicate(toks: _Tokens) -> tuple[Predicate, int]:
-    token, line = toks.take()
+def _parse_predicate(block: _Block) -> tuple[Predicate, int]:
+    token, line = next(block)
     if token not in PREDICATES:
         raise DslSyntaxError(line, f"unknown predicate {token!r}")
     cls, arity = PREDICATES[token]
     if cls is Equal:
-        return Equal(_parse_term(toks), _parse_term(toks)), line
-    ids = _parse_point_ids(toks, arity)
+        return Equal(_parse_term(block), _parse_term(block)), line
+    ids = _parse_point_ids(block, arity)
     if cls is not SegmentRatio:
         return cls(*ids), line
-    value, vline = toks.take()
-    return SegmentRatio(*ids, ratio=_parse_number(value, vline)), line
+    return SegmentRatio(*ids, ratio=_parse_number(*next(block))), line
 
 
-def _parse_prove_block(tokens: list[tuple[str, int]], start_line: int):
-    toks = _Tokens(tokens)
-    opener, oline = toks.take()
+def _parse_prove_block(block: _Block, start_line: int):
+    opener, oline = next(block)
     if opener != "{":
         raise DslSyntaxError(oline, f"expected '{{' after prove, found {opener!r}")
     sections: dict[str, list[tuple[Predicate, int]]] = {"hyp": [], "ndg": [], "conclude": []}
-    while True:
-        token, line = toks.take()
+    for token, line in block:
         if token == "}":
             break
         if token in sections:
-            sections[token].append(_parse_predicate(toks))
+            sections[token].append(_parse_predicate(block))
         elif token != ";":
             raise DslSyntaxError(line, f"expected hyp, ndg or conclude, found {token!r}")
-    if toks.peek() is not None:
-        token, line = toks.peek()
-        raise DslSyntaxError(line, f"unexpected {token!r} after prove block")
+    extra = next(block, None)
+    if extra is not None:
+        raise DslSyntaxError(extra[1], f"unexpected {extra[0]!r} after prove block")
     if not sections["conclude"]:
         raise DslSyntaxError(start_line, "prove block needs at least one conclude predicate")
     return sections
@@ -186,9 +174,7 @@ def parse_dsl(text: str) -> Problem:
     free_assign: dict[str, tuple[float, float]] = {}
     header: dict[str, str] = {}
     keywords: list[str] = []
-    prove_tokens: list[tuple[str, int]] | None = None
-    prove_line = 0
-    in_block = False
+    sections = None
     seen_statement = False
 
     def define(out_id: str, kind: GeoKind, line: int) -> None:
@@ -203,9 +189,10 @@ def parse_dsl(text: str) -> Problem:
         if kinds[ref] is not want:
             raise DslSyntaxError(line, f"{ref!r} is a {kinds[ref].value}, expected a {want.value}")
 
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    lines = enumerate(text.split("\n"), start=1)
+    for lineno, raw in lines:
         content, _, comment = raw.partition("%")
-        if not content.strip() and comment and not seen_statement and not in_block:
+        if not content.strip() and comment and not seen_statement:
             header_match = _HEADER_RE.match(raw.strip())
             if header_match:
                 key, value = header_match.groups()
@@ -216,24 +203,24 @@ def parse_dsl(text: str) -> Problem:
                 else:
                     header[key] = value
             continue
-        spaced = content.replace("{", " { ").replace("}", " } ").replace(";", " ; ")
-        tokens = [(tok, lineno) for tok in spaced.split()]
+        tokens = _line_tokens(content, lineno)
         if not tokens:
-            continue
-        if in_block:
-            prove_tokens.extend(tokens)
-            if any(tok == "}" for tok, _ in tokens):
-                in_block = False
             continue
         seen_statement = True
         keyword, _ = tokens[0]
         if keyword == "prove":
-            if prove_tokens is not None:
+            if sections is not None:
                 raise DslSyntaxError(lineno, "only one prove block is allowed")
-            prove_tokens = tokens[1:]
-            prove_line = lineno
-            if not any(tok == "}" for tok, _ in tokens):
-                in_block = True
+            block = tokens[1:]
+            if "}" not in content:  # the block runs to the first line holding a '}'
+                for block_lineno, raw in lines:
+                    content = raw.partition("%")[0]
+                    block += _line_tokens(content, block_lineno)
+                    if "}" in content:
+                        break
+                else:
+                    raise DslSyntaxError(lineno, "unterminated prove block")
+            sections = _parse_prove_block(iter(block), lineno)
             continue
         kind = _STATEMENTS.get(keyword)
         if kind is None:
@@ -262,9 +249,6 @@ def parse_dsl(text: str) -> Problem:
         define(out_id, out_kind, lineno)
         constraints.append(Constraint(output=out_id, kind=kind, inputs=tuple(inputs), parameter=parameter))
 
-    if in_block:
-        raise DslSyntaxError(prove_line, "unterminated prove block")
-
     bare = Construction(elements=(), constraints=tuple(constraints))
     try:
         scene = instantiate(bare, free_assign)
@@ -279,8 +263,7 @@ def parse_dsl(text: str) -> Problem:
     construction = Construction(elements=elements, constraints=tuple(constraints))
 
     conjecture = None
-    if prove_tokens is not None:
-        sections = _parse_prove_block(prove_tokens, prove_line)
+    if sections is not None:
         for preds in sections.values():
             for p, pline in preds:
                 for ref in predicate_point_ids(p):
@@ -329,6 +312,13 @@ def predicate_text(p: Predicate) -> str:
     return f"{text} {format_number(p.ratio)}" if isinstance(p, SegmentRatio) else text
 
 
+def _one_line(text: str) -> str:
+    """``text`` with each run of whitespace, newlines included, made one
+    space, so that no header value can start a statement of its own."""
+
+    return " ".join(text.split())
+
+
 def _step_text(name: str, c: Constraint) -> str:
     """One construction step with its stored parameter, if its kind has one."""
 
@@ -346,11 +336,11 @@ def emit_dsl(problem: Problem) -> str:
     points = {e.id: e.coords for e in problem.construction.elements if e.kind is GeoKind.POINT}
     lines: list[str] = []
     if problem.info is not None:
-        lines.append(f"% name: {problem.info.name}")
+        lines.append(f"% name: {_one_line(problem.info.name)}")
         if problem.info.description:
-            lines.append(f"% description: {' '.join(problem.info.description.split())}")
+            lines.append(f"% description: {_one_line(problem.info.description)}")
         for kw in problem.info.keywords:
-            lines.append(f"% keyword: {' '.join(kw.split())}")
+            lines.append(f"% keyword: {_one_line(kw)}")
     for i, c in enumerate(problem.construction.constraints):
         if c.kind is ConstraintKind.OPAQUE:
             raise OpaqueConstraintError(c.output)
@@ -383,7 +373,7 @@ def emit_prover_input(problem: Problem) -> str:
         raise NoConjectureError()
     lines = ["gpi 1"]
     if problem.info is not None:
-        lines.append(f"problem {problem.info.name}")
+        lines.append(f"problem {_one_line(problem.info.name)}")
     lines.append("construction:")
     for c in problem.construction.constraints:
         if c.kind is ConstraintKind.OPAQUE:

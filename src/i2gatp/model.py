@@ -28,6 +28,7 @@ __all__ = [
     "Constraint",
     "ConstraintKind",
     "CONSTRAINT_SIGNATURES",
+    "CONSTRAINT_TAGS",
     "Construction",
     "ELEMENT_COORDS",
     "ElementInstance",
@@ -76,7 +77,8 @@ ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.']*\Z")
 NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
 # What expat raises for a document it cannot read: a syntax error, an
 # encoding it does not know (LookupError) or a multi-byte one it does not
-# support (ValueError), each named by the XML declaration
+# support (ValueError), each named by the XML declaration; the readers also
+# raise ValueError past MAX_XML_DEPTH or MAX_XML_ELEMENTS
 XML_READ_ERRORS = (xml.parsers.expat.ExpatError, LookupError, ValueError)
 
 
@@ -144,6 +146,8 @@ CONSTRAINT_SIGNATURES: dict[ConstraintKind, tuple[tuple[GeoKind, ...], GeoKind, 
     ConstraintKind.POINT_ON_LINE: ((GeoKind.LINE,), GeoKind.POINT, "parameter"),
     ConstraintKind.POINT_ON_CIRCLE: ((GeoKind.CIRCLE,), GeoKind.POINT, "angle"),
 }
+# The intergeo.xml tag of each supported step; any other tag is an opaque step
+CONSTRAINT_TAGS = {kind.value: kind for kind in CONSTRAINT_SIGNATURES}
 
 
 @dataclass(frozen=True)
@@ -196,6 +200,14 @@ class Construction:
 # so the readers, the writers and every term walker recurse once per level,
 # far below the interpreter's recursion limit.
 MAX_TERM_DEPTH = 100
+# Caps on each XML document read and each payload written, so that a small
+# archive cannot make the reader build an unbounded tree: elements nest at
+# most MAX_XML_DEPTH deep and a document holds at most MAX_XML_ELEMENTS.
+# The depth is far above a term of MAX_TERM_DEPTH levels (103 deep, under
+# conjecture/conclusion/equal), so a term somewhat past that limit is still
+# read and refused as one ArityError at its first level too deep.
+MAX_XML_DEPTH = 10_000
+MAX_XML_ELEMENTS = 100_000
 
 
 class Term:
@@ -611,15 +623,40 @@ def _violation(out: list[Violation], code: str, path: str, message: str) -> None
     out.append(Violation(code, path, message))
 
 
-def is_well_formed_xml(data: bytes) -> bool:
-    """True when ``data`` parses as a standalone XML document."""
+def _payload_root(out: list[Violation], data: bytes, depth: int, path: str, what: str) -> tuple[str, dict[str, str]] | None:
+    """The tag and attributes of the root element of ``data``, a payload
+    that is written inside ``depth`` elements; None, with one MalformedXml,
+    when it would not read there: not a well-formed XML document, one with
+    an XML declaration or a DOCTYPE, or one past MAX_XML_DEPTH."""
 
     parser = xml.parsers.expat.ParserCreate()
+    root = None
+    level = depth
+
+    def on_start(tag: str, attrs: dict[str, str]) -> None:
+        nonlocal root, level
+        level += 1
+        if level > MAX_XML_DEPTH:
+            raise ValueError("too deep")
+        root = root or (tag, attrs)
+
+    def on_end(_tag: str) -> None:
+        nonlocal level
+        level -= 1
+
+    def refuse(*_args: object) -> None:
+        raise ValueError("a declaration inside a document")
+
+    parser.StartElementHandler = on_start
+    parser.EndElementHandler = on_end
+    parser.XmlDeclHandler = parser.StartDoctypeDeclHandler = refuse
     try:
         parser.Parse(data, True)
     except XML_READ_ERRORS:
-        return False
-    return True
+        message = f"{what} payload is not well-formed XML, has an XML declaration or a DOCTYPE, or puts more than {MAX_XML_DEPTH} levels of elements in its document"
+        _violation(out, "MalformedXml", path, message)
+        return None
+    return root
 
 
 def is_safe_relative_path(path: str) -> bool:
@@ -647,8 +684,8 @@ def _validate_info(info: ProblemInfo, out: list[Violation]) -> None:
         _violation(out, "MissingName", "/information/name", "problem name is required")
     elif not PROBLEM_NAME_RE.match(info.name):
         _violation(out, "BadName", "/information/name", f"invalid problem name {info.name!r}")
-    if info.statement and not is_well_formed_xml(info.statement):
-        _violation(out, "MalformedXml", "/information/statement", "statement payload is not well-formed XML")
+    if info.statement:
+        _payload_root(out, info.statement, 2, "/information/statement", "statement")
     seen_bib: set[str] = set()
     for i, entry in enumerate(info.bibrefs):
         path = f"/information/bibrefs/bibentry[{i}]"
@@ -657,8 +694,8 @@ def _validate_info(info: ProblemInfo, out: list[Violation]) -> None:
         if entry.id in seen_bib:
             _violation(out, "DuplicateId", path, f"duplicate bibentry id {entry.id!r}")
         seen_bib.add(entry.id)
-        if entry.payload and not is_well_formed_xml(entry.payload):
-            _violation(out, "MalformedXml", path, "bibentry payload is not well-formed XML")
+        if entry.payload:
+            _payload_root(out, entry.payload, 3, path, "bibentry")
     seen_kw: set[str] = set()
     for i, kw in enumerate(info.keywords):
         path = f"/information/keywords/keyword[{i}]"
@@ -695,8 +732,10 @@ def _validate_construction(k: Construction, out: list[Violation]) -> None:
         else:
             kinds[e.id] = e.kind
         _validate_element(e, path, out)
-    if k.display and not is_well_formed_xml(k.display):
-        _violation(out, "MalformedXml", "/construction/display", "display payload is not well-formed XML")
+    if k.display:
+        root = _payload_root(out, k.display, 1, "/construction/display", "display")
+        if root is not None and root[0] != "display":
+            _violation(out, "UnknownTag", "/construction/display", f"display payload root is <{root[0]}>, expected <display>")
 
     defined: set[str] = set()
     outputs_seen: set[str] = set()
@@ -714,8 +753,16 @@ def _validate_construction(k: Construction, out: list[Violation]) -> None:
         if c.output not in kinds:
             _violation(out, "MissingElement", path, f"output {c.output!r} has no element instance")
         if c.kind is ConstraintKind.OPAQUE:
-            if c.opaque_payload and not is_well_formed_xml(c.opaque_payload):
-                _violation(out, "MalformedXml", path, "opaque constraint payload is not well-formed XML")
+            # the payload is written as the step, so it must read back as this step
+            root = _payload_root(out, c.opaque_payload or b"", 2, path, "opaque constraint")
+            if root is not None:
+                tag, attrs = root
+                if tag != c.opaque_tag:
+                    _violation(out, "UnknownTag", path, f"opaque constraint payload root is <{tag}>, expected <{c.opaque_tag}>")
+                elif tag in CONSTRAINT_TAGS:
+                    _violation(out, "UnknownTag", path, f"opaque constraint <{tag}> is a supported step")
+                if attrs.get("out") != c.output:
+                    _violation(out, "BadId", path, f"opaque constraint payload out {attrs.get('out')!r} is not its output {c.output!r}")
             defined.add(c.output)
             continue
         in_kinds, out_kind, param_attr = CONSTRAINT_SIGNATURES[c.kind]

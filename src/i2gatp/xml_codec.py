@@ -22,8 +22,11 @@ import xml.parsers.expat
 from .errors import CodecError
 from .model import (
     CONSTRAINT_SIGNATURES,
+    CONSTRAINT_TAGS,
     ELEMENT_COORDS,
     MAX_TERM_DEPTH,
+    MAX_XML_DEPTH,
+    MAX_XML_ELEMENTS,
     NUMBER_RE,
     PREDICATE_NAMES,
     PREDICATES,
@@ -160,18 +163,26 @@ def _parse_raw(data: bytes) -> tuple[_RawNode, bytes]:
 
 def _build_raw(source: bytes | str, declared: list[str | None] | None = None) -> _RawNode:
     """The raw tree of ``source``, a str read as UTF-8; given ``declared``,
-    the encoding that its XML declaration names, if any, is put there."""
+    the encoding that its XML declaration names, if any, is put there.
+    Raises ValueError past MAX_XML_DEPTH or MAX_XML_ELEMENTS."""
 
     parser = xml.parsers.expat.ParserCreate()
     parser.buffer_text = True  # one call per text run, or per 8 KiB of it
     top = _RawNode("", {}, -1)  # the parent of the root element
     stack = [top]
     push, pop = stack.append, stack.pop
+    count = 0
 
     def on_decl(_version: str, encoding: str | None, _standalone: int) -> None:
         declared[0] = encoding
 
     def on_start(name: str, attrs: dict[str, str]) -> None:
+        nonlocal count
+        count += 1
+        if count > MAX_XML_ELEMENTS:
+            raise ValueError(f"more than {MAX_XML_ELEMENTS} elements")
+        if len(stack) > MAX_XML_DEPTH:  # len(stack) is the new node's depth, the root's being 1
+            raise ValueError(f"more than {MAX_XML_DEPTH} levels of elements")
         node = _RawNode(name, attrs, parser.CurrentByteIndex)
         stack[-1].children.append(node)
         push(node)
@@ -389,7 +400,6 @@ def _analyze_conjecture(root: _RawNode, data: bytes, rep: _Report) -> Conjecture
 # intergeo.xml (supported subset)
 
 _ELEMENT_TAGS = {kind.value: kind for kind in ELEMENT_COORDS}
-_CONSTRAINT_TAGS = {kind.value: kind for kind in CONSTRAINT_SIGNATURES}
 _PARAMETER_ATTRS = tuple(sorted({sig[2] for sig in CONSTRAINT_SIGNATURES.values()} - {None}))
 
 
@@ -419,7 +429,7 @@ def _analyze_construction(root: _RawNode, data: bytes, rep: _Report) -> Construc
             if not out_id:
                 rep.error("BadId", path, f"constraint <{ch.tag}> requires an out attribute")
                 continue
-            kind = _CONSTRAINT_TAGS.get(ch.tag)
+            kind = CONSTRAINT_TAGS.get(ch.tag)
             if kind is None:
                 c = Constraint(output=out_id, kind=ConstraintKind.OPAQUE, opaque_tag=ch.tag, opaque_payload=ch.raw(data))
             else:

@@ -5,7 +5,10 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import conftest
 from conftest import VARIGNON_DSL
 from i2gatp.container import pack, unpack
 from i2gatp.dsl import emit_dsl, emit_prover_input, parse_dsl
@@ -14,6 +17,7 @@ from i2gatp.errors import (
     DegenerateInitialInstance,
     DslSyntaxError,
     DslUnresolvedId,
+    I2gatpError,
     NoConjectureError,
     OpaqueConstraintError,
 )
@@ -129,6 +133,16 @@ def test_keyword_with_a_newline_stays_one_header_line(varignon):
     q = parse_dsl(emit_dsl(p))
     assert q.construction == p.construction and q.conjecture == p.conjecture
     assert q.info.keywords == ("geo point Z 5 5", "quad rilateral")
+
+
+def test_name_with_a_newline_stays_one_line(varignon):
+    # the name was written as it stood, so its second line was a statement
+    named = dataclasses.replace(varignon, info=dataclasses.replace(varignon.info, name="v\npoint Z 9 9"))
+    text = emit_dsl(named)
+    assert text.splitlines()[0] == "% name: v point Z 9 9"
+    q = parse_dsl(text)
+    assert q.construction == varignon.construction and q.info.name == "v point Z 9 9"
+    assert emit_prover_input(named).splitlines()[:2] == ["gpi 1", "problem v point Z 9 9"]
 
 
 def test_cross_format_equality(corpus):
@@ -248,3 +262,23 @@ def test_prover_input_refuses_an_opaque_step(corpus):
     p = dataclasses.replace(p, conjecture=Conjecture(hypothesis=(), ndg=(), conclusion=(Midpoint("A", "B", "C"),)))
     with pytest.raises(OpaqueConstraintError, match="constraint k is opaque"):
         emit_prover_input(p)
+
+
+# The fixture programs, and byte strings that the lexer and the statements
+# give a meaning to, beside random bytes
+_SOURCES = [source for name, source in vars(conftest).items() if name.endswith("_DSL")]
+_INSERTS = st.binary(max_size=3) | st.sampled_from([b"{", b"}", b";", b"%", b"\n", b"prove ", b"conclude ", b"plus ", b"1e999", b" A"])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(source=st.sampled_from(_SOURCES), edits=st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 2), _INSERTS), min_size=1, max_size=4))
+def test_mutated_programs_raise_only_library_errors(source, edits):
+    # each edit replaces 0 to 2 bytes at a position with an insert
+    data = bytearray(source.encode())
+    for position, cut, insert in edits:
+        start = position % (len(data) + 1)
+        data[start : start + cut] = insert
+    try:
+        parse_dsl(data.decode("utf-8", "replace"))
+    except I2gatpError:
+        pass

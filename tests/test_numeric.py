@@ -522,6 +522,22 @@ def test_contradictory_ndg_is_vacuous(varignon):
     assert report.samples_checked == 0
 
 
+@pytest.mark.parametrize(
+    "conjecture, degenerate, hypothesis_failed",
+    [
+        (Conjecture(hypothesis=(Collinear("A", "B", "C"),), ndg=(), conclusion=(NotEqual("A", "B"),)), 0, 50),
+        (Conjecture(hypothesis=(), ndg=(), conclusion=(Harmonic("A", "A", "C", "D"),)), 50, 0),
+    ],
+    ids=["hypothesis_never_holds", "conclusion_always_degenerate"],
+)
+def test_conjecture_that_never_reaches_its_conclusion_is_vacuous(varignon, conjecture, degenerate, hypothesis_failed):
+    # the free points A, B and C are collinear at no sample; harmonic A A C D
+    # has coinciding base points at every sample
+    report = check_conjecture(dataclasses.replace(varignon, conjecture=conjecture), 50, seed=1)
+    counts = (report.samples_degenerate, report.samples_hypothesis_failed, report.samples_checked)
+    assert (report.verdict, counts) == (Verdict.VACUOUS, (degenerate, hypothesis_failed, 0))
+
+
 def test_counter_partition(varignon):
     report = check_conjecture(varignon, 250, seed=9)
     assert report.samples_total == (

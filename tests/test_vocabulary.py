@@ -34,6 +34,8 @@ from i2gatp.model import (
     CONSTRAINT_SIGNATURES,
     ELEMENT_COORDS,
     MAX_TERM_DEPTH,
+    MAX_XML_DEPTH,
+    MAX_XML_ELEMENTS,
     PREDICATES,
     PROOF_INFO_SECTIONS,
     VIOLATION_CODES,
@@ -320,6 +322,8 @@ _QUOTED_LIMITS = {
     "violations-_MAX_ENTRIES": ("violations.md", r"more than ([\d,]+) entries", 1, container._MAX_ENTRIES),
     "violations-_MAX_ENTRY_SIZE": ("violations.md", r"a file declaring more than ([\d,]+) MiB", _MIB, container._MAX_ENTRY_SIZE),
     "violations-_MAX_TOTAL_SIZE": ("violations.md", r"files declaring more than ([\d,]+) MiB in all", _MIB, container._MAX_TOTAL_SIZE),
+    "violations-MAX_XML_DEPTH": ("violations.md", r"elements more than ([\d,]+) levels deep", 1, MAX_XML_DEPTH),
+    "violations-MAX_XML_ELEMENTS": ("violations.md", r"more than ([\d,]+) elements\b", 1, MAX_XML_ELEMENTS),
 }
 
 
@@ -417,11 +421,17 @@ _PRODUCERS = [
     ("MalformedXml", "bibentry_payload", lambda: validate_info(ProblemInfo("x", bibrefs=(BibEntry("r", b"<a>"),)))),
     ("MalformedXml", "display_payload", _steps(display=b"<display>")),
     ("MalformedXml", "opaque_payload", _steps(Constraint("B", ConstraintKind.OPAQUE, opaque_tag="t", opaque_payload=b"<t"))),
+    ("MalformedXml", "opaque_payload_absent", _steps(Constraint("B", ConstraintKind.OPAQUE, opaque_tag="t", opaque_payload=b""))),
+    ("MalformedXml", "depth_cap", _doc(DocumentKind.INFORMATION, "<a>" * (MAX_XML_DEPTH + 1) + "</a>" * (MAX_XML_DEPTH + 1))),
+    ("MalformedXml", "element_cap", _doc(DocumentKind.INFORMATION, "<a>" + "<b/>" * MAX_XML_ELEMENTS + "</a>")),
     ("MalformedXml", "unreadable_proof_info", _zip(*_LAYOUT, ("proofs/proofP1m/proofInfo.xml", b"<proof_info>"))),
     ("MissingName", "information", _info("<description>d</description>")),
     ("UnknownTag", "information_child", _info("<name>x</name><colour/>")),
     ("UnknownTag", "bibrefs_child", _info('<name>x</name><bibrefs><book id="r"/></bibrefs>')),
     ("UnknownTag", "keywords_child", _info("<name>x</name><keywords><tag>a</tag></keywords>")),
+    ("UnknownTag", "display_root", _steps(display=b"<foo/>")),
+    ("UnknownTag", "opaque_root", _steps(Constraint("B", ConstraintKind.OPAQUE, opaque_tag="t", opaque_payload=b'<u out="B"/>'))),
+    ("UnknownTag", "opaque_supported_step", _steps(Constraint("B", ConstraintKind.OPAQUE, opaque_tag="free_point", opaque_payload=b'<free_point out="B"/>'))),
     ("UnknownPredicate", "predicate", _conclusion("<tangent>A B</tangent>")),
     ("UnknownPredicate", "term", _conclusion('<equal><minus/><const value="1"/></equal>')),
     ("ArityError", "missing_coordinate", _construction('<point id="A" x="0"/>', _FA)),
@@ -454,6 +464,7 @@ _PRODUCERS = [
     ("BadId", "element", _construction('<point id="1A" x="0" y="0"/>', '<free_point out="1A"/>')),
     ("BadId", "bibentry", lambda: validate_info(ProblemInfo("x", bibrefs=(BibEntry("1 r", b""),)))),
     ("BadId", "input", _steps(Constraint("B", ConstraintKind.MIDPOINT_OF_TWO_POINTS, ("A", "1 A")))),
+    ("BadId", "opaque_out", _steps(Constraint("B", ConstraintKind.OPAQUE, opaque_tag="t", opaque_payload=b'<t out="C"/>'))),
     ("BadName", "problem", _info("<name>a b</name>")),
     ("EmptyKeyword", "keyword", _info("<name>x</name><keywords><keyword> </keyword></keywords>")),
     ("DuplicateKeyword", "keyword", _info("<name>x</name><keywords><keyword>a</keyword><keyword>a</keyword></keywords>")),

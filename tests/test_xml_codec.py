@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from i2gatp.container import entries_from_problem, pack, read_container_entries, strip_to_i2g, unpack, validate_container
-from i2gatp.errors import CodecError, I2gatpError
+from i2gatp.errors import CodecError, ContainerError, I2gatpError
 from i2gatp.model import (
     BibEntry,
     Collinear,
@@ -20,10 +21,13 @@ from i2gatp.model import (
     Construction,
     Equal,
     MAX_TERM_DEPTH,
+    MAX_XML_DEPTH,
+    MAX_XML_ELEMENTS,
     Midpoint,
     Parallel,
     ProblemInfo,
     ProofStatus,
+    Violation,
     XML_READ_ERRORS,
     validate_problem,
 )
@@ -408,12 +412,17 @@ def _with_display(varignon, display: bytes):
     return dataclasses.replace(varignon.construction, display=display)
 
 
-def _with_opaque(varignon, text: str):
+def _with_opaque_step(varignon, tag: str, payload: bytes):
+    """The construction of ``varignon`` with its last step made opaque."""
+
     k = varignon.construction
-    last = k.constraints[-1]
-    payload = f'<hint out="{last.output}">{text}</hint>'.encode()
-    opaque = dataclasses.replace(last, kind=ConstraintKind.OPAQUE, inputs=(), opaque_tag="hint", opaque_payload=payload)
+    opaque = dataclasses.replace(k.constraints[-1], kind=ConstraintKind.OPAQUE, inputs=(), opaque_tag=tag, opaque_payload=payload)
     return dataclasses.replace(k, constraints=(*k.constraints[:-1], opaque))
+
+
+def _with_opaque(varignon, text: str):
+    out = varignon.construction.constraints[-1].output
+    return _with_opaque_step(varignon, "hint", f'<hint out="{out}">{text}</hint>'.encode())
 
 
 @pytest.mark.parametrize(
@@ -460,6 +469,87 @@ def test_display_is_carried_byte_for_byte(varignon, tmp_path):
     data = pack(p)
     assert unpack(data).construction.display == _DISPLAY
     assert dict(read_container_entries(strip_to_i2g(data)))["intergeo.xml"] == doc
+
+
+# Payloads that validate_problem passed and pack wrote, though the written
+# intergeo.xml read back as another construction or not at all (the reader's
+# outcome at the right): (construction, code, step or part refused)
+_MISREAD_PAYLOADS = {
+    "display_root_foo": (lambda p: _with_display(p, b"<foo/>"), "UnknownTag", "display"),  # UnknownTag
+    "display_root_elements": (lambda p: _with_display(p, b"<elements/>"), "UnknownTag", "display"),  # DuplicateEntry
+    "root_is_not_the_tag": (lambda p: _with_opaque_step(p, "foo", b'<free_point out="d"/>'), "UnknownTag", "foo"),  # a free point
+    "supported_tag": (lambda p: _with_opaque_step(p, "free_point", b'<free_point out="d"/>'), "UnknownTag", "free_point"),  # a free point
+    "other_out": (lambda p: _with_opaque_step(p, "foo", b'<foo out="W"/>'), "BadId", "foo"),  # MissingElement
+    "empty": (lambda p: _with_opaque_step(p, "foo", b""), "MalformedXml", "foo"),  # UnconstrainedElement
+    "display_declaration": (lambda p: _with_display(p, b"<?xml version='1.0'?><display/>"), "MalformedXml", "display"),  # MalformedXml
+    "doctype": (lambda p: _with_opaque_step(p, "foo", b'<!DOCTYPE foo><foo out="d"/>'), "MalformedXml", "foo"),  # MalformedXml
+}
+
+
+@pytest.mark.parametrize("build, code, part", _MISREAD_PAYLOADS.values(), ids=_MISREAD_PAYLOADS.keys())
+def test_payload_that_would_not_read_back_is_refused(varignon, build, code, part):
+    assert varignon.construction.constraints[-1].output == "d"  # the step the payloads stand for
+    k = build(varignon)
+    path = "/construction/display" if part == "display" else f"/construction/constraints/{part}[{len(k.constraints) - 1}]"
+    problem = dataclasses.replace(varignon, construction=k)
+    assert [(v.code, v.path) for v in validate_problem(problem)] == [(code, path)]
+    with pytest.raises(ContainerError) as exc:
+        pack(problem)
+    assert exc.value.violations == validate_problem(problem)
+
+
+def _deep_display(levels: int) -> bytes:
+    return b"<display>" + b"<a>" * levels + b"</a>" * levels + b"</display>"
+
+
+@pytest.mark.parametrize("past", [0, 1], ids=["at_cap", "past_cap"])
+def test_depth_cap_holds_for_the_reader_and_the_writer(varignon, past):
+    display = _deep_display(MAX_XML_DEPTH - 2 + past)  # under <construction> and <display>
+    doc = serialize_construction(varignon.construction).replace(b"</construction>", display + b"</construction>")
+    problem = dataclasses.replace(varignon, construction=_with_display(varignon, display))
+    if not past:
+        assert validate_document(DocumentKind.CONSTRUCTION, doc) == []
+        assert parse_construction(doc) == problem.construction
+        assert unpack(pack(problem)) == problem
+        return
+    refused = ("MalformedXml", "/", f"XML parse error: more than {MAX_XML_DEPTH} levels of elements")
+    assert [(v.code, v.path, v.message) for v in validate_document(DocumentKind.CONSTRUCTION, doc)] == [refused]
+    assert [(v.code, v.path) for v in validate_problem(problem)] == [("MalformedXml", "/construction/display")]
+
+
+@pytest.mark.parametrize("past", [0, 1], ids=["at_cap", "past_cap"])
+def test_element_count_cap(past):
+    # <construction>, <elements> and <display> are three of the elements
+    doc = b"<construction><elements/><display>" + b"<a/>" * (MAX_XML_ELEMENTS - 3 + past) + b"</display></construction>"
+    refused = [("MalformedXml", "/", f"XML parse error: more than {MAX_XML_ELEMENTS} elements")]
+    assert [(v.code, v.path, v.message) for v in validate_document(DocumentKind.CONSTRUCTION, doc)] == (refused if past else [])
+
+
+def test_deep_display_is_refused_before_its_tree_is_built(varignon):
+    # a 2,420-byte archive that validate_container passed, building 10**5
+    # nodes in over a second with a tracemalloc peak of about 54 MB
+    display = _deep_display(10**5)
+    doc = serialize_construction(varignon.construction).replace(b"</construction>", display + b"</construction>")
+    data = with_entry(pack(varignon), "construction/intergeo.xml", doc)
+    tracemalloc.start()
+    try:
+        violations = validate_container(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(v.code, v.path) for v in violations] == [("MalformedXml", "construction/intergeo.xml/")]
+    assert peak < 10 * 2**20
+    problem = dataclasses.replace(varignon, construction=_with_display(varignon, display))
+    assert [(v.code, v.path) for v in validate_problem(problem)] == [("MalformedXml", "/construction/display")]
+
+
+@pytest.mark.parametrize("kind", [DocumentKind.INFORMATION, DocumentKind.CONJECTURE, DocumentKind.CONSTRUCTION])
+def test_document_with_another_root_is_one_unknown_tag(kind):
+    refused = ("UnknownTag", "/", f"expected root <{kind.value}>, found <proof_info>")
+    assert [(v.code, v.path, v.message) for v in validate_document(kind, b"<proof_info/>")] == [refused]
+    with pytest.raises(CodecError) as exc:
+        _PARSERS[kind](b"<proof_info/>")
+    assert exc.value.violations == [Violation(*refused)]
 
 
 def test_empty_payloads_are_empty_tags(varignon):
