@@ -6,8 +6,8 @@ construction/intergeo.xml is the only mandatory file; every proof attempt
 lives in proofs/proof<prover><version><method>/.  Packing is byte
 deterministic: fixed timestamps, lexicographically sorted entries, deflate
 for files above 256 bytes and stored below.  This module writes the zip
-headers itself, and reads each entry straight from the archive bytes;
-``zipfile`` only parses the central directory.
+headers itself, walks the central directory itself, and reads each entry
+straight from the archive bytes.
 
 The i2g container is recovered by dropping the three extra directories and
 relocating construction/ content to the archive root; intergeo.xml bytes are
@@ -16,10 +16,8 @@ never touched by that operation.
 
 from __future__ import annotations
 
-import io
 import re
 import struct
-import zipfile
 import zlib
 from collections import Counter
 from dataclasses import replace
@@ -89,11 +87,19 @@ _MAX_NAME_BYTES = 0xFFFF  # a name's UTF-8 length; its header field has 16 bits
 _MAX_ENTRY_SIZE = 32 << 20  # bytes of one file
 _MAX_TOTAL_SIZE = 128 << 20  # bytes of all files
 
-# The fixed header fields of every entry (docs/container.md): versions 2.0,
-# created on unix, 1980-01-01 00:00:00 in DOS form, no extra field.
+# The zip structures.  The writer packs the first three with the fixed
+# header fields of every entry (docs/container.md): versions 2.0, created on
+# unix, 1980-01-01 00:00:00 in DOS form, no extra field.  The zip64 ones
+# are read only: within the caps the writer needs none.
 _LOCAL_HEADER = struct.Struct("<4s2B4HL2L2H")
 _CENTRAL_HEADER = struct.Struct("<4s4B4HL2L5H2L")
 _END_RECORD = struct.Struct("<4s4H2LH")
+_END64_LOCATOR = struct.Struct("<4sLQL")
+_END64_RECORD = struct.Struct("<4sQ2H2L4Q")
+_EXTRA_FIELD = struct.Struct("<2H")  # tag and length; tag 1 holds zip64 values
+_ZIP64_VALUE = struct.Struct("<Q")
+_COMMENT_SEARCH = 1 << 16  # bytes searched for an end record that a comment follows
+_MAX_EXTRACT_VERSION = 63  # 6.3, the newest version of the format
 _VERSION = 20
 _UNIX = 3
 _DOS_DATE = 0x0021
@@ -143,10 +149,6 @@ def _write_zip(entries: list[Entry]) -> bytes:
     return b"".join(parts + central)
 
 
-# what zipfile.ZipFile raises for an archive whose central directory is broken
-_UNREADABLE = (zipfile.BadZipFile, NotImplementedError, ValueError)
-
-
 def read_container_entries(data: bytes) -> list[Entry]:
     """Raw (path, bytes) entries of a container; directory entries carry
     None.  Before any entry is inflated, an unsafe path is ``BadPath``, a
@@ -160,75 +162,181 @@ def _read_entries(data: bytes) -> tuple[list[Entry], _Judgement]:
     """read_container_entries, with the judgement of its names, so that the
     layout walk need not find their directories again."""
 
-    try:
-        with zipfile.ZipFile(io.BytesIO(data)) as zf:
-            infos = zf.infolist()
-            central_start = zf.start_dir
-    except _UNREADABLE as exc:
-        raise ContainerError("MalformedZip", str(exc)) from exc
-    names = [info.orig_filename for info in infos]
+    central, central_start = _central_directory(data)
+    names = [entry[0] for entry in central]
     for name in names:
         if not is_safe_relative_path(name[:-1] if name.endswith("/") else name):
             raise ContainerError("BadPath", f"unsafe entry path {name!r}")
-    judgement = _judge(names, [info.file_size for info in infos], "MalformedZip")
+    judgement = _judge(names, [entry[5] for entry in central], "MalformedZip")
     # an entry's data must end by the next local header, or by the central
-    # directory for the last one; the order of entries sharing an offset is
-    # zipfile's, so this refuses what zipfile refuses as overlapped
-    ends = [0] * len(infos)
+    # directory for the last one; of entries sharing an offset, all but the
+    # first in central-directory order end where they start, so they overlap
+    ends = [0] * len(central)
     end = central_start
-    for i in sorted(range(len(infos)), key=lambda i: infos[i].header_offset, reverse=True):
+    for i in sorted(range(len(central)), key=lambda i: central[i][6], reverse=True):
         ends[i] = end
-        end = infos[i].header_offset
-    view = memoryview(data)
+        end = central[i][6]
     entries = [
-        (name, None if name.endswith("/") else _entry_data(view, info, end)) for name, info, end in zip(names, infos, ends)
+        (name, None if name.endswith("/") else _entry_data(data, entry, end)) for name, entry, end in zip(names, central, ends)
     ]
     return entries, judgement
 
 
-def _entry_data(data: memoryview, info: zipfile.ZipInfo, end: int) -> bytes:
+# A central header as the reader keeps it: (name, flags, method, CRC-32,
+# compressed size, size, local header offset).
+_CentralEntry = tuple[str, int, int, int, int, int, int]
+
+
+def _central_directory(data: bytes) -> tuple[list[_CentralEntry], int]:
+    """The central directory's entries, and its start.  It is found as
+    ``zipfile`` finds it: by the end record in the last 22 bytes, or else
+    by the last one in the 64 KiB before (an archive comment follows it);
+    by the zip64 end record before that, when its locator and it are
+    there; and every offset is shifted by the bytes prepended to the
+    archive.  Refused as ``MalformedZip``: an end record that is missing or
+    cut short, a locator naming more disks than one, a directory starting
+    before the archive, more entries counted than the caps allow (before
+    any central header is read) or than there are headers, a header that is
+    cut short or has the wrong signature, a version past 6.3, a name not in
+    UTF-8 under flag 0x800, and a corrupt extra field."""
+
+    end = len(data) - _END_RECORD.size
+    if end < 0 or not (data.startswith(b"PK\x05\x06", end) and data.endswith(b"\0\0")):
+        end = data.rfind(b"PK\x05\x06", max(end - _COMMENT_SEARCH, 0))
+        if end < 0:
+            raise ContainerError("MalformedZip", "no end of central directory record")
+        if end + _END_RECORD.size > len(data):
+            raise ContainerError("MalformedZip", "end of central directory record cut short")
+    _, _, _, _, count, size, offset, _ = _END_RECORD.unpack_from(data, end)
+    directory_end = end
+    # zipfile reads the zip64 records at these places, clamped to the
+    # archive's start in an archive too short to hold them
+    locator = max(end - _END64_LOCATOR.size, 0)
+    signature, disk, _, disks = _END64_LOCATOR.unpack_from(data, locator)
+    if signature == b"PK\x06\x07":
+        if disk != 0 or disks > 1:
+            raise ContainerError("MalformedZip", "archive spans more than one disk")
+        record = max(end - _END64_LOCATOR.size - _END64_RECORD.size, 0)
+        if record + _END64_RECORD.size <= len(data):
+            record64 = _END64_RECORD.unpack_from(data, record)
+            if record64[0] == b"PK\x06\x06":
+                count, size, offset = record64[7:]
+                directory_end = end - _END64_LOCATOR.size - _END64_RECORD.size
+    if count > _MAX_ENTRIES:
+        raise ContainerError("MalformedZip", f"{count} entries with their directories, past the {_MAX_ENTRIES} allowed")
+    start = directory_end - size
+    if start < 0:
+        raise ContainerError("MalformedZip", f"central directory of {size} bytes starts before the archive")
+    shift = start - offset  # bytes prepended to the archive
+    entries: list[_CentralEntry] = []
+    unpack = _CENTRAL_HEADER.unpack_from
+    pos = start
+    while pos < directory_end:
+        if len(entries) == count:
+            raise ContainerError("MalformedZip", f"central directory holds more than the {count} entries its end record counts")
+        if pos + _CENTRAL_HEADER.size > directory_end:
+            raise ContainerError("MalformedZip", f"central directory cut short after {len(entries)} entries")
+        (signature, _, _, version, _, flags, method, _, _, crc, compressed, file_size,
+         name_len, extra_len, comment_len, _, _, _, header) = unpack(data, pos)  # fmt: skip
+        if signature != b"PK\x01\x02":
+            raise ContainerError("MalformedZip", f"bad central header signature at offset {pos}")
+        if version > _MAX_EXTRACT_VERSION:
+            raise ContainerError("MalformedZip", f"zip version {version / 10:.1f} is not supported")
+        name_start = pos + _CENTRAL_HEADER.size
+        extra_start = name_start + name_len
+        pos = extra_start + extra_len + comment_len
+        if pos > directory_end:
+            raise ContainerError("MalformedZip", f"central header at offset {name_start - _CENTRAL_HEADER.size} cut short")
+        raw = data[name_start:extra_start]
+        if raw.isascii():
+            name = raw.decode("ascii")
+        elif flags & _UTF8_NAME:
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ContainerError("MalformedZip", f"entry name {raw!r} is flagged UTF-8 but is not") from exc
+        else:
+            name = raw.decode("cp437")
+        if extra_len:
+            compressed, file_size, header = _zip64_values(data, extra_start, extra_start + extra_len, compressed, file_size, header)
+        entries.append((name, flags, method, crc, compressed, file_size, header + shift))
+    if len(entries) != count:
+        raise ContainerError("MalformedZip", f"central directory holds {len(entries)} entries where its end record counts {count}")
+    return entries, start
+
+
+def _zip64_values(data: bytes, pos: int, stop: int, compressed: int, size: int, offset: int) -> tuple[int, int, int]:
+    """A central header's compressed size, size and local header offset,
+    each whose 32 bits are all set taken from the zip64 extra field among
+    the extra fields from ``pos`` to ``stop``, as ``zipfile`` takes them."""
+
+    while pos + _EXTRA_FIELD.size <= stop:
+        tag, length = _EXTRA_FIELD.unpack_from(data, pos)
+        pos += _EXTRA_FIELD.size
+        if pos + length > stop:
+            raise ContainerError("MalformedZip", f"corrupt extra field {tag:04x} of {length} bytes")
+        if tag == 1:
+            wanted = (size in (0xFFFF_FFFF, 0xFFFF_FFFF_FFFF_FFFF), compressed == 0xFFFF_FFFF, offset == 0xFFFF_FFFF)
+            if sum(wanted) * _ZIP64_VALUE.size > length:
+                raise ContainerError("MalformedZip", f"zip64 extra field of {length} bytes is too short")
+            values = [_ZIP64_VALUE.unpack_from(data, pos + i * _ZIP64_VALUE.size)[0] for i in range(sum(wanted))]
+            if wanted[0]:
+                size = values.pop(0)
+            if wanted[1]:
+                compressed = values.pop(0)
+            if wanted[2]:
+                offset = values.pop(0)
+        pos += length
+    return compressed, size, offset
+
+
+def _entry_data(data: bytes, entry: _CentralEntry, end: int) -> bytes:
     """The content of a file entry, read from its local header on; it must
     be stored or deflated, end where its sizes say and by offset ``end``,
     and match its CRC-32."""
 
-    def malformed(reason: str) -> ContainerError:
-        return ContainerError("MalformedZip", f"cannot read entry {info.orig_filename!r}: {reason}")
+    name, flags, method, crc, compressed, size, start = entry
 
-    start = info.header_offset
-    header = data[start : start + _LOCAL_HEADER.size]
-    if start < 0 or len(header) < _LOCAL_HEADER.size:
+    def malformed(reason: str) -> ContainerError:
+        return ContainerError("MalformedZip", f"cannot read entry {name!r}: {reason}")
+
+    if start < 0 or start + _LOCAL_HEADER.size > len(data):
         raise malformed(f"no local header at offset {start}")
-    signature, _, _, flags, _, _, _, _, _, _, name_len, extra_len = _LOCAL_HEADER.unpack(header)
+    signature, _, _, local_flags, _, _, _, _, _, _, name_len, extra_len = _LOCAL_HEADER.unpack_from(data, start)
     if signature != b"PK\x03\x04":
         raise malformed("bad local header signature")
     start += _LOCAL_HEADER.size
-    try:
-        local_name = str(data[start : start + name_len], "utf-8" if flags & _UTF8_NAME else "cp437")
-    except UnicodeDecodeError:
-        local_name = None
-    if local_name != info.orig_filename:
+    raw = data[start : start + name_len]
+    if raw.isascii():
+        local_name = raw.decode("ascii")
+    else:
+        try:
+            local_name = raw.decode("utf-8" if local_flags & _UTF8_NAME else "cp437")
+        except UnicodeDecodeError:
+            local_name = None
+    if local_name != name:
         raise malformed("local header names another entry")
-    if info.flag_bits & _UNSUPPORTED_FLAGS:
+    if flags & _UNSUPPORTED_FLAGS:
         raise malformed("encrypted or patched")
     start += name_len + extra_len
-    if start + info.compress_size > end:
+    if start + compressed > end:
         raise malformed("overlaps the next entry or the central directory")
-    body = data[start : start + info.compress_size]
-    if info.compress_type == _STORED:
-        content = bytes(body)
-    elif info.compress_type == _DEFLATED:
+    body = data[start : start + compressed]
+    if method == _STORED:
+        content = body
+    elif method == _DEFLATED:
         inflater = zlib.decompressobj(-15)
         try:
-            content = inflater.decompress(body, info.file_size + 1)
+            content = inflater.decompress(body, size + 1)
         except zlib.error as exc:
             raise malformed(str(exc)) from exc
         if not inflater.eof:
             raise malformed("deflate stream does not end within the declared size")
     else:
-        raise malformed(f"unsupported compression method {info.compress_type}")
-    if len(content) != info.file_size:
-        raise malformed(f"{len(content)} bytes where {info.file_size} are declared")
-    if zlib.crc32(content) != info.CRC:
+        raise malformed(f"unsupported compression method {method}")
+    if len(content) != size:
+        raise malformed(f"{len(content)} bytes where {size} are declared")
+    if zlib.crc32(content) != crc:
         raise malformed("bad CRC-32")
     return content
 

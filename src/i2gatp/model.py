@@ -213,10 +213,12 @@ MAX_XML_ELEMENTS = 100_000
 class Term:
     """Base class of arithmetic term nodes (conjecture ``equal`` operands).
 
-    ``depth`` counts the levels of a term, at most MAX_TERM_DEPTH."""
+    ``depth`` counts the levels of a term, at most MAX_TERM_DEPTH, and
+    ``nodes`` its nodes, one XML element each when it is written."""
 
     __slots__ = ()
     depth = 1
+    nodes = 1
 
 
 @dataclass(frozen=True)
@@ -239,6 +241,7 @@ def _nest(t: Plus | Mult) -> None:
         message = f"term nested deeper than {MAX_TERM_DEPTH} levels"
         raise CodecError([Violation("ArityError", f"/{TERM_NAMES[type(t)]}", message)])
     object.__setattr__(t, "depth", depth)
+    object.__setattr__(t, "nodes", t.left.nodes + t.right.nodes + 1)
 
 
 @dataclass(frozen=True)
@@ -623,26 +626,42 @@ def _violation(out: list[Violation], code: str, path: str, message: str) -> None
     out.append(Violation(code, path, message))
 
 
-def _payload_root(out: list[Violation], data: bytes, depth: int, path: str, what: str) -> tuple[str, dict[str, str]] | None:
+def _payload_root(out: list[Violation], data: bytes, depth: int, path: str, what: str) -> tuple[str, dict[str, str], int] | None:
     """The tag and attributes of the root element of ``data``, a payload
-    that is written inside ``depth`` elements; None, with one MalformedXml,
-    when it would not read there: not a well-formed XML document, one with
-    an XML declaration or a DOCTYPE, or one past MAX_XML_DEPTH."""
+    that is written inside ``depth`` elements, and its number of elements;
+    None, with one MalformedXml, when it would not read back there: not a
+    well-formed XML document, one with an XML declaration or a DOCTYPE, one
+    with any byte before its root's start tag or after its end tag (the
+    readers cut a payload there), or one past MAX_XML_DEPTH or
+    MAX_XML_ELEMENTS."""
 
     parser = xml.parsers.expat.ParserCreate()
     root = None
     level = depth
+    count = 0
 
     def on_start(tag: str, attrs: dict[str, str]) -> None:
-        nonlocal root, level
+        nonlocal root, level, count
         level += 1
-        if level > MAX_XML_DEPTH:
-            raise ValueError("too deep")
-        root = root or (tag, attrs)
+        count += 1
+        if level > MAX_XML_DEPTH or count > MAX_XML_ELEMENTS:
+            raise ValueError("past a cap")
+        if root is None:
+            if parser.CurrentByteIndex != 0:
+                raise ValueError("bytes before the root")
+            root = (tag, attrs)
 
     def on_end(_tag: str) -> None:
         nonlocal level
         level -= 1
+        if level == depth:
+            # the root's end tag must end the payload, and so must its
+            # empty-element tag: a comment, a processing instruction or
+            # whitespace after it never ends in '/>'
+            at = parser.CurrentByteIndex
+            closed = data.find(b">", at) == len(data) - 1 if data.startswith(b"</", at) else data.endswith(b"/>")
+            if not closed:
+                raise ValueError("bytes after the root")
 
     def refuse(*_args: object) -> None:
         raise ValueError("a declaration inside a document")
@@ -653,10 +672,22 @@ def _payload_root(out: list[Violation], data: bytes, depth: int, path: str, what
     try:
         parser.Parse(data, True)
     except XML_READ_ERRORS:
-        message = f"{what} payload is not well-formed XML, has an XML declaration or a DOCTYPE, or puts more than {MAX_XML_DEPTH} levels of elements in its document"
+        message = (
+            f"{what} payload is not one well-formed XML element: it has bytes outside its root element, an XML declaration "
+            f"or a DOCTYPE, or puts more than {MAX_XML_DEPTH} levels or {MAX_XML_ELEMENTS} elements in its document"
+        )
         _violation(out, "MalformedXml", path, message)
         return None
-    return root
+    return (*root, count)
+
+
+def _count_elements(out: list[Violation], count: int, document: str) -> None:
+    """One MalformedXml when the ``document`` root element would be written
+    with ``count`` elements, past MAX_XML_ELEMENTS, which no reader reads."""
+
+    if count > MAX_XML_ELEMENTS:
+        message = f"<{document}> would be written with {count} elements, more than {MAX_XML_ELEMENTS}"
+        _violation(out, "MalformedXml", f"/{document}", message)
 
 
 def is_safe_relative_path(path: str) -> bool:
@@ -684,8 +715,11 @@ def _validate_info(info: ProblemInfo, out: list[Violation]) -> None:
         _violation(out, "MissingName", "/information/name", "problem name is required")
     elif not PROBLEM_NAME_RE.match(info.name):
         _violation(out, "BadName", "/information/name", f"invalid problem name {info.name!r}")
+    # information, name, and each part below written when it is not empty
+    elements = 2 + bool(info.description) + bool(info.bibrefs) + len(info.bibrefs) + bool(info.keywords) + len(info.keywords)
     if info.statement:
-        _payload_root(out, info.statement, 2, "/information/statement", "statement")
+        root = _payload_root(out, info.statement, 2, "/information/statement", "statement")
+        elements += 1 + (root[2] if root else 0)
     seen_bib: set[str] = set()
     for i, entry in enumerate(info.bibrefs):
         path = f"/information/bibrefs/bibentry[{i}]"
@@ -695,7 +729,8 @@ def _validate_info(info: ProblemInfo, out: list[Violation]) -> None:
             _violation(out, "DuplicateId", path, f"duplicate bibentry id {entry.id!r}")
         seen_bib.add(entry.id)
         if entry.payload:
-            _payload_root(out, entry.payload, 3, path, "bibentry")
+            root = _payload_root(out, entry.payload, 3, path, "bibentry")
+            elements += root[2] if root else 0
     seen_kw: set[str] = set()
     for i, kw in enumerate(info.keywords):
         path = f"/information/keywords/keyword[{i}]"
@@ -705,6 +740,7 @@ def _validate_info(info: ProblemInfo, out: list[Violation]) -> None:
         elif norm in seen_kw:
             _violation(out, "DuplicateKeyword", path, f"duplicate keyword {norm!r}")
         seen_kw.add(norm)
+    _count_elements(out, elements, "information")
 
 
 def _validate_element(e: ElementInstance, path: str, out: list[Violation]) -> None:
@@ -732,10 +768,14 @@ def _validate_construction(k: Construction, out: list[Violation]) -> None:
         else:
             kinds[e.id] = e.kind
         _validate_element(e, path, out)
+    # construction, elements, and constraints when there are any; an
+    # opaque constraint or the display is written as its payload's elements
+    elements = 2 + len(k.elements) + bool(k.constraints)
     if k.display:
         root = _payload_root(out, k.display, 1, "/construction/display", "display")
         if root is not None and root[0] != "display":
             _violation(out, "UnknownTag", "/construction/display", f"display payload root is <{root[0]}>, expected <display>")
+        elements += root[2] if root else 0
 
     defined: set[str] = set()
     outputs_seen: set[str] = set()
@@ -756,7 +796,8 @@ def _validate_construction(k: Construction, out: list[Violation]) -> None:
             # the payload is written as the step, so it must read back as this step
             root = _payload_root(out, c.opaque_payload or b"", 2, path, "opaque constraint")
             if root is not None:
-                tag, attrs = root
+                tag, attrs, count = root
+                elements += count
                 if tag != c.opaque_tag:
                     _violation(out, "UnknownTag", path, f"opaque constraint payload root is <{tag}>, expected <{c.opaque_tag}>")
                 elif tag in CONSTRAINT_TAGS:
@@ -765,6 +806,7 @@ def _validate_construction(k: Construction, out: list[Violation]) -> None:
                     _violation(out, "BadId", path, f"opaque constraint payload out {attrs.get('out')!r} is not its output {c.output!r}")
             defined.add(c.output)
             continue
+        elements += 1
         in_kinds, out_kind, param_attr = CONSTRAINT_SIGNATURES[c.kind]
         if len(c.inputs) != len(in_kinds):
             _violation(out, "ArityError", path, f"{c.kind.value} takes {len(in_kinds)} inputs, got {len(c.inputs)}")
@@ -795,6 +837,7 @@ def _validate_construction(k: Construction, out: list[Violation]) -> None:
                 f"/construction/elements/{e.kind.value}[{i}]",
                 f"element {e.id!r} is not the output of any constraint",
             )
+    _count_elements(out, elements, "construction")
 
 
 def _validate_term(t: Term, path: str, out: list[Violation]) -> None:
@@ -813,7 +856,9 @@ def _validate_conjecture(c: Conjecture, k: Construction | None, out: list[Violat
     if not c.conclusion:
         _violation(out, "MissingConclusion", "/conjecture/conclusion", "conclusion must contain at least one predicate")
     kinds = k.element_kinds() if k is not None else None
+    elements = 1  # conjecture, and below it each section that is not empty
     for section, preds in (("hypothesis", c.hypothesis), ("ndg", c.ndg), ("conclusion", c.conclusion)):
+        elements += bool(preds) + len(preds)
         for i, p in enumerate(preds):
             path = f"/conjecture/{section}/{PREDICATE_NAMES[type(p)]}[{i}]"
             # a repeated id is reported once per predicate
@@ -827,11 +872,13 @@ def _validate_conjecture(c: Conjecture, k: Construction | None, out: list[Violat
                 elif kinds[ref] is not GeoKind.POINT:
                     _violation(out, "KindMismatch", path, f"id {ref!r} is a {kinds[ref].value}, predicates take points")
             if isinstance(p, Equal):
+                elements += p.left.nodes + p.right.nodes
                 _validate_term(p.left, path, out)
                 _validate_term(p.right, path, out)
             elif isinstance(p, SegmentRatio):
                 if not math.isfinite(p.ratio) or p.ratio < 0.0:
                     _violation(out, "BadRatio", path, f"segment ratio {p.ratio} must be finite and >= 0")
+    _count_elements(out, elements, "conjecture")
 
 
 def _validate_attempt(a: ProofAttempt, path: str, out: list[Violation]) -> None:

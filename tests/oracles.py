@@ -15,6 +15,7 @@ must match node for node.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import math
 import xml.parsers.expat
@@ -146,6 +147,25 @@ def read_zip_reference(data: bytes) -> list[tuple[str, bytes | None]]:
 
     with zipfile.ZipFile(io.BytesIO(data)) as zf:
         return [(info.filename, None if info.is_dir() else zf.read(info)) for info in zf.infolist()]
+
+
+def content_digest_reference(data: bytes) -> str:
+    """SHA-256 of what an archive holds whatever deflate wrote it, as
+    ``zipfile`` reads it: for each entry in central-directory order, its
+    name and header fields other than its compressed size and offset, its
+    uncompressed bytes and its CRC-32."""
+
+    digest = hashlib.sha256()
+    with zipfile.ZipFile(io.BytesIO(data)) as zf:
+        for info in zf.infolist():
+            content = zf.read(info)
+            fields = (
+                info.orig_filename, info.create_version, info.create_system, info.extract_version, info.reserved,
+                info.flag_bits, info.compress_type, info.date_time, info.volume, info.internal_attr,
+                info.external_attr, info.extra, info.comment, info.file_size, info.CRC, len(content),
+            )  # fmt: skip
+            digest.update(repr(fields).encode() + content)
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import bz2
 import dataclasses
 import hashlib
@@ -14,6 +15,7 @@ import tracemalloc
 import warnings
 import zipfile
 import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -50,7 +52,7 @@ from i2gatp.model import (
 from i2gatp.xml_codec import serialize_proof_info
 
 from conftest import MINIMAL_DSL, bench_workloads, corrupt_intergeo, generated_container
-from oracles import read_zip_reference, write_zip_reference
+from oracles import content_digest_reference, read_zip_reference, write_zip_reference
 
 def _names(data: bytes) -> list[str]:
     with zipfile.ZipFile(io.BytesIO(data)) as zf:
@@ -407,6 +409,39 @@ def test_pack_digests_are_pinned(corpus_containers):
     assert {name: hashlib.sha256(data).hexdigest() for name, data in corpus_containers.items()} == PACK_SHA256
 
 
+# sha256 of what each pack(p) holds whatever deflate wrote it: names, header
+# fields, uncompressed bytes and CRC-32 (oracles.content_digest_reference)
+PACK_CONTENT_SHA256 = {
+    "varignon": "4e16a45d1b76a93caf5f19e6eb291f7fa42a8ba87f36dfbcc0e365040d518eb7",
+    "midpoint_thm": "e1e70766a921575f96d39d4c55c3a66c08a712f9a1601ae98b61154b61e9397d",
+    "collinear_free": "5b92ed179c421f8f75d3c2409f13f88d012862503c409927aae2b7ac6b81f819",
+    "harmonic_range": "55b3d2fc416a70ba63db40407db8f164e26e27395c9c0c9dec2d5d5f2fd93248",
+    "circle_radii": "6932403591625df8296b62c5255b397ebdf7511388a4c6a6ef3c9d1e84d7583a",
+    "perpendicular_foot": "2351dfb8f30eb5317e44810cc2f89249ddabf010bcbea71b3325e36a942f2043",
+    "half_segment": "0fbb9151500a9155a4cbdbf1c14570ed4227975d6515053b8f745001bbcc67a0",
+    "parallel_transport": "1b1a87751e5fff036493335f06feba658449aa4547e12fa2d55cda9033843065",
+    "triangle_sides": "a58e20ef7ddd9ca2bb47cf9a0d0a32d10a1ed78ebac4d2508c9a8a3135e30b68",
+    "minimal": "bab0907a02318d2e90ec20ef31dc70cf8adaf7776e968f5124f20ba1efd6630b",
+    "varignon_attempts": "6569a68de82198fd785b6e249ce6443daa04f99e89fd014fdf3e9d39798cde6a",
+    "opaque_circumcircle": "bd98bacf97d3fb7a42fd059e09e6f791a32062575ff1e7ab2c1c85af3810ab1c",
+    "varignon_files": "d6ac332c83dd756c7f32ac3dd563fae774d29a76b5b13b7141739bd3812aeb27",
+}
+
+
+def test_pack_content_digests_are_pinned(corpus, corpus_containers, monkeypatch):
+    # the platform-independent layer of the archive contract, which holds
+    # under any zlib build: another deflate level moves no content digest
+    digests = {name: content_digest_reference(data) for name, data in corpus_containers.items()}
+    assert digests == PACK_CONTENT_SHA256, (
+        "the content of packed archives changed (entry names, header fields, uncompressed bytes or CRC-32), "
+        "not only their deflate stream"
+    )
+    monkeypatch.setattr(container, "_DEFLATE_LEVEL", 1)
+    repacked = {name: pack(problem) for name, problem in corpus.items()}
+    assert sum(repacked[name] != data for name, data in corpus_containers.items()) > 10
+    assert {name: content_digest_reference(data) for name, data in repacked.items()} == PACK_CONTENT_SHA256
+
+
 def test_deflate_is_the_reference_level_6_stream():
     # PACK_SHA256 holds only where zlib emits its reference stream; another
     # deflate (zlib-ng, a hardware one) may emit a different valid stream,
@@ -460,28 +495,154 @@ def test_header_past_the_zip64_limit_of_the_zipfile_writer_reads(monkeypatch):
     assert read_container_entries(data) == read_zip_reference(data) == [("resources/", None), *entries]
 
 
+def _agrees_with_zipfile(data: bytes) -> bool:
+    """Whether the reader accepts ``data``: it never accepts what zipfile
+    refuses, and reads what both accept alike."""
+
+    try:
+        reference = read_zip_reference(data)
+    except Exception:
+        reference = None
+    try:
+        entries = read_container_entries(data)
+    except ContainerError:
+        return False
+    assert entries == reference
+    return True
+
+
+def _edited(data: bytes, at: int, fmt: str, value: int) -> bytes:
+    """``data`` with the little-endian field ``fmt`` at offset ``at`` set to ``value``."""
+
+    return data[:at] + struct.pack(fmt, value) + data[at + struct.calcsize(fmt) :]
+
+
+def _with_extra(data: bytes, extra: bytes, compressed: int | None = None) -> bytes:
+    """``data`` with ``extra`` as the first central header's extra field
+    (and, given it, ``compressed`` as its compressed size); the end record
+    counts the directory's new size."""
+
+    header = data.index(b"PK\x01\x02")
+    name_len, extra_len = struct.unpack_from("<2H", data, header + 28)
+    at = header + 46 + name_len
+    data = _edited(data[:at] + extra + data[at + extra_len :], header + 30, "<H", len(extra))
+    if compressed is not None:
+        data = _edited(data, header + 20, "<L", compressed)
+    end = len(data) - 22
+    return _edited(data, end + 12, "<L", struct.unpack_from("<L", data, end + 12)[0] + len(extra) - extra_len)
+
+
+def _structural_cases() -> dict[str, tuple[bytes, bool]]:
+    """Archives whose end records, zip64 records or central headers are
+    changed as a whole, each with whether the reader accepts it."""
+
+    base = _write_zip([("resources/a.txt", _TEXT), ("resources/b/c.txt", b"short"), ("resources/d.txt", _TEXT * 2)])
+    end = len(base) - 22
+    with pytest.MonkeyPatch.context() as patch:
+        # past 65535 entries, or 2 GiB, zipfile writes zip64 records; lowered
+        # limits show them on small archives
+        patch.setattr(zipfile, "ZIP_FILECOUNT_LIMIT", 3)
+        zip64 = write_zip_reference([(f"resources/{i}", random.Random(i).randbytes(300)) for i in range(5)])
+        patch.setattr(zipfile, "ZIP64_LIMIT", 1000)
+        zip64_fields = write_zip_reference([(f"resources/{i}", random.Random(i).randbytes(200)) for i in range(6)])
+    assert struct.pack("<2H", 1, 8) in zip64_fields
+    locator, record = zip64.index(b"PK\x06\x07"), zip64.index(b"PK\x06\x06")
+    first, last = base.index(b"PK\x01\x02"), base.rindex(b"PK\x01\x02")
+    assert base[first + 46 : first + 56] == b"resources/"
+    not_utf8 = _edited(base[: first + 46] + b"resource\xff/" + base[first + 56 :], first + 8, "<H", 0x800)
+    short_locator = struct.pack("<4sLQ", b"PK\x06\x07", 0, 0) + b"\0\0" + struct.pack("<4s4H2LH", b"PK\x05\x06", 0, 0, 0, 0, 0, 0, 0)
+    cases = {
+        "plain": (base, True),
+        "comment": (base[:-2] + struct.pack("<H", 9) + b"a comment", True),
+        "longest_comment": (base[:-2] + struct.pack("<H", 0xFFFF) + bytes(0xFFFF), True),
+        "undeclared_comment": (base + b"trailing", True),
+        "end_record_past_the_comment_search": (base[:-2] + struct.pack("<H", 0xFFFF) + bytes(0xFFFF + 2), False),
+        "prefixed": (b"#!/bin/sh\nexit 0\n" + base, True),
+        "zip64_end_record": (zip64, True),
+        "zip64_prefixed": (b"prefix" + zip64, True),
+        "zip64_extra_fields": (zip64_fields, True),
+        "zip64_locator_two_disks": (_edited(zip64, locator + 16, "<L", 2), False),
+        "zip64_locator_on_disk_1": (_edited(zip64, locator + 4, "<L", 1), False),
+        "zip64_locator_signature": (_edited(zip64, locator, "<4s", b"PK\x06\x08"), False),
+        "zip64_record_signature": (_edited(zip64, record, "<4s", b"PK\x06\x08"), False),
+        "zip64_count_plus_one": (_edited(zip64, record + 32, "<Q", 7), False),
+        "zip64_size_past_the_start": (_edited(zip64, record + 40, "<Q", 2**40), False),
+        "no_end_record": (base[:-22], False),
+        "end_record_cut_short": (base[:-5], False),
+        # the last 22 bytes are an end record only when no comment follows
+        "end_signature_in_the_last_record": (struct.pack("<4s4H2LH", b"PK\x05\x06", 0, 0, 0, 0, 0, 0x06054B50, 1), False),
+        "size_plus_one": (_edited(base, end + 12, "<L", struct.unpack_from("<L", base, end + 12)[0] + 1), False),
+        "size_minus_one": (_edited(base, end + 12, "<L", struct.unpack_from("<L", base, end + 12)[0] - 1), False),
+        "size_past_the_start": (_edited(base, end + 12, "<L", len(base)), False),
+        "count_plus_one": (_edited(_edited(base, end + 8, "<H", 6), end + 10, "<H", 6), False),
+        "count_minus_one": (_edited(_edited(base, end + 8, "<H", 4), end + 10, "<H", 4), False),
+        "offset_plus_one": (_edited(base, end + 16, "<L", struct.unpack_from("<L", base, end + 16)[0] + 1), False),
+        "offset_minus_one": (_edited(base, end + 16, "<L", struct.unpack_from("<L", base, end + 16)[0] - 1), False),
+        "cut_central_header": (_edited(base[: end - 3] + base[end:], end - 3 + 12, "<L", end - 3 - first), False),
+        "central_directory_cut_short": (_edited(base[:end] + bytes(20) + base[end:], end + 20 + 12, "<L", end + 20 - first), False),
+        "central_header_signature": (_edited(base, last, "<4s", b"PK\x01\x03"), False),
+        "version_63": (_edited(base, last + 6, "<B", 63), True),
+        "version_64": (_edited(base, last + 6, "<B", 64), False),
+        "cp437_names": (base.replace(b"resources/a.txt", b"resources/\xe9.txt"), True),
+        "name_not_utf8_under_flag_0x800": (not_utf8, False),
+        "unknown_extra_field": (_with_extra(base, struct.pack("<2H", 0xCAFE, 3) + b"abc"), True),
+        "extra_field_tail": (_with_extra(base, b"ab"), True),
+        "corrupt_extra_field": (_with_extra(base, struct.pack("<2H", 0xCAFE, 10) + b"abc"), False),
+        "zip64_field_too_short": (_with_extra(base, struct.pack("<2HL", 1, 4, 0), compressed=0xFFFFFFFF), False),
+        "locator_read_from_the_start_of_a_short_archive": (short_locator, False),
+        "empty_archive": (short_locator[-22:], True),
+    }
+    return cases
+
+
 def test_reader_agrees_with_zipfile_on_mutated_archives():
-    # never accepts what zipfile refuses, and reads what both accept alike
+    # the reader walks the central directory itself; it never accepts what
+    # zipfile refuses, and reads what both accept alike.  It refuses more
+    # only where zipfile's reading is wrong: an end record whose count is
+    # not the number of headers, a header cut short by the directory's end
+    cases = _structural_cases()
+    outcomes = {name: _agrees_with_zipfile(data) for name, (data, _accepted) in cases.items()}
+    assert outcomes == {name: accepted for name, (_data, accepted) in cases.items()}
+    for name in ("count_plus_one", "count_minus_one", "zip64_count_plus_one"):
+        assert read_zip_reference(cases[name][0]), name
+    # the walk stops at the header past the count, however many follow
+    with pytest.raises(ContainerError, match="central directory holds more than the 4 entries its end record counts"):
+        read_container_entries(cases["count_minus_one"][0])
+    # byte flips, also of a comment, prefixed bytes and zip64 records
     make = bench_workloads()._generated_container
     sources = [make(random.Random(seed), n, "g", 3) for seed, n in ((1, 10), (2, 10), (3, 100))]
+    sources += [data for data, accepted in cases.values() if accepted and len(data) < 20_000]
     rng = random.Random(0)
     accepted = 0
-    for i in range(1200):
-        data = bytearray(sources[i % 3])
+    for i in range(1600):
+        data = bytearray(sources[i % len(sources)])
         for _ in range(rng.randint(1, 4)):
             data[rng.randrange(len(data))] ^= rng.randrange(1, 256)
-        data = bytes(data)
-        try:
-            reference = read_zip_reference(data)
-        except Exception:
-            reference = None
-        try:
-            entries = read_container_entries(data)
-        except ContainerError:
-            continue
-        assert entries == reference, i
-        accepted += 1
+        accepted += _agrees_with_zipfile(bytes(data))
     assert accepted > 50
+
+
+@pytest.mark.parametrize("count", [10_001, 0xFFFF, 2**40])
+def test_entry_count_past_the_cap_is_refused_before_any_header_is_read(count):
+    # the directory is no central header at all: the count alone refuses it
+    if count > 0xFFFF:
+        directory = bytes(100)
+        record = struct.pack("<4sQ2H2L4Q", b"PK\x06\x06", 44, 45, 45, 0, 0, count, count, len(directory), 0)
+        locator = struct.pack("<4sLQL", b"PK\x06\x07", 0, len(directory), 1)
+        data = directory + record + locator + struct.pack("<4s4H2LH", b"PK\x05\x06", 0, 0, 0xFFFF, 0xFFFF, 0xFFFFFFFF, 0xFFFFFFFF, 0)
+    else:
+        data = bytes(100) + struct.pack("<4s4H2LH", b"PK\x05\x06", 0, 0, count, count, 100, 0, 0)
+    with pytest.raises(ContainerError, match=re.escape(f"MalformedZip: {count} entries with their directories, past the 10000 allowed")):
+        read_container_entries(data)
+
+
+def test_no_library_module_imports_zipfile():
+    # the zip format has one owner in the library, container.py's structs
+    for path in sorted(Path(container.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0}
+        assert not {name for name in imported if name.partition(".")[0] == "zipfile"}, path.name
 
 
 def _one_entry(

@@ -424,6 +424,8 @@ _PRODUCERS = [
     ("MalformedXml", "opaque_payload_absent", _steps(Constraint("B", ConstraintKind.OPAQUE, opaque_tag="t", opaque_payload=b""))),
     ("MalformedXml", "depth_cap", _doc(DocumentKind.INFORMATION, "<a>" * (MAX_XML_DEPTH + 1) + "</a>" * (MAX_XML_DEPTH + 1))),
     ("MalformedXml", "element_cap", _doc(DocumentKind.INFORMATION, "<a>" + "<b/>" * MAX_XML_ELEMENTS + "</a>")),
+    ("MalformedXml", "written_element_cap", lambda: validate_info(ProblemInfo("x", keywords=tuple(map(str, range(MAX_XML_ELEMENTS)))))),
+    ("MalformedXml", "bytes_outside_payload_root", lambda: validate_info(ProblemInfo("x", statement=b"<math/><!-- c -->"))),
     ("MalformedXml", "unreadable_proof_info", _zip(*_LAYOUT, ("proofs/proofP1m/proofInfo.xml", b"<proof_info>"))),
     ("MissingName", "information", _info("<description>d</description>")),
     ("UnknownTag", "information_child", _info("<name>x</name><colour/>")),

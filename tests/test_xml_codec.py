@@ -5,12 +5,23 @@ from __future__ import annotations
 import dataclasses
 import random
 import tracemalloc
+import xml.parsers.expat
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from i2gatp.container import entries_from_problem, pack, read_container_entries, strip_to_i2g, unpack, validate_container
+from i2gatp.container import (
+    CONJECTURE_PATH,
+    INFORMATION_PATH,
+    INTERGEO_PATH,
+    entries_from_problem,
+    pack,
+    read_container_entries,
+    strip_to_i2g,
+    unpack,
+    validate_container,
+)
 from i2gatp.errors import CodecError, ContainerError, I2gatpError
 from i2gatp.model import (
     BibEntry,
@@ -25,10 +36,12 @@ from i2gatp.model import (
     MAX_XML_ELEMENTS,
     Midpoint,
     Parallel,
+    Plus,
     ProblemInfo,
     ProofStatus,
     Violation,
     XML_READ_ERRORS,
+    canonicalize_problem,
     validate_problem,
 )
 from i2gatp.xml_codec import (
@@ -483,6 +496,12 @@ _MISREAD_PAYLOADS = {
     "empty": (lambda p: _with_opaque_step(p, "foo", b""), "MalformedXml", "foo"),  # UnconstrainedElement
     "display_declaration": (lambda p: _with_display(p, b"<?xml version='1.0'?><display/>"), "MalformedXml", "display"),  # MalformedXml
     "doctype": (lambda p: _with_opaque_step(p, "foo", b'<!DOCTYPE foo><foo out="d"/>'), "MalformedXml", "foo"),  # MalformedXml
+    "display_comment_before": (lambda p: _with_display(p, b"<!-- c --><display/>"), "MalformedXml", "display"),  # <display/>
+    "display_space_after": (lambda p: _with_display(p, b"<display/> "), "MalformedXml", "display"),  # <display/>
+    "display_pi_after": (lambda p: _with_display(p, b"<display/><?pi x?>"), "MalformedXml", "display"),  # <display/>
+    "display_comment_after_end_tag": (lambda p: _with_display(p, b"<display></display><!--/>-->"), "MalformedXml", "display"),  # <display></display>
+    "opaque_comment_after": (lambda p: _with_opaque_step(p, "foo", b'<foo out="d"/><!-- c -->'), "MalformedXml", "foo"),  # <foo out="d"/>
+    "opaque_space_before": (lambda p: _with_opaque_step(p, "foo", b' <foo out="d">x</foo>'), "MalformedXml", "foo"),  # <foo out="d">x</foo>
 }
 
 
@@ -515,6 +534,96 @@ def test_depth_cap_holds_for_the_reader_and_the_writer(varignon, past):
     refused = ("MalformedXml", "/", f"XML parse error: more than {MAX_XML_DEPTH} levels of elements")
     assert [(v.code, v.path, v.message) for v in validate_document(DocumentKind.CONSTRUCTION, doc)] == [refused]
     assert [(v.code, v.path) for v in validate_problem(problem)] == [("MalformedXml", "/construction/display")]
+
+
+@pytest.mark.parametrize("part", ["statement", "bibentry"])
+@pytest.mark.parametrize("payload", [b"<!-- c --><math/>", b"<math/> ", b"<math/><?pi x?>", b"\n<math>x</math>"])
+def test_information_payload_with_bytes_outside_its_root_is_refused(varignon, part, payload):
+    # the reader cuts a payload at its root's start and end tags, so such a
+    # payload read back without those bytes
+    def with_payload(payload: bytes):
+        bibrefs = (BibEntry("r", payload),) if part == "bibentry" else ()
+        info = dataclasses.replace(varignon.info, **({"bibrefs": bibrefs} if bibrefs else {"statement": payload}))
+        return dataclasses.replace(varignon, info=info)
+
+    problem = with_payload(payload)
+    path = "/information/statement" if part == "statement" else "/information/bibrefs/bibentry[0]"
+    assert [(v.code, v.path) for v in validate_problem(problem)] == [("MalformedXml", path)]
+    with pytest.raises(ContainerError) as exc:
+        pack(problem)
+    assert exc.value.violations == validate_problem(problem)
+    root = with_payload(payload.strip().removeprefix(b"<!-- c -->").removesuffix(b"<?pi x?>"))
+    assert unpack(pack(root)) == canonicalize_problem(root)
+
+
+def test_whitespace_around_an_information_payload_is_not_part_of_it(varignon):
+    doc = serialize_information(dataclasses.replace(varignon.info, statement=b"<math/>"))
+    spaced = doc.replace(b"<statement><math/></statement>", b"<statement>\n  <math/>\n</statement>")
+    assert spaced != doc and validate_document(DocumentKind.INFORMATION, spaced) == []
+    assert canonicalize(DocumentKind.INFORMATION, spaced) == doc
+
+
+def _element_count(doc: bytes) -> int:
+    parser = xml.parsers.expat.ParserCreate()
+    starts: list[str] = []
+    parser.StartElementHandler = lambda tag, _attrs: starts.append(tag)
+    parser.Parse(doc, True)
+    return len(starts)
+
+
+def _balanced_sum(leaves: int):
+    """A term of ``leaves`` constants summed pairwise, 2 * leaves - 1 nodes."""
+
+    terms = [Const(1.0)] * leaves
+    while len(terms) > 1:
+        terms = [Plus(a, b) for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1 :]
+    return terms[0]
+
+
+def _with_elements(varignon, document: str, count: int):
+    """``varignon`` with ``document`` written with ``count`` elements."""
+
+    if document == "information":
+        base = _element_count(serialize_information(dataclasses.replace(varignon.info, keywords=("k",))))
+        keywords = tuple(f"k{i}" for i in range(count - base + 1))
+        return dataclasses.replace(varignon, info=dataclasses.replace(varignon.info, keywords=keywords))
+    if document == "construction":
+        base = _element_count(serialize_construction(_with_display(varignon, b"<display/>")))
+        return dataclasses.replace(varignon, construction=_with_display(varignon, b"<display>" + b"<a/>" * (count - base) + b"</display>"))
+    # an equal adds itself and its operands' nodes, an odd number; one more
+    # copy of a conclusion predicate makes up an even one
+    conjecture = varignon.conjecture
+    extra = count - _element_count(serialize_conjecture(conjecture))
+    copies = 1 - extra % 2
+    equal = Equal(_balanced_sum((extra - copies - 1) // 2), Const(1.0))
+    conclusion = (*conjecture.conclusion, equal, *conjecture.conclusion[:copies])
+    return dataclasses.replace(varignon, conjecture=dataclasses.replace(conjecture, conclusion=conclusion))
+
+
+@pytest.mark.parametrize("past", [0, 1], ids=["at_cap", "past_cap"])
+@pytest.mark.parametrize("document", ["information", "construction", "conjecture"])
+def test_writers_count_elements_as_the_readers_do(varignon, document, past):
+    # pack wrote a document of more than MAX_XML_ELEMENTS elements (varignon
+    # with 100,000 keywords), which unpack refused
+    problem = _with_elements(varignon, document, MAX_XML_ELEMENTS + past)
+    path = {"information": INFORMATION_PATH, "construction": INTERGEO_PATH, "conjecture": CONJECTURE_PATH}[document]
+    if not past:
+        assert validate_problem(problem) == []
+        data = pack(problem)
+        assert _element_count(dict(read_container_entries(data))[path]) == MAX_XML_ELEMENTS
+        assert unpack(data) == canonicalize_problem(problem)
+        return
+    message = f"<{document}> would be written with {MAX_XML_ELEMENTS + 1} elements, more than {MAX_XML_ELEMENTS}"
+    assert [(v.code, v.path, v.message) for v in validate_problem(problem)] == [("MalformedXml", f"/{document}", message)]
+    with pytest.raises(ContainerError) as exc:
+        pack(problem)
+    assert exc.value.code == "InvalidProblem" and exc.value.violations == validate_problem(problem)
+
+
+def test_payload_past_the_element_cap_is_refused_as_the_payload(varignon):
+    statement = b"<math>" + b"<a/>" * MAX_XML_ELEMENTS + b"</math>"
+    problem = dataclasses.replace(varignon, info=dataclasses.replace(varignon.info, statement=statement))
+    assert [(v.code, v.path) for v in validate_problem(problem)] == [("MalformedXml", "/information/statement")]
 
 
 @pytest.mark.parametrize("past", [0, 1], ids=["at_cap", "past_cap"])
