@@ -1,0 +1,150 @@
+"""Every violation report pinned by one digest.
+
+The readers and validators may be rewritten for speed, but each report
+(code, path and message, in order) is part of the format contract.  The
+inputs are well-formed edits of the corpus documents and of a generated
+N=10 problem, containers holding the generated problem's edited documents,
+and the benchmark's container mutations.  Seeded byte flips mostly give
+``MalformedXml``; these edits reach the other codes and their locators.
+"""
+
+from __future__ import annotations
+
+import copy
+import hashlib
+import random
+import re
+import xml.etree.ElementTree as ET
+
+from i2gatp.container import entries_from_problem, pack, read_container_entries, validate_container
+from i2gatp.xml_codec import DocumentKind, validate_document
+
+from conftest import bench_workloads, with_entry
+
+_KINDS = {
+    "information/information.xml": DocumentKind.INFORMATION,
+    "construction/intergeo.xml": DocumentKind.CONSTRUCTION,
+    "conjecture/conjecture.xml": DocumentKind.CONJECTURE,
+}
+# Attribute and text values that are not numbers, not ids, or numbers that
+# the model refuses
+_BAD_VALUES = ("", "1.5.2", "nan", "inf", "1e999", "0x1", " 2 ", "-1", "0", "9x", "a b", "Zz9", "A0")
+
+# The SHA-256 of every report below, taken before the readers' locators
+# were made lazy
+REPORTS_SHA256 = "7d49a8a439712f46304b0624adf293f97a3264addbd3912045b3712b2f7f0a76"
+
+
+def _kind(path: str) -> DocumentKind | None:
+    if path.endswith("/proofInfo.xml"):
+        return DocumentKind.PROOF_INFO
+    return _KINDS.get(path)
+
+
+def _documents(entries) -> list[tuple[str, DocumentKind, bytes]]:
+    return [(path, _kind(path), data) for path, data in entries if data is not None and _kind(path) is not None]
+
+
+def _edits(data: bytes, tags: list[str], rng: random.Random) -> list[bytes]:
+    """Well-formed edits of ``data``, each one change at one element: its
+    tag renamed to an unknown or another known tag, an attribute dropped or
+    given a bad value, its numeric attributes set to 0 or negated, its text
+    given a bad value, a token less or more or one token replaced, or the
+    element duplicated or removed."""
+
+    n = sum(1 for _ in ET.fromstring(data).iter())
+    out = []
+    for index in range(n):
+        for edit in ("unknown", "known", "drop", "attr", "zero", "negate", "text", "fewer", "more", "swap", "twice", "remove"):
+            root = ET.fromstring(data)
+            parents = {child: parent for parent in root.iter() for child in parent}
+            node = list(root.iter())[index]
+            parent = parents.get(node)
+            text = (node.text or "").split()
+            if edit == "unknown":
+                node.tag = "mystery"
+            elif edit == "known":
+                node.tag = rng.choice(tags)
+            elif edit in ("drop", "attr"):
+                if not node.attrib:
+                    continue
+                name = rng.choice(sorted(node.attrib))
+                if edit == "drop":
+                    del node.attrib[name]
+                else:
+                    node.attrib[name] = rng.choice(_BAD_VALUES)
+            elif edit in ("zero", "negate"):
+                numbers = [name for name, value in node.attrib.items() if re.fullmatch(r"[\d.]+", value)]
+                if not numbers:
+                    continue
+                for name in numbers:
+                    node.attrib[name] = "0" if edit == "zero" else f"-{node.attrib[name]}"
+            elif edit == "text":
+                if not text:
+                    continue
+                node.text = rng.choice(_BAD_VALUES)
+            elif edit == "fewer":
+                if not text:
+                    continue
+                del text[rng.randrange(len(text))]
+                node.text = " ".join(text)
+            elif edit == "more":
+                if not text:
+                    continue
+                node.text = " ".join([*text, rng.choice(text)])
+            elif edit == "swap":
+                if not text:
+                    continue
+                text[rng.randrange(len(text))] = rng.choice(_BAD_VALUES[1:])
+                node.text = " ".join(text)
+            elif parent is None:
+                continue
+            elif edit == "twice":
+                parent.insert(list(parent).index(node) + 1, copy.deepcopy(node))
+            else:
+                parent.remove(node)
+            out.append(ET.tostring(root))
+    return out
+
+
+def _reports(corpus) -> list[list[tuple[str, str, str]]]:
+    workloads = bench_workloads()
+    generated = workloads._generated_container(random.Random(10), 10, "g", 2)
+    generated_entries = read_container_entries(generated)
+    documents = [doc for problem in corpus.values() for doc in _documents(entries_from_problem(problem))]
+    tags = sorted({node.tag for _path, _kind, data in documents for node in ET.fromstring(data).iter()})
+    rng = random.Random(20)
+    reports = []
+    for _path, kind, data in documents:
+        for edited in _edits(data, tags, rng):
+            reports.append(validate_document(kind, edited))
+    for path, kind, data in _documents(generated_entries):
+        for edited in _edits(data, tags, rng):
+            reports.append(validate_document(kind, edited))
+            reports.append(validate_container(with_entry(generated, path, edited)))
+    containers = [pack(problem) for problem in corpus.values()] + [generated]
+    for container in containers:
+        entries = read_container_entries(container)
+        reports.append(validate_container(container))
+        reports.append(validate_container(container, i2g=True))
+        for _label, _code, mutate in workloads.MUTATIONS:
+            try:
+                mutated = workloads._rezip(mutate(entries))
+            except (ValueError, StopIteration):  # the mutation does not apply to this container
+                continue
+            reports.append(validate_container(mutated))
+    return [[(v.code, v.path, v.message) for v in report] for report in reports]
+
+
+def test_every_violation_report_is_pinned(corpus):
+    reports = _reports(corpus)
+    digest = hashlib.sha256()
+    for report in reports:
+        for code, path, message in report:
+            digest.update(f"{code}\0{path}\0{message}\n".encode())
+        digest.update(b"\x1e")
+    violations = [v for report in reports for v in report]
+    # the edits reach most codes at many locators, not only MalformedXml
+    assert len({code for code, _path, _message in violations}) >= 20
+    assert len({re.sub(r"\[\d+\]", "[]", path) for _code, path, _message in violations}) >= 100
+    assert digest.hexdigest() == REPORTS_SHA256
