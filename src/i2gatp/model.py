@@ -703,11 +703,38 @@ def is_safe_relative_path(path: str) -> bool:
             path.encode("utf-8")
         except UnicodeEncodeError:
             return False
-    return all(seg not in ("", ".", "..") for seg in path.split("/"))
+    # an empty, "." or ".." segment, the first or the last included
+    wrapped = f"/{path}/"
+    return "//" not in wrapped and "/./" not in wrapped and "/../" not in wrapped
 
 
 # ---------------------------------------------------------------------------
 # validate_problem
+
+
+# The locators of the values the validators loop over; each is built only
+# where a violation is recorded, so a valid value builds none.
+
+
+def _bibentry_path(i: int) -> str:
+    return f"/information/bibrefs/bibentry[{i}]"
+
+
+def _keyword_path(i: int) -> str:
+    return f"/information/keywords/keyword[{i}]"
+
+
+def _element_path(i: int, e: ElementInstance) -> str:
+    return f"/construction/elements/{e.kind.value}[{i}]"
+
+
+def _constraint_path(i: int, c: Constraint) -> str:
+    tag = c.opaque_tag if c.kind is ConstraintKind.OPAQUE else c.kind.value
+    return f"/construction/constraints/{tag}[{i}]"
+
+
+def _predicate_path(section: str, i: int, p: Predicate) -> str:
+    return f"/conjecture/{section}/{PREDICATE_NAMES[type(p)]}[{i}]"
 
 
 def _validate_info(info: ProblemInfo, out: list[Violation]) -> None:
@@ -722,52 +749,49 @@ def _validate_info(info: ProblemInfo, out: list[Violation]) -> None:
         elements += 1 + (root[2] if root else 0)
     seen_bib: set[str] = set()
     for i, entry in enumerate(info.bibrefs):
-        path = f"/information/bibrefs/bibentry[{i}]"
         if not ID_RE.match(entry.id):
-            _violation(out, "BadId", path, f"invalid bibentry id {entry.id!r}")
+            _violation(out, "BadId", _bibentry_path(i), f"invalid bibentry id {entry.id!r}")
         if entry.id in seen_bib:
-            _violation(out, "DuplicateId", path, f"duplicate bibentry id {entry.id!r}")
+            _violation(out, "DuplicateId", _bibentry_path(i), f"duplicate bibentry id {entry.id!r}")
         seen_bib.add(entry.id)
         if entry.payload:
-            root = _payload_root(out, entry.payload, 3, path, "bibentry")
+            root = _payload_root(out, entry.payload, 3, _bibentry_path(i), "bibentry")
             elements += root[2] if root else 0
     seen_kw: set[str] = set()
     for i, kw in enumerate(info.keywords):
-        path = f"/information/keywords/keyword[{i}]"
         norm = " ".join(kw.split())
         if not norm:
-            _violation(out, "EmptyKeyword", path, "keyword is empty")
+            _violation(out, "EmptyKeyword", _keyword_path(i), "keyword is empty")
         elif norm in seen_kw:
-            _violation(out, "DuplicateKeyword", path, f"duplicate keyword {norm!r}")
+            _violation(out, "DuplicateKeyword", _keyword_path(i), f"duplicate keyword {norm!r}")
         seen_kw.add(norm)
     _count_elements(out, elements, "information")
 
 
-def _validate_element(e: ElementInstance, path: str, out: list[Violation]) -> None:
+def _validate_element(e: ElementInstance, i: int, out: list[Violation]) -> None:
     want = len(ELEMENT_COORDS[e.kind])
     if len(e.coords) != want:
-        _violation(out, "ArityError", path, f"{e.kind.value} needs {want} coordinates, got {len(e.coords)}")
+        _violation(out, "ArityError", _element_path(i, e), f"{e.kind.value} needs {want} coordinates, got {len(e.coords)}")
         return
-    if not all(math.isfinite(c) for c in e.coords):
-        _violation(out, "NonFinite", path, "coordinates must be finite")
+    if not all(map(math.isfinite, e.coords)):
+        _violation(out, "NonFinite", _element_path(i, e), "coordinates must be finite")
         return
     if e.kind is GeoKind.LINE and all(c == 0.0 for c in e.coords):
-        _violation(out, "ZeroLine", path, "line coefficients are all zero")
+        _violation(out, "ZeroLine", _element_path(i, e), "line coefficients are all zero")
     if e.kind is GeoKind.CIRCLE and e.coords[2] < 0.0:
-        _violation(out, "NegativeRadius", path, f"circle radius {e.coords[2]} is negative")
+        _violation(out, "NegativeRadius", _element_path(i, e), f"circle radius {e.coords[2]} is negative")
 
 
 def _validate_construction(k: Construction, out: list[Violation]) -> None:
     kinds: dict[str, GeoKind] = {}
     for i, e in enumerate(k.elements):
-        path = f"/construction/elements/{e.kind.value}[{i}]"
         if not ID_RE.match(e.id):
-            _violation(out, "BadId", path, f"invalid element id {e.id!r}")
+            _violation(out, "BadId", _element_path(i, e), f"invalid element id {e.id!r}")
         if e.id in kinds:
-            _violation(out, "DuplicateId", path, f"duplicate element id {e.id!r}")
+            _violation(out, "DuplicateId", _element_path(i, e), f"duplicate element id {e.id!r}")
         else:
             kinds[e.id] = e.kind
-        _validate_element(e, path, out)
+        _validate_element(e, i, out)
     # construction, elements, and constraints when there are any; an
     # opaque constraint or the display is written as its payload's elements
     elements = 2 + len(k.elements) + bool(k.constraints)
@@ -780,20 +804,19 @@ def _validate_construction(k: Construction, out: list[Violation]) -> None:
     defined: set[str] = set()
     outputs_seen: set[str] = set()
     for i, c in enumerate(k.constraints):
-        tag = c.opaque_tag if c.kind is ConstraintKind.OPAQUE else c.kind.value
-        path = f"/construction/constraints/{tag}[{i}]"
         if not ID_RE.match(c.output or ""):
-            _violation(out, "BadId", path, f"invalid constraint output id {c.output!r}")
+            _violation(out, "BadId", _constraint_path(i, c), f"invalid constraint output id {c.output!r}")
         for ref in dict.fromkeys(c.inputs):
             if not ID_RE.match(ref):
-                _violation(out, "BadId", path, f"invalid input id {ref!r}")
+                _violation(out, "BadId", _constraint_path(i, c), f"invalid input id {ref!r}")
         if c.output in outputs_seen:
-            _violation(out, "DuplicateOutput", path, f"id {c.output!r} defined by more than one constraint")
+            _violation(out, "DuplicateOutput", _constraint_path(i, c), f"id {c.output!r} defined by more than one constraint")
         outputs_seen.add(c.output)
         if c.output not in kinds:
-            _violation(out, "MissingElement", path, f"output {c.output!r} has no element instance")
+            _violation(out, "MissingElement", _constraint_path(i, c), f"output {c.output!r} has no element instance")
         if c.kind is ConstraintKind.OPAQUE:
             # the payload is written as the step, so it must read back as this step
+            path = _constraint_path(i, c)
             root = _payload_root(out, c.opaque_payload or b"", 2, path, "opaque constraint")
             if root is not None:
                 tag, attrs, count = root
@@ -809,76 +832,76 @@ def _validate_construction(k: Construction, out: list[Violation]) -> None:
         elements += 1
         in_kinds, out_kind, param_attr = CONSTRAINT_SIGNATURES[c.kind]
         if len(c.inputs) != len(in_kinds):
-            _violation(out, "ArityError", path, f"{c.kind.value} takes {len(in_kinds)} inputs, got {len(c.inputs)}")
+            _violation(out, "ArityError", _constraint_path(i, c), f"{c.kind.value} takes {len(in_kinds)} inputs, got {len(c.inputs)}")
         else:
             for ref, want_kind in zip(c.inputs, in_kinds):
                 if ref not in kinds:
-                    _violation(out, "DanglingReference", path, f"input {ref!r} is not an element")
+                    _violation(out, "DanglingReference", _constraint_path(i, c), f"input {ref!r} is not an element")
                 elif ref not in defined:
-                    _violation(out, "ForwardReference", path, f"input {ref!r} is defined later in the program")
+                    _violation(out, "ForwardReference", _constraint_path(i, c), f"input {ref!r} is defined later in the program")
                 elif kinds[ref] is not want_kind:
-                    _violation(out, "KindMismatch", path, f"input {ref!r} is a {kinds[ref].value}, expected {want_kind.value}")
+                    message = f"input {ref!r} is a {kinds[ref].value}, expected {want_kind.value}"
+                    _violation(out, "KindMismatch", _constraint_path(i, c), message)
         if c.output in kinds and kinds[c.output] is not out_kind:
-            _violation(out, "KindMismatch", path, f"output {c.output!r} is a {kinds[c.output].value}, {c.kind.value} produces a {out_kind.value}")
+            message = f"output {c.output!r} is a {kinds[c.output].value}, {c.kind.value} produces a {out_kind.value}"
+            _violation(out, "KindMismatch", _constraint_path(i, c), message)
         if param_attr is None:
             if c.parameter is not None:
-                _violation(out, "ArityError", path, f"{c.kind.value} takes no parameter")
+                _violation(out, "ArityError", _constraint_path(i, c), f"{c.kind.value} takes no parameter")
         elif c.parameter is None:
-            _violation(out, "MissingParameter", path, f"{c.kind.value} requires a parameter")
+            _violation(out, "MissingParameter", _constraint_path(i, c), f"{c.kind.value} requires a parameter")
         elif not math.isfinite(c.parameter):
-            _violation(out, "NonFinite", path, "parameter must be finite")
+            _violation(out, "NonFinite", _constraint_path(i, c), "parameter must be finite")
         defined.add(c.output)
 
     for i, e in enumerate(k.elements):
         if e.id not in outputs_seen:
-            _violation(
-                out,
-                "UnconstrainedElement",
-                f"/construction/elements/{e.kind.value}[{i}]",
-                f"element {e.id!r} is not the output of any constraint",
-            )
+            _violation(out, "UnconstrainedElement", _element_path(i, e), f"element {e.id!r} is not the output of any constraint")
     _count_elements(out, elements, "construction")
 
 
-def _validate_term(t: Term, path: str, out: list[Violation]) -> None:
-    """Each constant of one operand of the ``equal`` at ``path`` must be
-    finite."""
+def _non_finite_constants(t: Term) -> int:
+    """The number of constants of ``t`` that are not finite."""
 
     if isinstance(t, Const):
-        if not math.isfinite(t.value):
-            _violation(out, "NonFinite", path, "constant must be finite")
-    elif isinstance(t, (Plus, Mult)):
-        _validate_term(t.left, path, out)
-        _validate_term(t.right, path, out)
+        return not math.isfinite(t.value)
+    if isinstance(t, (Plus, Mult)):
+        return _non_finite_constants(t.left) + _non_finite_constants(t.right)
+    return 0
 
 
 def _validate_conjecture(c: Conjecture, k: Construction | None, out: list[Violation]) -> None:
     if not c.conclusion:
         _violation(out, "MissingConclusion", "/conjecture/conclusion", "conclusion must contain at least one predicate")
+    sections = (("hypothesis", c.hypothesis), ("ndg", c.ndg), ("conclusion", c.conclusion))
+    # conjecture, and below it each section that is not empty; a term's size
+    # is known without a walk, and a term that shares subterms may have
+    # exponentially many nodes, so a conjecture past the cap is not walked
+    elements = 1 + sum(bool(preds) + len(preds) for _section, preds in sections)
+    elements += sum(p.left.nodes + p.right.nodes for _section, preds in sections for p in preds if isinstance(p, Equal))
+    if elements > MAX_XML_ELEMENTS:
+        _count_elements(out, elements, "conjecture")
+        return
     kinds = k.element_kinds() if k is not None else None
-    elements = 1  # conjecture, and below it each section that is not empty
-    for section, preds in (("hypothesis", c.hypothesis), ("ndg", c.ndg), ("conclusion", c.conclusion)):
-        elements += bool(preds) + len(preds)
+    for section, preds in sections:
         for i, p in enumerate(preds):
-            path = f"/conjecture/{section}/{PREDICATE_NAMES[type(p)]}[{i}]"
             # a repeated id is reported once per predicate
             for ref in dict.fromkeys(predicate_point_ids(p)):
                 if not ID_RE.match(ref):
-                    _violation(out, "BadId", path, f"invalid point id {ref!r}")
+                    _violation(out, "BadId", _predicate_path(section, i, p), f"invalid point id {ref!r}")
                 if kinds is None:
                     continue
                 if ref not in kinds:
-                    _violation(out, "UnresolvedId", path, f"id {ref!r} does not resolve in the construction")
+                    _violation(out, "UnresolvedId", _predicate_path(section, i, p), f"id {ref!r} does not resolve in the construction")
                 elif kinds[ref] is not GeoKind.POINT:
-                    _violation(out, "KindMismatch", path, f"id {ref!r} is a {kinds[ref].value}, predicates take points")
+                    message = f"id {ref!r} is a {kinds[ref].value}, predicates take points"
+                    _violation(out, "KindMismatch", _predicate_path(section, i, p), message)
             if isinstance(p, Equal):
-                elements += p.left.nodes + p.right.nodes
-                _validate_term(p.left, path, out)
-                _validate_term(p.right, path, out)
+                for _ in range(_non_finite_constants(p.left) + _non_finite_constants(p.right)):
+                    _violation(out, "NonFinite", _predicate_path(section, i, p), "constant must be finite")
             elif isinstance(p, SegmentRatio):
                 if not math.isfinite(p.ratio) or p.ratio < 0.0:
-                    _violation(out, "BadRatio", path, f"segment ratio {p.ratio} must be finite and >= 0")
-    _count_elements(out, elements, "conjecture")
+                    _violation(out, "BadRatio", _predicate_path(section, i, p), f"segment ratio {p.ratio} must be finite and >= 0")
 
 
 def _validate_attempt(a: ProofAttempt, path: str, out: list[Violation]) -> None:

@@ -18,11 +18,11 @@ import codecs
 import enum
 import re
 import xml.parsers.expat
+from collections.abc import Callable
 
 from .errors import CodecError
 from .model import (
     CONSTRAINT_SIGNATURES,
-    CONSTRAINT_TAGS,
     ELEMENT_COORDS,
     MAX_TERM_DEPTH,
     MAX_XML_DEPTH,
@@ -220,12 +220,26 @@ class _Report(list):
     def error(self, code: str, path: str, message: str) -> None:
         self.append(Violation(code, path, message))
 
-    def keep(self, kept: list, item: object, parent: str, tag: str, index: int) -> None:
-        """Append ``item``, read from source child ``index`` of ``parent``."""
+    def keep(self, kept: list, item: object, parent: str, node: _RawNode, index: int) -> None:
+        """Append ``item``, read from ``node``, source child ``index`` of
+        ``parent``."""
 
         if len(kept) != index:
-            self.moved[f"{parent}/{tag}[{len(kept)}]"] = f"{parent}/{tag}[{index}]"
+            self.moved[_at(parent, len(kept), node)] = _at(parent, index, node)
         kept.append(item)
+
+
+def _at(parent: str, index: int, node: _RawNode) -> str:
+    """The locator of ``node`` as child ``index`` of ``parent``.  The
+    readers build one only where they record it: a valid document needs
+    none."""
+
+    return f"{parent}/{node.tag}[{index}]"
+
+
+# The readers take a number in one step when its text matches NUMBER_RE or
+# _INT_RE as it stands; _parse_num, _parse_int_text and _num_attr read any
+# other text, reporting it at its locator when it is not a number.
 
 
 def _parse_num(text: str, path: str, rep: _Report) -> float | None:
@@ -286,21 +300,21 @@ def _analyze_information(root: _RawNode, data: bytes, rep: _Report) -> ProblemIn
     statement = kids["statement"].inner(data) if "statement" in kids else b""
     bibrefs: list[BibEntry] = []
     if "bibrefs" in kids:
+        parent = "/information/bibrefs"
         for i, ch in enumerate(kids["bibrefs"].children):
-            path = f"/information/bibrefs/{ch.tag}[{i}]"
             if ch.tag != "bibentry":
-                rep.error("UnknownTag", path, f"expected <bibentry>, found <{ch.tag}>")
+                rep.error("UnknownTag", _at(parent, i, ch), f"expected <bibentry>, found <{ch.tag}>")
                 continue
             entry = BibEntry(id=ch.attrs.get("id", ""), payload=ch.inner(data))
-            rep.keep(bibrefs, entry, "/information/bibrefs", ch.tag, i)
+            rep.keep(bibrefs, entry, parent, ch, i)
     keywords: list[str] = []
     if "keywords" in kids:
+        parent = "/information/keywords"
         for i, ch in enumerate(kids["keywords"].children):
-            path = f"/information/keywords/{ch.tag}[{i}]"
             if ch.tag != "keyword":
-                rep.error("UnknownTag", path, f"expected <keyword>, found <{ch.tag}>")
+                rep.error("UnknownTag", _at(parent, i, ch), f"expected <keyword>, found <{ch.tag}>")
                 continue
-            rep.keep(keywords, ch.text.strip(), "/information/keywords", ch.tag, i)
+            rep.keep(keywords, ch.text.strip(), parent, ch, i)
     return ProblemInfo(
         name=name,
         description=description,
@@ -314,65 +328,72 @@ def _analyze_information(root: _RawNode, data: bytes, rep: _Report) -> ProblemIn
 # conjecture.xml
 
 
-def _point_ids(node: _RawNode, want: int, path: str, rep: _Report) -> list[str] | None:
+# A conjecture's nodes are located by ``at``, a function that builds the
+# node's locator; it is called only when a violation is recorded there.
+
+
+def _point_ids(node: _RawNode, want: int, at: Callable[[], str], rep: _Report) -> list[str] | None:
     ids = node.ids()
     if len(ids) != want:
-        rep.error("ArityError", path, f"{node.tag} takes {want} point ids, got {len(ids)}")
+        rep.error("ArityError", at(), f"{node.tag} takes {want} point ids, got {len(ids)}")
         return None
     return ids
 
 
-def _operands(node: _RawNode, path: str, rep: _Report, depth: int) -> tuple[Term, Term] | None:
+def _operands(node: _RawNode, at: Callable[[], str], rep: _Report, depth: int) -> tuple[Term, Term] | None:
     """The two terms of an equal, plus or mult element, at term depth
     ``depth``; a term deeper than MAX_TERM_DEPTH is one ArityError."""
 
     if len(node.children) != 2:
-        rep.error("ArityError", path, f"{node.tag} takes 2 terms, got {len(node.children)}")
+        rep.error("ArityError", at(), f"{node.tag} takes 2 terms, got {len(node.children)}")
         return None
+    first, second = node.children
     # the model bounds a built term too; the reader stops first, since
     # building a deeper term would recurse without bound
     if depth > MAX_TERM_DEPTH:
-        rep.error("ArityError", f"{path}/{node.children[0].tag}", f"term nested deeper than {MAX_TERM_DEPTH} levels")
+        rep.error("ArityError", f"{at()}/{first.tag}", f"term nested deeper than {MAX_TERM_DEPTH} levels")
         return None
-    left = _analyze_term(node.children[0], f"{path}/{node.children[0].tag}", rep, depth)
-    right = _analyze_term(node.children[1], f"{path}/{node.children[1].tag}", rep, depth)
+    left = _analyze_term(first, lambda: f"{at()}/{first.tag}", rep, depth)
+    right = _analyze_term(second, lambda: f"{at()}/{second.tag}", rep, depth)
     if left is None or right is None:
         return None
     return left, right
 
 
-def _analyze_term(node: _RawNode, path: str, rep: _Report, depth: int) -> Term | None:
+def _analyze_term(node: _RawNode, at: Callable[[], str], rep: _Report, depth: int) -> Term | None:
     cls = TERMS.get(node.tag)
     if cls is None:
-        rep.error("UnknownPredicate", path, f"unknown term <{node.tag}>")
+        rep.error("UnknownPredicate", at(), f"unknown term <{node.tag}>")
         return None
     if cls is Const:
-        value = _num_attr(node, "value", path, rep)
+        text = node.attrs.get("value", "")
+        value = float(text) if NUMBER_RE.match(text) else _num_attr(node, "value", at(), rep)
         return None if value is None else Const(value)
     if cls is SegmentLength:
-        ids = _point_ids(node, 2, path, rep)
+        ids = _point_ids(node, 2, at, rep)
         return None if ids is None else SegmentLength(*ids)
-    terms = _operands(node, path, rep, depth + 1)
+    terms = _operands(node, at, rep, depth + 1)
     return None if terms is None else cls(*terms)
 
 
-def _analyze_predicate(node: _RawNode, path: str, rep: _Report) -> Predicate | None:
+def _analyze_predicate(node: _RawNode, at: Callable[[], str], rep: _Report) -> Predicate | None:
     if node.tag not in PREDICATES:
-        rep.error("UnknownPredicate", path, f"unknown predicate <{node.tag}>")
+        rep.error("UnknownPredicate", at(), f"unknown predicate <{node.tag}>")
         return None
     cls, want = PREDICATES[node.tag]
     if cls is Equal:
-        terms = _operands(node, path, rep, 1)
+        terms = _operands(node, at, rep, 1)
         return None if terms is None else Equal(*terms)
-    ids = _point_ids(node, want, path, rep)
+    ids = _point_ids(node, want, at, rep)
     if ids is None:
         return None
     if cls is not SegmentRatio:
         return cls(*ids)
     if "ratio" not in node.attrs:
-        rep.error("BadRatio", path, f"{node.tag} requires a ratio attribute")
+        rep.error("BadRatio", at(), f"{node.tag} requires a ratio attribute")
         return None
-    ratio = _parse_num(node.attrs["ratio"], f"{path}/@ratio", rep)
+    text = node.attrs["ratio"]
+    ratio = float(text) if NUMBER_RE.match(text) else _parse_num(text, f"{at()}/@ratio", rep)
     return None if ratio is None else SegmentRatio(*ids, ratio=ratio)
 
 
@@ -384,10 +405,11 @@ def _analyze_conjecture(root: _RawNode, data: bytes, rep: _Report) -> Conjecture
     for section in ("hypothesis", "ndg", "conclusion"):
         preds: list[Predicate] = []
         if section in kids:
+            parent = f"/conjecture/{section}"
             for i, ch in enumerate(kids[section].children):
-                p = _analyze_predicate(ch, f"/conjecture/{section}/{ch.tag}[{i}]", rep)
+                p = _analyze_predicate(ch, lambda: _at(parent, i, ch), rep)
                 if p is not None:
-                    rep.keep(preds, p, f"/conjecture/{section}", ch.tag, i)
+                    rep.keep(preds, p, parent, ch, i)
         sections[section] = tuple(preds)
     return Conjecture(
         hypothesis=sections["hypothesis"],
@@ -399,7 +421,10 @@ def _analyze_conjecture(root: _RawNode, data: bytes, rep: _Report) -> Conjecture
 # ---------------------------------------------------------------------------
 # intergeo.xml (supported subset)
 
-_ELEMENT_TAGS = {kind.value: kind for kind in ELEMENT_COORDS}
+# tag -> (kind, coordinate attributes), and of each supported step, tag ->
+# (kind, parameter attribute); keyed by tag, so a read does not hash an enum
+_ELEMENT_TAGS = {kind.value: (kind, coords) for kind, coords in ELEMENT_COORDS.items()}
+_STEP_TAGS = {kind.value: (kind, sig[2]) for kind, sig in CONSTRAINT_SIGNATURES.items()}
 _PARAMETER_ATTRS = tuple(sorted({sig[2] for sig in CONSTRAINT_SIGNATURES.values()} - {None}))
 
 
@@ -411,34 +436,41 @@ def _analyze_construction(root: _RawNode, data: bytes, rep: _Report) -> Construc
         rep.error("MissingElementsPart", "/construction/elements", "the elements part is required")
         return None
     elements: list[ElementInstance] = []
+    parent = "/construction/elements"
     for i, ch in enumerate(kids["elements"].children):
-        path = f"/construction/elements/{ch.tag}[{i}]"
-        kind = _ELEMENT_TAGS.get(ch.tag)
-        if kind is None:
-            rep.error("UnknownTag", path, f"unsupported element kind <{ch.tag}>")
+        if ch.tag not in _ELEMENT_TAGS:
+            rep.error("UnknownTag", _at(parent, i, ch), f"unsupported element kind <{ch.tag}>")
             continue
-        coords = tuple(_num_attr(ch, attr, path, rep) for attr in ELEMENT_COORDS[kind])
+        kind, names = _ELEMENT_TAGS[ch.tag]
+        attrs = ch.attrs
+        coords = []
+        for name in names:
+            text = attrs.get(name, "")
+            coords.append(float(text) if NUMBER_RE.match(text) else _num_attr(ch, name, _at(parent, i, ch), rep))
         if None not in coords:
-            element = ElementInstance(id=ch.attrs.get("id", ""), kind=kind, coords=coords)
-            rep.keep(elements, element, "/construction/elements", ch.tag, i)
+            element = ElementInstance(id=attrs.get("id", ""), kind=kind, coords=tuple(coords))
+            rep.keep(elements, element, parent, ch, i)
     constraints: list[Constraint] = []
     if "constraints" in kids:
+        parent = "/construction/constraints"
         for i, ch in enumerate(kids["constraints"].children):
-            path = f"/construction/constraints/{ch.tag}[{i}]"
-            out_id = ch.attrs.get("out", "")
+            attrs = ch.attrs
+            out_id = attrs.get("out", "")
             if not out_id:
-                rep.error("BadId", path, f"constraint <{ch.tag}> requires an out attribute")
+                rep.error("BadId", _at(parent, i, ch), f"constraint <{ch.tag}> requires an out attribute")
                 continue
-            kind = CONSTRAINT_TAGS.get(ch.tag)
-            if kind is None:
+            if ch.tag not in _STEP_TAGS:
                 c = Constraint(output=out_id, kind=ConstraintKind.OPAQUE, opaque_tag=ch.tag, opaque_payload=ch.raw(data))
             else:
-                param_attr = CONSTRAINT_SIGNATURES[kind][2]
+                kind, param_attr = _STEP_TAGS[ch.tag]
                 if param_attr is None:  # keep a stray parameter, so the model reports it as ArityError
-                    param_attr = next(filter(ch.attrs.__contains__, _PARAMETER_ATTRS), None)
-                parameter = _parse_num(ch.attrs[param_attr], f"{path}/@{param_attr}", rep) if param_attr in ch.attrs else None
+                    param_attr = next(filter(attrs.__contains__, _PARAMETER_ATTRS), None)
+                parameter = None
+                if param_attr in attrs:
+                    text = attrs[param_attr]
+                    parameter = float(text) if NUMBER_RE.match(text) else _parse_num(text, f"{_at(parent, i, ch)}/@{param_attr}", rep)
                 c = Constraint(output=out_id, kind=kind, inputs=tuple(ch.ids()), parameter=parameter)
-            rep.keep(constraints, c, "/construction/constraints", ch.tag, i)
+            rep.keep(constraints, c, parent, ch, i)
     display = kids["display"].raw(data) if "display" in kids else b""
     return Construction(elements=tuple(elements), constraints=tuple(constraints), display=display)
 
@@ -497,9 +529,9 @@ def _analyze_proof_info(root: _RawNode, data: bytes, rep: _Report) -> ProofAttem
                 if as_type is str:
                     values[fld] = text.strip()
                 elif as_type is int:
-                    values[fld] = _parse_int_text(text, f"{parent}/{tag}", rep)
+                    values[fld] = int(text) if _INT_RE.match(text) else _parse_int_text(text, f"{parent}/{tag}", rep)
                 else:
-                    values[fld] = _parse_num(text, f"{parent}/{tag}", rep)
+                    values[fld] = float(text) if NUMBER_RE.match(text) else _parse_num(text, f"{parent}/{tag}", rep)
         records[section] = record(**values)
     return ProofAttempt(status=status, **identity, **records)  # type: ignore[arg-type]
 

@@ -1,5 +1,9 @@
 """Shared fixture corpus: problems built from DSL sources plus programmatic
-extras (proof attempts, opaque constraints, carried files)."""
+extras (proof attempts, opaque constraints, carried files).
+
+The benchmark loads this module by path for its corpus (bench/workloads.py),
+so importing it must not import pytest or hypothesis: the pytest fixtures
+are defined only when pytest is the importer."""
 
 from __future__ import annotations
 
@@ -12,8 +16,6 @@ import sys
 import warnings
 import zipfile
 from pathlib import Path
-
-import pytest
 
 from i2gatp.container import pack
 from i2gatp.dsl import parse_dsl
@@ -332,16 +334,17 @@ def build_corpus() -> dict[str, Problem]:
     }
 
 
-@pytest.fixture(scope="session")
-def corpus() -> dict[str, Problem]:
-    return build_corpus()
+if "pytest" in sys.modules:
+    import pytest
 
+    @pytest.fixture(scope="session")
+    def corpus() -> dict[str, Problem]:
+        return build_corpus()
 
-@pytest.fixture(scope="session")
-def corpus_containers(corpus) -> dict[str, bytes]:
-    return {name: pack(problem) for name, problem in corpus.items()}
+    @pytest.fixture(scope="session")
+    def corpus_containers(corpus) -> dict[str, bytes]:
+        return {name: pack(problem) for name, problem in corpus.items()}
 
-
-@pytest.fixture()
-def varignon(corpus) -> Problem:
-    return corpus["varignon"]
+    @pytest.fixture()
+    def varignon(corpus) -> Problem:
+        return corpus["varignon"]

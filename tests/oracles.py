@@ -8,9 +8,9 @@ construction interpreter below re-executes the straight-line program over
 rationals.
 
 The zip oracles write and read archives through the standard library's
-``zipfile``, independently of the container's own zip I/O.  The raw XML
-oracle at the end is the dataclass tree builder the codec's leaner one
-must match node for node.
+``zipfile``, independently of the container's own zip I/O; the path oracle
+judges a safe path segment by segment.  The raw XML oracle at the end is
+the dataclass tree builder the codec's leaner one must match node for node.
 """
 
 from __future__ import annotations
@@ -166,6 +166,19 @@ def content_digest_reference(data: bytes) -> str:
             )  # fmt: skip
             digest.update(repr(fields).encode() + content)
     return digest.hexdigest()
+
+
+def is_safe_relative_path_reference(path: str) -> bool:
+    """model.is_safe_relative_path as it split the path into segments."""
+
+    if not path or path.startswith("/") or "\\" in path or "\0" in path:
+        return False
+    if not path.isascii():
+        try:
+            path.encode("utf-8")
+        except UnicodeEncodeError:
+            return False
+    return all(seg not in ("", ".", "..") for seg in path.split("/"))
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,22 @@ def test_importing_the_cli_leaves_numpy_out():
     assert result.returncode == 0, result.stderr or "numpy was imported"
 
 
+def test_loading_the_fixture_module_leaves_pytest_out():
+    # bench/workloads.py loads tests/conftest.py by path for its corpus;
+    # importing pytest there raised the benchmark's set-up time and peak RSS
+    env = dict(os.environ, PYTHONPATH=str(Path(i2gatp.__file__).resolve().parent.parent))
+    code = (
+        "import importlib.util, sys\n"
+        f"spec = importlib.util.spec_from_file_location('fixture_corpus', {str(Path(__file__).parent / 'conftest.py')!r})\n"
+        "module = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(module)\n"
+        "assert len(module.build_corpus()) == 13 and module.VARIGNON_DSL and module.with_entry\n"
+        "sys.exit(sorted({'pytest', 'hypothesis'} & set(sys.modules)) or None)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+
+
 @pytest.mark.parametrize("command", ["validate", "pack"])
 def test_unsafe_path_in_a_tree_is_bad_path(tmp_path, varignon_zip, capsys, command):
     # a tree is checked only by validate_entries: no zip reader sees its paths

@@ -46,13 +46,14 @@ from i2gatp.model import (
     ProofStatus,
     Violation,
     canonicalize_problem,
+    is_safe_relative_path,
     validate_attempt,
     validate_problem,
 )
 from i2gatp.xml_codec import serialize_proof_info
 
 from conftest import MINIMAL_DSL, bench_workloads, corrupt_intergeo, generated_container
-from oracles import content_digest_reference, read_zip_reference, write_zip_reference
+from oracles import content_digest_reference, is_safe_relative_path_reference, read_zip_reference, write_zip_reference
 
 def _names(data: bytes) -> list[str]:
     with zipfile.ZipFile(io.BytesIO(data)) as zf:
@@ -382,6 +383,13 @@ def test_path_with_no_utf8_form_is_bad_path(corpus):
     with pytest.raises(ContainerError) as exc:
         add_proof_attempt(pack(corpus["varignon"]), attempt)
     assert exc.value.code == "InvalidProblem" and exc.value.violations[0].code == "BadPath"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(path=st.text(alphabet="/.a\\\0\u00e9\udc80", max_size=12))
+def test_safe_path_test_matches_the_segment_reading(path):
+    # the substring tests on "/path/" replaced a split into segments
+    assert is_safe_relative_path(path) == is_safe_relative_path_reference(path)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import time
 import tracemalloc
 import xml.parsers.expat
 
@@ -39,6 +40,7 @@ from i2gatp.model import (
     Plus,
     ProblemInfo,
     ProofStatus,
+    SegmentLength,
     Violation,
     XML_READ_ERRORS,
     canonicalize_problem,
@@ -618,6 +620,24 @@ def test_writers_count_elements_as_the_readers_do(varignon, document, past):
     with pytest.raises(ContainerError) as exc:
         pack(problem)
     assert exc.value.code == "InvalidProblem" and exc.value.violations == validate_problem(problem)
+
+
+def test_shared_subterms_past_the_cap_are_refused_without_a_walk(varignon):
+    # t = Plus(t, t) forty times is forty nodes in memory but 2**41 - 1 when
+    # written; validate_problem walked each written node, its time doubling
+    # per level (1.06 s at 20 levels), so pack hung
+    term = SegmentLength("A", "Zz9")  # an unresolved id, reported only by a walk
+    for _ in range(40):
+        term = Plus(term, term)
+    conjecture = dataclasses.replace(varignon.conjecture, conclusion=(Equal(term, Const(1.0)),))
+    problem = dataclasses.replace(varignon, conjecture=conjecture)
+    start = time.perf_counter()
+    violations = validate_problem(problem)
+    assert time.perf_counter() - start < 1.0
+    assert [(v.code, v.path) for v in violations] == [("MalformedXml", "/conjecture")]
+    with pytest.raises(ContainerError) as exc:
+        pack(problem)
+    assert exc.value.code == "InvalidProblem" and exc.value.violations == violations
 
 
 def test_payload_past_the_element_cap_is_refused_as_the_payload(varignon):
