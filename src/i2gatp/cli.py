@@ -322,7 +322,3 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # no traceback reaches the user; repr keeps it one line
         print(f"error: unexpected {exc!r}", file=sys.stderr)
         return EXIT_IO_OR_FORMAT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

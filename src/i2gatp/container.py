@@ -24,9 +24,8 @@ from dataclasses import replace
 from itertools import accumulate
 from typing import NamedTuple
 
-from .errors import ContainerError
+from .errors import CodecError, ContainerError, I2gatpError
 from .model import (
-    Construction,
     Problem,
     ProofAttempt,
     Violation,
@@ -43,15 +42,12 @@ from .xml_codec import (
     _write_construction,
     _write_information,
     _write_proof_info,
-    parse_conjecture,
-    parse_construction,
-    parse_information,
-    parse_proof_info,
 )
 
 # Unused here: every value is validated once before its _write_* call, and
-# validation reads each document once through _read.  Kept importable
+# the layout walk reads each document once through _read.  Kept importable
 # because bench/tracer.py swaps these names in this module.
+from .xml_codec import parse_conjecture, parse_construction, parse_information, parse_proof_info  # noqa: F401
 from .xml_codec import serialize_conjecture, serialize_construction, serialize_information, serialize_proof_info  # noqa: F401
 from .xml_codec import validate_document  # noqa: F401
 
@@ -163,10 +159,7 @@ def _read_entries(data: bytes) -> tuple[list[Entry], _Judgement]:
     layout walk need not find their directories again."""
 
     central, central_start = _central_directory(data)
-    names = [entry[0] for entry in central]
-    for name in names:
-        if not is_safe_relative_path(name[:-1] if name.endswith("/") else name):
-            raise ContainerError("BadPath", f"unsafe entry path {name!r}")
+    names = _safe([entry[0] for entry in central])
     judgement = _judge(names, [entry[5] for entry in central], "MalformedZip")
     # an entry's data must end by the next local header, or by the central
     # directory for the last one; of entries sharing an offset, all but the
@@ -180,6 +173,15 @@ def _read_entries(data: bytes) -> tuple[list[Entry], _Judgement]:
         (name, None if name.endswith("/") else _entry_data(data, entry, end)) for name, entry, end in zip(names, central, ends)
     ]
     return entries, judgement
+
+
+def _safe(names: list[str]) -> list[str]:
+    """``names`` when each is a safe relative path (a directory's ending in '/'); else ``BadPath``."""
+
+    for name in names:
+        if not is_safe_relative_path(name[:-1] if name.endswith("/") else name):
+            raise ContainerError("BadPath", f"unsafe entry path {name!r}")
+    return names
 
 
 # A central header as the reader keeps it: (name, flags, method, CRC-32,
@@ -462,46 +464,34 @@ def problem_from_entries(entries: list[Entry]) -> Problem:
 
     Lenient about extras: unknown files under known directories and unknown
     top-level entries are carried as resources; proof directories that hold
-    no attempt are carried file-by-file.  Strict about the essentials: no
-    path twice or as both a file and a directory, construction/intergeo.xml
-    must exist and nested documents must parse.
+    no attempt are carried file-by-file.  Strict about the rest: what
+    validate reports is refused, but for what docs/container.md forgives
+    under "Reading".
     """
 
-    return _problem_from_layout(_sort_entries(entries, _judge([name for name, _ in entries])))
+    return _problem_from_layout(_sort_entries(entries, _judge(_safe([name for name, _ in entries]))))
 
 
 def _problem_from_layout(layout: _Layout) -> Problem:
-    """problem_from_entries over the layout of entries judged sound."""
+    """problem_from_entries over a layout judged sound: the walk's first error, or the problem it read."""
 
-    files = layout.files
-    if INTERGEO_PATH not in files:
-        raise ContainerError("MissingIntergeo", f"container lacks {INTERGEO_PATH}")
-
-    construction = parse_construction(files.pop(INTERGEO_PATH))
-    info = parse_information(files.pop(INFORMATION_PATH)) if INFORMATION_PATH in files else None
-    conjecture = parse_conjecture(files.pop(CONJECTURE_PATH)) if CONJECTURE_PATH in files else None
-    proofs: list[ProofAttempt] = []
-    for dirname, group in layout.attempts.items():
-        for inner in group:
-            del files[f"proofs/{dirname}/{inner}"]
-        attempt = parse_proof_info(group.pop(PROOF_INFO_NAME))
-        proofs.append(replace(attempt, outputs=tuple(sorted(group.items()))))
-
+    _violations, errors, (construction, info, conjecture, attempts, carried) = _validate_layout(layout, False)
+    if errors:
+        raise errors[0]
     resources: list[tuple[str, bytes]] = []
-    metadata: list[tuple[str, bytes]] = []
-    private: list[tuple[str, bytes]] = []
-    for path in sorted(files):
-        section = metadata if path.startswith("metadata/") else private if path.startswith("private/") else resources
-        section.append((path, files[path]))
+    sections: dict[str, list[tuple[str, bytes]]] = {"metadata/": [], "private/": []}
+    for path, data in carried.items():
+        sections.get(path[: path.find("/") + 1], resources).append((path, data))
+    # canonicalize_problem sorts the attempts, their outputs and the sections
     return canonicalize_problem(
         Problem(
             construction=construction,
             info=info,
             conjecture=conjecture,
-            proofs=tuple(proofs),
+            proofs=tuple(replace(attempt, outputs=tuple(outputs.items())) for attempt, outputs in attempts),
             resources=tuple(resources),
-            metadata=tuple(metadata),
-            private=tuple(private),
+            metadata=tuple(sections["metadata/"]),
+            private=tuple(sections["private/"]),
         )
     )
 
@@ -586,14 +576,14 @@ def add_proof_attempt(data: bytes, attempt: ProofAttempt) -> bytes:
 _KNOWN_TOP_DIRS = (*MANDATORY_DIRS, "metadata/", "resources/", "private/")
 
 
-def _read_entry(
-    out: list[Violation], kind: DocumentKind, entry: str, data: bytes, construction: Construction | None = None
-):
-    """The value read from one entry (None if unreadable); its violations,
-    unknown tags included, are appended to ``out`` located at the entry."""
+def _read_entry(out: list[Violation], errors: list[I2gatpError], kind: DocumentKind, entry: str, data: bytes, construction=None):
+    """The value read from one entry (None if unreadable); its violations are
+    appended to ``out`` located at the entry, those refused to ``errors``."""
 
-    value, violations, _strangers = _read(kind, data, construction)
+    value, violations, refused = _read(kind, data, construction)
     out.extend(Violation(v.code, f"{entry}{v.path}", v.message) for v in violations)
+    if refused:
+        errors.append(CodecError(refused))
     return value
 
 
@@ -608,7 +598,7 @@ def validate_container(data: bytes, i2g: bool = False) -> list[Violation]:
         entries, judgement = _read_entries(data)
     except ContainerError as exc:
         return [Violation(exc.code, "/", str(exc))]
-    return _validate_layout(_sort_entries(entries, judgement), i2g)
+    return _validate_layout(_sort_entries(entries, judgement), i2g)[0]
 
 
 def validate_entries(entries: list[Entry], i2g: bool = False) -> list[Violation]:
@@ -620,57 +610,67 @@ def validate_entries(entries: list[Entry], i2g: bool = False) -> list[Violation]
     for name, _content in entries:
         if not is_safe_relative_path(name[:-1] if name.endswith("/") else name):
             return [Violation("BadPath", name, f"unsafe entry path {name!r}")]
-    return _validate_layout(_sort_entries(entries, _judge([name for name, _ in entries], refuse=False)), i2g)
+    return _validate_layout(_sort_entries(entries, _judge([name for name, _ in entries], refuse=False)), i2g)[0]
 
 
-def _validate_layout(layout: _Layout, i2g: bool) -> list[Violation]:
-    """validate_entries over the layout of entries whose paths are safe."""
+def _validate_layout(layout: _Layout, i2g: bool) -> tuple[list[Violation], list[I2gatpError], tuple]:
+    """The one walk of a layout of safe paths, which it uses up: every
+    violation, located at its entry; the errors unpack raises, in walk order;
+    and the values read: construction, information, conjecture, each attempt
+    with its outputs by inner path, and the files left to carry."""
 
     files = layout.files
     out = list(layout.faults)
+    errors: list[I2gatpError] = []
 
     if i2g:
         if "intergeo.xml" not in files:
             out.append(Violation("MissingIntergeo", "intergeo.xml", "i2g container lacks a root intergeo.xml"))
         else:
-            _read_entry(out, DocumentKind.CONSTRUCTION, "intergeo.xml", files["intergeo.xml"])
+            _read_entry(out, errors, DocumentKind.CONSTRUCTION, "intergeo.xml", files["intergeo.xml"])
         for name in sorted(files) + sorted(layout.dirs):
             if name.startswith(EXTENSION_DIRS):
                 out.append(Violation("UnexpectedEntry", name, "extension directories must be stripped from an i2g container"))
-        return out
+        return out, errors, (None, None, None, [], files)
 
     for d in MANDATORY_DIRS:
         if d not in layout.dirs:
             out.append(Violation("MissingMandatoryDir", d, f"mandatory directory {d!r} is absent"))
-    construction = None
+    construction = info = conjecture = None
     if INTERGEO_PATH not in files:
         out.append(Violation("MissingIntergeo", INTERGEO_PATH, "the construction document is mandatory"))
+        errors.append(ContainerError("MissingIntergeo", f"container lacks {INTERGEO_PATH}"))
     else:
         found = len(out)
-        construction = _read_entry(out, DocumentKind.CONSTRUCTION, INTERGEO_PATH, files[INTERGEO_PATH])
+        construction = _read_entry(out, errors, DocumentKind.CONSTRUCTION, INTERGEO_PATH, files.pop(INTERGEO_PATH))
         if len(out) > found:
             construction = None  # so its faults do not return as unresolved conjecture ids
     if INFORMATION_PATH in files:
-        _read_entry(out, DocumentKind.INFORMATION, INFORMATION_PATH, files[INFORMATION_PATH])
+        info = _read_entry(out, errors, DocumentKind.INFORMATION, INFORMATION_PATH, files.pop(INFORMATION_PATH))
     if CONJECTURE_PATH in files:
-        _read_entry(out, DocumentKind.CONJECTURE, CONJECTURE_PATH, files[CONJECTURE_PATH], construction)
+        conjecture = _read_entry(out, errors, DocumentKind.CONJECTURE, CONJECTURE_PATH, files.pop(CONJECTURE_PATH), construction)
 
+    attempts: list[tuple[ProofAttempt, dict[str, bytes]]] = []
     triples_seen: set[tuple[str, str, str]] = set()
-    for dirname in layout.proof_dirs:
+    for dirname, group in layout.proof_dirs.items():
         dir_path = f"proofs/{dirname}/"
         if not PROOF_DIR_RE.match(dirname):
             out.append(Violation("BadProofDirName", dir_path, "proof directories are named proof<GATP><Version><Method>"))
             continue
         if dirname not in layout.attempts:
             continue  # proofInfo.xml itself is optional
+        for inner in group:
+            del files[dir_path + inner]
         info_path = dir_path + PROOF_INFO_NAME
-        attempt = _read_entry(out, DocumentKind.PROOF_INFO, info_path, files[info_path])
+        attempt = _read_entry(out, errors, DocumentKind.PROOF_INFO, info_path, group.pop(PROOF_INFO_NAME))
         if attempt is None:
             continue
         if attempt.identity in triples_seen:
             message = f"attempt {attempt.prover}/{attempt.version}/{attempt.method} appears in more than one directory"
             out.append(Violation("DuplicateAttempt", info_path, message))
+            errors.append(ContainerError("DuplicateAttempt", message))
         triples_seen.add(attempt.identity)
+        attempts.append((attempt, group))
         if attempt.directory_name != dirname:
             message = f"directory named {dirname!r} but proofInfo.xml identifies {attempt.directory_name!r}"
             out.append(Violation("DirNameMismatch", dir_path, message))
@@ -685,4 +685,4 @@ def _validate_layout(layout: _Layout, i2g: bool) -> list[Violation]:
             top == "proofs/" and name.count("/") == 1
         ):
             out.append(Violation("UnknownEntry", name, f"unexpected file under {top}"))
-    return out
+    return out, errors, (construction, info, conjecture, attempts, files)

@@ -565,32 +565,32 @@ def _model_violations(kind: DocumentKind, value, construction: Construction | No
 
 
 def _read(kind: DocumentKind, data: bytes, construction: Construction | None = None):
-    """The value read from ``data``, every violation and the skipped
-    strangers among them.  Violations are syntax ones from the reader, then
-    value ones from the model validators, each located at its source tag and
-    child index; a conjecture's ids are resolved against ``construction``
-    when one is given."""
+    """The value read from ``data``, every violation, and those a parse
+    refuses (all but the strangers ``_FORGIVES_STRANGERS`` readers skip).
+    Violations are syntax ones from the reader, then value ones from the
+    model validators, each located at its source tag and child index; a
+    conjecture's ids are resolved against ``construction`` when given."""
 
     rep = _Report()
     try:
         root, data = _parse_raw(data)
     except XML_READ_ERRORS as exc:
         rep.error("MalformedXml", "/", f"XML parse error: {exc}")
-        return None, rep, []
+        return None, rep, rep
     value = _ANALYZERS[kind](root, data, rep)
     model = [
         Violation(v.code, rep.moved[v.path], v.message) if v.path in rep.moved else v
         for v in _model_violations(kind, value, construction)
     ]
-    return value, rep + model, rep.strangers
+    violations = rep + model
+    forgiven = rep.strangers if kind in _FORGIVES_STRANGERS else ()
+    return value, violations, [v for v in violations if v not in forgiven]
 
 
 def _parse(kind: DocumentKind, data: bytes):
-    value, violations, strangers = _read(kind, data)
-    if kind in _FORGIVES_STRANGERS:
-        violations = [v for v in violations if v not in strangers]
-    if violations:
-        raise CodecError(violations)
+    value, _violations, refused = _read(kind, data)
+    if refused:
+        raise CodecError(refused)
     return value
 
 

@@ -24,6 +24,8 @@ from conftest import (
 )
 from i2gatp.cli import main
 from i2gatp.container import pack
+from i2gatp.dsl import parse_dsl, predicate_text
+from i2gatp.numeric import check_conjecture
 
 
 @pytest.fixture()
@@ -311,3 +313,94 @@ def test_name_with_no_utf8_form_in_a_tree_is_bad_path(tmp_path, varignon_zip, ca
     capsys.readouterr()
     assert main([command, str(tree), *options]) == 1
     assert capsys.readouterr().out == "BadPath resources/\\udcff.txt unsafe entry path 'resources/\\udcff.txt'\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["info"],
+        ["convert", "--from", "i2gatp", "--to", "dsl", "--out", "-"],
+        ["convert", "--from", "i2gatp", "--to", "proverinput", "--out", "-"],
+        ["check"],
+    ],
+    ids=["info", "dsl", "proverinput", "check"],
+)
+def test_unresolved_conjecture_id_is_refused_by_every_reader(varignon_zip, tmp_path, capsys, command):
+    # validate reported it, while info and convert exited 0 and convert
+    # wrote a DSL source that parse_dsl refuses
+    data = varignon_zip.read_bytes()
+    with zipfile.ZipFile(io.BytesIO(data)) as zf:
+        conjecture = zf.read("conjecture/conjecture.xml").replace(b"P Q S R", b"P Q S ZZ")
+    path = tmp_path / "unresolved.zip"
+    path.write_bytes(with_entry(data, "conjecture/conjecture.xml", conjecture))
+    assert main([command[0], str(path), *command[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: UnresolvedId at /conjecture/conclusion/parallel[0]: id 'ZZ' does not resolve in the construction\n"
+
+
+def test_python_dash_m_runs_the_cli(varignon_zip):
+    env = dict(os.environ, PYTHONPATH=str(Path(i2gatp.__file__).resolve().parent.parent))
+    result = subprocess.run(
+        [sys.executable, "-m", "i2gatp", "validate", str(varignon_zip)], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+
+
+def test_pack_of_a_file_exits_2(varignon_zip, capsys):
+    assert main(["pack", str(varignon_zip)]) == 2
+    assert capsys.readouterr().err == f"error: {varignon_zip} is not a directory\n"
+
+
+def test_pack_of_a_tree_with_no_name_exits_2(tmp_path, corpus, capsys):
+    archive = tmp_path / "minimal.zip"
+    archive.write_bytes(pack(corpus["minimal"]))
+    tree = tmp_path / "tree"
+    assert main(["unpack", str(archive), "--out", str(tree)]) == 0
+    capsys.readouterr()
+    assert main(["pack", str(tree), "--out", str(tmp_path / "out.zip")]) == 2
+    assert capsys.readouterr().err == "error: input has no information.xml; pass --name\n"
+    assert not (tmp_path / "out.zip").exists()
+    assert main(["pack", str(tree), "--name", "minimal", "--out", str(tmp_path / "out.zip")]) == 0
+
+
+def test_unpack_does_not_follow_a_symlink_out_of_the_output_dir(varignon_zip, tmp_path, capsys):
+    # the reader refuses unsafe names, but a link already in the output
+    # directory can still lead an entry out of it
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    (outdir / "construction").symlink_to(outside, target_is_directory=True)
+    assert main(["unpack", str(varignon_zip), "--out", str(outdir)]) == 2
+    assert capsys.readouterr().err == "error: entry 'construction/' escapes the output directory\n"
+    assert list(outside.iterdir()) == []
+
+
+def test_info_without_conjecture_or_proofs(tmp_path, corpus, capsys):
+    path = tmp_path / "minimal.zip"
+    path.write_bytes(pack(corpus["minimal"]))
+    assert main(["info", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "name: (unnamed)\n"
+        "elements: 1 (1 points, 0 lines, 0 circles)\n"
+        "constraints: 1 (1 free, 0 opaque)\n"
+        "conjecture: none\n"
+        "proofs: none\n"
+    )
+
+
+def test_check_json_witness_of_schema_1(tmp_path, capsys):
+    # pinned before the schema gains keys: a falsified check exits 4 and its
+    # witness maps each free id to [x, y] and names the failing predicate
+    gcl = tmp_path / "collinear.gcl"
+    gcl.write_text(COLLINEAR_DSL)
+    assert main(["check", str(gcl), "--trials", "50", "--seed", "1", "--json"]) == 4
+    payload = json.loads(capsys.readouterr().out)
+    problem = parse_dsl(COLLINEAR_DSL)
+    report = check_conjecture(problem, 50, seed=1)
+    assert payload["schema_version"] == 1 and payload["verdict"] == "falsified"
+    assert sorted(payload["witness"]) == ["assignment", "predicate"]
+    assert payload["witness"]["assignment"] == {fid: [x, y] for fid, (x, y) in report.witness.assignment}
+    assert sorted(payload["witness"]["assignment"]) == sorted(problem.construction.free_point_ids()) == ["A", "B", "C"]
+    assert payload["witness"]["predicate"] == predicate_text(report.witness.predicate) == "collinear A B C"

@@ -38,7 +38,7 @@ from i2gatp.container import (
     validate_entries,
 )
 from i2gatp.dsl import parse_dsl
-from i2gatp.errors import ContainerError, I2gatpError
+from i2gatp.errors import CodecError, ContainerError, I2gatpError
 from i2gatp.model import (
     Collinear,
     Conjecture,
@@ -52,7 +52,7 @@ from i2gatp.model import (
 )
 from i2gatp.xml_codec import serialize_proof_info
 
-from conftest import MINIMAL_DSL, bench_workloads, corrupt_intergeo, generated_container
+from conftest import MINIMAL_DSL, bench_workloads, corrupt_intergeo, generated_container, with_entry
 from oracles import content_digest_reference, is_safe_relative_path_reference, read_zip_reference, write_zip_reference
 
 def _names(data: bytes) -> list[str]:
@@ -331,6 +331,38 @@ def test_duplicate_attempt_triple_across_dirs_flagged(corpus):
                 entries.append(("proofs/proofOtherdir1.0x/proofInfo.xml", payload))
     codes = [v.code for v in validate_container(_rezip(entries))]
     assert "DuplicateAttempt" in codes and "DirNameMismatch" in codes
+
+
+# ---------------------------------------------------------------------------
+# unpack reads through validate's walk and refuses what it reports
+
+
+def test_unpack_resolves_conjecture_ids_against_the_construction(varignon):
+    # unpack read the conjecture without the construction and returned a
+    # problem that validate_problem and pack refuse
+    data = pack(varignon)
+    conjecture = _read(data, "conjecture/conjecture.xml").replace(b"P Q S R", b"P Q S ZZ")
+    data = with_entry(data, "conjecture/conjecture.xml", conjecture)
+    assert [v.code for v in validate_container(data)] == ["UnresolvedId"]
+    with pytest.raises(CodecError, match=re.escape("UnresolvedId at /conjecture/conclusion/parallel[0]: id 'ZZ' ")):
+        unpack(data)
+
+
+def test_unpack_refuses_the_duplicate_attempt_mutation(corpus_containers):
+    # unpack returned both attempts, which pack then refused
+    _label, code, mutate = next(m for m in bench_workloads().MUTATIONS if m[0] == "duplicate attempt triple")
+    data = _rezip(mutate(read_container_entries(corpus_containers["varignon_attempts"])))
+    assert code in [v.code for v in validate_container(data)]
+    with pytest.raises(ContainerError, match="DuplicateAttempt: attempt CoqAM/8.16/areamethod appears in more than one directory"):
+        unpack(data)
+
+
+def test_problem_from_entries_refuses_an_unsafe_path(varignon):
+    # it carried the path as a resource, which validate_entries and pack refuse
+    entries = read_container_entries(pack(varignon)) + [("../evil", b"x")]
+    assert validate_entries(entries) == [Violation("BadPath", "../evil", "unsafe entry path '../evil'")]
+    with pytest.raises(ContainerError, match=re.escape("BadPath: unsafe entry path '../evil'")):
+        problem_from_entries(entries)
 
 
 @pytest.mark.parametrize("loose", ["intergeo.xml", "a"])
@@ -651,6 +683,26 @@ def test_no_library_module_imports_zipfile():
         imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
         imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0}
         assert not {name for name in imported if name.partition(".")[0] == "zipfile"}, path.name
+
+
+def test_container_keeps_only_the_imports_the_tracer_swaps():
+    # a name container.py imports and never uses is there for bench/tracer.py
+    # to swap; once the tracer no longer names it, the import goes
+    tree = ast.parse(Path(container.__file__).read_text())
+    imported = {
+        alias.asname or alias.name.partition(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    tracer = ast.parse((Path(__file__).parents[1] / "bench" / "tracer.py").read_text())
+    boundaries = next(
+        node.value for node in tracer.body if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["BOUNDARIES"]
+    )
+    # BOUNDARIES is literals and comprehensions over literals: evaluate that expression alone
+    swapped = {attr for module, attr, _ in eval(compile(ast.Expression(boundaries), "tracer.py", "eval"), {}) if module == "i2gatp.container"}
+    assert imported - used <= swapped, sorted(imported - used - swapped)
 
 
 def _one_entry(

@@ -6,6 +6,7 @@ inputs are well-formed edits of the corpus documents and of a generated
 N=10 problem, containers holding the generated problem's edited documents,
 and the benchmark's container mutations.  Seeded byte flips mostly give
 ``MalformedXml``; these edits reach the other codes and their locators.
+The same containers show that what ``unpack`` accepts is a valid problem.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import random
 import re
 import xml.etree.ElementTree as ET
 
-from i2gatp.container import entries_from_problem, pack, read_container_entries, validate_container
+from i2gatp.container import entries_from_problem, pack, read_container_entries, unpack, validate_container
+from i2gatp.errors import I2gatpError
+from i2gatp.model import validate_problem
 from i2gatp.xml_codec import DocumentKind, validate_document
 
 from conftest import bench_workloads, with_entry
@@ -148,3 +151,38 @@ def test_every_violation_report_is_pinned(corpus):
     assert len({code for code, _path, _message in violations}) >= 20
     assert len({re.sub(r"\[\d+\]", "[]", path) for _code, path, _message in violations}) >= 100
     assert digest.hexdigest() == REPORTS_SHA256
+
+
+def test_what_unpack_reads_back_is_a_valid_problem(corpus):
+    # the containers of the report above; unpack returned invalid problems
+    # from some of them (an unresolved conjecture id, a duplicate attempt)
+    workloads = bench_workloads()
+    generated = workloads._generated_container(random.Random(10), 10, "g", 2)
+    documents = [doc for problem in corpus.values() for doc in _documents(entries_from_problem(problem))]
+    tags = sorted({node.tag for _path, _kind, data in documents for node in ET.fromstring(data).iter()})
+    rng = random.Random(20)
+    for _path, _kind, data in documents:
+        _edits(data, tags, rng)  # the report's document edits draw first
+    containers = [
+        with_entry(generated, path, edited)
+        for path, _kind, data in _documents(read_container_entries(generated))
+        for edited in _edits(data, tags, rng)
+    ]
+    packed = [pack(problem) for problem in corpus.values()] + [generated]
+    containers += packed
+    for container in packed:
+        for _label, _code, mutate in workloads.MUTATIONS:
+            try:
+                containers.append(workloads._rezip(mutate(read_container_entries(container))))
+            except (ValueError, StopIteration):
+                continue
+    read_back = 0
+    for container in containers:
+        try:
+            problem = unpack(container)
+        except I2gatpError:
+            continue
+        read_back += 1
+        assert validate_problem(problem) == []
+        assert unpack(pack(problem)) == problem
+    assert (len(containers), read_back) == (454, 125)
