@@ -7,6 +7,10 @@ collinearity is a determinant, equal length compares squared lengths, the
 construction interpreter below re-executes the straight-line program over
 rationals.
 
+The reference runner is the construction interpreter as it was before the
+plan ran in one loop: one function per step kind, each returning its new
+object and the running scale; the interpreter must match it bit for bit.
+
 The zip oracles write and read archives through the standard library's
 ``zipfile``, independently of the container's own zip I/O; the path oracle
 judges a safe path segment by segment.  The raw XML oracle at the end is
@@ -23,7 +27,9 @@ import zipfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from i2gatp.errors import DegenerateStep
 from i2gatp.model import Construction, ConstraintKind
+from i2gatp.numeric import SceneCircle, SceneLine, ScenePoint
 
 Frac2 = tuple[Fraction, Fraction]
 
@@ -111,6 +117,134 @@ def normalize_line_float(a: Fraction, b: Fraction, c: Fraction) -> tuple[float, 
     if af < 0.0 or (af == 0.0 and bf < 0.0):
         af, bf, cf = -af, -bf, -cf
     return af, bf, cf
+
+
+# ---------------------------------------------------------------------------
+# Reference construction runner
+
+
+_NOT_FINITE = "coordinates are not finite"
+# the generated __new__ of a named tuple costs a Python call per step
+_new = tuple.__new__
+
+
+def _grow(out: str, a: float) -> float:
+    """The new running scale for an absolute coordinate ``a`` that is not
+    within the old one; DegenerateStep if ``a`` is inf or NaN."""
+
+    if a < math.inf:
+        return a
+    raise DegenerateStep(out, _NOT_FINITE)
+
+
+def _new_point(out: str, x: float, y: float, scale: float) -> tuple[ScenePoint, float]:
+    ax = abs(x)
+    if not ax <= scale:
+        scale = _grow(out, ax)
+    ay = abs(y)
+    if not ay <= scale:
+        scale = _grow(out, ay)
+    return _new(ScenePoint, (x, y)), scale
+
+
+def _new_line(out: str, a: float, b: float, c: float, scale: float) -> tuple[SceneLine, float]:
+    n = math.sqrt(a * a + b * b)
+    if not 0.0 < n < math.inf:
+        raise DegenerateStep(out, _NOT_FINITE)
+    a, b, c = a / n, b / n, c / n
+    if a < 0.0 or (a == 0.0 and b < 0.0):
+        a, b, c = -a, -b, -c
+    # |a| and |b| are at most 1, so only c can grow the scale
+    ac = abs(c)
+    if not ac <= scale:
+        scale = _grow(out, ac)
+    return _new(SceneLine, (a, b, c)), scale
+
+
+def _free_point(c, xy, _xy, eps_rel, scale):
+    return _new_point(c.output, xy[0], xy[1], scale)
+
+
+def _line_through_two_points(c, p, q, eps_rel, scale):
+    px, py = p
+    qx, qy = q
+    a = py - qy
+    b = qx - px
+    if math.sqrt(a * a + b * b) < eps_rel * scale:
+        raise DegenerateStep(c.output, f"points {c.inputs[0]} and {c.inputs[1]} coincide")
+    return _new_line(c.output, a, b, px * qy - qx * py, scale)
+
+
+def _intersection_of_two_lines(c, l, m, eps_rel, scale):
+    la, lb, lc = l
+    ma, mb, mc = m
+    h3 = la * mb - lb * ma
+    if abs(h3) < eps_rel * scale:
+        raise DegenerateStep(c.output, f"lines {c.inputs[0]} and {c.inputs[1]} are parallel")
+    return _new_point(c.output, (lb * mc - lc * mb) / h3, (lc * ma - la * mc) / h3, scale)
+
+
+def _midpoint_of_two_points(c, p, q, eps_rel, scale):
+    return _new_point(c.output, (p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0, scale)
+
+
+def _circle_by_center_and_point(c, o, p, eps_rel, scale):
+    # the centre's coordinates grew the scale when the centre was made
+    ox, oy = o
+    dx = ox - p[0]
+    dy = oy - p[1]
+    r = math.sqrt(dx * dx + dy * dy)
+    if not r <= scale:
+        scale = _grow(c.output, r)
+    return _new(SceneCircle, (ox, oy, r)), scale
+
+
+def _perpendicular_line_through_point(c, l, p, eps_rel, scale):
+    la, lb, _lc = l
+    return _new_line(c.output, lb, -la, la * p[1] - lb * p[0], scale)
+
+
+def _parallel_line_through_point(c, l, p, eps_rel, scale):
+    la, lb, _lc = l
+    return _new_line(c.output, la, lb, -(la * p[0] + lb * p[1]), scale)
+
+
+def _point_on_line(c, l, _l, eps_rel, scale):
+    la, lb, lc = l
+    t = c.parameter or 0.0
+    # base point: foot of the perpendicular from the origin
+    return _new_point(c.output, -la * lc - lb * t, -lb * lc + la * t, scale)
+
+
+def _point_on_circle(c, k, _k, eps_rel, scale):
+    cx, cy, r = k
+    ang = c.parameter or 0.0
+    return _new_point(c.output, cx + r * math.cos(ang), cy + r * math.sin(ang), scale)
+
+
+_STEPS = {
+    ConstraintKind.FREE_POINT: _free_point,
+    ConstraintKind.LINE_THROUGH_TWO_POINTS: _line_through_two_points,
+    ConstraintKind.INTERSECTION_OF_TWO_LINES: _intersection_of_two_lines,
+    ConstraintKind.MIDPOINT_OF_TWO_POINTS: _midpoint_of_two_points,
+    ConstraintKind.CIRCLE_BY_CENTER_AND_POINT: _circle_by_center_and_point,
+    ConstraintKind.PERPENDICULAR_LINE_THROUGH_POINT: _perpendicular_line_through_point,
+    ConstraintKind.PARALLEL_LINE_THROUGH_POINT: _parallel_line_through_point,
+    ConstraintKind.POINT_ON_LINE: _point_on_line,
+    ConstraintKind.POINT_ON_CIRCLE: _point_on_circle,
+}
+
+
+def run_reference(plan, pairs: list[tuple[float, float]], eps_rel: float) -> tuple[list, float]:
+    """What ``numeric._run`` returns for a compiled ``plan``: its slots and
+    scale, or the DegenerateStep it raises.  Each step runs the function of
+    its constraint kind on the contents of its two input slots."""
+
+    slots = [None] * len(plan.ids) + pairs
+    scale = 1.0
+    for _op, c, first, second, out in plan.steps:
+        slots[out], scale = _STEPS[c.kind](c, slots[first], slots[second], eps_rel, scale)
+    return slots, scale
 
 
 # ---------------------------------------------------------------------------

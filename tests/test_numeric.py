@@ -15,6 +15,7 @@ from i2gatp import numeric
 from i2gatp.container import pack, unpack
 from i2gatp.dsl import parse_dsl, predicate_text
 from i2gatp.errors import (
+    DegenerateInitialInstance,
     DegeneratePredicateError,
     DegenerateStep,
     KindMismatchError,
@@ -67,6 +68,7 @@ from oracles import (
     cross_ratio_exact,
     instantiate_exact,
     normalize_line_float,
+    run_reference,
 )
 
 
@@ -209,6 +211,54 @@ def test_free_point_that_is_not_finite_is_degenerate(bad):
     assert exc.value.step_id == "B"
 
 
+# the DSL text of a construction whose last step is degenerate at the
+# literal coordinates, the same construction with its free assignment, and
+# the line, step id and reason a user reads
+_DEGENERATE = {
+    "coincident_points": (
+        "point A 1 2\npoint B 1 2\nline l A B\n",
+        (_free("A"), _free("B"), _line("l", "A", "B")),
+        {"A": (1.0, 2.0), "B": (1.0, 2.0)},
+        (3, "l", "points A and B coincide"),
+    ),
+    "parallel_lines": (
+        "point A 0 0\npoint B 1 0\npoint C 0 1\npoint D 1 1\nline l A B\nline m C D\nintersec P l m\n",
+        (
+            *map(_free, "ABCD"),
+            _line("l", "A", "B"),
+            _line("m", "C", "D"),
+            Constraint(output="P", kind=ConstraintKind.INTERSECTION_OF_TWO_LINES, inputs=("l", "m")),
+        ),
+        {"A": (0.0, 0.0), "B": (1.0, 0.0), "C": (0.0, 1.0), "D": (1.0, 1.0)},
+        (7, "P", "lines l and m are parallel"),
+    ),
+    "overflowing_midpoint": (
+        "point A 1e308 0\npoint B 1e308 0\nmidpoint M A B\n",
+        (_free("A"), _free("B"), _midpoint("M", "A", "B")),
+        {"A": (1e308, 0.0), "B": (1e308, 0.0)},
+        (3, "M", "coordinates are not finite"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_DEGENERATE))
+def test_degenerate_step_names_its_cause(case):
+    text, constraints, free, (line, step_id, reason) = _DEGENERATE[case]
+    with pytest.raises(DegenerateStep) as step:
+        instantiate(Construction(elements=(), constraints=constraints), free)
+    assert (step.value.step_id, step.value.reason) == (step_id, reason)
+    with pytest.raises(DegenerateInitialInstance) as initial:
+        parse_dsl(text)
+    assert initial.value.line == line
+    assert str(initial.value) == f"line {line}: step {step_id!r} is degenerate: {reason}"
+
+
+def test_free_assignment_must_cover_exactly_the_free_points():
+    k = Construction(elements=(), constraints=(_free("A"), _free("B"), _midpoint("M", "A", "B")))
+    with pytest.raises(ValueError, match=r"free assignment mismatch: missing \['B'\], extra \['M', 'Z'\]"):
+        instantiate(k, {"A": (0.0, 0.0), "M": (1.0, 1.0), "Z": (2.0, 2.0)})
+
+
 def _trial_draws(problem, trials, coord_range):
     """The free assignments of the first ``trials`` trials of a check at
     seed 0, at any range."""
@@ -297,6 +347,16 @@ def test_term_at_the_depth_limit_validates_packs_evaluates_and_prints(varignon):
     assert predicate_text(conclusion) == f"equal {text} const 0.0"
 
 
+def test_eval_term_refuses_what_is_not_a_term():
+    with pytest.raises(TypeError, match="not a Term: 'A'"):
+        eval_term(_scene(A=(0, 0)), "A")
+
+
+def test_eval_predicate_refuses_what_is_not_a_predicate():
+    with pytest.raises(TypeError, match="not a Predicate: Const"):
+        eval_predicate(_scene(A=(0, 0)), Const(1.0))
+
+
 def test_mult_by_zero_annihilates():
     rng = random.Random(7)
     for _ in range(50):
@@ -338,6 +398,12 @@ def test_harmonic_degenerate_base_raises():
     scene = _scene(A=(0, 0), B=(3, 0), C=(3, 0), D=(1, 0))
     with pytest.raises(DegeneratePredicateError):
         eval_predicate(scene, Harmonic("A", "B", "C", "D"))  # C == B: cb vanishes
+
+
+def test_harmonic_with_d_on_a_raises():
+    scene = _scene(A=(0, 0), B=(2, 0), C=(1, 0), D=(0, 0))
+    with pytest.raises(DegeneratePredicateError, match="points A and D coincide$"):
+        eval_predicate(scene, Harmonic("A", "B", "C", "D"))
 
 
 def test_equal_uses_term_magnitude_scale():
@@ -757,3 +823,45 @@ def test_trial_scene_agrees_with_the_full_scene(corpus):
                 assert scene_scale(trial).hex() == scene_scale(full).hex()
                 compared += 1
     assert compared > 200
+
+
+# ---------------------------------------------------------------------------
+# The interpreter against the reference runner
+
+
+def _run_outcome(run, plan, pairs):
+    """What ``run`` gives for ``plan`` over ``pairs``: the float.hex() of
+    every coordinate of every slot, with its type, and of the scale; or the
+    step id and reason of the DegenerateStep it raises."""
+
+    try:
+        slots, scale = run(plan, list(pairs), Tolerance().eps_rel)
+    except DegenerateStep as exc:
+        return ("degenerate", exc.step_id, exc.reason)
+    return [(type(obj), tuple(v.hex() for v in obj)) for obj in slots], scale.hex()
+
+
+def test_run_matches_the_reference_bit_for_bit(corpus):
+    text = (
+        "point A 0 0\npoint B 4 0\npoint C 1 3\nline l A B\nline m A C\nintersec P l m\n"
+        "midpoint M B C\ncircle k A B\nperp p l C\nparallel q l C\nonline X l 0.5\noncircle Y k 1\n"
+    )
+    problems = [p for p in corpus.values() if not p.construction.has_opaque()]
+    problems += [parse_dsl(text), _generated(10, 0), _generated(100, 0), _generated(1000, 0)]
+    runs = []
+    for problem in problems:
+        plan = _compile(problem.construction)
+        for seed in range(5):
+            for coord_range in (1e-3, 10.0, 1e6, 2.0**500):
+                runs.append((plan, _SplitMix64(seed).next_points(len(plan.free_ids), coord_range)))
+    for _text, constraints, free, _cause in _DEGENERATE.values():
+        plan = _compile(Construction(elements=(), constraints=constraints))
+        runs.append((plan, [free[fid] for fid in plan.free_ids]))
+    reasons = []
+    for plan, pairs in runs:
+        outcome = _run_outcome(_run, plan, pairs)
+        assert outcome == _run_outcome(run_reference, plan, pairs)
+        if outcome[0] == "degenerate":
+            reasons.append(outcome[2])
+    assert 0 < len(reasons) < len(runs)
+    assert {cause[2] for *_case, cause in _DEGENERATE.values()} <= set(reasons)
