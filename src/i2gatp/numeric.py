@@ -162,16 +162,13 @@ def _point(scene: NumericScene, ref: str) -> ScenePoint:
 # A construction is compiled once into a plan, which then runs once per set
 # of free coordinates.  A run keeps its objects in a list of slots: slot i
 # holds the scene object of the plan's i-th output id, and the slots after
-# those hold the free coordinate pairs of the run.  Each step is a
-# module-level function from the table below, called with its constraint,
-# the contents of its two input slots (a one-input step gets its input twice,
-# a free point its coordinate pair), eps_rel and the running scale; it
-# returns the new scene object and the scale grown by it.  The first slots
-# of a run are then its scene.
+# those hold the free coordinate pairs of the run.  Each step carries the
+# opcode of its kind from the table below, and one loop in _run computes the
+# new object of each opcode from the contents of the step's two input slots
+# (a one-input step reads its input twice, a free point its coordinate
+# pair).  The first slots of a run are then its scene.
 
 _NOT_FINITE = "coordinates are not finite"
-# the generated __new__ of a named tuple costs a Python call per step
-_new = tuple.__new__
 
 
 def _grow(out: str, a: float) -> float:
@@ -183,112 +180,32 @@ def _grow(out: str, a: float) -> float:
     raise DegenerateStep(out, _NOT_FINITE)
 
 
-def _new_point(out: str, x: float, y: float, scale: float) -> tuple[ScenePoint, float]:
-    ax = abs(x)
-    if not ax <= scale:
-        scale = _grow(out, ax)
-    ay = abs(y)
-    if not ay <= scale:
-        scale = _grow(out, ay)
-    return _new(ScenePoint, (x, y)), scale
-
-
-def _new_line(out: str, a: float, b: float, c: float, scale: float) -> tuple[SceneLine, float]:
-    n = math.sqrt(a * a + b * b)
-    if not 0.0 < n < math.inf:
-        raise DegenerateStep(out, _NOT_FINITE)
-    a, b, c = a / n, b / n, c / n
-    if a < 0.0 or (a == 0.0 and b < 0.0):
-        a, b, c = -a, -b, -c
-    # |a| and |b| are at most 1, so only c can grow the scale
-    ac = abs(c)
-    if not ac <= scale:
-        scale = _grow(out, ac)
-    return _new(SceneLine, (a, b, c)), scale
-
-
-def _free_point(c, xy, _xy, eps_rel, scale):
-    return _new_point(c.output, xy[0], xy[1], scale)
-
-
-def _line_through_two_points(c, p, q, eps_rel, scale):
-    px, py = p
-    qx, qy = q
-    a = py - qy
-    b = qx - px
-    if math.sqrt(a * a + b * b) < eps_rel * scale:
-        raise DegenerateStep(c.output, f"points {c.inputs[0]} and {c.inputs[1]} coincide")
-    return _new_line(c.output, a, b, px * qy - qx * py, scale)
-
-
-def _intersection_of_two_lines(c, l, m, eps_rel, scale):
-    la, lb, lc = l
-    ma, mb, mc = m
-    h3 = la * mb - lb * ma
-    if abs(h3) < eps_rel * scale:
-        raise DegenerateStep(c.output, f"lines {c.inputs[0]} and {c.inputs[1]} are parallel")
-    return _new_point(c.output, (lb * mc - lc * mb) / h3, (lc * ma - la * mc) / h3, scale)
-
-
-def _midpoint_of_two_points(c, p, q, eps_rel, scale):
-    return _new_point(c.output, (p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0, scale)
-
-
-def _circle_by_center_and_point(c, o, p, eps_rel, scale):
-    # the centre's coordinates grew the scale when the centre was made
-    ox, oy = o
-    dx = ox - p[0]
-    dy = oy - p[1]
-    r = math.sqrt(dx * dx + dy * dy)
-    if not r <= scale:
-        scale = _grow(c.output, r)
-    return _new(SceneCircle, (ox, oy, r)), scale
-
-
-def _perpendicular_line_through_point(c, l, p, eps_rel, scale):
-    la, lb, _lc = l
-    return _new_line(c.output, lb, -la, la * p[1] - lb * p[0], scale)
-
-
-def _parallel_line_through_point(c, l, p, eps_rel, scale):
-    la, lb, _lc = l
-    return _new_line(c.output, la, lb, -(la * p[0] + lb * p[1]), scale)
-
-
-def _point_on_line(c, l, _l, eps_rel, scale):
-    la, lb, lc = l
-    t = c.parameter or 0.0
-    # base point: foot of the perpendicular from the origin
-    return _new_point(c.output, -la * lc - lb * t, -lb * lc + la * t, scale)
-
-
-def _point_on_circle(c, k, _k, eps_rel, scale):
-    cx, cy, r = k
-    ang = c.parameter or 0.0
-    return _new_point(c.output, cx + r * math.cos(ang), cy + r * math.sin(ang), scale)
-
+# Opcodes: the point steps first, then the line steps, then the circle, so
+# that one comparison picks the shared tail; within each group the kinds
+# come in the order of their share of generated plans.
+_FREE_POINT, _MIDPOINT, _INTERSECTION, _ON_LINE, _ON_CIRCLE, _LINE, _PERPENDICULAR, _PARALLEL, _CIRCLE = range(9)
 
 _STEPS = {
-    ConstraintKind.FREE_POINT: _free_point,
-    ConstraintKind.LINE_THROUGH_TWO_POINTS: _line_through_two_points,
-    ConstraintKind.INTERSECTION_OF_TWO_LINES: _intersection_of_two_lines,
-    ConstraintKind.MIDPOINT_OF_TWO_POINTS: _midpoint_of_two_points,
-    ConstraintKind.CIRCLE_BY_CENTER_AND_POINT: _circle_by_center_and_point,
-    ConstraintKind.PERPENDICULAR_LINE_THROUGH_POINT: _perpendicular_line_through_point,
-    ConstraintKind.PARALLEL_LINE_THROUGH_POINT: _parallel_line_through_point,
-    ConstraintKind.POINT_ON_LINE: _point_on_line,
-    ConstraintKind.POINT_ON_CIRCLE: _point_on_circle,
+    ConstraintKind.FREE_POINT: _FREE_POINT,
+    ConstraintKind.LINE_THROUGH_TWO_POINTS: _LINE,
+    ConstraintKind.INTERSECTION_OF_TWO_LINES: _INTERSECTION,
+    ConstraintKind.MIDPOINT_OF_TWO_POINTS: _MIDPOINT,
+    ConstraintKind.CIRCLE_BY_CENTER_AND_POINT: _CIRCLE,
+    ConstraintKind.PERPENDICULAR_LINE_THROUGH_POINT: _PERPENDICULAR,
+    ConstraintKind.PARALLEL_LINE_THROUGH_POINT: _PARALLEL,
+    ConstraintKind.POINT_ON_LINE: _ON_LINE,
+    ConstraintKind.POINT_ON_CIRCLE: _ON_CIRCLE,
 }
-# kind -> (step function, input kinds, output kind), so that compiling looks
-# each step up once; OPAQUE is not in it
+# kind -> (opcode, input kinds, output kind), so that compiling looks each
+# step up once; OPAQUE is not in it
 _SIGNED_STEPS = {kind: (_STEPS[kind], ins, out) for kind, (ins, out, _attr) in CONSTRAINT_SIGNATURES.items()}
 
 
 @dataclass(frozen=True)
 class _Plan:
     """A construction compiled for repeated runs: its free ids in draw
-    order, per constraint (step function, constraint, input slot, input
-    slot, output slot), and its output ids in slot order."""
+    order, per constraint (opcode, constraint, input slot, input slot,
+    output slot), and its output ids in slot order."""
 
     free_ids: tuple[str, ...]
     steps: tuple[tuple, ...]
@@ -310,7 +227,7 @@ def _compile(construction: Construction) -> _Plan:
     steps = []
     for c in constraints:
         try:
-            step, in_kinds, out_kind = _SIGNED_STEPS[c.kind]
+            op, in_kinds, out_kind = _SIGNED_STEPS[c.kind]
         except KeyError:
             raise OpaqueConstraintError(c.output) from None
         inputs = c.inputs
@@ -328,7 +245,7 @@ def _compile(construction: Construction) -> _Plan:
             first, second = slot[inputs[0]], slot[inputs[-1]]
         else:
             first = second = pair_slot[c.output]
-        steps.append((step, c, first, second, slot[c.output]))
+        steps.append((op, c, first, second, slot[c.output]))
         kinds[c.output] = out_kind
     return _Plan(free_ids, tuple(steps), ids)
 
@@ -336,12 +253,86 @@ def _compile(construction: Construction) -> _Plan:
 def _run(plan: _Plan, pairs: list[tuple[float, float]], eps_rel: float) -> tuple[list, float]:
     """One run of ``plan`` over free coordinate pairs in ``plan.free_ids``
     order: its slots, which start with the scene objects of ``plan.ids``,
-    and the scale of that scene."""
+    and the scale of that scene.  A step whose inputs are degenerate, or
+    whose result is not finite, raises DegenerateStep."""
 
     slots = [None] * len(plan.ids) + pairs
     scale = 1.0
-    for step, c, first, second, out in plan.steps:
-        slots[out], scale = step(c, slots[first], slots[second], eps_rel, scale)
+    sqrt, inf = math.sqrt, math.inf
+    # the generated __new__ of a named tuple costs a Python call per step
+    new = tuple.__new__
+    for op, c, first, second, out in plan.steps:
+        if op <= _ON_CIRCLE:
+            if op == _FREE_POINT:
+                x, y = slots[first]
+            elif op == _MIDPOINT:
+                px, py = slots[first]
+                qx, qy = slots[second]
+                x = (px + qx) / 2.0
+                y = (py + qy) / 2.0
+            elif op == _INTERSECTION:
+                la, lb, lc = slots[first]
+                ma, mb, mc = slots[second]
+                h3 = la * mb - lb * ma
+                if abs(h3) < eps_rel * scale:
+                    raise DegenerateStep(c.output, f"lines {c.inputs[0]} and {c.inputs[1]} are parallel")
+                x = (lb * mc - lc * mb) / h3
+                y = (lc * ma - la * mc) / h3
+            elif op == _ON_LINE:
+                la, lb, lc = slots[first]
+                t = c.parameter or 0.0
+                # base point: foot of the perpendicular from the origin
+                x = -la * lc - lb * t
+                y = -lb * lc + la * t
+            else:
+                cx, cy, r = slots[first]
+                ang = c.parameter or 0.0
+                x = cx + r * math.cos(ang)
+                y = cy + r * math.sin(ang)
+            ax = abs(x)
+            if not ax <= scale:
+                scale = _grow(c.output, ax)
+            ay = abs(y)
+            if not ay <= scale:
+                scale = _grow(c.output, ay)
+            slots[out] = new(ScenePoint, (x, y))
+        elif op != _CIRCLE:
+            if op == _LINE:
+                px, py = slots[first]
+                qx, qy = slots[second]
+                a = py - qy
+                b = qx - px
+                if sqrt(a * a + b * b) < eps_rel * scale:
+                    raise DegenerateStep(c.output, f"points {c.inputs[0]} and {c.inputs[1]} coincide")
+                k = px * qy - qx * py
+            else:
+                la, lb, _lc = slots[first]
+                px, py = slots[second]
+                if op == _PERPENDICULAR:
+                    a, b, k = lb, -la, la * py - lb * px
+                else:
+                    a, b, k = la, lb, -(la * px + lb * py)
+            n = sqrt(a * a + b * b)
+            if not 0.0 < n < inf:
+                raise DegenerateStep(c.output, _NOT_FINITE)
+            a, b, k = a / n, b / n, k / n
+            if a < 0.0 or (a == 0.0 and b < 0.0):
+                a, b, k = -a, -b, -k
+            # |a| and |b| are at most 1, so only the offset can grow the scale
+            ak = abs(k)
+            if not ak <= scale:
+                scale = _grow(c.output, ak)
+            slots[out] = new(SceneLine, (a, b, k))
+        else:
+            # the centre's coordinates grew the scale when the centre was made
+            ox, oy = slots[first]
+            px, py = slots[second]
+            dx = ox - px
+            dy = oy - py
+            r = sqrt(dx * dx + dy * dy)
+            if not r <= scale:
+                scale = _grow(c.output, r)
+            slots[out] = new(SceneCircle, (ox, oy, r))
     return slots, scale
 
 
