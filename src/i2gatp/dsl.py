@@ -36,6 +36,7 @@ from .model import (
     CONSTRAINT_SIGNATURES,
     ID_RE,
     MAX_TERM_DEPTH,
+    MAX_XML_ELEMENTS,
     NUMBER_RE,
     PREDICATE_NAMES,
     PREDICATES,
@@ -129,7 +130,11 @@ def _parse_term(block: _Block, depth: int = 1) -> Term:
         return Const(_parse_number(*next(block)))
     if cls is SegmentLength:
         return SegmentLength(*_parse_point_ids(block, 2))
-    return cls(_parse_term(block, depth + 1), _parse_term(block, depth + 1))
+    left, right = _parse_term(block, depth + 1), _parse_term(block, depth + 1)
+    # the model refuses to build a term past the element cap as CodecError
+    if left.nodes + right.nodes + 1 > MAX_XML_ELEMENTS:
+        raise DslSyntaxError(line, f"term written with more than {MAX_XML_ELEMENTS} elements")
+    return cls(left, right)
 
 
 def _parse_predicate(block: _Block) -> tuple[Predicate, int]:

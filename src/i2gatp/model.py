@@ -214,7 +214,8 @@ class Term:
     """Base class of arithmetic term nodes (conjecture ``equal`` operands).
 
     ``depth`` counts the levels of a term, at most MAX_TERM_DEPTH, and
-    ``nodes`` its nodes, one XML element each when it is written."""
+    ``nodes`` its nodes, one XML element each when it is written, at most
+    MAX_XML_ELEMENTS."""
 
     __slots__ = ()
     depth = 1
@@ -233,15 +234,22 @@ class SegmentLength(Term):
 
 
 def _nest(t: Plus | Mult) -> None:
-    """Give a plus or mult its depth; past MAX_TERM_DEPTH, raise CodecError
-    with one ArityError at the refused term."""
+    """Give a plus or mult its depth and its number of nodes.  Past
+    MAX_TERM_DEPTH levels, raise CodecError with one ArityError at the
+    refused term; past MAX_XML_ELEMENTS nodes, which no reader reads and
+    which a term that shares subterms reaches in a few levels, with one
+    MalformedXml there."""
 
     depth = max(t.left.depth, t.right.depth) + 1
     if depth > MAX_TERM_DEPTH:
         message = f"term nested deeper than {MAX_TERM_DEPTH} levels"
         raise CodecError([Violation("ArityError", f"/{TERM_NAMES[type(t)]}", message)])
+    nodes = t.left.nodes + t.right.nodes + 1
+    if nodes > MAX_XML_ELEMENTS:
+        message = f"term would be written with {nodes} elements, more than {MAX_XML_ELEMENTS}"
+        raise CodecError([Violation("MalformedXml", f"/{TERM_NAMES[type(t)]}", message)])
     object.__setattr__(t, "depth", depth)
-    object.__setattr__(t, "nodes", t.left.nodes + t.right.nodes + 1)
+    object.__setattr__(t, "nodes", nodes)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -23,12 +24,16 @@ from i2gatp.errors import (
 )
 from i2gatp.model import (
     Conjecture,
+    Const,
     ConstraintKind,
     ElementInstance,
     Equal,
     GeoKind,
     MAX_TERM_DEPTH,
+    MAX_XML_ELEMENTS,
     Midpoint,
+    Plus,
+    SegmentLength,
     SegmentRatio,
     canonicalize_problem,
     validate_problem,
@@ -96,6 +101,37 @@ def test_term_beyond_the_depth_limit_is_a_syntax_error(depth, line):
     with pytest.raises(DslSyntaxError, match=f"term nested deeper than {MAX_TERM_DEPTH} levels") as exc:
         parse_dsl(_nested_equal(depth))
     assert exc.value.line == line
+
+
+def test_term_past_the_element_cap_is_a_syntax_error():
+    # two operands of 65,535 nodes each: the outer plus, on line 3, would
+    # be written with 131,071 elements
+    operand = "const 1"
+    for _ in range(15):
+        operand = f"plus {operand} {operand}"
+    text = f"point A 0 0\npoint B 1 0\nprove {{ conclude equal plus\n{operand} {operand} const 1 }}\n"
+    with pytest.raises(DslSyntaxError, match=f"term written with more than {MAX_XML_ELEMENTS} elements") as exc:
+        parse_dsl(text)
+    assert exc.value.line == 3
+
+
+def test_largest_shared_term_is_emitted_and_checked_in_linear_time(varignon):
+    # t = Plus(t, t) fifteen times is 65,535 nodes when written, the most a
+    # term that doubles can have (the next doubling cannot be built); the
+    # emitters and the checker walk it node by node
+    term = SegmentLength("A", "B")
+    for _ in range(15):
+        term = Plus(term, term)
+    assert term.nodes == 2**16 - 1
+    conjecture = dataclasses.replace(varignon.conjecture, conclusion=(Equal(term, Const(1.0)),))
+    problem = dataclasses.replace(varignon, conjecture=conjecture)
+    start = time.perf_counter()
+    dsl_text = emit_dsl(problem)
+    prover_input = emit_prover_input(problem)
+    report = check_conjecture(problem, 1)
+    assert time.perf_counter() - start < 1.0
+    assert dsl_text.count("segment_length A B") == prover_input.count("segment_length A B") == 2**15
+    assert report.verdict is Verdict.FALSIFIED
 
 
 def test_overflowing_initial_instance_is_degenerate():

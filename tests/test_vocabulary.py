@@ -313,6 +313,7 @@ _MIB = 1 << 20
 # (document, the phrase that quotes a limit, its unit, the constant)
 _QUOTED_LIMITS = {
     "dsl-MAX_TERM_DEPTH": ("dsl.md", r"nests at most ([\d,]+) levels", 1, MAX_TERM_DEPTH),
+    "dsl-MAX_XML_ELEMENTS": ("dsl.md", r"([\d,]+)\s+(?:nodes|elements)\b", 1, MAX_XML_ELEMENTS),
     "violations-MAX_TERM_DEPTH": ("violations.md", r"nested deeper than ([\d,]+) levels", 1, MAX_TERM_DEPTH),
     "container-_MAX_NAME_BYTES": ("container.md", r"a path is at most ([\d,]+) bytes", 1, container._MAX_NAME_BYTES),
     "container-_MAX_ENTRIES": ("container.md", r"at most ([\d,]+) entries", 1, container._MAX_ENTRIES),

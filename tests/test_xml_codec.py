@@ -623,13 +623,19 @@ def test_writers_count_elements_as_the_readers_do(varignon, document, past):
 
 
 def test_shared_subterms_past_the_cap_are_refused_without_a_walk(varignon):
-    # t = Plus(t, t) forty times is forty nodes in memory but 2**41 - 1 when
-    # written; validate_problem walked each written node, its time doubling
-    # per level (1.06 s at 20 levels), so pack hung
+    # t = Plus(t, t) is one more node in memory per level but doubles the
+    # written size; the 16th doubling (131,071 nodes) passes the element
+    # cap, so it cannot be built, and no walker meets more written nodes
     term = SegmentLength("A", "Zz9")  # an unresolved id, reported only by a walk
-    for _ in range(40):
+    for _ in range(15):
         term = Plus(term, term)
-    conjecture = dataclasses.replace(varignon.conjecture, conclusion=(Equal(term, Const(1.0)),))
+    refused = ("MalformedXml", "/plus", f"term would be written with {2**17 - 1} elements, more than {MAX_XML_ELEMENTS}")
+    with pytest.raises(CodecError) as exc:
+        Plus(term, term)
+    assert [(v.code, v.path, v.message) for v in exc.value.violations] == [refused]
+    # two such terms in one predicate put the conjecture past the cap, which
+    # validate_problem reports from the sizes, without a walk
+    conjecture = dataclasses.replace(varignon.conjecture, conclusion=(Equal(term, term),))
     problem = dataclasses.replace(varignon, conjecture=conjecture)
     start = time.perf_counter()
     violations = validate_problem(problem)
