@@ -125,17 +125,14 @@ def _write_zip(entries: list[Entry]) -> bytes:
     central: list[bytes] = []
     offset = 0
     for name, data in sorted(entries + [(d, None) for d in dirs.difference(names)], key=lambda e: e[0]):
-        if name.isascii():
-            raw, flags = name.encode("ascii"), 0
-        else:
-            raw, flags = name.encode("utf-8"), _UTF8_NAME
+        raw = name.encode("utf-8")
+        flags = 0 if raw.isascii() else _UTF8_NAME
         if data is None:
             method, crc, size, body, attr = _STORED, 0, 0, b"", _DIR_ATTR
         else:
             method, crc, size, body, attr = _STORED, zlib.crc32(data), len(data), data, _FILE_ATTR
             if size > _DEFLATE_THRESHOLD:
-                deflater = zlib.compressobj(_DEFLATE_LEVEL, zlib.DEFLATED, -15)
-                method, body = _DEFLATED, deflater.compress(data) + deflater.flush()
+                method, body = _DEFLATED, zlib.compress(data, _DEFLATE_LEVEL, -15)
         fields = (flags, method, 0, _DOS_DATE, crc, len(body), size, len(raw))
         parts += (_LOCAL_HEADER.pack(b"PK\x03\x04", _VERSION, 0, *fields, 0), raw, body)
         central.append(_CENTRAL_HEADER.pack(b"PK\x01\x02", _VERSION, _UNIX, _VERSION, 0, *fields, 0, 0, 0, 0, attr, offset) + raw)
@@ -250,21 +247,27 @@ def _central_directory(data: bytes) -> tuple[list[_CentralEntry], int]:
         if pos > directory_end:
             raise ContainerError("MalformedZip", f"central header at offset {name_start - _CENTRAL_HEADER.size} cut short")
         raw = data[name_start:extra_start]
-        if raw.isascii():
-            name = raw.decode("ascii")
-        elif flags & _UTF8_NAME:
-            try:
-                name = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ContainerError("MalformedZip", f"entry name {raw!r} is flagged UTF-8 but is not") from exc
-        else:
-            name = raw.decode("cp437")
+        name = _entry_name(raw, flags)
+        if name is None:
+            raise ContainerError("MalformedZip", f"entry name {raw!r} is flagged UTF-8 but is not")
         if extra_len:
             compressed, file_size, header = _zip64_values(data, extra_start, extra_start + extra_len, compressed, file_size, header)
         entries.append((name, flags, method, crc, compressed, file_size, header + shift))
     if len(entries) != count:
         raise ContainerError("MalformedZip", f"central directory holds {len(entries)} entries where its end record counts {count}")
     return entries, start
+
+
+def _entry_name(raw: bytes, flags: int) -> str | None:
+    """An entry name as a header holds it: ASCII as it is, else UTF-8 under
+    flag 0x800 or cp437; None for a name flagged UTF-8 that is not."""
+
+    if raw.isascii():
+        return raw.decode("ascii")
+    try:
+        return raw.decode("utf-8" if flags & _UTF8_NAME else "cp437")
+    except UnicodeDecodeError:
+        return None
 
 
 def _zip64_values(data: bytes, pos: int, stop: int, compressed: int, size: int, offset: int) -> tuple[int, int, int]:
@@ -308,15 +311,7 @@ def _entry_data(data: bytes, entry: _CentralEntry, end: int) -> bytes:
     if signature != b"PK\x03\x04":
         raise malformed("bad local header signature")
     start += _LOCAL_HEADER.size
-    raw = data[start : start + name_len]
-    if raw.isascii():
-        local_name = raw.decode("ascii")
-    else:
-        try:
-            local_name = raw.decode("utf-8" if local_flags & _UTF8_NAME else "cp437")
-        except UnicodeDecodeError:
-            local_name = None
-    if local_name != name:
+    if _entry_name(data[start : start + name_len], local_flags) != name:
         raise malformed("local header names another entry")
     if flags & _UNSUPPORTED_FLAGS:
         raise malformed("encrypted or patched")

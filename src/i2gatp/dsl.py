@@ -56,9 +56,12 @@ from .model import (
     SegmentLength,
     SegmentRatio,
     Term,
+    Violation,
     format_number,
     predicate_point_ids,
+    validate_conjecture,
     validate_construction,
+    validate_info,
 )
 from .numeric import instantiate
 
@@ -78,6 +81,8 @@ _STATEMENT_KEYWORDS = {
 _STATEMENTS = {keyword: kind for kind, keyword in _STATEMENT_KEYWORDS.items()}
 
 _HEADER_RE = re.compile(r"%\s*(name|description|keyword)\s*:\s*(.*?)\s*$")
+# The model's locator of an item of a list: a keyword or a predicate
+_ITEM_PATH = re.compile(r"/\w+/(\w+)/\w+\[(\d+)\]\Z")
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +175,16 @@ def _parse_prove_block(block: _Block, start_line: int):
     return sections
 
 
+def _refuse_first(violations: list[Violation], lists: dict[str, list[tuple[object, int]]], line: int) -> None:
+    """Raise the first of the model's ``violations``, if any, as a
+    DslSyntaxError: at the line of its item, read from ``lists`` by the
+    list's name and the item's index, or at ``line`` when it names no item."""
+
+    if violations:
+        item = _ITEM_PATH.match(violations[0].path)
+        raise DslSyntaxError(lists[item[1]][int(item[2])][1] if item else line, violations[0].message)
+
+
 def parse_dsl(text: str) -> Problem:
     """Parse DSL text into a problem with a computed initial instance."""
 
@@ -177,8 +192,8 @@ def parse_dsl(text: str) -> Problem:
     constraints: list[Constraint] = []
     line_of: dict[str, int] = {}
     free_assign: dict[str, tuple[float, float]] = {}
-    header: dict[str, str] = {}
-    keywords: list[str] = []
+    header: dict[str, tuple[str, int]] = {}  # key -> (value, line)
+    keywords: list[tuple[str, int]] = []
     sections = None
     seen_statement = False
 
@@ -202,11 +217,11 @@ def parse_dsl(text: str) -> Problem:
             if header_match:
                 key, value = header_match.groups()
                 if key == "keyword":
-                    keywords.append(value)
+                    keywords.append((value, lineno))
                 elif key in header:
                     raise DslSyntaxError(lineno, f"repeated header {key!r}")
                 else:
-                    header[key] = value
+                    header[key] = value, lineno
             continue
         tokens = _line_tokens(content, lineno)
         if not tokens:
@@ -226,10 +241,15 @@ def parse_dsl(text: str) -> Problem:
                 else:
                     raise DslSyntaxError(lineno, "unterminated prove block")
             sections = _parse_prove_block(iter(block), lineno)
+            prove_line = lineno
             continue
         kind = _STATEMENTS.get(keyword)
         if kind is None:
             raise DslSyntaxError(lineno, f"unknown statement {keyword!r}")
+        # construction, elements and constraints, and an element and a
+        # constraint per statement, as the model counts them
+        if 3 + 2 * (len(constraints) + 1) > MAX_XML_ELEMENTS:
+            raise DslSyntaxError(lineno, f"construction written with more than {MAX_XML_ELEMENTS} elements")
         if kind is ConstraintKind.FREE_POINT:
             if len(tokens) != 4:
                 raise DslSyntaxError(lineno, "usage: point <id> <x> <y>")
@@ -281,16 +301,19 @@ def parse_dsl(text: str) -> Problem:
             ndg=tuple(p for p, _ in sections["ndg"]),
             conclusion=tuple(p for p, _ in sections["conclude"]),
         )
+        lists = {"hypothesis": sections["hyp"], "ndg": sections["ndg"], "conclusion": sections["conclude"]}
+        _refuse_first(validate_conjecture(conjecture), lists, prove_line)
 
     info = None
     if header or keywords:
         if "name" not in header:
             raise DslSyntaxError(1, "header needs a '% name:' line when metadata is present")
         info = ProblemInfo(
-            name=header["name"],
-            description=header.get("description", ""),
-            keywords=tuple(keywords),
+            name=header["name"][0],
+            description=header["description"][0] if "description" in header else "",
+            keywords=tuple(keyword for keyword, _ in keywords),
         )
+        _refuse_first(validate_info(info), {"keywords": keywords}, header["name"][1])
     return Problem(construction=construction, info=info, conjecture=conjecture)
 
 

@@ -83,6 +83,8 @@ class DocumentKind(enum.Enum):
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 # The XML declaration that every document the codec writes starts with
 _DECLARATION = b'<?xml version="1.0" encoding="UTF-8"?>\n'
+# A tag through its '>', quoted values skipped; linear: each alternative starts on its own byte
+_TAG = re.compile(rb"""(?:[^"'>]|"[^"]*"|'[^']*')*>""")
 
 
 # ---------------------------------------------------------------------------
@@ -104,38 +106,19 @@ class _RawNode:
         self.end_event = -1  # offset at the end event: '<' of the end tag unless empty
 
     def raw(self, data: bytes) -> bytes:
-        tag_end = _find_tag_end(data, self.start)
-        if data[tag_end - 1] != 0x2F:  # not '/>': the element has an end tag
-            tag_end = _find_tag_end(data, self.end_event)
-        return data[self.start : tag_end + 1]
+        end = _TAG.match(data, self.start).end()
+        if data[end - 2] != 0x2F:  # not '/>': the element has an end tag, which holds no quotes
+            end = data.index(b">", self.end_event) + 1
+        return data[self.start : end]
 
     def inner(self, data: bytes) -> bytes:
-        tag_end = _find_tag_end(data, self.start)
-        if data[tag_end - 1] == 0x2F:  # '/>': empty-element tag
+        end = _TAG.match(data, self.start).end()
+        if data[end - 2] == 0x2F:  # '/>': empty-element tag
             return b""
-        return data[tag_end + 1 : self.end_event].strip()
+        return data[end : self.end_event].strip()
 
     def ids(self) -> list[str]:
         return self.text.split()
-
-
-def _find_tag_end(data: bytes, start: int) -> int:
-    """Offset of the '>' closing the tag that starts at ``start``; skips
-    quoted attribute values."""
-
-    quote = 0
-    j = start
-    while j < len(data):
-        ch = data[j]
-        if quote:
-            if ch == quote:
-                quote = 0
-        elif ch in (0x22, 0x27):  # '"' or "'"
-            quote = ch
-        elif ch == 0x3E:  # '>'
-            return j
-        j += 1
-    raise ValueError("unterminated tag")
 
 
 def _parse_raw(data: bytes) -> tuple[_RawNode, bytes]:

@@ -572,6 +572,18 @@ def _with_extra(data: bytes, extra: bytes, compressed: int | None = None) -> byt
     return _edited(data, end + 12, "<L", struct.unpack_from("<L", data, end + 12)[0] + len(extra) - extra_len)
 
 
+def test_compressed_size_in_a_zip64_extra_field_reads():
+    # a compressed size whose 32 bits are all set is read from the zip64
+    # extra field, as zipfile reads it
+    data = _write_zip([("a.txt", _TEXT)])
+    header = data.index(b"PK\x01\x02")
+    method, compressed = struct.unpack_from("<H8xL", data, header + 10)
+    assert method == 8 and compressed < len(_TEXT)
+    data = _with_extra(data, struct.pack("<2HQ", 1, 8, compressed), compressed=0xFFFFFFFF)
+    assert struct.unpack_from("<L", data, header + 20) == (0xFFFFFFFF,)
+    assert read_container_entries(data) == read_zip_reference(data) == [("a.txt", _TEXT)]
+
+
 def _structural_cases() -> dict[str, tuple[bytes, bool]]:
     """Archives whose end records, zip64 records or central headers are
     changed as a whole, each with whether the reader accepts it."""
@@ -685,10 +697,14 @@ def test_no_library_module_imports_zipfile():
         assert not {name for name in imported if name.partition(".")[0] == "zipfile"}, path.name
 
 
-def test_container_keeps_only_the_imports_the_tracer_swaps():
-    # a name container.py imports and never uses is there for bench/tracer.py
+_MODULES = sorted(path.name for path in Path(container.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", [name for name in _MODULES if name != "__init__.py"])
+def test_container_keeps_only_the_imports_the_tracer_swaps(module):
+    # a name a module imports and never uses is there for bench/tracer.py
     # to swap; once the tracer no longer names it, the import goes
-    tree = ast.parse(Path(container.__file__).read_text())
+    tree = ast.parse((Path(container.__file__).parent / module).read_text())
     imported = {
         alias.asname or alias.name.partition(".")[0]
         for node in tree.body
@@ -701,8 +717,35 @@ def test_container_keeps_only_the_imports_the_tracer_swaps():
         node.value for node in tracer.body if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["BOUNDARIES"]
     )
     # BOUNDARIES is literals and comprehensions over literals: evaluate that expression alone
-    swapped = {attr for module, attr, _ in eval(compile(ast.Expression(boundaries), "tracer.py", "eval"), {}) if module == "i2gatp.container"}
+    swapped = {attr for name, attr, _ in eval(compile(ast.Expression(boundaries), "tracer.py", "eval"), {}) if name == f"i2gatp.{module[:-3]}"}
     assert imported - used <= swapped, sorted(imported - used - swapped)
+
+
+def _defined(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines."""
+
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+
+
+def test_every_private_name_of_the_library_is_used():
+    # a private helper, constant or class whose last caller went would
+    # otherwise stay; a use is a name outside its own definition, or an
+    # import by another module (whose use the test above checks)
+    trees = {name: ast.parse((Path(container.__file__).parent / name).read_text()) for name in _MODULES}
+    imported = {alias.name for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            private = [name for name in _defined(node) if name.startswith("_") and not name.startswith("__")]
+            if not private:
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and id(n) not in inside}
+            unused += [f"{module}:{name}" for name in private if name not in used and name not in imported]
+    assert unused == []
 
 
 def _one_entry(

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +18,9 @@ from i2gatp.dsl import emit_dsl, emit_prover_input, parse_dsl
 from i2gatp.errors import (
     CodecError,
     DegenerateInitialInstance,
+    DslError,
     DslSyntaxError,
     DslUnresolvedId,
-    I2gatpError,
     NoConjectureError,
     OpaqueConstraintError,
 )
@@ -103,13 +105,16 @@ def test_term_beyond_the_depth_limit_is_a_syntax_error(depth, line):
     assert exc.value.line == line
 
 
+# A term of 65,535 nodes, the most one doubling term can have
+_HALF_CAP_TERM = "const 1"
+for _ in range(15):
+    _HALF_CAP_TERM = f"plus {_HALF_CAP_TERM} {_HALF_CAP_TERM}"
+
+
 def test_term_past_the_element_cap_is_a_syntax_error():
     # two operands of 65,535 nodes each: the outer plus, on line 3, would
     # be written with 131,071 elements
-    operand = "const 1"
-    for _ in range(15):
-        operand = f"plus {operand} {operand}"
-    text = f"point A 0 0\npoint B 1 0\nprove {{ conclude equal plus\n{operand} {operand} const 1 }}\n"
+    text = f"point A 0 0\npoint B 1 0\nprove {{ conclude equal plus\n{_HALF_CAP_TERM} {_HALF_CAP_TERM} const 1 }}\n"
     with pytest.raises(DslSyntaxError, match=f"term written with more than {MAX_XML_ELEMENTS} elements") as exc:
         parse_dsl(text)
     assert exc.value.line == 3
@@ -176,8 +181,12 @@ def test_name_with_a_newline_stays_one_line(varignon):
     named = dataclasses.replace(varignon, info=dataclasses.replace(varignon.info, name="v\npoint Z 9 9"))
     text = emit_dsl(named)
     assert text.splitlines()[0] == "% name: v point Z 9 9"
-    q = parse_dsl(text)
-    assert q.construction == varignon.construction and q.info.name == "v point Z 9 9"
+    # the whole name is the header's value, which the model refuses as a name
+    with pytest.raises(DslSyntaxError, match="invalid problem name 'v point Z 9 9'") as exc:
+        parse_dsl(text)
+    assert exc.value.line == 1
+    statements = [line for line in text.splitlines() if not line.startswith("%")]
+    assert parse_dsl("\n".join(statements)).construction == varignon.construction
     assert emit_prover_input(named).splitlines()[:2] == ["gpi 1", "problem v point Z 9 9"]
 
 
@@ -282,6 +291,14 @@ _DIAGNOSTICS = [
     (_PA + "prove {\n  conclude not_equal A Z\n}", DslUnresolvedId, 4, "undefined id 'Z'"),
     (_PA + "line l A B\nprove { conclude not_equal A l }", DslSyntaxError, 4, "'l' is a line, predicates take points"),
     ("% description: no name\npoint A 0 0", DslSyntaxError, 1, "header needs a '% name:' line"),
+    # what the model refuses in a parsed problem, at the line it comes from
+    ("% name: bad name!\npoint A 0 0", DslSyntaxError, 1, "invalid problem name 'bad name!'"),
+    ("\n% name:\npoint A 0 0", DslSyntaxError, 2, "problem name is required"),
+    ("% name: a\n% keyword: k\n% keyword:\npoint A 0 0", DslSyntaxError, 3, "keyword is empty"),
+    ("% name: a\n% keyword: k\n% keyword: j\n% keyword:  k\npoint A 0 0", DslSyntaxError, 4, "duplicate keyword 'k'"),
+    (_PA + "prove {\n  conclude not_equal A B\n  conclude segment_ratio A B A B -2\n}", DslSyntaxError, 5, "segment ratio -2.0 must be finite and >= 0"),
+    (_PA + f"prove {{ conclude equal\n{_HALF_CAP_TERM}\n{_HALF_CAP_TERM} }}", DslSyntaxError, 3, f"<conjecture> would be written with 131073 elements, more than {MAX_XML_ELEMENTS}"),
+    ("".join(f"point P{i} {i} 0\n" for i in range(50_000)), DslSyntaxError, 49_999, f"construction written with more than {MAX_XML_ELEMENTS} elements"),
 ]
 
 
@@ -291,6 +308,37 @@ def test_diagnostics_name_their_line(source, error, line, fragment):
         parse_dsl(source)
     assert type(exc.value) is error and exc.value.line == line
     assert str(exc.value).startswith(f"line {line}: ") and fragment in str(exc.value)
+
+
+def test_most_statements_the_model_accepts_parse():
+    # 49,998 statements are written with 99,999 elements; the next one is refused above
+    problem = parse_dsl("".join(f"point P{i} {i} 0\n" for i in range(49_998)))
+    assert validate_problem(problem) == []
+
+
+def _dsl_sources(corpus) -> dict[str, str]:
+    """The fixture programs, the canonical text of each corpus problem the
+    DSL covers, the demos' programs, and generated ones at N=10 and N=100."""
+
+    sources = {name: source for name, source in vars(conftest).items() if name.endswith("_DSL")}
+    sources |= {f"emitted_{name}": emit_dsl(p) for name, p in corpus.items() if not p.construction.has_opaque()}
+    sources |= {path.name: path.read_text() for path in (Path(__file__).parents[1] / "demos").glob("*.gcl")}
+    generate_dsl = conftest.bench_workloads().generate_dsl
+    for n in (10, 100):
+        sources |= {f"generated_{n}_{seed}": generate_dsl(random.Random(seed), n, f"g{seed}") for seed in range(3)}
+    return sources
+
+
+def test_every_parsed_source_is_a_valid_problem(corpus):
+    # the parser refuses at its line what pack would refuse with no line
+    sources = _dsl_sources(corpus)
+    assert "varignon.gcl" in sources and len(sources) > 20
+    for name, source in sources.items():
+        try:
+            problem = parse_dsl(source)
+        except DslError:
+            continue
+        assert validate_problem(problem) == [], name
 
 
 def test_prover_input_refuses_an_opaque_step(corpus):
@@ -303,18 +351,20 @@ def test_prover_input_refuses_an_opaque_step(corpus):
 # The fixture programs, and byte strings that the lexer and the statements
 # give a meaning to, beside random bytes
 _SOURCES = [source for name, source in vars(conftest).items() if name.endswith("_DSL")]
-_INSERTS = st.binary(max_size=3) | st.sampled_from([b"{", b"}", b";", b"%", b"\n", b"prove ", b"conclude ", b"plus ", b"1e999", b" A"])
+_INSERTS = st.binary(max_size=3) | st.sampled_from([b"{", b"}", b";", b"%", b"\n", b"prove ", b"conclude ", b"plus ", b"1e999", b" A", b" -1", b"% keyword: "])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(source=st.sampled_from(_SOURCES), edits=st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 2), _INSERTS), min_size=1, max_size=4))
 def test_mutated_programs_raise_only_library_errors(source, edits):
-    # each edit replaces 0 to 2 bytes at a position with an insert
+    # each edit replaces 0 to 2 bytes at a position with an insert; what
+    # parses is a problem the model accepts
     data = bytearray(source.encode())
     for position, cut, insert in edits:
         start = position % (len(data) + 1)
         data[start : start + cut] = insert
     try:
-        parse_dsl(data.decode("utf-8", "replace"))
-    except I2gatpError:
-        pass
+        problem = parse_dsl(data.decode("utf-8", "replace"))
+    except DslError:
+        return
+    assert validate_problem(problem) == []

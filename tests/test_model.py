@@ -25,7 +25,10 @@ from i2gatp.model import (
     ProblemInfo,
     ProofAttempt,
     ProofStatus,
+    SegmentLength,
     canonicalize_problem,
+    predicate_point_ids,
+    term_point_ids,
     validate_problem,
 )
 from i2gatp.numeric import Verdict, check_conjecture
@@ -209,3 +212,13 @@ def test_term_beyond_the_depth_limit_cannot_be_built(varignon, cls):
             cls(*operands)
         assert exc.value.code == "ArityError"
         assert [(v.code, v.path, v.message) for v in exc.value.violations] == [refused]
+
+
+def test_point_ids_refuse_what_is_not_a_term_or_a_predicate():
+    # a term where a predicate belongs, and the reverse
+    with pytest.raises(TypeError, match="not a Term: Collinear"):
+        term_point_ids(Collinear("A", "B", "C"))
+    with pytest.raises(TypeError, match="not a Predicate: SegmentLength"):
+        predicate_point_ids(SegmentLength("A", "B"))
+    with pytest.raises(TypeError, match="not a Term: 'A'"):
+        predicate_point_ids(Equal("A", Const(1.0)))

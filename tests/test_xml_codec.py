@@ -9,7 +9,7 @@ import tracemalloc
 import xml.parsers.expat
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from i2gatp.container import (
@@ -463,6 +463,17 @@ def test_payloads_of_a_document_in_another_encoding_read_as_utf8(varignon, kind,
     assert canonicalize(kind, doc) == canonical
 
 
+@pytest.mark.parametrize("codec", ["utf-16-le", "utf-16-be"])
+def test_utf16_without_a_byte_order_mark_reads_as_its_utf8_twin(varignon, codec):
+    # the reader tells the byte order from the first '<'
+    info = dataclasses.replace(varignon.info, statement="<m a='1>2'>\u00e9</m>".encode())
+    canonical = serialize_information(info)
+    doc = _declared_in("UTF-16", canonical).decode("utf-16").encode(codec)
+    assert doc[:2] in (b"<\x00", b"\x00<")
+    assert parse_information(doc) == parse_information(canonical) == info
+    assert canonicalize(DocumentKind.INFORMATION, doc) == canonical
+
+
 def test_byte_order_mark_before_another_declared_encoding_is_skipped(varignon):
     # expat skips a UTF-8 byte order mark and reads the declared encoding
     k = _with_display(varignon, "<display>\u00e9</display>".encode())
@@ -812,6 +823,54 @@ def test_text_longer_than_the_parser_buffer_reads_whole():
     assert parse_information(split).keywords == ("ab",)
     for data in (doc, split):
         assert _tree(_parse_raw(data)[0]) == _tree(parse_raw_reference(data))
+
+
+@st.composite
+def _element(draw, depth: int = 0) -> tuple[bytes, tuple]:
+    """An element built from parts that a tag scan could misread, with what
+    ``raw`` and ``inner`` of its node must give: (raw, inner, children)."""
+
+    tag = draw(st.sampled_from("ab"))  # a child often has its parent's tag
+    start = f"<{tag}"
+    for name in draw(st.lists(st.sampled_from("xy"), unique=True, max_size=2)):
+        quote = draw(st.sampled_from("\"'"))
+        value = draw(st.text(alphabet="v>/'\" ", max_size=6)).replace(quote, "")  # '>', '/>', the other quote
+        start += f" {name}={quote}{value}{quote}"
+    start += draw(st.sampled_from(["", " ", "\n"]))
+    if depth == 3 or draw(st.booleans()):
+        raw = f"{start}/>".encode()
+        return raw, (raw, b"", [])
+    content, children = b"", []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            content += draw(st.text(alphabet="t> \n", max_size=4)).encode()  # text holds '>'
+        else:
+            raw, node = draw(_element(depth + 1))
+            content += raw
+            children.append(node)
+    closing = draw(st.sampled_from(["", " ", "\n"]))  # an end tag may end in whitespace
+    raw = f"{start}>".encode() + content + f"</{tag}{closing}>".encode()
+    return raw, (raw, content.strip(), children)
+
+
+def _assert_slices(node, data: bytes, expected: tuple) -> None:
+    raw, inner, children = expected
+    assert (node.raw(data), node.inner(data)) == (raw, inner)
+    assert len(node.children) == len(children)
+    for child, want in zip(node.children, children):
+        _assert_slices(child, data, want)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(element=_element())
+@example(element=(b'<a><a x="/>"/></a>', (b'<a><a x="/>"/></a>', b'<a x="/>"/>', [(b'<a x="/>"/>', b"", [])])))
+def test_raw_and_inner_give_back_the_bytes_of_each_element(element):
+    # a tag ends at the first '>' outside a quoted value; an end tag holds
+    # no quotes
+    data, expected = element
+    root, source = _parse_raw(data)
+    assert source is data
+    _assert_slices(root, data, expected)
 
 
 _name_st = st.from_regex(r"[A-Za-z0-9_][A-Za-z0-9_-]{0,20}", fullmatch=True)
