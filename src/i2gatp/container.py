@@ -132,7 +132,9 @@ def _write_zip(entries: list[Entry]) -> bytes:
         else:
             method, crc, size, body, attr = _STORED, zlib.crc32(data), len(data), data, _FILE_ATTR
             if size > _DEFLATE_THRESHOLD:
-                method, body = _DEFLATED, zlib.compress(data, _DEFLATE_LEVEL, -15)
+                # raw deflate is the zlib stream less its 2-byte header and
+                # 4-byte Adler-32 trailer (RFC 1950)
+                method, body = _DEFLATED, zlib.compress(data, _DEFLATE_LEVEL)[2:-4]
         fields = (flags, method, 0, _DOS_DATE, crc, len(body), size, len(raw))
         parts += (_LOCAL_HEADER.pack(b"PK\x03\x04", _VERSION, 0, *fields, 0), raw, body)
         central.append(_CENTRAL_HEADER.pack(b"PK\x01\x02", _VERSION, _UNIX, _VERSION, 0, *fields, 0, 0, 0, 0, attr, offset) + raw)

@@ -57,6 +57,7 @@ from .model import (
     SegmentRatio,
     Term,
     Violation,
+    construction_element_count,
     format_number,
     predicate_point_ids,
     validate_conjecture,
@@ -178,11 +179,14 @@ def _parse_prove_block(block: _Block, start_line: int):
 def _refuse_first(violations: list[Violation], lists: dict[str, list[tuple[object, int]]], line: int) -> None:
     """Raise the first of the model's ``violations``, if any, as a
     DslSyntaxError: at the line of its item, read from ``lists`` by the
-    list's name and the item's index, or at ``line`` when it names no item."""
+    list's name and the item's index, or at ``line`` when it names no item
+    of ``lists``."""
 
     if violations:
         item = _ITEM_PATH.match(violations[0].path)
-        raise DslSyntaxError(lists[item[1]][int(item[2])][1] if item else line, violations[0].message)
+        if item and item[1] in lists:
+            line = lists[item[1]][int(item[2])][1]
+        raise DslSyntaxError(line, violations[0].message)
 
 
 def parse_dsl(text: str) -> Problem:
@@ -246,9 +250,7 @@ def parse_dsl(text: str) -> Problem:
         kind = _STATEMENTS.get(keyword)
         if kind is None:
             raise DslSyntaxError(lineno, f"unknown statement {keyword!r}")
-        # construction, elements and constraints, and an element and a
-        # constraint per statement, as the model counts them
-        if 3 + 2 * (len(constraints) + 1) > MAX_XML_ELEMENTS:
+        if construction_element_count(len(constraints) + 1, len(constraints) + 1) > MAX_XML_ELEMENTS:
             raise DslSyntaxError(lineno, f"construction written with more than {MAX_XML_ELEMENTS} elements")
         if kind is ConstraintKind.FREE_POINT:
             if len(tokens) != 4:

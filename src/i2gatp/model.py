@@ -790,6 +790,14 @@ def _validate_element(e: ElementInstance, i: int, out: list[Violation]) -> None:
         _violation(out, "NegativeRadius", _element_path(i, e), f"circle radius {e.coords[2]} is negative")
 
 
+def construction_element_count(elements: int, constraints: int) -> int:
+    """The elements a <construction> of plain steps is written with: itself,
+    <elements> and one per element, <constraints> when there are any and
+    one per constraint."""
+
+    return 2 + elements + bool(constraints) + constraints
+
+
 def _validate_construction(k: Construction, out: list[Violation]) -> None:
     kinds: dict[str, GeoKind] = {}
     for i, e in enumerate(k.elements):
@@ -800,9 +808,8 @@ def _validate_construction(k: Construction, out: list[Violation]) -> None:
         else:
             kinds[e.id] = e.kind
         _validate_element(e, i, out)
-    # construction, elements, and constraints when there are any; an
-    # opaque constraint or the display is written as its payload's elements
-    elements = 2 + len(k.elements) + bool(k.constraints)
+    # an opaque constraint or the display is written as its payload's elements
+    elements = construction_element_count(len(k.elements), len(k.constraints))
     if k.display:
         root = _payload_root(out, k.display, 1, "/construction/display", "display")
         if root is not None and root[0] != "display":
@@ -828,7 +835,7 @@ def _validate_construction(k: Construction, out: list[Violation]) -> None:
             root = _payload_root(out, c.opaque_payload or b"", 2, path, "opaque constraint")
             if root is not None:
                 tag, attrs, count = root
-                elements += count
+                elements += count - 1
                 if tag != c.opaque_tag:
                     _violation(out, "UnknownTag", path, f"opaque constraint payload root is <{tag}>, expected <{c.opaque_tag}>")
                 elif tag in CONSTRAINT_TAGS:
@@ -837,7 +844,6 @@ def _validate_construction(k: Construction, out: list[Violation]) -> None:
                     _violation(out, "BadId", path, f"opaque constraint payload out {attrs.get('out')!r} is not its output {c.output!r}")
             defined.add(c.output)
             continue
-        elements += 1
         in_kinds, out_kind, param_attr = CONSTRAINT_SIGNATURES[c.kind]
         if len(c.inputs) != len(in_kinds):
             _violation(out, "ArityError", _constraint_path(i, c), f"{c.kind.value} takes {len(in_kinds)} inputs, got {len(c.inputs)}")
