@@ -47,6 +47,7 @@ from i2gatp.model import (
     validate_problem,
 )
 from i2gatp.numeric import (
+    SceneLine,
     ScenePoint,
     Tolerance,
     Verdict,
@@ -355,6 +356,49 @@ def test_eval_term_refuses_what_is_not_a_term():
 def test_eval_predicate_refuses_what_is_not_a_predicate():
     with pytest.raises(TypeError, match="not a Predicate: Const"):
         eval_predicate(_scene(A=(0, 0)), Const(1.0))
+
+
+# one predicate of each class, whose i-th point position holds the id Pi
+_POSITIONED = [
+    NotEqual("P0", "P1"),
+    Collinear("P0", "P1", "P2"),
+    Midpoint("P0", "P1", "P2"),
+    Parallel("P0", "P1", "P2", "P3"),
+    NotParallel("P0", "P1", "P2", "P3"),
+    Perpendicular("P0", "P1", "P2", "P3"),
+    SameLength("P0", "P1", "P2", "P3"),
+    SegmentRatio("P0", "P1", "P2", "P3", 2.0),
+    Harmonic("P0", "P1", "P2", "P3"),
+    Equal(Plus(SegmentLength("P0", "P1"), Const(1.0)), Mult(Const(2.0), SegmentLength("P2", "P3"))),
+]
+
+
+@pytest.mark.parametrize("pred", _POSITIONED, ids=lambda p: type(p).__name__)
+def test_a_bad_point_id_is_named_in_syntactic_order(pred):
+    # a hand-built scene: the ids before position `first` are points, the id
+    # there is missing or a line, and every later id is bad the other way
+    positions = 2 if isinstance(pred, NotEqual) else 3 if isinstance(pred, (Collinear, Midpoint)) else 4
+    for first in range(positions):
+        for bad, other in (("missing", "line"), ("line", "missing")):
+            scene = {}
+            for i in range(positions):
+                kind = "point" if i < first else bad if i == first else other
+                if kind == "point":
+                    scene[f"P{i}"] = ScenePoint(float(i), float(i * i))
+                elif kind == "line":
+                    scene[f"P{i}"] = SceneLine(1.0, 0.0, float(i))
+            calls = [lambda: eval_predicate(scene, pred)]
+            if isinstance(pred, Equal):
+                calls.append(lambda: eval_term(scene, Plus(pred.left, pred.right)))
+            for call in calls:
+                with pytest.raises((UnresolvedIdError, KindMismatchError)) as exc:
+                    call()
+                if bad == "missing":
+                    assert type(exc.value) is UnresolvedIdError
+                    assert exc.value.element_id == f"P{first}"
+                else:
+                    assert type(exc.value) is KindMismatchError
+                    assert (exc.value.element_id, exc.value.expected, exc.value.got) == (f"P{first}", "point", "line")
 
 
 def test_mult_by_zero_annihilates():
