@@ -49,6 +49,8 @@ from .model import (
     SegmentLength,
     SegmentRatio,
     Term,
+    predicate_point_ids,
+    term_point_ids,
 )
 
 __all__ = [
@@ -96,6 +98,7 @@ class SceneCircle(NamedTuple):
 
 SceneObject = ScenePoint | SceneLine | SceneCircle
 NumericScene = dict[str, SceneObject]
+_SCENE_CLASSES = {GeoKind.POINT: ScenePoint, GeoKind.LINE: SceneLine, GeoKind.CIRCLE: SceneCircle}
 
 
 @dataclass(frozen=True)
@@ -114,9 +117,10 @@ class Tolerance:
 
 
 class _Scene(dict):
-    """The scene one trial of :func:`check_conjecture` decides on, carrying
-    the scale of its run: the value a scan by :func:`scene_scale` computes
-    for it."""
+    """The scene one trial of :func:`check_conjecture` decides on: the plain
+    coordinate tuples of its run, whose point ids the check resolved before
+    its first trial, carrying the scale of the run (the value a scan by
+    :func:`scene_scale` computes for the typed scene)."""
 
     __slots__ = ("scale",)
 
@@ -140,20 +144,22 @@ def scene_scale(scene: NumericScene) -> float:
     return scale
 
 
-def _dist(p: ScenePoint, q: ScenePoint) -> float:
-    dx = p.x - q.x
-    dy = p.y - q.y
+def _dist(p: tuple, q: tuple) -> float:
+    dx = p[0] - q[0]
+    dy = p[1] - q[1]
     return math.sqrt(dx * dx + dy * dy)
 
 
-def _point(scene: NumericScene, ref: str) -> ScenePoint:
-    try:
-        obj = scene[ref]
-    except KeyError:
-        raise UnresolvedIdError(ref) from None
-    if not isinstance(obj, ScenePoint):
-        raise KindMismatchError(ref, "point", type(obj).__name__.removeprefix("Scene").lower())
-    return obj
+def _check_points(scene: NumericScene, refs: tuple[str, ...]) -> None:
+    """Raise for the first of ``refs`` that names no point of ``scene``."""
+
+    for ref in refs:
+        try:
+            obj = scene[ref]
+        except KeyError:
+            raise UnresolvedIdError(ref) from None
+        if not isinstance(obj, ScenePoint):
+            raise KindMismatchError(ref, "point", type(obj).__name__.removeprefix("Scene").lower())
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +167,14 @@ def _point(scene: NumericScene, ref: str) -> ScenePoint:
 #
 # A construction is compiled once into a plan, which then runs once per set
 # of free coordinates.  A run keeps its objects in a list of slots: slot i
-# holds the scene object of the plan's i-th output id, and the slots after
-# those hold the free coordinate pairs of the run.  Each step carries the
-# opcode of its kind from the table below, and one loop in _run computes the
-# new object of each opcode from the contents of the step's two input slots
-# (a one-input step reads its input twice, a free point its coordinate
-# pair).  The first slots of a run are then its scene.
+# holds the object of the plan's i-th output id, and the slots after those
+# hold the free coordinate pairs of the run.  Every slot is a plain tuple,
+# (x, y), (a, b, c) or (cx, cy, r): a named tuple costs a Python call to
+# build, so only instantiate types the objects, by the plan's kinds.  Each
+# step carries the opcode of its kind from the table below, and one loop in
+# _run computes the new object of each opcode from the contents of the
+# step's two input slots (a one-input step reads its input twice, a free
+# point its coordinate pair).  The first slots of a run are then its scene.
 
 _NOT_FINITE = "coordinates are not finite"
 
@@ -205,11 +213,12 @@ _SIGNED_STEPS = {kind: (_STEPS[kind], ins, out) for kind, (ins, out, _attr) in C
 class _Plan:
     """A construction compiled for repeated runs: its free ids in draw
     order, per constraint (opcode, constraint, input slot, input slot,
-    output slot), and its output ids in slot order."""
+    output slot), its output ids in slot order, and the kind of each."""
 
     free_ids: tuple[str, ...]
     steps: tuple[tuple, ...]
     ids: tuple[str, ...]
+    kinds: dict[str, GeoKind]
 
 
 def _compile(construction: Construction) -> _Plan:
@@ -247,20 +256,19 @@ def _compile(construction: Construction) -> _Plan:
             first = second = pair_slot[c.output]
         steps.append((op, c, first, second, slot[c.output]))
         kinds[c.output] = out_kind
-    return _Plan(free_ids, tuple(steps), ids)
+    return _Plan(free_ids, tuple(steps), ids, kinds)
 
 
 def _run(plan: _Plan, pairs: list[tuple[float, float]], eps_rel: float) -> tuple[list, float]:
     """One run of ``plan`` over free coordinate pairs in ``plan.free_ids``
-    order: its slots, which start with the scene objects of ``plan.ids``,
-    and the scale of that scene.  A step whose inputs are degenerate, or
-    whose result is not finite, raises DegenerateStep."""
+    order: its slots, which start with the plain coordinate tuples of the
+    objects of ``plan.ids``, and the scale of that scene.  A step whose
+    inputs are degenerate, or whose result is not finite, raises
+    DegenerateStep."""
 
     slots = [None] * len(plan.ids) + pairs
     scale = 1.0
     sqrt, inf = math.sqrt, math.inf
-    # the generated __new__ of a named tuple costs a Python call per step
-    new = tuple.__new__
     for op, c, first, second, out in plan.steps:
         if op <= _ON_CIRCLE:
             if op == _FREE_POINT:
@@ -295,7 +303,7 @@ def _run(plan: _Plan, pairs: list[tuple[float, float]], eps_rel: float) -> tuple
             ay = abs(y)
             if not ay <= scale:
                 scale = _grow(c.output, ay)
-            slots[out] = new(ScenePoint, (x, y))
+            slots[out] = (x, y)
         elif op != _CIRCLE:
             if op == _LINE:
                 px, py = slots[first]
@@ -322,7 +330,7 @@ def _run(plan: _Plan, pairs: list[tuple[float, float]], eps_rel: float) -> tuple
             ak = abs(k)
             if not ak <= scale:
                 scale = _grow(c.output, ak)
-            slots[out] = new(SceneLine, (a, b, k))
+            slots[out] = (a, b, k)
         else:
             # the centre's coordinates grew the scale when the centre was made
             ox, oy = slots[first]
@@ -332,16 +340,25 @@ def _run(plan: _Plan, pairs: list[tuple[float, float]], eps_rel: float) -> tuple
             r = sqrt(dx * dx + dy * dy)
             if not r <= scale:
                 scale = _grow(c.output, r)
-            slots[out] = new(SceneCircle, (ox, oy, r))
+            slots[out] = (ox, oy, r)
     return slots, scale
 
 
 def _scene_of(plan: _Plan, slots: list, scale: float) -> _Scene:
-    """The scene of a run of ``plan``, carrying the run's scale."""
+    """The trial scene of a run of ``plan``, carrying the run's scale."""
 
     scene = _Scene(zip(plan.ids, slots))
     scene.scale = scale
     return scene
+
+
+def _typed_scene(plan: _Plan, slots: list) -> NumericScene:
+    """The scene of a run of ``plan``, each object typed by its kind."""
+
+    kinds = plan.kinds
+    # the generated __new__ of a named tuple costs a Python call per object
+    new = tuple.__new__
+    return {eid: new(_SCENE_CLASSES[kinds[eid]], obj) for eid, obj in zip(plan.ids, slots)}
 
 
 def instantiate(
@@ -369,7 +386,7 @@ def instantiate(
         raise ValueError(f"free assignment mismatch: missing {missing}, extra {extra}")
     plan = _compile(construction)
     pairs = [(float(x), float(y)) for x, y in map(free_assign.__getitem__, free_ids)]
-    return dict(zip(plan.ids, _run(plan, pairs, tol.eps_rel)[0]))
+    return _typed_scene(plan, _run(plan, pairs, tol.eps_rel)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -379,72 +396,92 @@ def instantiate(
 def eval_term(scene: NumericScene, term: Term) -> float:
     """Evaluate an arithmetic term over the scene."""
 
+    _check_points(scene, term_point_ids(term))
+    return _term_value(scene, term)
+
+
+def _term_value(scene: NumericScene, term: Term) -> float:
     if isinstance(term, Const):
         return term.value
     if isinstance(term, SegmentLength):
-        return _dist(_point(scene, term.a), _point(scene, term.b))
+        return _dist(scene[term.a], scene[term.b])
     if isinstance(term, Plus):
-        return eval_term(scene, term.left) + eval_term(scene, term.right)
+        return _term_value(scene, term.left) + _term_value(scene, term.right)
     if isinstance(term, Mult):
-        return eval_term(scene, term.left) * eval_term(scene, term.right)
+        return _term_value(scene, term.left) * _term_value(scene, term.right)
     raise TypeError(f"not a Term: {term!r}")
 
 
 # Residual functions: (scene, predicate, eps_rel, scale) -> (residual, eps).
+# They read each point's coordinates straight from the scene, whose ids
+# eval_predicate or check_conjecture has resolved.
 
 
 def _collinear(scene, pred, eps_rel, scale):
-    p, q, r = _point(scene, pred.p), _point(scene, pred.q), _point(scene, pred.r)
-    return abs((q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)), eps_rel * scale * scale
+    px, py = scene[pred.p]
+    qx, qy = scene[pred.q]
+    rx, ry = scene[pred.r]
+    return abs((qx - px) * (ry - py) - (qy - py) * (rx - px)), eps_rel * scale * scale
 
 
 def _cross(scene, pred, eps_rel, scale):
-    a, b, c, d = _point(scene, pred.a), _point(scene, pred.b), _point(scene, pred.c), _point(scene, pred.d)
-    return abs((b.x - a.x) * (d.y - c.y) - (b.y - a.y) * (d.x - c.x)), eps_rel * scale * scale
+    ax, ay = scene[pred.a]
+    bx, by = scene[pred.b]
+    cx, cy = scene[pred.c]
+    dx, dy = scene[pred.d]
+    return abs((bx - ax) * (dy - cy) - (by - ay) * (dx - cx)), eps_rel * scale * scale
 
 
 def _dot(scene, pred, eps_rel, scale):
-    a, b, c, d = _point(scene, pred.a), _point(scene, pred.b), _point(scene, pred.c), _point(scene, pred.d)
-    return abs((b.x - a.x) * (d.x - c.x) + (b.y - a.y) * (d.y - c.y)), eps_rel * scale * scale
+    ax, ay = scene[pred.a]
+    bx, by = scene[pred.b]
+    cx, cy = scene[pred.c]
+    dx, dy = scene[pred.d]
+    return abs((bx - ax) * (dx - cx) + (by - ay) * (dy - cy)), eps_rel * scale * scale
 
 
 def _midpoint(scene, pred, eps_rel, scale):
-    m, a, b = _point(scene, pred.m), _point(scene, pred.a), _point(scene, pred.b)
-    return math.sqrt((m.x - (a.x + b.x) / 2.0) ** 2 + (m.y - (a.y + b.y) / 2.0) ** 2), eps_rel * scale
+    mx, my = scene[pred.m]
+    ax, ay = scene[pred.a]
+    bx, by = scene[pred.b]
+    return math.sqrt((mx - (ax + bx) / 2.0) ** 2 + (my - (ay + by) / 2.0) ** 2), eps_rel * scale
 
 
 def _same_length(scene, pred, eps_rel, scale):
-    a, b, c, d = _point(scene, pred.a), _point(scene, pred.b), _point(scene, pred.c), _point(scene, pred.d)
-    return abs(_dist(a, b) - _dist(c, d)), eps_rel * scale
+    return abs(_dist(scene[pred.a], scene[pred.b]) - _dist(scene[pred.c], scene[pred.d])), eps_rel * scale
 
 
 def _segment_ratio(scene, pred, eps_rel, scale):
-    a, b, c, d = _point(scene, pred.a), _point(scene, pred.b), _point(scene, pred.c), _point(scene, pred.d)
-    return abs(_dist(a, b) - pred.ratio * _dist(c, d)), eps_rel * scale
+    ab, cd = _dist(scene[pred.a], scene[pred.b]), _dist(scene[pred.c], scene[pred.d])
+    return abs(ab - pred.ratio * cd), eps_rel * scale
 
 
 def _equal(scene, pred, eps_rel, scale):
-    lhs = eval_term(scene, pred.left)
-    rhs = eval_term(scene, pred.right)
+    lhs = _term_value(scene, pred.left)
+    rhs = _term_value(scene, pred.right)
     return abs(lhs - rhs), eps_rel * max(1.0, abs(lhs), abs(rhs))
 
 
 def _distinct(scene, pred, eps_rel, scale):
-    return _dist(_point(scene, pred.p), _point(scene, pred.q)), eps_rel * scale
+    return _dist(scene[pred.p], scene[pred.q]), eps_rel * scale
 
 
 def _harmonic(scene, pred, eps_rel, scale):
-    a, b, c, d = _point(scene, pred.a), _point(scene, pred.b), _point(scene, pred.c), _point(scene, pred.d)
+    a, b = scene[pred.a], scene[pred.b]
+    ax, ay = a
+    bx, by = b
+    cx, cy = scene[pred.c]
+    dx, dy = scene[pred.d]
     eps1 = eps_rel * scale
     ab = _dist(a, b)
     if ab < eps1:
         raise DegeneratePredicateError(f"base points {pred.a} and {pred.b} coincide")
-    ux = (b.x - a.x) / ab
-    uy = (b.y - a.y) / ab
+    ux = (bx - ax) / ab
+    uy = (by - ay) / ab
     # signed coordinates along the ab direction
     tb = ab
-    tc = (c.x - a.x) * ux + (c.y - a.y) * uy
-    td = (d.x - a.x) * ux + (d.y - a.y) * uy
+    tc = (cx - ax) * ux + (cy - ay) * uy
+    td = (dx - ax) * ux + (dy - ay) * uy
     cb = tb - tc
     ad = td
     if abs(cb) < eps1:
@@ -480,9 +517,11 @@ def eval_predicate(scene: NumericScene, pred: Predicate, tol: Tolerance | None =
     Affirmative predicates are true when the residual is within eps, the two
     negative ones (not_equal, not_parallel) when it exceeds eps.
 
-    Raises DegeneratePredicateError when the predicate's own denominators
-    vanish, or when the residual or eps is not finite (an overflow, say of
-    a squared length near 1e154); that outcome is distinct from false.
+    Raises UnresolvedIdError or KindMismatchError for the first point id, in
+    syntactic order, that names no point of the scene.  Raises
+    DegeneratePredicateError when the predicate's own denominators vanish,
+    or when the residual or eps is not finite (an overflow, say of a squared
+    length near 1e154); that outcome is distinct from false.
     """
 
     tol = tol or Tolerance()
@@ -491,6 +530,9 @@ def eval_predicate(scene: NumericScene, pred: Predicate, tol: Tolerance | None =
         residual_of, negative = _RESIDUALS[type(pred)]
     except KeyError:
         raise TypeError(f"not a Predicate: {pred!r}") from None
+    # a trial scene's ids were resolved before the check's first trial
+    if type(scene) is not _Scene:
+        _check_points(scene, predicate_point_ids(pred))
     residual, eps = residual_of(scene, pred, tol.eps_rel, scale)
     margin = residual - eps
     # both are >= 0, so the margin is finite exactly when both are; on finite
@@ -654,7 +696,8 @@ def check_conjecture(
 ) -> CheckReport:
     """Sample free points ``trials`` times and test the conjecture.
 
-    The construction is compiled once, so opaque steps and unresolved,
+    The construction is compiled once, and every point id of the
+    conjecture resolved against it, so opaque steps and unresolved,
     mis-kinded or redefined ids raise before the first sample.  Per sample:
     run the compiled construction into the scene :func:`instantiate` would
     return (degenerate steps count as degenerate samples); evaluate ndg
@@ -668,11 +711,19 @@ def check_conjecture(
     if problem.conjecture is None:
         raise NoConjectureError()
     plan = _compile(problem.construction)
+    conjecture = problem.conjecture
+    kinds = plan.kinds
+    for pred in conjecture.ndg + conjecture.hypothesis + conjecture.conclusion:
+        for ref in predicate_point_ids(pred):
+            kind = kinds.get(ref)
+            if kind is not GeoKind.POINT:
+                if kind is None:
+                    raise UnresolvedIdError(ref)
+                raise KindMismatchError(ref, "point", kind.value)
     if trials <= 0:
         raise ValueError(f"trials must be > 0, got {trials}")
     _check_sample_range(coord_range)
     tol = tol or Tolerance()
-    conjecture = problem.conjecture
     free_ids = plan.free_ids
 
     degenerate = 0

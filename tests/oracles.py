@@ -236,9 +236,10 @@ _STEPS = {
 
 
 def run_reference(plan, pairs: list[tuple[float, float]], eps_rel: float) -> tuple[list, float]:
-    """What ``numeric._run`` returns for a compiled ``plan``: its slots and
-    scale, or the DegenerateStep it raises.  Each step runs the function of
-    its constraint kind on the contents of its two input slots."""
+    """What ``numeric._run`` returns for a compiled ``plan``, with each scene
+    object typed as ``numeric.instantiate`` types it: its slots and scale,
+    or the DegenerateStep it raises.  Each step runs the function of its
+    constraint kind on the contents of its two input slots."""
 
     slots = [None] * len(plan.ids) + pairs
     scale = 1.0

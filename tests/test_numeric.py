@@ -55,6 +55,7 @@ from i2gatp.numeric import (
     _run,
     _scene_of,
     _SplitMix64,
+    _typed_scene,
     check_conjecture,
     eval_predicate,
     eval_term,
@@ -632,6 +633,18 @@ def test_contradictory_ndg_is_vacuous(varignon):
     assert report.samples_checked == 0
 
 
+@pytest.mark.parametrize("ref, error", [("ZZ", UnresolvedIdError), ("a", KindMismatchError)], ids=["undefined id", "line id"])
+def test_predicate_ids_resolve_before_the_first_trial(varignon, ref, error):
+    # no trial reaches the conclusion, whose id names no point, yet the
+    # check refuses it rather than report a vacuous conjecture
+    conj = Conjecture(hypothesis=(), ndg=(NotEqual("A", "A"),), conclusion=(NotEqual("A", ref),))
+    with pytest.raises(error) as exc:
+        check_conjecture(dataclasses.replace(varignon, conjecture=conj), 50, seed=1)
+    assert exc.value.element_id == ref
+    if error is KindMismatchError:
+        assert (exc.value.expected, exc.value.got) == ("point", "line")
+
+
 @pytest.mark.parametrize(
     "conjecture, degenerate, hypothesis_failed",
     [
@@ -808,7 +821,9 @@ def test_instantiated_scene_carries_the_scanned_scale(corpus):
                 scene = _scene_of(plan, *_run(plan, pairs, Tolerance().eps_rel))
             except DegenerateStep:
                 continue
-            plain = dict(scene)
+            # the trial scene holds plain tuples; scan a copy typed as
+            # instantiate types it
+            plain = _typed_scene(plan, list(scene.values()))
             assert scene_scale(scene).hex() == scene_scale(plain).hex()
             for pred in predicates:
                 try:
@@ -863,7 +878,8 @@ def test_trial_scene_agrees_with_the_full_scene(corpus):
                     continue
                 pairs = _SplitMix64(seed).next_points(len(plan.free_ids), coord_range)
                 trial = _scene_of(plan, *_run(plan, pairs, Tolerance().eps_rel))
-                assert list(trial.items()) == list(full.items()) and repr(trial) == repr(full)
+                typed = _typed_scene(plan, list(trial.values()))
+                assert list(typed.items()) == list(full.items()) and repr(typed) == repr(full)
                 assert scene_scale(trial).hex() == scene_scale(full).hex()
                 compared += 1
     assert compared > 200
@@ -873,15 +889,18 @@ def test_trial_scene_agrees_with_the_full_scene(corpus):
 # The interpreter against the reference runner
 
 
-def _run_outcome(run, plan, pairs):
+def _run_outcome(run, plan, pairs, typed):
     """What ``run`` gives for ``plan`` over ``pairs``: the float.hex() of
     every coordinate of every slot, with its type, and of the scale; or the
-    step id and reason of the DegenerateStep it raises."""
+    step id and reason of the DegenerateStep it raises.  When ``typed``, the
+    scene objects are typed first, as instantiate types them."""
 
     try:
         slots, scale = run(plan, list(pairs), Tolerance().eps_rel)
     except DegenerateStep as exc:
         return ("degenerate", exc.step_id, exc.reason)
+    if typed:
+        slots = list(_typed_scene(plan, slots).values()) + slots[len(plan.ids):]
     return [(type(obj), tuple(v.hex() for v in obj)) for obj in slots], scale.hex()
 
 
@@ -903,8 +922,8 @@ def test_run_matches_the_reference_bit_for_bit(corpus):
         runs.append((plan, [free[fid] for fid in plan.free_ids]))
     reasons = []
     for plan, pairs in runs:
-        outcome = _run_outcome(_run, plan, pairs)
-        assert outcome == _run_outcome(run_reference, plan, pairs)
+        outcome = _run_outcome(_run, plan, pairs, typed=True)
+        assert outcome == _run_outcome(run_reference, plan, pairs, typed=False)
         if outcome[0] == "degenerate":
             reasons.append(outcome[2])
     assert 0 < len(reasons) < len(runs)
