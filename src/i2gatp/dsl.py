@@ -358,15 +358,27 @@ def _step_text(name: str, c: Constraint) -> str:
     return " ".join(parts)
 
 
+def _refuse_invalid_info(problem: Problem) -> None:
+    """Raise CodecError with the violations of an invalid ``problem.info``,
+    whose header no reader would read back."""
+
+    if problem.info is not None:
+        faults = validate_info(problem.info)
+        if faults:
+            raise CodecError(faults)
+
+
 def emit_dsl(problem: Problem) -> str:
     """Canonical DSL text; parse_dsl is its inverse within DSL coverage.
-    A free point with no point instance raises CodecError, carrying the
-    violation that validate_construction reports for its step."""
+    Invalid information, or a free point with no point instance, raises
+    CodecError, carrying the violations that validate_info or, for the
+    step, validate_construction reports."""
 
+    _refuse_invalid_info(problem)
     points = {e.id: e.coords for e in problem.construction.elements if e.kind is GeoKind.POINT}
     lines: list[str] = []
     if problem.info is not None:
-        lines.append(f"% name: {_one_line(problem.info.name)}")
+        lines.append(f"% name: {problem.info.name}")
         if problem.info.description:
             lines.append(f"% description: {_one_line(problem.info.description)}")
         for kw in problem.info.keywords:
@@ -397,13 +409,15 @@ def emit_dsl(problem: Problem) -> str:
 
 
 def emit_prover_input(problem: Problem) -> str:
-    """Line-oriented neutral prover statement (versioned, .gpi)."""
+    """Line-oriented neutral prover statement (versioned, .gpi).  Invalid
+    information raises CodecError, as in :func:`emit_dsl`."""
 
     if problem.conjecture is None:
         raise NoConjectureError()
+    _refuse_invalid_info(problem)
     lines = ["gpi 1"]
     if problem.info is not None:
-        lines.append(f"problem {_one_line(problem.info.name)}")
+        lines.append(f"problem {problem.info.name}")
     lines.append("construction:")
     for c in problem.construction.constraints:
         if c.kind is ConstraintKind.OPAQUE:
