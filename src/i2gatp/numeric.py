@@ -394,7 +394,9 @@ def instantiate(
 
 
 def eval_term(scene: NumericScene, term: Term) -> float:
-    """Evaluate an arithmetic term over the scene."""
+    """Evaluate an arithmetic term over the scene.  Raises
+    UnresolvedIdError or KindMismatchError for the first point id, in
+    syntactic order, that names no point of the scene."""
 
     _check_points(scene, term_point_ids(term))
     return _term_value(scene, term)
