@@ -59,12 +59,16 @@ def _read_bytes(path: str) -> bytes:
     return Path(path).read_bytes()
 
 
-def _write_bytes(path: str, data: bytes) -> None:
+def _write_output(path: str, data: bytes) -> None:
+    """Write a command's output to ``path``, then print the path; ``-``
+    writes the bytes alone to stdout."""
+
     if path == "-":
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
         return
     Path(path).write_bytes(data)
+    print(path)
 
 
 def _entries_from_dir(root: Path) -> list[Entry]:
@@ -100,10 +104,7 @@ def _cmd_pack(args) -> int:
         print("error: input has no information.xml; pass --name", file=sys.stderr)
         return EXIT_IO_OR_FORMAT
     data = pack(problem)
-    out = args.out or suggested_filename(problem, args.name)
-    _write_bytes(out, data)
-    if out != "-":
-        print(out)
+    _write_output(args.out or suggested_filename(problem, args.name), data)
     return EXIT_OK
 
 
@@ -127,9 +128,7 @@ def _cmd_unpack(args) -> int:
 
 
 def _cmd_strip(args) -> int:
-    _write_bytes(args.out, strip_to_i2g(_read_bytes(args.archive)))
-    if args.out != "-":
-        print(args.out)
+    _write_output(args.out, strip_to_i2g(_read_bytes(args.archive)))
     return EXIT_OK
 
 
@@ -205,9 +204,7 @@ def _cmd_convert(args) -> int:
         out = pack(problem)
     else:
         out = emit_prover_input(problem).encode("utf-8")
-    _write_bytes(args.out, out)
-    if args.out != "-":
-        print(args.out)
+    _write_output(args.out, out)
     return EXIT_OK
 
 

@@ -57,6 +57,7 @@ from .model import (
     SegmentRatio,
     Term,
     Violation,
+    _refuse,
     construction_element_count,
     format_number,
     predicate_point_ids,
@@ -178,15 +179,16 @@ def _parse_prove_block(block: _Block, start_line: int):
 
 def _refuse_first(violations: list[Violation], lists: dict[str, list[tuple[object, int]]], line: int) -> None:
     """Raise the first of the model's ``violations``, if any, as a
-    DslSyntaxError: at the line of its item, read from ``lists`` by the
-    list's name and the item's index, or at ``line`` when it names no item
-    of ``lists``."""
+    DslUnresolvedId for an UnresolvedId and a DslSyntaxError otherwise: at
+    the line of its item, read from ``lists`` by the list's name and the
+    item's index, or at ``line`` when it names no item of ``lists``."""
 
     if violations:
-        item = _ITEM_PATH.match(violations[0].path)
+        first = violations[0]
+        item = _ITEM_PATH.match(first.path)
         if item and item[1] in lists:
             line = lists[item[1]][int(item[2])][1]
-        raise DslSyntaxError(line, violations[0].message)
+        raise (DslUnresolvedId if first.code == "UnresolvedId" else DslSyntaxError)(line, first.message)
 
 
 def parse_dsl(text: str) -> Problem:
@@ -291,20 +293,13 @@ def parse_dsl(text: str) -> Problem:
 
     conjecture = None
     if sections is not None:
-        for preds in sections.values():
-            for p, pline in preds:
-                for ref in predicate_point_ids(p):
-                    if ref not in kinds:
-                        raise DslUnresolvedId(pline, f"undefined id {ref!r}")
-                    if kinds[ref] is not GeoKind.POINT:
-                        raise DslSyntaxError(pline, f"{ref!r} is a {kinds[ref].value}, predicates take points")
         conjecture = Conjecture(
             hypothesis=tuple(p for p, _ in sections["hyp"]),
             ndg=tuple(p for p, _ in sections["ndg"]),
             conclusion=tuple(p for p, _ in sections["conclude"]),
         )
         lists = {"hypothesis": sections["hyp"], "ndg": sections["ndg"], "conclusion": sections["conclude"]}
-        _refuse_first(validate_conjecture(conjecture), lists, prove_line)
+        _refuse_first(validate_conjecture(conjecture, construction), lists, prove_line)
 
     info = None
     if header or keywords:
@@ -358,26 +353,16 @@ def _step_text(name: str, c: Constraint) -> str:
     return " ".join(parts)
 
 
-def _refuse_invalid_info(problem: Problem) -> None:
-    """Raise CodecError with the violations of an invalid ``problem.info``,
-    whose header no reader would read back."""
-
-    if problem.info is not None:
-        faults = validate_info(problem.info)
-        if faults:
-            raise CodecError(faults)
-
-
 def emit_dsl(problem: Problem) -> str:
     """Canonical DSL text; parse_dsl is its inverse within DSL coverage.
     Invalid information, or a free point with no point instance, raises
     CodecError, carrying the violations that validate_info or, for the
     step, validate_construction reports."""
 
-    _refuse_invalid_info(problem)
     points = {e.id: e.coords for e in problem.construction.elements if e.kind is GeoKind.POINT}
     lines: list[str] = []
     if problem.info is not None:
+        _refuse(validate_info(problem.info))
         lines.append(f"% name: {problem.info.name}")
         if problem.info.description:
             lines.append(f"% description: {_one_line(problem.info.description)}")
@@ -414,9 +399,9 @@ def emit_prover_input(problem: Problem) -> str:
 
     if problem.conjecture is None:
         raise NoConjectureError()
-    _refuse_invalid_info(problem)
     lines = ["gpi 1"]
     if problem.info is not None:
+        _refuse(validate_info(problem.info))
         lines.append(f"problem {problem.info.name}")
     lines.append("construction:")
     for c in problem.construction.constraints:

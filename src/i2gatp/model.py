@@ -404,9 +404,7 @@ def predicate_point_ids(p: Predicate) -> tuple[str, ...]:
         return (p.p, p.q, p.r)
     if isinstance(p, Midpoint):
         return (p.m, p.a, p.b)
-    if isinstance(p, (NotParallel, Perpendicular, Parallel, SameLength, Harmonic)):
-        return (p.a, p.b, p.c, p.d)
-    if isinstance(p, SegmentRatio):
+    if isinstance(p, (NotParallel, Perpendicular, Parallel, SameLength, Harmonic, SegmentRatio)):
         return (p.a, p.b, p.c, p.d)
     if isinstance(p, Equal):
         return term_point_ids(p.left) + term_point_ids(p.right)
@@ -634,6 +632,14 @@ def _violation(out: list[Violation], code: str, path: str, message: str) -> None
     out.append(Violation(code, path, message))
 
 
+def _refuse(violations: list[Violation]) -> None:
+    """Raise CodecError carrying ``violations`` unless the list is empty: a
+    writer's refusal of a value the validators reject."""
+
+    if violations:
+        raise CodecError(violations)
+
+
 def _payload_root(out: list[Violation], data: bytes, depth: int, path: str, what: str) -> tuple[str, dict[str, str], int] | None:
     """The tag and attributes of the root element of ``data``, a payload
     that is written inside ``depth`` elements, and its number of elements;
@@ -745,7 +751,10 @@ def _predicate_path(section: str, i: int, p: Predicate) -> str:
     return f"/conjecture/{section}/{PREDICATE_NAMES[type(p)]}[{i}]"
 
 
-def _validate_info(info: ProblemInfo, out: list[Violation]) -> None:
+def validate_info(info: ProblemInfo) -> list[Violation]:
+    """Violations of the generic-information invariants alone."""
+
+    out: list[Violation] = []
     if not info.name:
         _violation(out, "MissingName", "/information/name", "problem name is required")
     elif not PROBLEM_NAME_RE.match(info.name):
@@ -774,6 +783,7 @@ def _validate_info(info: ProblemInfo, out: list[Violation]) -> None:
             _violation(out, "DuplicateKeyword", _keyword_path(i), f"duplicate keyword {norm!r}")
         seen_kw.add(norm)
     _count_elements(out, elements, "information")
+    return out
 
 
 def _validate_element(e: ElementInstance, i: int, out: list[Violation]) -> None:
@@ -798,7 +808,11 @@ def construction_element_count(elements: int, constraints: int) -> int:
     return 2 + elements + bool(constraints) + constraints
 
 
-def _validate_construction(k: Construction, out: list[Violation]) -> None:
+def validate_construction(k: Construction) -> list[Violation]:
+    """Violations of the construction invariants alone (ids, arities,
+    kinds, straight-line order, element/constraint bijection)."""
+
+    out: list[Violation] = []
     kinds: dict[str, GeoKind] = {}
     for i, e in enumerate(k.elements):
         if not ID_RE.match(e.id):
@@ -872,6 +886,7 @@ def _validate_construction(k: Construction, out: list[Violation]) -> None:
         if e.id not in outputs_seen:
             _violation(out, "UnconstrainedElement", _element_path(i, e), f"element {e.id!r} is not the output of any constraint")
     _count_elements(out, elements, "construction")
+    return out
 
 
 def _non_finite_constants(t: Term) -> int:
@@ -884,7 +899,11 @@ def _non_finite_constants(t: Term) -> int:
     return 0
 
 
-def _validate_conjecture(c: Conjecture, k: Construction | None, out: list[Violation]) -> None:
+def validate_conjecture(c: Conjecture, k: Construction | None = None) -> list[Violation]:
+    """Violations of the conjecture invariants; id resolution is checked
+    only when a construction is supplied."""
+
+    out: list[Violation] = []
     if not c.conclusion:
         _violation(out, "MissingConclusion", "/conjecture/conclusion", "conclusion must contain at least one predicate")
     sections = (("hypothesis", c.hypothesis), ("ndg", c.ndg), ("conclusion", c.conclusion))
@@ -895,7 +914,7 @@ def _validate_conjecture(c: Conjecture, k: Construction | None, out: list[Violat
     elements += sum(p.left.nodes + p.right.nodes for _section, preds in sections for p in preds if isinstance(p, Equal))
     if elements > MAX_XML_ELEMENTS:
         _count_elements(out, elements, "conjecture")
-        return
+        return out
     kinds = k.element_kinds() if k is not None else None
     for section, preds in sections:
         for i, p in enumerate(preds):
@@ -916,6 +935,7 @@ def _validate_conjecture(c: Conjecture, k: Construction | None, out: list[Violat
             elif isinstance(p, SegmentRatio):
                 if not math.isfinite(p.ratio) or p.ratio < 0.0:
                     _violation(out, "BadRatio", _predicate_path(section, i, p), f"segment ratio {p.ratio} must be finite and >= 0")
+    return out
 
 
 def _validate_attempt(a: ProofAttempt, path: str, out: list[Violation]) -> None:
@@ -963,12 +983,10 @@ def validate_problem(problem: Problem) -> list[Violation]:
     empty list means the problem is valid.
     """
 
-    out: list[Violation] = []
-    if problem.info is not None:
-        _validate_info(problem.info, out)
-    _validate_construction(problem.construction, out)
+    out = validate_info(problem.info) if problem.info is not None else []
+    out += validate_construction(problem.construction)
     if problem.conjecture is not None:
-        _validate_conjecture(problem.conjecture, problem.construction, out)
+        out += validate_conjecture(problem.conjecture, problem.construction)
     seen_triples: set[tuple[str, str, str]] = set()
     for i, attempt in enumerate(problem.proofs):
         path = f"/proofs/attempt[{i}]"
@@ -984,32 +1002,6 @@ def validate_problem(problem: Problem) -> list[Violation]:
     _validate_carried_files(problem.resources, "resources", None, out)
     _validate_carried_files(problem.metadata, "metadata", "metadata/", out)
     _validate_carried_files(problem.private, "private", "private/", out)
-    return out
-
-
-def validate_info(info: ProblemInfo) -> list[Violation]:
-    """Violations of the generic-information invariants alone."""
-
-    out: list[Violation] = []
-    _validate_info(info, out)
-    return out
-
-
-def validate_construction(k: Construction) -> list[Violation]:
-    """Violations of the construction invariants alone (ids, arities,
-    kinds, straight-line order, element/constraint bijection)."""
-
-    out: list[Violation] = []
-    _validate_construction(k, out)
-    return out
-
-
-def validate_conjecture(c: Conjecture, k: Construction | None = None) -> list[Violation]:
-    """Violations of the conjecture invariants; id resolution is checked
-    only when a construction is supplied."""
-
-    out: list[Violation] = []
-    _validate_conjecture(c, k, out)
     return out
 
 

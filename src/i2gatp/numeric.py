@@ -37,7 +37,6 @@ from .model import (
     GeoKind,
     Harmonic,
     Midpoint,
-    Mult,
     NotEqual,
     NotParallel,
     Parallel,
@@ -129,18 +128,21 @@ def scene_scale(scene: NumericScene) -> float:
     """Max absolute coordinate magnitude across the scene, floored at 1.
 
     A trial scene of :func:`check_conjecture` carries it; any other mapping
-    is scanned."""
+    is scanned, and raises TypeError naming the id of a value that is not a
+    ScenePoint, SceneLine or SceneCircle."""
 
     if isinstance(scene, _Scene):
         return scene.scale
     scale = 1.0
-    for obj in scene.values():
+    for ref, obj in scene.items():
         if isinstance(obj, ScenePoint):
             scale = max(scale, abs(obj.x), abs(obj.y))
         elif isinstance(obj, SceneLine):
             scale = max(scale, abs(obj.c))
-        else:
+        elif isinstance(obj, SceneCircle):
             scale = max(scale, abs(obj.cx), abs(obj.cy), obj.r)
+        else:
+            raise TypeError(f"scene value of {ref!r} is not a scene object: {obj!r}")
     return scale
 
 
@@ -409,9 +411,8 @@ def _term_value(scene: NumericScene, term: Term) -> float:
         return _dist(scene[term.a], scene[term.b])
     if isinstance(term, Plus):
         return _term_value(scene, term.left) + _term_value(scene, term.right)
-    if isinstance(term, Mult):
-        return _term_value(scene, term.left) * _term_value(scene, term.right)
-    raise TypeError(f"not a Term: {term!r}")
+    # a Mult: term_point_ids has refused anything else
+    return _term_value(scene, term.left) * _term_value(scene, term.right)
 
 
 # Residual functions: (scene, predicate, eps_rel, scale) -> (residual, eps).
@@ -520,14 +521,14 @@ def eval_predicate(scene: NumericScene, pred: Predicate, tol: Tolerance | None =
     negative ones (not_equal, not_parallel) when it exceeds eps.
 
     Raises UnresolvedIdError or KindMismatchError for the first point id, in
-    syntactic order, that names no point of the scene.  Raises
+    syntactic order, that names no point of the scene; then TypeError, from
+    :func:`scene_scale`, for a scene value that is not a scene object.  Raises
     DegeneratePredicateError when the predicate's own denominators vanish,
     or when the residual or eps is not finite (an overflow, say of a squared
     length near 1e154); that outcome is distinct from false.
     """
 
     tol = tol or Tolerance()
-    scale = scene_scale(scene)
     try:
         residual_of, negative = _RESIDUALS[type(pred)]
     except KeyError:
@@ -535,7 +536,7 @@ def eval_predicate(scene: NumericScene, pred: Predicate, tol: Tolerance | None =
     # a trial scene's ids were resolved before the check's first trial
     if type(scene) is not _Scene:
         _check_points(scene, predicate_point_ids(pred))
-    residual, eps = residual_of(scene, pred, tol.eps_rel, scale)
+    residual, eps = residual_of(scene, pred, tol.eps_rel, scene_scale(scene))
     margin = residual - eps
     # both are >= 0, so the margin is finite exactly when both are; on finite
     # coordinates anything else is an overflow

@@ -50,6 +50,7 @@ from .model import (
     SegmentRatio,
     Term,
     Violation,
+    _refuse,
     format_number,
     predicate_point_ids,
     validate_attempt,
@@ -666,18 +667,12 @@ class _Writer:
         return b"".join(self.parts)
 
 
-def _require_valid(violations: list[Violation]) -> None:
-    # serializers refuse invalid values, mirroring the model violations
-    if violations:
-        raise CodecError(violations)
-
-
 # Each serialize_* is its model check plus a _write_* writer; callers that
 # have just validated the value call the writer directly.
 
 
 def serialize_information(info: ProblemInfo) -> bytes:
-    _require_valid(validate_info(info))
+    _refuse(validate_info(info))
     return _write_information(info)
 
 
@@ -730,7 +725,7 @@ def _write_predicate(w: _Writer, p: Predicate) -> None:
 
 
 def serialize_conjecture(c: Conjecture) -> bytes:
-    _require_valid(validate_conjecture(c, None))
+    _refuse(validate_conjecture(c, None))
     return _write_conjecture(c)
 
 
@@ -749,7 +744,7 @@ def _write_conjecture(c: Conjecture) -> bytes:
 
 
 def serialize_construction(k: Construction) -> bytes:
-    _require_valid(validate_construction(k))
+    _refuse(validate_construction(k))
     return _write_construction(k)
 
 
@@ -785,7 +780,7 @@ def _write_construction(k: Construction) -> bytes:
 
 
 def serialize_proof_info(a: ProofAttempt) -> bytes:
-    _require_valid(validate_attempt(a))
+    _refuse(validate_attempt(a))
     return _write_proof_info(a)
 
 

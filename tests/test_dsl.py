@@ -291,8 +291,10 @@ _DIAGNOSTICS = [
     ("point A 0", DslSyntaxError, 1, "usage: point <id> <x> <y>"),
     (_PA + "line l A", DslSyntaxError, 3, "line takes 2 arguments"),
     (_PA + "prove {\n  conclude not_equal A B", DslSyntaxError, 3, "unterminated prove block"),
-    (_PA + "prove {\n  conclude not_equal A Z\n}", DslUnresolvedId, 4, "undefined id 'Z'"),
+    (_PA + "prove {\n  conclude not_equal A Z\n}", DslUnresolvedId, 4, "id 'Z' does not resolve in the construction"),
     (_PA + "line l A B\nprove { conclude not_equal A l }", DslSyntaxError, 4, "'l' is a line, predicates take points"),
+    # the conjecture's first fault in the model's order, an id fault or not
+    (_PA + "prove {\n  conclude segment_ratio A B A B -3\n  conclude not_equal A Z\n}", DslSyntaxError, 4, "segment ratio -3.0 must be finite and >= 0"),
     ("% description: no name\npoint A 0 0", DslSyntaxError, 1, "header needs a '% name:' line"),
     # what the model refuses in a parsed problem, at the line it comes from
     ("% name: bad name!\npoint A 0 0", DslSyntaxError, 1, "invalid problem name 'bad name!'"),

@@ -359,6 +359,26 @@ def test_eval_predicate_refuses_what_is_not_a_predicate():
         eval_predicate(_scene(A=(0, 0)), Const(1.0))
 
 
+def test_a_point_id_naming_a_plain_tuple_is_a_kind_mismatch():
+    # the ids are checked before the scale is taken
+    with pytest.raises(KindMismatchError) as exc:
+        eval_predicate({"A": (0.0, 0.0), "B": (1.0, 1.0)}, NotEqual("A", "B"))
+    assert (exc.value.element_id, exc.value.expected, exc.value.got) == ("A", "point", "tuple")
+
+
+@pytest.mark.parametrize(
+    "scene, ref",
+    [
+        ({"A": (0.0, 0.0), "l": (1.0, 0.0, 0.0)}, "A"),
+        ({"A": ScenePoint(0.0, 0.0), "l": (1.0, 0.0, 0.0)}, "l"),
+    ],
+    ids=["point", "line"],
+)
+def test_scene_scale_names_a_value_that_is_not_a_scene_object(scene, ref):
+    with pytest.raises(TypeError, match=f"scene value of '{ref}' is not a scene object"):
+        scene_scale(scene)
+
+
 # one predicate of each class, whose i-th point position holds the id Pi
 _POSITIONED = [
     NotEqual("P0", "P1"),
