@@ -75,6 +75,9 @@ def _entries_from_dir(root: Path) -> list[Entry]:
     entries: list[Entry] = []
     for current, dirnames, filenames in os.walk(root):
         rel = Path(current).relative_to(root)
+        for name in dirnames + filenames:  # a link could lead a read out of the tree
+            if os.path.islink(link := os.path.join(current, name)):
+                raise OSError(f"{link} is a symbolic link")
         for d in sorted(dirnames):
             entries.append((str(PurePosixPath(rel / d)) + "/", None))
         for f in sorted(filenames):

@@ -138,10 +138,10 @@ def _parse_term(block: _Block, depth: int = 1) -> Term:
     if cls is SegmentLength:
         return SegmentLength(*_parse_point_ids(block, 2))
     left, right = _parse_term(block, depth + 1), _parse_term(block, depth + 1)
-    # the model refuses to build a term past the element cap as CodecError
-    if left.nodes + right.nodes + 1 > MAX_XML_ELEMENTS:
-        raise DslSyntaxError(line, f"term written with more than {MAX_XML_ELEMENTS} elements")
-    return cls(left, right)
+    try:
+        return cls(left, right)
+    except CodecError as exc:  # the model's cap on the elements a term is written with
+        raise DslSyntaxError(line, exc.violations[0].message) from None
 
 
 def _parse_predicate(block: _Block) -> tuple[Predicate, int]:
@@ -179,41 +179,28 @@ def _parse_prove_block(block: _Block, start_line: int):
 
 def _refuse_first(violations: list[Violation], lists: dict[str, list[tuple[object, int]]], line: int) -> None:
     """Raise the first of the model's ``violations``, if any, as a
-    DslUnresolvedId for an UnresolvedId and a DslSyntaxError otherwise: at
-    the line of its item, read from ``lists`` by the list's name and the
-    item's index, or at ``line`` when it names no item of ``lists``."""
+    DslUnresolvedId for an id that names nothing or comes later and a
+    DslSyntaxError otherwise: at the line of its item, read from ``lists``
+    by the list's name and the item's index, or else at ``line``."""
 
     if violations:
         first = violations[0]
         item = _ITEM_PATH.match(first.path)
         if item and item[1] in lists:
             line = lists[item[1]][int(item[2])][1]
-        raise (DslUnresolvedId if first.code == "UnresolvedId" else DslSyntaxError)(line, first.message)
+        unresolved = first.code in ("UnresolvedId", "DanglingReference", "ForwardReference")
+        raise (DslUnresolvedId if unresolved else DslSyntaxError)(line, first.message)
 
 
 def parse_dsl(text: str) -> Problem:
     """Parse DSL text into a problem with a computed initial instance."""
 
-    kinds: dict[str, GeoKind] = {}
-    constraints: list[Constraint] = []
-    line_of: dict[str, int] = {}
+    steps: list[tuple[Constraint, int]] = []  # each statement's step and line
     free_assign: dict[str, tuple[float, float]] = {}
     header: dict[str, tuple[str, int]] = {}  # key -> (value, line)
     keywords: list[tuple[str, int]] = []
     sections = None
     seen_statement = False
-
-    def define(out_id: str, kind: GeoKind, line: int) -> None:
-        if out_id in kinds:
-            raise DslSyntaxError(line, f"duplicate id {out_id!r}")
-        kinds[out_id] = kind
-        line_of[out_id] = line
-
-    def require(ref: str, want: GeoKind, line: int) -> None:
-        if ref not in kinds:
-            raise DslUnresolvedId(line, f"undefined id {ref!r}")
-        if kinds[ref] is not want:
-            raise DslSyntaxError(line, f"{ref!r} is a {kinds[ref].value}, expected a {want.value}")
 
     lines = enumerate(text.split("\n"), start=1)
     for lineno, raw in lines:
@@ -252,44 +239,37 @@ def parse_dsl(text: str) -> Problem:
         kind = _STATEMENTS.get(keyword)
         if kind is None:
             raise DslSyntaxError(lineno, f"unknown statement {keyword!r}")
-        if construction_element_count(len(constraints) + 1, len(constraints) + 1) > MAX_XML_ELEMENTS:
+        if construction_element_count(len(steps) + 1, len(steps) + 1) > MAX_XML_ELEMENTS:
             raise DslSyntaxError(lineno, f"construction written with more than {MAX_XML_ELEMENTS} elements")
         if kind is ConstraintKind.FREE_POINT:
             if len(tokens) != 4:
                 raise DslSyntaxError(lineno, "usage: point <id> <x> <y>")
             out_id = _check_id_token(tokens[1][0], lineno)
-            define(out_id, GeoKind.POINT, lineno)
-            x = _parse_number(tokens[2][0], lineno)
-            y = _parse_number(tokens[3][0], lineno)
-            free_assign[out_id] = (x, y)
-            constraints.append(Constraint(output=out_id, kind=kind))
+            free_assign[out_id] = (_parse_number(tokens[2][0], lineno), _parse_number(tokens[3][0], lineno))
+            steps.append((Constraint(output=out_id, kind=kind), lineno))
             continue
-        in_kinds, out_kind, param_attr = CONSTRAINT_SIGNATURES[kind]
+        in_kinds, _out_kind, param_attr = CONSTRAINT_SIGNATURES[kind]
         want = 2 + len(in_kinds) + (param_attr is not None)
         if len(tokens) != want:
             raise DslSyntaxError(lineno, f"{keyword} takes {want - 2} arguments")
         out_id = _check_id_token(tokens[1][0], lineno)
-        inputs = []
-        for (ref, _), want_kind in zip(tokens[2 : 2 + len(in_kinds)], in_kinds):
-            _check_id_token(ref, lineno)
-            require(ref, want_kind, lineno)
-            inputs.append(ref)
+        inputs = tuple(_check_id_token(ref, lineno) for ref, _ in tokens[2 : 2 + len(in_kinds)])
         parameter = _parse_number(tokens[-1][0], lineno) if param_attr is not None else None
-        define(out_id, out_kind, lineno)
-        constraints.append(Constraint(output=out_id, kind=kind, inputs=tuple(inputs), parameter=parameter))
+        steps.append((Constraint(output=out_id, kind=kind, inputs=inputs, parameter=parameter), lineno))
 
-    bare = Construction(elements=(), constraints=tuple(constraints))
+    constraints = tuple(c for c, _ in steps)
     try:
-        scene = instantiate(bare, free_assign)
+        scene = instantiate(Construction(elements=(), constraints=constraints), free_assign)
+    except CodecError as exc:  # a step no run can execute, refused at its statement
+        _refuse_first(exc.violations, {"constraints": steps}, 1)
     except DegenerateStep as exc:
-        raise DegenerateInitialInstance(
-            line_of.get(exc.step_id, 1), f"step {exc.step_id!r} is degenerate: {exc.reason}"
-        ) from exc
+        line = next(line for c, line in steps if c.output == exc.step_id)
+        raise DegenerateInitialInstance(line, f"step {exc.step_id!r} is degenerate: {exc.reason}") from exc
 
     elements = tuple(
-        ElementInstance(c.output, kinds[c.output], tuple(scene[c.output])) for c in constraints
+        ElementInstance(c.output, CONSTRAINT_SIGNATURES[c.kind][1], tuple(scene[c.output])) for c in constraints
     )
-    construction = Construction(elements=elements, constraints=tuple(constraints))
+    construction = Construction(elements=elements, constraints=constraints)
 
     conjecture = None
     if sections is not None:

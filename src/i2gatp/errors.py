@@ -15,7 +15,8 @@ class I2gatpError(Exception):
 
 class CodecError(I2gatpError):
     """An XML document could not be parsed into a model value, or a model
-    value could not be built or written (a term deeper than MAX_TERM_DEPTH).
+    value could not be built, written or run (a term deeper than
+    MAX_TERM_DEPTH, a construction step that no run can execute).
 
     Carries the full violation list found before parsing gave up; the first
     violation's code is the headline reason (also exposed as ``code``).

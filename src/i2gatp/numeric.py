@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
+    CodecError,
     DegeneratePredicateError,
     DegenerateStep,
     KindMismatchError,
@@ -31,6 +32,7 @@ from .model import (
     CONSTRAINT_SIGNATURES,
     Collinear,
     Const,
+    Constraint,
     ConstraintKind,
     Construction,
     Equal,
@@ -48,6 +50,8 @@ from .model import (
     SegmentLength,
     SegmentRatio,
     Term,
+    Violation,
+    _constraint_path,
     predicate_point_ids,
     term_point_ids,
 )
@@ -223,11 +227,17 @@ class _Plan:
     kinds: dict[str, GeoKind]
 
 
+def _unrunnable(i: int, c: Constraint, code: str, message: str) -> CodecError:
+    """The refusal of step ``i``, ``c``, as validate_construction reports it."""
+
+    return CodecError([Violation(code, _constraint_path(i, c), message)])
+
+
 def _compile(construction: Construction) -> _Plan:
-    """Resolve every reference once.  Raises, for the first step in program
-    order that no run could execute, OpaqueConstraintError,
-    UnresolvedIdError, KindMismatchError, or ValueError when its number of
-    inputs is not its signature's or an earlier step defines its output."""
+    """Resolve every reference once.  For the first step in program order
+    that no run could execute, raise OpaqueConstraintError if it is opaque,
+    else CodecError with the first violation validate_construction reports
+    there, checked in its order: the output, the arity, then each input."""
 
     constraints = construction.constraints
     ids = tuple(c.output for c in constraints)
@@ -236,22 +246,24 @@ def _compile(construction: Construction) -> _Plan:
     pair_slot = {fid: len(ids) + i for i, fid in enumerate(free_ids)}
     kinds: dict[str, GeoKind] = {}
     steps = []
-    for c in constraints:
+    for i, c in enumerate(constraints):
         try:
             op, in_kinds, out_kind = _SIGNED_STEPS[c.kind]
         except KeyError:
             raise OpaqueConstraintError(c.output) from None
         inputs = c.inputs
-        if len(inputs) != len(in_kinds):
-            raise ValueError(f"{c.kind.value} {c.output!r} takes {len(in_kinds)} inputs, got {len(inputs)}")
         if c.output in kinds:
-            raise ValueError(f"{c.kind.value} {c.output!r}: id already defined by an earlier step")
+            raise _unrunnable(i, c, "DuplicateOutput", f"id {c.output!r} defined by more than one constraint")
+        if len(inputs) != len(in_kinds):
+            raise _unrunnable(i, c, "ArityError", f"{c.kind.value} takes {len(in_kinds)} inputs, got {len(inputs)}")
         for ref, want in zip(inputs, in_kinds):
             got = kinds.get(ref)
             if got is not want:
-                if got is None:
-                    raise UnresolvedIdError(ref)
-                raise KindMismatchError(ref, want.value, got.value)
+                if got is not None:
+                    raise _unrunnable(i, c, "KindMismatch", f"input {ref!r} is a {got.value}, expected {want.value}")
+                if ref in slot:
+                    raise _unrunnable(i, c, "ForwardReference", f"input {ref!r} is defined later in the program")
+                raise _unrunnable(i, c, "DanglingReference", f"input {ref!r} is not an element")
         if inputs:
             first, second = slot[inputs[0]], slot[inputs[-1]]
         else:
@@ -374,9 +386,10 @@ def instantiate(
     checks (coincident points given to a line, parallel lines given to an
     intersection) compare against eps_rel times the running coordinate
     magnitude of the partial scene; a step whose result is not finite is
-    degenerate too.  Opaque steps, ids that do not resolve to an object of
-    the kind a step takes and ids that more than one step defines are
-    rejected before any step runs.  The scene is a plain dict.
+    degenerate too.  A step that no run can execute raises before any step
+    runs: OpaqueConstraintError, or CodecError with the model's violation
+    (a repeated output, a wrong arity, an input that no earlier step
+    defines as the kind the step takes).  The scene is a plain dict.
     """
 
     tol = tol or Tolerance()
@@ -699,9 +712,9 @@ def check_conjecture(
 ) -> CheckReport:
     """Sample free points ``trials`` times and test the conjecture.
 
-    The construction is compiled once, and every point id of the
-    conjecture resolved against it, so opaque steps and unresolved,
-    mis-kinded or redefined ids raise before the first sample.  Per sample:
+    The construction is compiled once, raising as :func:`instantiate` does,
+    and every point id of the conjecture resolved against it, raising as
+    :func:`eval_predicate` does, all before the first sample.  Per sample:
     run the compiled construction into the scene :func:`instantiate` would
     return (degenerate steps count as degenerate samples); evaluate ndg
     predicates first (any false or degenerate: degenerate sample); then

@@ -377,6 +377,26 @@ def test_unpack_does_not_follow_a_symlink_out_of_the_output_dir(varignon_zip, tm
     assert list(outside.iterdir()) == []
 
 
+@pytest.mark.parametrize("target", ["file", "directory"])
+@pytest.mark.parametrize("command", ["pack", "validate"])
+def test_a_symbolic_link_in_the_tree_exits_2(varignon_zip, tmp_path, capsys, command, target):
+    # a link could lead a read out of the tree: pack wrote the bytes of the
+    # file it named into the archive
+    tree = tmp_path / "in"
+    assert main(["unpack", str(varignon_zip), "--out", str(tree)]) == 0
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "notes.txt").write_text("not part of the problem")
+    (tree / "resources").mkdir(exist_ok=True)
+    link = tree / "resources" / "notes.txt"
+    link.symlink_to(outside / "notes.txt" if target == "file" else outside, target_is_directory=target == "directory")
+    capsys.readouterr()
+    argv = ["pack", str(tree), "--out", str(tmp_path / "out.zip")] if command == "pack" else ["validate", str(tree)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {link} is a symbolic link\n")
+    assert not (tmp_path / "out.zip").exists()
+
+
 def test_info_without_conjecture_or_proofs(tmp_path, corpus, capsys):
     path = tmp_path / "minimal.zip"
     path.write_bytes(pack(corpus["minimal"]))

@@ -115,7 +115,7 @@ def test_term_past_the_element_cap_is_a_syntax_error():
     # two operands of 65,535 nodes each: the outer plus, on line 3, would
     # be written with 131,071 elements
     text = f"point A 0 0\npoint B 1 0\nprove {{ conclude equal plus\n{_HALF_CAP_TERM} {_HALF_CAP_TERM} const 1 }}\n"
-    with pytest.raises(DslSyntaxError, match=f"term written with more than {MAX_XML_ELEMENTS} elements") as exc:
+    with pytest.raises(DslSyntaxError, match=f"term would be written with 131071 elements, more than {MAX_XML_ELEMENTS}") as exc:
         parse_dsl(text)
     assert exc.value.line == 3
 
@@ -285,10 +285,19 @@ _DIAGNOSTICS = [
     (_PA + "prove { collinear A B A }", DslSyntaxError, 3, "expected hyp, ndg or conclude, found 'collinear'"),
     (_PA + "prove { conclude not_equal A B } extra", DslSyntaxError, 3, "unexpected 'extra' after prove block"),
     (_PA + "prove { ; }", DslSyntaxError, 3, "prove block needs at least one conclude predicate"),
-    (_PA + "line l A B\nmidpoint M l B", DslSyntaxError, 4, "'l' is a line, expected a point"),
+    # a step no run can execute: the model's violation at its statement
+    (_PA + "point B 2 0", DslSyntaxError, 3, "id 'B' defined by more than one constraint"),
+    (_PA + "midpoint M A Z", DslUnresolvedId, 3, "input 'Z' is not an element"),
+    ("point A 0 0\nmidpoint M A N\npoint N 1 1", DslUnresolvedId, 2, "input 'N' is defined later in the program"),
+    (_PA + "line l A B\nmidpoint M l B", DslSyntaxError, 4, "input 'l' is a line, expected point"),
+    # read after every line, and before the initial instance is computed
+    (_PA + "midpoint M A Z\nwobble W", DslSyntaxError, 4, "unknown statement 'wobble'"),
+    (_PA + "line l A A\nmidpoint M A Z", DslUnresolvedId, 4, "input 'Z' is not an element"),
     ("% name: a\n% name: b\npoint A 0 0", DslSyntaxError, 2, "repeated header 'name'"),
     (_PA + "prove { conclude not_equal A B }\nprove { conclude not_equal A B }", DslSyntaxError, 4, "only one prove block"),
     ("point A 0", DslSyntaxError, 1, "usage: point <id> <x> <y>"),
+    # a statement's arguments fix its step's number of inputs, so no parsed
+    # step is an ArityError
     (_PA + "line l A", DslSyntaxError, 3, "line takes 2 arguments"),
     (_PA + "prove {\n  conclude not_equal A B", DslSyntaxError, 3, "unterminated prove block"),
     (_PA + "prove {\n  conclude not_equal A Z\n}", DslUnresolvedId, 4, "id 'Z' does not resolve in the construction"),

@@ -10,11 +10,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from i2gatp import numeric
 from i2gatp.container import pack, unpack
 from i2gatp.dsl import parse_dsl, predicate_text
 from i2gatp.errors import (
+    CodecError,
+    ContainerError,
     DegenerateInitialInstance,
     DegeneratePredicateError,
     DegenerateStep,
@@ -24,6 +28,7 @@ from i2gatp.errors import (
     UnresolvedIdError,
 )
 from i2gatp.model import (
+    CONSTRAINT_SIGNATURES,
     MAX_TERM_DEPTH,
     Collinear,
     Conjecture,
@@ -31,7 +36,9 @@ from i2gatp.model import (
     Constraint,
     ConstraintKind,
     Construction,
+    ElementInstance,
     Equal,
+    GeoKind,
     Harmonic,
     Midpoint,
     Mult,
@@ -44,6 +51,8 @@ from i2gatp.model import (
     SameLength,
     SegmentLength,
     SegmentRatio,
+    Violation,
+    validate_construction,
     validate_problem,
 )
 from i2gatp.numeric import (
@@ -179,30 +188,35 @@ def _line(out: str, a: str, b: str) -> Constraint:
 
 
 # steps that no run can execute, placed after a step ("l") that is degenerate
-# at every sample
+# at every sample, with the model's code and message for each (None for an
+# opaque step)
 _UNRUNNABLE = {
-    "unresolved": (Constraint(output="M", kind=ConstraintKind.MIDPOINT_OF_TWO_POINTS, inputs=("A", "Z")), UnresolvedIdError),
-    "defined later": (Constraint(output="M", kind=ConstraintKind.MIDPOINT_OF_TWO_POINTS, inputs=("A", "N")), UnresolvedIdError),
-    "kind mismatch": (Constraint(output="M", kind=ConstraintKind.MIDPOINT_OF_TWO_POINTS, inputs=("A", "l")), KindMismatchError),
-    "opaque": (Constraint(output="M", kind=ConstraintKind.OPAQUE, opaque_tag="circumcircle", opaque_payload=b"<circumcircle/>"), OpaqueConstraintError),
-    "arity": (Constraint(output="M", kind=ConstraintKind.MIDPOINT_OF_TWO_POINTS, inputs=("A",)), ValueError),
+    "unresolved": (_midpoint("M", "A", "Z"), "DanglingReference", "input 'Z' is not an element"),
+    "defined later": (_midpoint("M", "A", "N"), "ForwardReference", "input 'N' is defined later in the program"),
+    "kind mismatch": (_midpoint("M", "A", "l"), "KindMismatch", "input 'l' is a line, expected point"),
+    "opaque": (Constraint(output="M", kind=ConstraintKind.OPAQUE, opaque_tag="circumcircle", opaque_payload=b"<circumcircle/>"), None, None),
+    "arity": (Constraint(output="M", kind=ConstraintKind.MIDPOINT_OF_TWO_POINTS, inputs=("A",)), "ArityError", "midpoint_of_two_points takes 2 inputs, got 1"),
 }
 
 
 @pytest.mark.parametrize("case", list(_UNRUNNABLE))
 def test_unrunnable_step_raises_before_any_sample(case):
-    step, error = _UNRUNNABLE[case]
+    step, code, message = _UNRUNNABLE[case]
+    error = OpaqueConstraintError if code is None else CodecError
     conjecture = Conjecture(hypothesis=(), ndg=(), conclusion=(NotEqual("A", "N"),))
     runnable = (_free("A"), _line("l", "A", "A"), _free("N"))
     report = check_conjecture(Problem(construction=Construction((), runnable), conjecture=conjecture), 10)
     assert (report.verdict, report.samples_degenerate) == (Verdict.VACUOUS, 10)
     k = Construction(elements=(), constraints=runnable[:2] + (step,) + runnable[2:])
-    with pytest.raises(error) as exc:
-        instantiate(k, {"A": (0.0, 0.0), "N": (1.0, 1.0)})
-    if error is KindMismatchError:
-        assert (exc.value.element_id, exc.value.expected, exc.value.got) == ("l", "point", "line")
-    with pytest.raises(error):
-        check_conjecture(Problem(construction=k, conjecture=conjecture), 10)
+    calls = (
+        lambda: instantiate(k, {"A": (0.0, 0.0), "N": (1.0, 1.0)}),
+        lambda: check_conjecture(Problem(construction=k, conjecture=conjecture), 10),
+    )
+    for call in calls:
+        with pytest.raises(error) as exc:
+            call()
+        if code is not None:
+            assert exc.value.violations == [Violation(code, "/construction/constraints/midpoint_of_two_points[2]", message)]
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -855,22 +869,88 @@ def test_instantiated_scene_carries_the_scanned_scale(corpus):
 
 
 @pytest.mark.parametrize(
-    "constraints",
+    "constraints, path",
     [
-        (_free("A"), _free("B"), _free("A")),
-        (_free("A"), _free("B"), _free("C"), _midpoint("M", "A", "B"), _midpoint("M", "B", "C")),
-        (_free("A"), _free("B"), _free("C"), _midpoint("A", "B", "C")),
+        ((_free("A"), _free("B"), _free("A")), "free_point[2]"),
+        ((_free("A"), _free("B"), _free("C"), _midpoint("M", "A", "B"), _midpoint("M", "B", "C")), "midpoint_of_two_points[4]"),
+        ((_free("A"), _free("B"), _free("C"), _midpoint("A", "B", "C")), "midpoint_of_two_points[3]"),
     ],
     ids=["free", "constructed", "free_then_constructed"],
 )
-def test_repeated_output_id_is_refused(constraints):
+def test_repeated_output_id_is_refused(constraints, path):
     k = Construction(elements=(), constraints=constraints)
     free = {fid: (float(i), 1.0) for i, fid in enumerate(k.free_point_ids())}
-    with pytest.raises(ValueError, match="already defined"):
-        instantiate(k, free)
+    output = constraints[-1].output
+    expected = [Violation("DuplicateOutput", f"/construction/constraints/{path}", f"id {output!r} defined by more than one constraint")]
     problem = Problem(construction=k, conjecture=Conjecture(hypothesis=(), ndg=(), conclusion=(NotEqual("A", "B"),)))
-    with pytest.raises(ValueError, match="already defined"):
+    for call in (lambda: instantiate(k, free), lambda: check_conjecture(problem, 10)):
+        with pytest.raises(CodecError) as exc:
+            call()
+        assert exc.value.violations == expected
+
+
+def test_a_forward_reference_is_refused_with_the_violation_pack_reports():
+    # free A, then M the midpoint of A and B, then free B: the model's
+    # ForwardReference, where an UnresolvedIdError for B was raised
+    constraints = (_free("A"), _midpoint("M", "A", "B"), _free("B"))
+    elements = tuple(ElementInstance(eid, GeoKind.POINT, (float(i), 0.0)) for i, eid in enumerate("AMB"))
+    conjecture = Conjecture(hypothesis=(), ndg=(), conclusion=(NotEqual("A", "B"),))
+    problem = Problem(construction=Construction(elements, constraints), conjecture=conjecture)
+    with pytest.raises(CodecError) as exc:
         check_conjecture(problem, 10)
+    assert exc.value.code == "ForwardReference"
+    assert exc.value.violations[0] in validate_problem(problem)
+    with pytest.raises(ContainerError) as packed:
+        pack(problem)
+    assert (packed.value.code, packed.value.violations[0]) == ("InvalidProblem", exc.value.violations[0])
+
+
+# The violations of validate_construction that mean no run can execute a step
+_STEP_CODES = {"DuplicateOutput", "ArityError", "DanglingReference", "ForwardReference", "KindMismatch"}
+_VALID_COORDS = {GeoKind.POINT: (1.0, 2.0), GeoKind.LINE: (0.6, 0.8, -1.0), GeoKind.CIRCLE: (1.0, 2.0, 3.0)}
+
+
+@st.composite
+def _programs(draw) -> Construction:
+    """Up to three free points, then up to six steps of the nine kinds, over
+    ids from a pool of ten.  An input mostly names an earlier output of the
+    kind it takes, and otherwise any earlier output or any id of the pool; a
+    step has one input too many or too few one time in eight, and its
+    output is a new id three times in four and any id otherwise.  Each
+    output id has one element, with valid coordinates, of the kind of the
+    first step that defines it."""
+
+    pool = "ABCDEFGHIJ"
+    kinds = [ConstraintKind.FREE_POINT] * 4 + [k for k in CONSTRAINT_SIGNATURES if k is not ConstraintKind.FREE_POINT]
+    program = [ConstraintKind.FREE_POINT] * draw(st.integers(0, 3))
+    program += draw(st.lists(st.sampled_from(kinds), max_size=6))
+    constraints, elements = [], {}
+    for kind in program:
+        in_kinds, out_kind, param_attr = CONSTRAINT_SIGNATURES[kind]
+        arity = len(in_kinds) + draw(st.sampled_from((0,) * 14 + (1, -1)))
+        inputs = []
+        for want in (in_kinds + (GeoKind.POINT,))[: max(0, arity)]:
+            earlier = [c.output for c in constraints] or pool
+            wanted = [e for e in earlier if e in elements and elements[e].kind is want] or pool
+            inputs.append(draw(st.sampled_from(draw(st.sampled_from((wanted,) * 4 + (earlier,) * 2 + (pool,))))))
+        new = next(eid for eid in pool if eid not in elements)
+        output = new if draw(st.integers(0, 3)) else draw(st.sampled_from(pool))
+        constraints.append(Constraint(output=output, kind=kind, inputs=tuple(inputs), parameter=0.5 if param_attr else None))
+        elements.setdefault(output, ElementInstance(output, out_kind, _VALID_COORDS[out_kind]))
+    return Construction(tuple(elements.values()), tuple(constraints))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(construction=_programs())
+def test_the_plan_refuses_the_first_step_the_model_reports(construction):
+    # the two walks copy the step rule and its messages; this keeps them one
+    first = next((v for v in validate_construction(construction) if v.code in _STEP_CODES), None)
+    try:
+        _compile(construction)
+    except CodecError as exc:
+        assert exc.violations == [first]
+    else:
+        assert first is None
 
 
 def test_copies_of_a_scene_are_plain_dicts(varignon):
