@@ -116,11 +116,14 @@ def _cmd_unpack(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     resolved_root = outdir.resolve()
-    for name, data in entries:
-        target = (outdir / name).resolve()
+    # every target is checked before the first write, so a refused unpack
+    # writes nothing
+    targets = [(outdir / name).resolve() for name, _data in entries]
+    for (name, _data), target in zip(entries, targets):
         if not target.is_relative_to(resolved_root):
             print(f"error: entry {name!r} escapes the output directory", file=sys.stderr)
             return EXIT_IO_OR_FORMAT
+    for (_name, data), target in zip(entries, targets):
         if data is None:
             target.mkdir(parents=True, exist_ok=True)
         else:

@@ -109,13 +109,27 @@ ELEMENT_COORDS: dict[GeoKind, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
+# ElementInstance and Constraint, of which a document holds one per step,
+# set their fields through _set_field, object.__setattr__ looked up once:
+# the __init__ a frozen dataclass generates looks it up again for every
+# field.  Writing self.__dict__ would be faster still, but it would turn the
+# inline attribute values of each instance into a dict of its own, about 60
+# more bytes an instance and slower attribute reads.
+_set_field = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class ElementInstance:
     """One object of the static initial instance."""
 
     id: str
     kind: GeoKind
     coords: tuple[float, ...]
+
+    def __init__(self, id: str, kind: GeoKind, coords: tuple[float, ...]) -> None:
+        _set_field(self, "id", id)
+        _set_field(self, "kind", kind)
+        _set_field(self, "coords", coords)
 
 
 class ConstraintKind(enum.Enum):
@@ -150,7 +164,7 @@ CONSTRAINT_SIGNATURES: dict[ConstraintKind, tuple[tuple[GeoKind, ...], GeoKind, 
 CONSTRAINT_TAGS = {kind.value: kind for kind in CONSTRAINT_SIGNATURES}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Constraint:
     """One straight-line-program step defining ``output`` from ``inputs``.
 
@@ -166,6 +180,22 @@ class Constraint:
     parameter: float | None = None
     opaque_tag: str | None = None
     opaque_payload: bytes | None = None
+
+    def __init__(
+        self,
+        output: str,
+        kind: ConstraintKind,
+        inputs: tuple[str, ...] = (),
+        parameter: float | None = None,
+        opaque_tag: str | None = None,
+        opaque_payload: bytes | None = None,
+    ) -> None:
+        _set_field(self, "output", output)
+        _set_field(self, "kind", kind)
+        _set_field(self, "inputs", inputs)
+        _set_field(self, "parameter", parameter)
+        _set_field(self, "opaque_tag", opaque_tag)
+        _set_field(self, "opaque_payload", opaque_payload)
 
 
 @dataclass(frozen=True)
@@ -786,15 +816,22 @@ def validate_info(info: ProblemInfo) -> list[Violation]:
     return out
 
 
+# ELEMENT_COORDS and CONSTRAINT_SIGNATURES keyed by each kind's value, for
+# the lookups made per element and per step: an Enum member hashes in
+# Python, its value string in C
+_COORDS_BY_VALUE = {kind.value: coords for kind, coords in ELEMENT_COORDS.items()}
+_SIGNATURES_BY_VALUE = {kind.value: sig for kind, sig in CONSTRAINT_SIGNATURES.items()}
+
+
 def _validate_element(e: ElementInstance, i: int, out: list[Violation]) -> None:
-    want = len(ELEMENT_COORDS[e.kind])
+    want = len(_COORDS_BY_VALUE[e.kind._value_])
     if len(e.coords) != want:
         _violation(out, "ArityError", _element_path(i, e), f"{e.kind.value} needs {want} coordinates, got {len(e.coords)}")
         return
     if not all(map(math.isfinite, e.coords)):
         _violation(out, "NonFinite", _element_path(i, e), "coordinates must be finite")
         return
-    if e.kind is GeoKind.LINE and all(c == 0.0 for c in e.coords):
+    if e.kind is GeoKind.LINE and not any(e.coords):  # every coefficient is 0.0
         _violation(out, "ZeroLine", _element_path(i, e), "line coefficients are all zero")
     if e.kind is GeoKind.CIRCLE and e.coords[2] < 0.0:
         _violation(out, "NegativeRadius", _element_path(i, e), f"circle radius {e.coords[2]} is negative")
@@ -814,9 +851,13 @@ def validate_construction(k: Construction) -> list[Violation]:
 
     out: list[Violation] = []
     kinds: dict[str, GeoKind] = {}
+    valid: set[str] = set()  # the ids ID_RE matched, so that each is matched once
     for i, e in enumerate(k.elements):
-        if not ID_RE.match(e.id):
-            _violation(out, "BadId", _element_path(i, e), f"invalid element id {e.id!r}")
+        if e.id not in valid:
+            if ID_RE.match(e.id):
+                valid.add(e.id)
+            else:
+                _violation(out, "BadId", _element_path(i, e), f"invalid element id {e.id!r}")
         if e.id in kinds:
             _violation(out, "DuplicateId", _element_path(i, e), f"duplicate element id {e.id!r}")
         else:
@@ -833,11 +874,17 @@ def validate_construction(k: Construction) -> list[Violation]:
     defined: set[str] = set()
     outputs_seen: set[str] = set()
     for i, c in enumerate(k.constraints):
-        if not ID_RE.match(c.output or ""):
-            _violation(out, "BadId", _constraint_path(i, c), f"invalid constraint output id {c.output!r}")
+        if c.output not in valid:
+            if ID_RE.match(c.output or ""):
+                valid.add(c.output)
+            else:
+                _violation(out, "BadId", _constraint_path(i, c), f"invalid constraint output id {c.output!r}")
         for ref in dict.fromkeys(c.inputs):
-            if not ID_RE.match(ref):
-                _violation(out, "BadId", _constraint_path(i, c), f"invalid input id {ref!r}")
+            if ref not in valid:
+                if ID_RE.match(ref):
+                    valid.add(ref)
+                else:
+                    _violation(out, "BadId", _constraint_path(i, c), f"invalid input id {ref!r}")
         if c.output in outputs_seen:
             _violation(out, "DuplicateOutput", _constraint_path(i, c), f"id {c.output!r} defined by more than one constraint")
         outputs_seen.add(c.output)
@@ -858,7 +905,7 @@ def validate_construction(k: Construction) -> list[Violation]:
                     _violation(out, "BadId", path, f"opaque constraint payload out {attrs.get('out')!r} is not its output {c.output!r}")
             defined.add(c.output)
             continue
-        in_kinds, out_kind, param_attr = CONSTRAINT_SIGNATURES[c.kind]
+        in_kinds, out_kind, param_attr = _SIGNATURES_BY_VALUE[c.kind._value_]
         if len(c.inputs) != len(in_kinds):
             _violation(out, "ArityError", _constraint_path(i, c), f"{c.kind.value} takes {len(in_kinds)} inputs, got {len(c.inputs)}")
         else:

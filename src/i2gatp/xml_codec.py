@@ -93,18 +93,14 @@ _TAG = re.compile(rb"""(?:[^"'>]|"[^"]*"|'[^']*')*>""")
 
 
 class _RawNode:
-    """One element of the raw tree.  Only opaque payloads need source bytes,
-    so tag ends are found when ``raw`` or ``inner`` is called."""
+    """One element of the raw tree, built by ``_build_raw`` with no
+    ``__init__`` call: ``tag``, ``attrs``, ``children``, ``text`` (its text
+    runs joined), ``start`` (the offset of '<' of its start tag) and
+    ``end_event`` (the offset at its end event: '<' of the end tag unless
+    the element is empty).  Only opaque payloads need source bytes, so tag
+    ends are found when ``raw`` or ``inner`` is called."""
 
     __slots__ = ("tag", "attrs", "children", "text", "start", "end_event")
-
-    def __init__(self, tag: str, attrs: dict[str, str], start: int) -> None:
-        self.tag = tag
-        self.attrs = attrs
-        self.children: list[_RawNode] = []
-        self.text = ""
-        self.start = start  # offset of '<' of the start tag
-        self.end_event = -1  # offset at the end event: '<' of the end tag unless empty
 
     def raw(self, data: bytes) -> bytes:
         end = _TAG.match(data, self.start).end()
@@ -117,9 +113,6 @@ class _RawNode:
         if data[end - 2] == 0x2F:  # '/>': empty-element tag
             return b""
         return data[end : self.end_event].strip()
-
-    def ids(self) -> list[str]:
-        return self.text.split()
 
 
 def _parse_raw(data: bytes) -> tuple[_RawNode, bytes]:
@@ -152,10 +145,15 @@ def _build_raw(source: bytes | str, declared: list[str | None] | None = None) ->
 
     parser = xml.parsers.expat.ParserCreate()
     parser.buffer_text = True  # one call per text run, or per 8 KiB of it
-    top = _RawNode("", {}, -1)  # the parent of the root element
+    new = object.__new__
+    top = new(_RawNode)  # the parent of the root element
+    top.children = []
     stack = [top]
     push, pop = stack.append, stack.pop
     count = 0
+    # the runs of each node that has more than one, joined once at the end:
+    # adding each run to ``text`` would copy the text so far every time
+    runs: dict[_RawNode, list[str]] = {}
 
     def on_decl(_version: str, encoding: str | None, _standalone: int) -> None:
         declared[0] = encoding
@@ -167,7 +165,12 @@ def _build_raw(source: bytes | str, declared: list[str | None] | None = None) ->
             raise ValueError(f"more than {MAX_XML_ELEMENTS} elements")
         if len(stack) > MAX_XML_DEPTH:  # len(stack) is the new node's depth, the root's being 1
             raise ValueError(f"more than {MAX_XML_DEPTH} levels of elements")
-        node = _RawNode(name, attrs, parser.CurrentByteIndex)
+        node = new(_RawNode)
+        node.tag = name
+        node.attrs = attrs
+        node.children = []
+        node.text = ""
+        node.start = parser.CurrentByteIndex
         stack[-1].children.append(node)
         push(node)
 
@@ -175,7 +178,13 @@ def _build_raw(source: bytes | str, declared: list[str | None] | None = None) ->
         pop().end_event = parser.CurrentByteIndex
 
     def on_chars(text: str) -> None:
-        stack[-1].text += text
+        node = stack[-1]
+        if not node.text:
+            node.text = text
+        elif node in runs:
+            runs[node].append(text)
+        else:
+            runs[node] = [node.text, text]
 
     if declared is not None:
         parser.XmlDeclHandler = on_decl
@@ -183,6 +192,8 @@ def _build_raw(source: bytes | str, declared: list[str | None] | None = None) ->
     parser.EndElementHandler = on_end
     parser.CharacterDataHandler = on_chars
     parser.Parse(source, True)
+    for node, texts in runs.items():
+        node.text = "".join(texts)
     return top.children[0]
 
 
@@ -317,7 +328,7 @@ def _analyze_information(root: _RawNode, data: bytes, rep: _Report) -> ProblemIn
 
 
 def _point_ids(node: _RawNode, want: int, at: Callable[[], str], rep: _Report) -> list[str] | None:
-    ids = node.ids()
+    ids = node.text.split()
     if len(ids) != want:
         rep.error("ArityError", at(), f"{node.tag} takes {want} point ids, got {len(ids)}")
         return None
@@ -432,8 +443,11 @@ def _analyze_construction(root: _RawNode, data: bytes, rep: _Report) -> Construc
             text = attrs.get(name, "")
             coords.append(float(text) if NUMBER_RE.match(text) else _num_attr(ch, name, _at(parent, i, ch), rep))
         if None not in coords:
-            element = ElementInstance(id=attrs.get("id", ""), kind=kind, coords=tuple(coords))
-            rep.keep(elements, element, parent, ch, i)
+            element = ElementInstance(attrs.get("id", ""), kind, tuple(coords))
+            if len(elements) == i:
+                elements.append(element)
+            else:
+                rep.keep(elements, element, parent, ch, i)
     constraints: list[Constraint] = []
     if "constraints" in kids:
         parent = "/construction/constraints"
@@ -447,14 +461,17 @@ def _analyze_construction(root: _RawNode, data: bytes, rep: _Report) -> Construc
                 c = Constraint(output=out_id, kind=ConstraintKind.OPAQUE, opaque_tag=ch.tag, opaque_payload=ch.raw(data))
             else:
                 kind, param_attr = _STEP_TAGS[ch.tag]
-                if param_attr is None:  # keep a stray parameter, so the model reports it as ArityError
+                if param_attr is None and len(attrs) > 1:  # keep a stray parameter, so the model reports it as ArityError
                     param_attr = next(filter(attrs.__contains__, _PARAMETER_ATTRS), None)
                 parameter = None
                 if param_attr in attrs:
                     text = attrs[param_attr]
                     parameter = float(text) if NUMBER_RE.match(text) else _parse_num(text, f"{_at(parent, i, ch)}/@{param_attr}", rep)
-                c = Constraint(output=out_id, kind=kind, inputs=tuple(ch.ids()), parameter=parameter)
-            rep.keep(constraints, c, parent, ch, i)
+                c = Constraint(out_id, kind, tuple(ch.text.split()), parameter)
+            if len(constraints) == i:
+                constraints.append(c)
+            else:
+                rep.keep(constraints, c, parent, ch, i)
     display = kids["display"].raw(data) if "display" in kids else b""
     return Construction(elements=tuple(elements), constraints=tuple(constraints), display=display)
 

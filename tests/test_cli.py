@@ -375,6 +375,9 @@ def test_unpack_does_not_follow_a_symlink_out_of_the_output_dir(varignon_zip, tm
     assert main(["unpack", str(varignon_zip), "--out", str(outdir)]) == 2
     assert capsys.readouterr().err == "error: entry 'construction/' escapes the output directory\n"
     assert list(outside.iterdir()) == []
+    # every target is checked first: no entry before the refused one, such
+    # as conjecture/, was written
+    assert list(outdir.iterdir()) == [outdir / "construction"]
 
 
 @pytest.mark.parametrize("target", ["file", "directory"])

@@ -222,3 +222,63 @@ def test_point_ids_refuse_what_is_not_a_term_or_a_predicate():
         predicate_point_ids(SegmentLength("A", "B"))
     with pytest.raises(TypeError, match="not a Term: 'A'"):
         predicate_point_ids(Equal("A", Const(1.0)))
+
+
+def _field_by_field(cls, **values):
+    """An instance of ``cls`` built as a generated frozen __init__ builds
+    one: each field set through object.__setattr__."""
+
+    obj = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+_CONSTRAINT_FIELDS = {"output": "M", "kind": ConstraintKind.POINT_ON_LINE, "inputs": ("l",), "parameter": 0.5, "opaque_tag": None, "opaque_payload": None}
+
+
+@pytest.mark.parametrize(
+    "cls, values, defaults, text",
+    [
+        (
+            ElementInstance,
+            {"id": "A", "kind": GeoKind.POINT, "coords": (1.0, 2.0)},
+            {},
+            "ElementInstance(id='A', kind=<GeoKind.POINT: 'point'>, coords=(1.0, 2.0))",
+        ),
+        (
+            Constraint,
+            _CONSTRAINT_FIELDS,
+            {"inputs": (), "parameter": None, "opaque_tag": None, "opaque_payload": None},
+            "Constraint(output='M', kind=<ConstraintKind.POINT_ON_LINE: 'point_on_line'>, inputs=('l',), parameter=0.5, "
+            "opaque_tag=None, opaque_payload=None)",
+        ),
+    ],
+)
+def test_value_classes_keep_the_frozen_dataclass_contract(cls, values, defaults, text):
+    # the two classes write their instance dict in their own __init__; they
+    # must still behave as the frozen dataclasses they are declared as
+    fields = dataclasses.fields(cls)
+    assert [f.name for f in fields] == list(values)
+    assert {f.name: f.default for f in fields if f.default is not dataclasses.MISSING} == defaults
+    built = _field_by_field(cls, **values)
+    for value in (cls(**values), cls(*values.values())):
+        assert value == built and hash(value) == hash(built)
+        assert vars(value) == values
+        assert repr(value) == text
+    required = {name: v for name, v in values.items() if name not in defaults}
+    assert cls(**required) == _field_by_field(cls, **required, **defaults)
+    assert cls(*required.values()) == cls(**required)
+    value = cls(**values)
+    first = next(iter(values))
+    changed = dataclasses.replace(value, **{first: "Z"})
+    assert changed == _field_by_field(cls, **{**values, first: "Z"})
+    assert value != changed and getattr(value, first) == values[first]
+    for name in values:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        value.extra = 1
+    assert vars(value) == values

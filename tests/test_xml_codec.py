@@ -825,6 +825,18 @@ def test_text_longer_than_the_parser_buffer_reads_whole():
         assert _tree(_parse_raw(data)[0]) == _tree(parse_raw_reference(data))
 
 
+def test_text_of_many_runs_reads_as_the_reference():
+    # the runs of a node are joined once, whether the node holds one, two
+    # or thousands, each split from the next by a child, a comment or a
+    # CDATA section
+    doc = b"<display>" + b"".join(b"run %d <a>in %d</a>" % (i, i) for i in range(3000)) + b"tail</display>"
+    root = _parse_raw(doc)[0]
+    assert root.text == "".join(f"run {i} " for i in range(3000)) + "tail"
+    assert _tree(root) == _tree(parse_raw_reference(doc))
+    for doc in (b"<a>one</a>", b"<a>one<b/>two</a>", b"<a>o<!-- c -->n<![CDATA[e]]><b>x<c/>y</b>t<b/>wo</a>"):
+        assert _tree(_parse_raw(doc)[0]) == _tree(parse_raw_reference(doc))
+
+
 @st.composite
 def _element(draw, depth: int = 0) -> tuple[bytes, tuple]:
     """An element built from parts that a tag scan could misread, with what
