@@ -7,7 +7,9 @@ lives in proofs/proof<prover><version><method>/.  Packing is byte
 deterministic: fixed timestamps, lexicographically sorted entries, deflate
 for files above 256 bytes and stored below.  This module writes the zip
 headers itself, walks the central directory itself, and reads each entry
-straight from the archive bytes.
+straight from the archive bytes.  A rewrite of an archive it read
+(add_proof_attempt, strip_to_i2g) deflates only new files: each file it
+carries keeps the deflate body it was read with.
 
 The i2g container is recovered by dropping the three extra directories and
 relocating construction/ content to the archive root; intergeo.xml bytes are
@@ -108,17 +110,22 @@ _UNSUPPORTED_FLAGS = 0x61  # encrypted (bit 0), patched (5), strong encryption (
 # An entry is (path, bytes) for a file or (path ending in '/', None) for a
 # directory.
 Entry = tuple[str, bytes | None]
+# A file entry's CRC-32 and raw deflate body, as read and as written again.
+_Deflated = tuple[int, bytes]
 
 
 # ---------------------------------------------------------------------------
 # Deterministic zip I/O
 
 
-def _write_zip(entries: list[Entry]) -> bytes:
+def _write_zip(entries: list[Entry], deflated: dict[str, _Deflated] | None = None) -> bytes:
     """Deterministic archive of ``entries``, sorted by path; every parent
     directory of an entry gets its own directory entry.  What the reader
-    would refuse (``_judge``) is not written."""
+    would refuse (``_judge``) is not written.  A file named in ``deflated``
+    (as ``_read_entries`` keeps them, of the same content) is written with
+    the CRC-32 and deflate body it was read with, not deflated again."""
 
+    carried = deflated or {}
     names = [name for name, _ in entries]
     dirs = _judge(names, [0 if data is None else len(data) for _, data in entries], "ArchiveTooLarge").dirs
     parts: list[bytes] = []
@@ -129,6 +136,8 @@ def _write_zip(entries: list[Entry]) -> bytes:
         flags = 0 if raw.isascii() else _UTF8_NAME
         if data is None:
             method, crc, size, body, attr = _STORED, 0, 0, b"", _DIR_ATTR
+        elif name in carried:
+            method, (crc, body), size, attr = _DEFLATED, carried[name], len(data), _FILE_ATTR
         else:
             method, crc, size, body, attr = _STORED, zlib.crc32(data), len(data), data, _FILE_ATTR
             if size > _DEFLATE_THRESHOLD:
@@ -153,9 +162,11 @@ def read_container_entries(data: bytes) -> list[Entry]:
     return _read_entries(data)[0]
 
 
-def _read_entries(data: bytes) -> tuple[list[Entry], _Judgement]:
+def _read_entries(data: bytes) -> tuple[list[Entry], _Judgement, dict[str, _Deflated]]:
     """read_container_entries, with the judgement of its names, so that the
-    layout walk need not find their directories again."""
+    layout walk need not find their directories again, and by name the
+    files a writer may carry as they were read: each deflated, of more than
+    ``_DEFLATE_THRESHOLD`` bytes, and a body that its stream fills exactly."""
 
     central, central_start = _central_directory(data)
     names = _safe([entry[0] for entry in central])
@@ -168,10 +179,17 @@ def _read_entries(data: bytes) -> tuple[list[Entry], _Judgement]:
     for i in sorted(range(len(central)), key=lambda i: central[i][6], reverse=True):
         ends[i] = end
         end = central[i][6]
-    entries = [
-        (name, None if name.endswith("/") else _entry_data(data, entry, end)) for name, entry, end in zip(names, central, ends)
-    ]
-    return entries, judgement
+    entries: list[Entry] = []
+    deflated: dict[str, _Deflated] = {}
+    for name, entry, end in zip(names, central, ends):
+        if name.endswith("/"):
+            entries.append((name, None))
+            continue
+        content, body = _entry_data(data, entry, end)
+        entries.append((name, content))
+        if body is not None:
+            deflated[name] = (entry[3], body)
+    return entries, judgement, deflated
 
 
 def _safe(names: list[str]) -> list[str]:
@@ -297,10 +315,11 @@ def _zip64_values(data: bytes, pos: int, stop: int, compressed: int, size: int, 
     return compressed, size, offset
 
 
-def _entry_data(data: bytes, entry: _CentralEntry, end: int) -> bytes:
+def _entry_data(data: bytes, entry: _CentralEntry, end: int) -> tuple[bytes, bytes | None]:
     """The content of a file entry, read from its local header on; it must
     be stored or deflated, end where its sizes say and by offset ``end``,
-    and match its CRC-32."""
+    and match its CRC-32.  With it, the entry's deflate body when a writer
+    may carry it as it is (``_read_entries``), else None."""
 
     name, flags, method, crc, compressed, size, start = entry
 
@@ -322,7 +341,7 @@ def _entry_data(data: bytes, entry: _CentralEntry, end: int) -> bytes:
         raise malformed("overlaps the next entry or the central directory")
     body = data[start : start + compressed]
     if method == _STORED:
-        content = body
+        content, carried = body, None
     elif method == _DEFLATED:
         inflater = zlib.decompressobj(-15)
         try:
@@ -331,13 +350,15 @@ def _entry_data(data: bytes, entry: _CentralEntry, end: int) -> bytes:
             raise malformed(str(exc)) from exc
         if not inflater.eof:
             raise malformed("deflate stream does not end within the declared size")
+        # bytes after the stream's end are read past, but not written again
+        carried = body if size > _DEFLATE_THRESHOLD and not inflater.unused_data else None
     else:
         raise malformed(f"unsupported compression method {method}")
     if len(content) != size:
         raise malformed(f"{len(content)} bytes where {size} are declared")
     if zlib.crc32(content) != crc:
         raise malformed("bad CRC-32")
-    return content
+    return content, carried
 
 
 class _Judgement(NamedTuple):
@@ -516,7 +537,8 @@ def suggested_filename(problem: Problem, name: str | None = None) -> str:
 def unpack(data: bytes) -> Problem:
     """Read a container back into a problem (canonical order)."""
 
-    return _problem_from_layout(_sort_entries(*_read_entries(data)))
+    entries, judgement, _ = _read_entries(data)
+    return _problem_from_layout(_sort_entries(entries, judgement))
 
 
 def canonicalize_container(data: bytes) -> bytes:
@@ -530,11 +552,17 @@ def strip_to_i2g(data: bytes) -> bytes:
     content to the archive root (the i2g layout).  File bytes, in particular
     intergeo.xml, are carried unchanged; idempotent.  Two entries that
     relocate to one path (``construction/a`` and a root ``a``) are
-    ``DuplicateEntry`` naming both."""
+    ``DuplicateEntry`` naming both.
 
+    Every entry is read and checked in full first.  Each relocated file
+    keeps its deflate body as add_proof_attempt keeps it, so a body that
+    another deflater wrote is carried as it is."""
+
+    entries, _, deflated = _read_entries(data)
     files: dict[str, bytes] = {}
     sources: dict[str, str] = {}
-    for name, content in read_container_entries(data):
+    carried: dict[str, _Deflated] = {}
+    for name, content in entries:
         if content is None or name.startswith(EXTENSION_DIRS):
             continue
         target = name[len("construction/") :] if name.startswith("construction/") else name
@@ -542,17 +570,28 @@ def strip_to_i2g(data: bytes) -> bytes:
             raise ContainerError("DuplicateEntry", f"entries {sources[target]!r} and {name!r} both become {target!r}")
         sources[target] = name
         files[target] = content
+        if name in deflated:
+            carried[target] = deflated[name]
     if "intergeo.xml" not in files:
         raise ContainerError("MissingIntergeo", "container lacks construction/intergeo.xml")
-    return _write_zip(list(files.items()))
+    return _write_zip(list(files.items()), carried)
 
 
 def add_proof_attempt(data: bytes, attempt: ProofAttempt) -> bytes:
     """Insert one proof attempt directory; every other entry's content is
-    carried unchanged (the archive is rewritten canonically)."""
+    carried unchanged (the archive is rewritten in canonical order).
+
+    Every entry is read and checked in full first.  Only the new attempt's
+    files are deflated: a deflated file of more than 256 bytes keeps the
+    deflate body it was read with, so adding to a packed container gives the
+    bytes of packing the problem with the attempt, and a body another
+    deflater wrote (another level, another tool) is carried as it is.  A
+    stored file of more than 256 bytes, a deflated one of 256 bytes or
+    fewer, and a deflated body with bytes after its stream's end are
+    written as pack writes them."""
 
     _refuse_invalid("attempt", validate_attempt(attempt))
-    entries, judgement = _read_entries(data)
+    entries, judgement, deflated = _read_entries(data)
     layout = _sort_entries(entries, judgement)
     new_dir = f"proofs/{attempt.directory_name}/"
     if attempt.directory_name in layout.proof_dirs:
@@ -564,7 +603,7 @@ def add_proof_attempt(data: bytes, attempt: ProofAttempt) -> bytes:
             raise ContainerError("DuplicateAttempt", f"attempt {identity} already present")
     added: list[Entry] = [(new_dir + PROOF_INFO_NAME, _write_proof_info(attempt))]
     added.extend((new_dir + name, out_data) for name, out_data in attempt.outputs)
-    return _write_zip(entries + added)
+    return _write_zip(entries + added, deflated)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +631,7 @@ def validate_container(data: bytes, i2g: bool = False) -> list[Violation]:
     """
 
     try:
-        entries, judgement = _read_entries(data)
+        entries, judgement, _ = _read_entries(data)
     except ContainerError as exc:
         return [Violation(exc.code, "/", str(exc))]
     return _validate_layout(_sort_entries(entries, judgement), i2g)[0]

@@ -252,10 +252,10 @@ def run_reference(plan, pairs: list[tuple[float, float]], eps_rel: float) -> tup
 # Zip oracles
 
 
-def write_zip_reference(entries: list[tuple[str, bytes | None]]) -> bytes:
+def write_zip_reference(entries: list[tuple[str, bytes | None]], level: int = 6) -> bytes:
     """The deterministic archive of ``entries`` as ``zipfile`` writes it:
     sorted by path, a directory entry for every parent, fixed timestamps,
-    unix modes, deflate level 6 above 256 bytes and stored otherwise."""
+    unix modes, deflate at ``level`` above 256 bytes and stored otherwise."""
 
     names = {name for name, _ in entries}
     parents = {name[: i + 1] for name in names for i, char in enumerate(name[:-1]) if char == "/"}
@@ -270,7 +270,7 @@ def write_zip_reference(entries: list[tuple[str, bytes | None]]) -> bytes:
             else:
                 zi.external_attr = 0o644 << 16
                 if len(data) > 256:
-                    zf.writestr(zi, data, compress_type=zipfile.ZIP_DEFLATED, compresslevel=6)
+                    zf.writestr(zi, data, compress_type=zipfile.ZIP_DEFLATED, compresslevel=level)
                 else:
                     zf.writestr(zi, data, compress_type=zipfile.ZIP_STORED)
     return buf.getvalue()

@@ -43,6 +43,8 @@ from i2gatp.model import (
     Collinear,
     Conjecture,
     ProofAttempt,
+    ProofLimits,
+    ProofMeasures,
     ProofStatus,
     Violation,
     canonicalize_problem,
@@ -513,6 +515,119 @@ def test_writer_matches_the_zipfile_writer(corpus):
         assert _write_zip(entries) == write_zip_reference(entries), name
 
 
+def _chain_attempts() -> list[ProofAttempt]:
+    """Attempts whose proofInfo.xml and log are each past 256 bytes, so
+    that an archive that holds them holds deflated files to carry."""
+
+    return [
+        ProofAttempt(
+            "Chain",
+            str(i),
+            "m",
+            ProofStatus.PROVED,
+            limits=ProofLimits(time_limit_seconds=600.0),
+            measures=ProofMeasures(cpu_time_seconds=1.5 + i, proof_steps=100 + i),
+            outputs=(("log.txt", b"step %d done\n" % i * 40),),
+        )
+        for i in range(4)
+    ]
+
+
+def _raw_body(data: bytes, name: str) -> bytes:
+    """The compressed bytes of entry ``name`` as they stand in ``data``."""
+
+    with zipfile.ZipFile(io.BytesIO(data)) as zf:
+        info = zf.getinfo(name)
+    name_len, extra_len = struct.unpack_from("<HH", data, info.header_offset + 26)
+    start = info.header_offset + 30 + name_len + extra_len
+    return data[start : start + info.compress_size]
+
+
+def test_adding_attempts_one_at_a_time_is_packing_them(corpus):
+    generate_dsl = bench_workloads().generate_dsl
+    cases = dict(corpus)
+    for n in (10, 100):
+        cases[f"generated_{n}"] = parse_dsl(generate_dsl(random.Random(n), n, f"generated_{n}"))
+    for name, problem in cases.items():
+        data = pack(problem)
+        for attempt in _chain_attempts():
+            problem = dataclasses.replace(problem, proofs=problem.proofs + (attempt,))
+            data = add_proof_attempt(data, attempt)
+            assert data == pack(problem), name
+    assert len(_read(data, "proofs/proofChain0m/proofInfo.xml")) > 256
+
+
+def test_strip_writes_what_deflating_every_file_again_writes(corpus_containers):
+    generate = bench_workloads()._generated_container
+    cases = dict(corpus_containers)
+    for n in (10, 100, 1000):
+        cases[f"generated_{n}"] = generate(random.Random(n), n, f"generated_{n}", 3)
+    for name, data in cases.items():
+        files = {}
+        for path, content in read_container_entries(data):
+            if content is not None and not path.startswith(container.EXTENSION_DIRS):
+                files[path.removeprefix("construction/")] = content
+        assert strip_to_i2g(data) == _write_zip(list(files.items())), name
+
+
+def test_add_proof_attempt_and_strip_deflate_only_new_files(corpus, monkeypatch):
+    data = pack(corpus["varignon_attempts"])
+    deflated = []
+    compress = zlib.compress
+    monkeypatch.setattr(zlib, "compress", lambda content, level: deflated.append(content) or compress(content, level))
+    updated = add_proof_attempt(data, _chain_attempts()[0])
+    assert deflated == [_read(updated, "proofs/proofChain0m/log.txt"), _read(updated, "proofs/proofChain0m/proofInfo.xml")]
+    deflated.clear()
+    strip_to_i2g(updated)
+    assert deflated == []
+
+
+def test_a_foreign_deflate_stream_is_carried_as_it_is():
+    # zipfile at level 9 deflates intergeo.xml to another stream than the
+    # writer's level 6; the content each archive holds is the same
+    problem = parse_dsl(bench_workloads().generate_dsl(random.Random(100), 100, "generated_100"))
+    canonical = pack(problem)
+    foreign = write_zip_reference(read_container_entries(canonical), level=9)
+    body = _raw_body(foreign, container.INTERGEO_PATH)
+    assert body != _raw_body(canonical, container.INTERGEO_PATH)
+    attempt = _chain_attempts()[0]
+    added, stripped = add_proof_attempt(foreign, attempt), strip_to_i2g(foreign)
+    assert _raw_body(added, container.INTERGEO_PATH) == _raw_body(stripped, "intergeo.xml") == body
+    assert content_digest_reference(added) == content_digest_reference(add_proof_attempt(canonical, attempt))
+    assert content_digest_reference(stripped) == content_digest_reference(strip_to_i2g(canonical))
+    assert canonicalize_container(added) == pack(dataclasses.replace(problem, proofs=(attempt,)))
+
+
+def test_files_stored_or_deflated_against_the_rule_get_the_canonical_method(corpus):
+    # zipfile stores intergeo.xml (past 256 bytes) and deflates every file
+    # of 256 bytes or fewer
+    problem = dataclasses.replace(corpus["varignon"], resources=(("resources/small.txt", b"small " * 16),))
+    canonical = pack(problem)
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        for name, data in read_container_entries(canonical):
+            small = data is not None and len(data) <= 256
+            zf.writestr(name, data or b"", compress_type=zipfile.ZIP_DEFLATED if small else zipfile.ZIP_STORED)
+    mixed = buf.getvalue()
+    with zipfile.ZipFile(io.BytesIO(mixed)) as zf:
+        methods = {info.filename: info.compress_type for info in zf.infolist()}
+    assert methods[container.INTERGEO_PATH] == zipfile.ZIP_STORED and methods["resources/small.txt"] == zipfile.ZIP_DEFLATED
+    attempt = _chain_attempts()[0]
+    assert add_proof_attempt(mixed, attempt) == pack(dataclasses.replace(problem, proofs=(attempt,)))
+    assert strip_to_i2g(mixed) == strip_to_i2g(canonical)
+
+
+def test_a_deflate_body_with_bytes_after_its_stream_is_deflated_again():
+    # the reader reads such a body, as zipfile does, but the bytes after the
+    # stream's end are not written again
+    padded = _one_entry(_deflated(_TEXT) + b"after the end", len(_TEXT), zlib.crc32(_TEXT), name=b"intergeo.xml")
+    clean = _one_entry(_deflated(_TEXT), len(_TEXT), zlib.crc32(_TEXT), name=b"intergeo.xml")
+    assert read_container_entries(padded) == read_zip_reference(padded) == [("intergeo.xml", _TEXT)]
+    assert strip_to_i2g(padded) == strip_to_i2g(clean) == _write_zip([("intergeo.xml", _TEXT)])
+    attempt = _chain_attempts()[0]
+    assert add_proof_attempt(padded, attempt) == add_proof_attempt(clean, attempt)
+
+
 @pytest.mark.parametrize("limit", ["ZIP_FILECOUNT_LIMIT", "ZIP64_LIMIT"])
 def test_zip64_end_record_of_the_zipfile_writer_reads(monkeypatch, limit):
     # past 65535 entries, or a central directory past 2 GiB, zipfile adds the
@@ -749,17 +864,25 @@ def test_every_private_name_of_the_library_is_used():
 
 
 def _one_entry(
-    body: bytes, size: int, crc: int, method: int = 8, flags: int = 0, local_name: bytes = b"a.txt", zip64_size: int = 0
+    body: bytes,
+    size: int,
+    crc: int,
+    method: int = 8,
+    flags: int = 0,
+    local_name: bytes | None = None,
+    zip64_size: int = 0,
+    name: bytes = b"a.txt",
 ) -> bytes:
-    """An archive of one file entry a.txt with the given raw fields; with
-    ``zip64_size`` the central directory declares that size in a zip64
-    extra field."""
+    """An archive of one file entry (a.txt unless ``name`` says otherwise)
+    with the given raw fields; with ``zip64_size`` the central directory
+    declares that size in a zip64 extra field."""
 
+    local_name = name if local_name is None else local_name
     extra = struct.pack("<HHQ", 1, 8, zip64_size) if zip64_size else b""
     fields = (flags, method, 0, 0x21, crc, len(body), 0xFFFFFFFF if zip64_size else size)
     local = struct.pack("<4s2B4HL2L2H", b"PK\x03\x04", 20, 0, *fields, len(local_name), 0) + local_name + body
-    central = struct.pack("<4s4B4HL2L5H2L", b"PK\x01\x02", 20, 3, 20, 0, *fields, 5, len(extra), 0, 0, 0, 0o644 << 16, 0)
-    central += b"a.txt" + extra
+    central = struct.pack("<4s4B4HL2L5H2L", b"PK\x01\x02", 20, 3, 20, 0, *fields, len(name), len(extra), 0, 0, 0, 0o644 << 16, 0)
+    central += name + extra
     return local + central + struct.pack("<4s4H2LH", b"PK\x05\x06", 0, 0, 1, 1, len(central), len(local), 0)
 
 
@@ -824,6 +947,12 @@ def test_unreadable_entry_is_malformed_zip(request, fields, reason):
     prefix = "MalformedZip: entry 'a.txt' " if capped else "MalformedZip: cannot read entry 'a.txt': "
     assert str(exc.value).startswith(prefix) and reason in str(exc.value)
     assert [v.code for v in validate_container(data)] == ["MalformedZip"]
+    # the writers that carry deflate bodies read every entry in full first
+    attempt = ProofAttempt("GCLC", "1", "area", ProofStatus.PROVED)
+    for call in (strip_to_i2g, lambda d: add_proof_attempt(d, attempt)):
+        with pytest.raises(ContainerError) as again:
+            call(data)
+        assert str(again.value) == str(exc.value)
 
 
 def test_inflation_stops_at_the_declared_size():
