@@ -106,8 +106,11 @@ def _cmd_pack(args) -> int:
     if args.name is None and problem.info is None:
         print("error: input has no information.xml; pass --name", file=sys.stderr)
         return EXIT_IO_OR_FORMAT
-    data = pack(problem)
-    _write_output(args.out or suggested_filename(problem, args.name), data)
+    try:
+        filename = suggested_filename(problem, args.name)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    _write_output(args.out or filename, pack(problem))
     return EXIT_OK
 
 
@@ -268,7 +271,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pack", help="pack a directory mirroring the container layout")
     p.add_argument("input")
     p.add_argument("--out", default=None)
-    p.add_argument("--name", default=None, help="problem name when information.xml is absent")
+    p.add_argument("--name", default=None, help="problem name of the file problem<NAME>.zip, if not the one in information.xml")
     p.set_defaults(func=_cmd_pack)
 
     p = sub.add_parser("unpack", help="extract a container safely")

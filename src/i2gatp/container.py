@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 from .errors import CodecError, ContainerError, I2gatpError
 from .model import (
+    PROBLEM_NAME_RE,
     Problem,
     ProofAttempt,
     Violation,
@@ -525,12 +526,14 @@ def pack(problem: Problem) -> bytes:
 
 
 def suggested_filename(problem: Problem, name: str | None = None) -> str:
-    """Conventional archive filename problem<name>.zip."""
+    """Conventional archive filename problem<name>.zip, for a name PROBLEM_NAME_RE matches."""
 
     if name is None:
         if problem.info is None:
             raise ValueError("problem has no information record; pass an explicit name")
         name = problem.info.name
+    if not PROBLEM_NAME_RE.match(name):
+        raise ValueError(f"invalid problem name {name!r}")
     return f"problem{name}.zip"
 
 

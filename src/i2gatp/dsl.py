@@ -57,6 +57,7 @@ from .model import (
     SegmentRatio,
     Term,
     Violation,
+    _constraint_path,
     _refuse,
     construction_element_count,
     format_number,
@@ -353,7 +354,7 @@ def emit_dsl(problem: Problem) -> str:
             raise OpaqueConstraintError(c.output)
         if c.kind is ConstraintKind.FREE_POINT:
             if c.output not in points:
-                step = f"/construction/constraints/{c.kind.value}[{i}]"
+                step = _constraint_path(i, c)
                 faults = validate_construction(problem.construction)
                 raise CodecError([v for v in faults if v.path == step and v.code in ("MissingElement", "KindMismatch")])
             x, y = points[c.output][:2]

@@ -28,7 +28,6 @@ __all__ = [
     "Constraint",
     "ConstraintKind",
     "CONSTRAINT_SIGNATURES",
-    "CONSTRAINT_TAGS",
     "Construction",
     "ELEMENT_COORDS",
     "ElementInstance",
@@ -109,27 +108,13 @@ ELEMENT_COORDS: dict[GeoKind, tuple[str, ...]] = {
 }
 
 
-# ElementInstance and Constraint, of which a document holds one per step,
-# set their fields through _set_field, object.__setattr__ looked up once:
-# the __init__ a frozen dataclass generates looks it up again for every
-# field.  Writing self.__dict__ would be faster still, but it would turn the
-# inline attribute values of each instance into a dict of its own, about 60
-# more bytes an instance and slower attribute reads.
-_set_field = object.__setattr__
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ElementInstance:
     """One object of the static initial instance."""
 
     id: str
     kind: GeoKind
     coords: tuple[float, ...]
-
-    def __init__(self, id: str, kind: GeoKind, coords: tuple[float, ...]) -> None:
-        _set_field(self, "id", id)
-        _set_field(self, "kind", kind)
-        _set_field(self, "coords", coords)
 
 
 class ConstraintKind(enum.Enum):
@@ -160,11 +145,15 @@ CONSTRAINT_SIGNATURES: dict[ConstraintKind, tuple[tuple[GeoKind, ...], GeoKind, 
     ConstraintKind.POINT_ON_LINE: ((GeoKind.LINE,), GeoKind.POINT, "parameter"),
     ConstraintKind.POINT_ON_CIRCLE: ((GeoKind.CIRCLE,), GeoKind.POINT, "angle"),
 }
-# The intergeo.xml tag of each supported step; any other tag is an opaque step
-CONSTRAINT_TAGS = {kind.value: kind for kind in CONSTRAINT_SIGNATURES}
+# By intergeo.xml tag, each kind's value: tag -> (kind, coordinate names), and
+# tag -> (kind, input kinds, output kind, parameter attribute); any other step
+# tag is an opaque step.  Lookups are by tag, which hashes in C; an Enum
+# member hashes in Python.
+_ELEMENT_TAGS = {kind.value: (kind, coords) for kind, coords in ELEMENT_COORDS.items()}
+_STEP_TAGS = {kind.value: (kind, *sig) for kind, sig in CONSTRAINT_SIGNATURES.items()}
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Constraint:
     """One straight-line-program step defining ``output`` from ``inputs``.
 
@@ -180,22 +169,6 @@ class Constraint:
     parameter: float | None = None
     opaque_tag: str | None = None
     opaque_payload: bytes | None = None
-
-    def __init__(
-        self,
-        output: str,
-        kind: ConstraintKind,
-        inputs: tuple[str, ...] = (),
-        parameter: float | None = None,
-        opaque_tag: str | None = None,
-        opaque_payload: bytes | None = None,
-    ) -> None:
-        _set_field(self, "output", output)
-        _set_field(self, "kind", kind)
-        _set_field(self, "inputs", inputs)
-        _set_field(self, "parameter", parameter)
-        _set_field(self, "opaque_tag", opaque_tag)
-        _set_field(self, "opaque_payload", opaque_payload)
 
 
 @dataclass(frozen=True)
@@ -816,15 +789,8 @@ def validate_info(info: ProblemInfo) -> list[Violation]:
     return out
 
 
-# ELEMENT_COORDS and CONSTRAINT_SIGNATURES keyed by each kind's value, for
-# the lookups made per element and per step: an Enum member hashes in
-# Python, its value string in C
-_COORDS_BY_VALUE = {kind.value: coords for kind, coords in ELEMENT_COORDS.items()}
-_SIGNATURES_BY_VALUE = {kind.value: sig for kind, sig in CONSTRAINT_SIGNATURES.items()}
-
-
 def _validate_element(e: ElementInstance, i: int, out: list[Violation]) -> None:
-    want = len(_COORDS_BY_VALUE[e.kind._value_])
+    want = len(_ELEMENT_TAGS[e.kind._value_][1])
     if len(e.coords) != want:
         _violation(out, "ArityError", _element_path(i, e), f"{e.kind.value} needs {want} coordinates, got {len(e.coords)}")
         return
@@ -899,13 +865,13 @@ def validate_construction(k: Construction) -> list[Violation]:
                 elements += count - 1
                 if tag != c.opaque_tag:
                     _violation(out, "UnknownTag", path, f"opaque constraint payload root is <{tag}>, expected <{c.opaque_tag}>")
-                elif tag in CONSTRAINT_TAGS:
+                elif tag in _STEP_TAGS:
                     _violation(out, "UnknownTag", path, f"opaque constraint <{tag}> is a supported step")
                 if attrs.get("out") != c.output:
                     _violation(out, "BadId", path, f"opaque constraint payload out {attrs.get('out')!r} is not its output {c.output!r}")
             defined.add(c.output)
             continue
-        in_kinds, out_kind, param_attr = _SIGNATURES_BY_VALUE[c.kind._value_]
+        _kind, in_kinds, out_kind, param_attr = _STEP_TAGS[c.kind._value_]
         if len(c.inputs) != len(in_kinds):
             _violation(out, "ArityError", _constraint_path(i, c), f"{c.kind.value} takes {len(in_kinds)} inputs, got {len(c.inputs)}")
         else:

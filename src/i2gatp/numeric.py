@@ -32,9 +32,9 @@ from .model import (
     CONSTRAINT_SIGNATURES,
     Collinear,
     Const,
-    Constraint,
     ConstraintKind,
     Construction,
+    ElementInstance,
     Equal,
     GeoKind,
     Harmonic,
@@ -50,10 +50,10 @@ from .model import (
     SegmentLength,
     SegmentRatio,
     Term,
-    Violation,
     _constraint_path,
     predicate_point_ids,
     term_point_ids,
+    validate_construction,
 )
 
 __all__ = [
@@ -227,17 +227,28 @@ class _Plan:
     kinds: dict[str, GeoKind]
 
 
-def _unrunnable(i: int, c: Constraint, code: str, message: str) -> CodecError:
-    """The refusal of step ``i``, ``c``, as validate_construction reports it."""
+# The codes of validate_construction that stop every run of a step
+_RUN_STOPPING = {"DuplicateOutput", "ArityError", "DanglingReference", "ForwardReference", "KindMismatch"}
 
-    return CodecError([Violation(code, _constraint_path(i, c), message)])
+
+def _refusal(construction: Construction, i: int) -> CodecError:
+    """The first run-stopping violation validate_construction reports at
+    step ``i``, over elements typed by each id's first step, since a run
+    reads no element (a plan stops at an opaque step, which types a point)."""
+
+    constraints = construction.constraints
+    kinds = {c.output: CONSTRAINT_SIGNATURES.get(c.kind, ((), GeoKind.POINT))[1] for c in reversed(constraints)}
+    elements = tuple(ElementInstance(eid, kind, ()) for eid, kind in kinds.items())
+    path = _constraint_path(i, constraints[i])
+    violations = validate_construction(Construction(elements, constraints))
+    return CodecError([next(v for v in violations if v.path == path and v.code in _RUN_STOPPING)])
 
 
 def _compile(construction: Construction) -> _Plan:
     """Resolve every reference once.  For the first step in program order
     that no run could execute, raise OpaqueConstraintError if it is opaque,
-    else CodecError with the first violation validate_construction reports
-    there, checked in its order: the output, the arity, then each input."""
+    else _refusal's CodecError.  Each step's test (its output, its arity,
+    then each input) fails where the model reports a _RUN_STOPPING code."""
 
     constraints = construction.constraints
     ids = tuple(c.output for c in constraints)
@@ -252,18 +263,11 @@ def _compile(construction: Construction) -> _Plan:
         except KeyError:
             raise OpaqueConstraintError(c.output) from None
         inputs = c.inputs
-        if c.output in kinds:
-            raise _unrunnable(i, c, "DuplicateOutput", f"id {c.output!r} defined by more than one constraint")
-        if len(inputs) != len(in_kinds):
-            raise _unrunnable(i, c, "ArityError", f"{c.kind.value} takes {len(in_kinds)} inputs, got {len(inputs)}")
+        if c.output in kinds or len(inputs) != len(in_kinds):
+            raise _refusal(construction, i)
         for ref, want in zip(inputs, in_kinds):
-            got = kinds.get(ref)
-            if got is not want:
-                if got is not None:
-                    raise _unrunnable(i, c, "KindMismatch", f"input {ref!r} is a {got.value}, expected {want.value}")
-                if ref in slot:
-                    raise _unrunnable(i, c, "ForwardReference", f"input {ref!r} is defined later in the program")
-                raise _unrunnable(i, c, "DanglingReference", f"input {ref!r} is not an element")
+            if kinds.get(ref) is not want:
+                raise _refusal(construction, i)
         if inputs:
             first, second = slot[inputs[0]], slot[inputs[-1]]
         else:

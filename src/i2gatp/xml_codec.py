@@ -22,8 +22,6 @@ from collections.abc import Callable
 
 from .errors import CodecError
 from .model import (
-    CONSTRAINT_SIGNATURES,
-    ELEMENT_COORDS,
     MAX_TERM_DEPTH,
     MAX_XML_DEPTH,
     MAX_XML_ELEMENTS,
@@ -50,6 +48,8 @@ from .model import (
     SegmentRatio,
     Term,
     Violation,
+    _ELEMENT_TAGS,
+    _STEP_TAGS,
     _refuse,
     format_number,
     predicate_point_ids,
@@ -416,11 +416,8 @@ def _analyze_conjecture(root: _RawNode, data: bytes, rep: _Report) -> Conjecture
 # ---------------------------------------------------------------------------
 # intergeo.xml (supported subset)
 
-# tag -> (kind, coordinate attributes), and of each supported step, tag ->
-# (kind, parameter attribute); keyed by tag, so a read does not hash an enum
-_ELEMENT_TAGS = {kind.value: (kind, coords) for kind, coords in ELEMENT_COORDS.items()}
-_STEP_TAGS = {kind.value: (kind, sig[2]) for kind, sig in CONSTRAINT_SIGNATURES.items()}
-_PARAMETER_ATTRS = tuple(sorted({sig[2] for sig in CONSTRAINT_SIGNATURES.values()} - {None}))
+# Every attribute that holds a step's real parameter
+_PARAMETER_ATTRS = tuple(sorted({step[3] for step in _STEP_TAGS.values()} - {None}))
 
 
 def _analyze_construction(root: _RawNode, data: bytes, rep: _Report) -> Construction | None:
@@ -460,7 +457,7 @@ def _analyze_construction(root: _RawNode, data: bytes, rep: _Report) -> Construc
             if ch.tag not in _STEP_TAGS:
                 c = Constraint(output=out_id, kind=ConstraintKind.OPAQUE, opaque_tag=ch.tag, opaque_payload=ch.raw(data))
             else:
-                kind, param_attr = _STEP_TAGS[ch.tag]
+                kind, _ins, _out, param_attr = _STEP_TAGS[ch.tag]
                 if param_attr is None and len(attrs) > 1:  # keep a stray parameter, so the model reports it as ArityError
                     param_attr = next(filter(attrs.__contains__, _PARAMETER_ATTRS), None)
                 parameter = None
@@ -771,7 +768,7 @@ def _write_construction(k: Construction) -> bytes:
     if k.elements:
         w.open("elements")
         for e in k.elements:
-            attrs = dict(zip(ELEMENT_COORDS[e.kind], map(format_number, e.coords)), id=e.id)
+            attrs = dict(zip(_ELEMENT_TAGS[e.kind._value_][1], map(format_number, e.coords)), id=e.id)
             w.empty(e.kind.value, attrs)
         w.close("elements")
     else:
@@ -784,7 +781,7 @@ def _write_construction(k: Construction) -> bytes:
                 continue
             attrs = {"out": c.output}
             if c.parameter is not None:  # validated: only a step with a parameter attribute has one
-                attrs[CONSTRAINT_SIGNATURES[c.kind][2]] = format_number(c.parameter)
+                attrs[_STEP_TAGS[c.kind._value_][3]] = format_number(c.parameter)
             if c.inputs:
                 w.leaf(c.kind.value, " ".join(c.inputs), attrs)
             else:

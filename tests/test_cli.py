@@ -364,6 +364,21 @@ def test_pack_of_a_tree_with_no_name_exits_2(tmp_path, corpus, capsys):
     assert main(["pack", str(tree), "--name", "minimal", "--out", str(tmp_path / "out.zip")]) == 0
 
 
+@pytest.mark.parametrize("name", ["", "has space", "x/../../evil"])
+def test_pack_refuses_a_name_that_is_not_a_problem_name(tmp_path, varignon_zip, capsys, monkeypatch, name):
+    # --name went into the filename unchecked: "" wrote problem.zip, and
+    # "x/../../evil" wrote outside the working directory once problemx/ existed
+    tree = tmp_path / "tree"
+    assert main(["unpack", str(varignon_zip), "--out", str(tree)]) == 0
+    work = tmp_path / "work"
+    (work / "problemx").mkdir(parents=True)
+    monkeypatch.chdir(work)
+    capsys.readouterr()
+    assert main(["pack", str(tree), "--name", name]) == 3
+    assert capsys.readouterr() == ("", f"usage error: invalid problem name {name!r}\n")
+    assert [p.name for p in work.iterdir()] == ["problemx"] and not (tmp_path / "evil.zip").exists()
+
+
 def test_unpack_does_not_follow_a_symlink_out_of_the_output_dir(varignon_zip, tmp_path, capsys):
     # the reader refuses unsafe names, but a link already in the output
     # directory can still lead an entry out of it

@@ -256,8 +256,8 @@ _CONSTRAINT_FIELDS = {"output": "M", "kind": ConstraintKind.POINT_ON_LINE, "inpu
     ],
 )
 def test_value_classes_keep_the_frozen_dataclass_contract(cls, values, defaults, text):
-    # the two classes write their instance dict in their own __init__; they
-    # must still behave as the frozen dataclasses they are declared as
+    # a document holds one of each per step; whatever __init__ builds them,
+    # generated or written by hand, they behave as frozen dataclasses
     fields = dataclasses.fields(cls)
     assert [f.name for f in fields] == list(values)
     assert {f.name: f.default for f in fields if f.default is not dataclasses.MISSING} == defaults

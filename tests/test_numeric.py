@@ -943,7 +943,8 @@ def _programs(draw) -> Construction:
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(construction=_programs())
 def test_the_plan_refuses_the_first_step_the_model_reports(construction):
-    # the two walks copy the step rule and its messages; this keeps them one
+    # the plan tests each step cheaply and takes its refusal from the model;
+    # this keeps that test and the model's five run-stopping codes one rule
     first = next((v for v in validate_construction(construction) if v.code in _STEP_CODES), None)
     try:
         _compile(construction)
