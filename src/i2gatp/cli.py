@@ -103,14 +103,18 @@ def _cmd_pack(args) -> int:
         _print_violations(violations)
         return EXIT_VALIDATION_FAILED
     problem = problem_from_entries(entries)
-    if args.name is None and problem.info is None:
-        print("error: input has no information.xml; pass --name", file=sys.stderr)
-        return EXIT_IO_OR_FORMAT
-    try:
-        filename = suggested_filename(problem, args.name)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    _write_output(args.out or filename, pack(problem))
+    out = args.out
+    # the name only names the output file; one that is given is checked
+    if args.name is not None or out is None:
+        if args.name is None and problem.info is None:
+            print("error: input has no information.xml; pass --name or --out", file=sys.stderr)
+            return EXIT_IO_OR_FORMAT
+        try:
+            filename = suggested_filename(problem, args.name)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
+        out = out or filename
+    _write_output(out, pack(problem))
     return EXIT_OK
 
 

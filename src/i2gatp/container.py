@@ -39,7 +39,7 @@ from .model import (
 )
 from .xml_codec import (
     DocumentKind,
-    _proof_identity,
+    _has_identity,
     _read,
     _write_conjecture,
     _write_construction,
@@ -601,7 +601,7 @@ def add_proof_attempt(data: bytes, attempt: ProofAttempt) -> bytes:
         raise ContainerError("DuplicateAttempt", f"directory {new_dir!r} already present")
     for group in layout.attempts.values():
         # an invalid attempt still has an identity; only an unreadable one has none
-        if _proof_identity(group[PROOF_INFO_NAME]) == attempt.identity:
+        if _has_identity(group[PROOF_INFO_NAME], attempt.identity):
             identity = f"{attempt.prover}/{attempt.version}/{attempt.method}"
             raise ContainerError("DuplicateAttempt", f"attempt {identity} already present")
     added: list[Entry] = [(new_dir + PROOF_INFO_NAME, _write_proof_info(attempt))]

@@ -490,16 +490,72 @@ def _identity(root: _RawNode) -> tuple[str, str, str]:
     return prover, version, method
 
 
-def _proof_identity(data: bytes) -> tuple[str, str, str] | None:
-    """The identity of the attempt the proofInfo.xml reader reads from
-    ``data``, with nothing else analysed; None when it reads no attempt
-    (unreadable XML, or a root other than <proof_info>)."""
+class _RuledOut(Exception):
+    """Raised by a ``_has_identity`` handler to stop the parse: the document
+    cannot read as an attempt of the identity sought."""
 
+
+def _has_identity(data: bytes, identity: tuple[str, str, str]) -> bool:
+    """Whether the proofInfo.xml reader reads an attempt of ``identity``
+    from ``data`` (False for unreadable XML or a root other than
+    <proof_info>), with nothing else analysed.
+
+    One expat pass builds no node: it keeps the text of the first
+    <prover>, <version> and <method> children of the root only, with the
+    character data handler switched on inside them alone, and stops at the
+    first fact that rules a match out.  A document that passes is read in
+    full by ``_parse_raw``, so that a declared encoding is handled there
+    alone."""
+
+    parser = xml.parsers.expat.ParserCreate()
+    parser.buffer_text = True
+    wanted = dict(zip(_IDENTITY_TAGS, identity))
+    depth = count = 0
+    field: str | None = None  # the identity child being read
+    runs: list[str] = []
+
+    def on_start(name: str, _attrs: dict[str, str]) -> None:
+        nonlocal depth, count, field
+        count += 1
+        if count > MAX_XML_ELEMENTS or depth >= MAX_XML_DEPTH:
+            raise _RuledOut
+        depth += 1
+        if depth == 1:
+            if name != "proof_info":
+                raise _RuledOut
+        elif depth == 2:
+            if name in wanted:
+                field = name
+                parser.CharacterDataHandler = runs.append
+        elif depth == 3 and field is not None:
+            parser.CharacterDataHandler = None  # a nested child's text is not the field's
+
+    def on_end(_name: str) -> None:
+        nonlocal depth, field
+        if field is not None:
+            if depth == 2:
+                parser.CharacterDataHandler = None
+                if "".join(runs).strip() != wanted.pop(field):
+                    raise _RuledOut
+                field = None
+                runs.clear()
+            elif depth == 3:
+                parser.CharacterDataHandler = runs.append
+        depth -= 1
+
+    parser.StartElementHandler = on_start
+    parser.EndElementHandler = on_end
+    try:
+        parser.Parse(data, True)
+    except (_RuledOut, *XML_READ_ERRORS):
+        return False
+    if any(wanted.values()):  # a missing child reads as ""
+        return False
     try:
         root = _parse_raw(data)[0]
     except XML_READ_ERRORS:
-        return None
-    return _identity(root) if root.tag == "proof_info" else None
+        return False
+    return root.tag == "proof_info" and _identity(root) == identity
 
 
 def _analyze_proof_info(root: _RawNode, data: bytes, rep: _Report) -> ProofAttempt | None:

@@ -12,6 +12,9 @@ over these outputs:
 - whether ``unpack(pack(p)) == canonicalize_problem(p)`` for each of them;
 - the violation digest of ``tests/test_violation_digest.py``;
 - the output of both emitters on each of them;
+- for each problem but N=1000, the archives of a chain of five
+  ``add_proof_attempt`` calls, one at a time, and the message with which
+  it refuses an attempt already present under another directory name;
 - the check reports of ``GOLDEN``'s problems and seeds.
 
 It also checks the pins those outputs must match: ``PACK_SHA256`` and
@@ -32,12 +35,14 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import io
 import json
 import os
 import platform
 import random
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -102,6 +107,11 @@ def check() -> tuple[str, list[str]]:
             except I2gatpError as exc:
                 text = f"{type(exc).__name__}: {exc}"
             record(f"{emit.__name__} {name}", text.encode())
+        if name != "generated_1000":
+            refusal = _add_chain(data, record, name)
+            record(f"add refusal {name}", refusal.encode())
+            if refusal != "DuplicateAttempt: attempt Floor/1/m already present":
+                failures.append(f"add_proof_attempt refused {name} with {refusal!r}")
 
     reports = reports_sha256(_reports(corpus))
     record("violation digest", reports.encode())
@@ -117,6 +127,35 @@ def check() -> tuple[str, list[str]]:
         if got != golden[name, seed]:
             failures.append(f"GOLDEN of {name} seed {seed}")
     return digest.hexdigest(), failures
+
+
+def _add_chain(data: bytes, record, name: str) -> str:
+    """Record the archive of each add of a chain of five to ``data``, and
+    return the message of the refusal of the first attempt again once its
+    directory is renamed, so that only its identity is left to match."""
+
+    from i2gatp.container import add_proof_attempt, read_container_entries
+    from i2gatp.errors import ContainerError
+    from i2gatp.model import ProofAttempt, ProofMeasures, ProofStatus
+
+    # each identity differs from the one before it in one field
+    identities = [("Floor", "1", "m"), ("Floor", "2", "m"), ("Floor", "2", "wu"), ("Other", "2", "wu"), ("Other", "2", "m")]
+    attempts = [
+        ProofAttempt(*identity, ProofStatus.PROVED, measures=ProofMeasures(proof_steps=i), outputs=(("log.txt", b"run %d\n" % i * 50),))
+        for i, identity in enumerate(identities)
+    ]
+    for i, attempt in enumerate(attempts):
+        data = add_proof_attempt(data, attempt)
+        record(f"add {i} {name}", data)
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        for path, content in read_container_entries(data):
+            zf.writestr(path.replace("/proofFloor1m/", "/proofMoved/"), content or b"")
+    try:
+        add_proof_attempt(buf.getvalue(), attempts[0])
+    except ContainerError as exc:
+        return str(exc)
+    return "not refused"
 
 
 def main(args: list[str]) -> int:

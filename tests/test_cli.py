@@ -352,16 +352,29 @@ def test_pack_of_a_file_exits_2(varignon_zip, capsys):
     assert capsys.readouterr().err == f"error: {varignon_zip} is not a directory\n"
 
 
-def test_pack_of_a_tree_with_no_name_exits_2(tmp_path, corpus, capsys):
+def test_pack_of_a_tree_with_no_name_exits_2(tmp_path, corpus, capsys, monkeypatch):
+    # the name only names the output file: --out packs a tree with no
+    # information.xml, and only a pack with neither --out nor --name exits 2
     archive = tmp_path / "minimal.zip"
     archive.write_bytes(pack(corpus["minimal"]))
     tree = tmp_path / "tree"
     assert main(["unpack", str(archive), "--out", str(tree)]) == 0
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
     capsys.readouterr()
-    assert main(["pack", str(tree), "--out", str(tmp_path / "out.zip")]) == 2
-    assert capsys.readouterr().err == "error: input has no information.xml; pass --name\n"
-    assert not (tmp_path / "out.zip").exists()
-    assert main(["pack", str(tree), "--name", "minimal", "--out", str(tmp_path / "out.zip")]) == 0
+    assert main(["pack", str(tree)]) == 2
+    assert capsys.readouterr().err == "error: input has no information.xml; pass --name or --out\n"
+    assert list(work.iterdir()) == []
+    assert main(["pack", str(tree), "--out", str(tmp_path / "out.zip")]) == 0
+    assert (tmp_path / "out.zip").read_bytes() == archive.read_bytes()
+    assert main(["pack", str(tree), "--name", "minimal"]) == 0
+    assert (work / "problemminimal.zip").read_bytes() == archive.read_bytes()
+    assert capsys.readouterr().out == f"{tmp_path / 'out.zip'}\nproblemminimal.zip\n"
+    # a name given with --out is still checked
+    assert main(["pack", str(tree), "--name", "has space", "--out", str(tmp_path / "named.zip")]) == 3
+    assert capsys.readouterr() == ("", "usage error: invalid problem name 'has space'\n")
+    assert not (tmp_path / "named.zip").exists()
 
 
 @pytest.mark.parametrize("name", ["", "has space", "x/../../evil"])

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from i2gatp import container
+from i2gatp import container, xml_codec
 from i2gatp.cli import main
 from i2gatp.container import (
     _write_zip,
@@ -580,6 +580,25 @@ def test_add_proof_attempt_and_strip_deflate_only_new_files(corpus, monkeypatch)
     deflated.clear()
     strip_to_i2g(updated)
     assert deflated == []
+
+
+def test_add_proof_attempt_builds_no_raw_tree_for_an_identity_ruled_out(corpus, monkeypatch):
+    # each existing proofInfo.xml is scanned until its identity is ruled
+    # out, and read in full only on a match
+    data = pack(corpus["varignon_attempts"])
+    first, second, third = _chain_attempts()[:3]
+    for attempt in (first, second):
+        data = add_proof_attempt(data, attempt)
+    built = []
+    build_raw = xml_codec._build_raw
+    monkeypatch.setattr(xml_codec, "_build_raw", lambda *args: built.append(args[0]) or build_raw(*args))
+    add_proof_attempt(data, third)
+    assert built == []
+    # a proofInfo.xml of the same identity under another directory name
+    moved = [(name.replace("/proofChain0m/", "/proofMoved/"), content) for name, content in read_container_entries(data)]
+    with pytest.raises(ContainerError, match="DuplicateAttempt: attempt Chain/0/m already present"):
+        add_proof_attempt(_rezip(moved), first)
+    assert built == [_read(data, "proofs/proofChain0m/proofInfo.xml")]
 
 
 def test_a_foreign_deflate_stream_is_carried_as_it_is():

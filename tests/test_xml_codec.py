@@ -7,11 +7,13 @@ import random
 import time
 import tracemalloc
 import xml.parsers.expat
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from i2gatp import xml_codec
 from i2gatp.container import (
     CONJECTURE_PATH,
     INFORMATION_PATH,
@@ -39,6 +41,9 @@ from i2gatp.model import (
     Parallel,
     Plus,
     ProblemInfo,
+    ProofAttempt,
+    ProofLimits,
+    ProofMeasures,
     ProofStatus,
     SegmentLength,
     Violation,
@@ -48,9 +53,10 @@ from i2gatp.model import (
 )
 from i2gatp.xml_codec import (
     DocumentKind,
+    _has_identity,
     _parse_raw,
-    _proof_identity,
     _read,
+    _write_proof_info,
     canonicalize,
     parse_conjecture,
     parse_construction,
@@ -766,20 +772,47 @@ def test_mutated_documents_raise_only_library_errors(corpus):
 
 # proofInfo.xml documents whose identity is easy to misread, with the
 # identity the reader reads (None: no attempt)
+_MATCHING = b"<proof_info><prover>A</prover><version>1</version><method>m</method>"
 _IDENTITY_CASES = [
     (b"<proof_info><prover>A</prover><prover>B</prover><version>1</version><method>m</method></proof_info>", ("A", "1", "m")),
     (b"<proof_info><notes><prover>N</prover></notes><version> 1 </version><method>m</method></proof_info>", ("", "1", "m")),
+    (b"<proof_info><method>m</method><status>proved</status><version>1</version><prover>A</prover></proof_info>", ("A", "1", "m")),
+    (b"<proof_info><prover>A<prover>B</prover>C</prover><version>1</version><method>m</method></proof_info>", ("AC", "1", "m")),
+    (b"<proof_info><prover><prover>A</prover></prover><prover>B</prover></proof_info>", ("", "", "")),
+    (b"<proof_info><prover>GC<b>x<c>y</c></b>LC<b/></prover><method>\n m\t</method></proof_info>", ("GCLC", "", "m")),
     (b"<proof_info><prover>GC<!-- c -->LC</prover></proof_info>", ("GCLC", "", "")),
     (b"<proof_info><prover><![CDATA[GC]]>LC</prover></proof_info>", ("GCLC", "", "")),
     (b"<proof_info><prover>&#65;B</prover></proof_info>", ("AB", "", "")),
+    (_MATCHING + b"</proof_info>", ("A", "1", "m")),
+    (_MATCHING + b"<status>proved</proof_info>", None),
+    (_MATCHING + b"</proof_info><proof_info/>", None),
     (b'<?xml version="1.0" encoding="UTF-16"?><proof_info><prover>A</prover></proof_info>', None),
     ('<?xml version="1.0" encoding="UTF-16"?><proof_info><prover>\u00c4</prover></proof_info>'.encode("utf-16"), ("\u00c4", "", "")),
-    (b"<information><prover>A</prover></information>", None),
+    ('<?xml version="1.0" encoding="ISO-8859-1"?><proof_info><prover>\u00c4</prover></proof_info>'.encode("latin-1"), ("\u00c4", "", "")),
+    (b"<information><prover>A</prover><version>1</version><method>m</method></information>", None),
 ]
 
 
 def _tree(node) -> tuple:
     return (node.tag, node.attrs, node.text, node.start, node.end_event, [_tree(ch) for ch in node.children])
+
+
+def _assert_identity_reads_as_the_reader(doc: bytes) -> None:
+    """_has_identity answers as the full reader for the identity it reads
+    and for that identity with each field changed, and builds a tree only
+    to confirm a match."""
+
+    value = _read(DocumentKind.PROOF_INFO, doc)[0]
+    read = None if value is None else value.identity
+    probes = [("A", "1", "m"), ("", "", "")]
+    if read is not None:
+        probes.append(read)
+        for i, text in enumerate(read):
+            probes += [read[:i] + (text + "x",) + read[i + 1 :], read[:i] + ("",) + read[i + 1 :]]
+    for identity in probes:
+        with mock.patch.object(xml_codec, "_build_raw", wraps=xml_codec._build_raw) as build:
+            assert _has_identity(doc, identity) == (read == identity), (identity, read)
+        assert build.called == (read == identity), (identity, read)
 
 
 def _assert_reads_as_the_reference(doc: bytes) -> None:
@@ -792,14 +825,55 @@ def _assert_reads_as_the_reference(doc: bytes) -> None:
         root, source = _parse_raw(doc)
         # a document in another encoding is read from its UTF-8 transcoding
         assert _tree(root) == _tree(parse_raw_reference(doc if source is doc else source.decode("utf-8")))
+    _assert_identity_reads_as_the_reader(doc)
+
+
+@pytest.mark.parametrize("doc, identity", _IDENTITY_CASES, ids=range(len(_IDENTITY_CASES)))
+def test_has_identity_answers_as_the_reader_reads(doc, identity):
     value = _read(DocumentKind.PROOF_INFO, doc)[0]
-    assert _proof_identity(doc) == (None if value is None else value.identity)
-
-
-@pytest.mark.parametrize("doc, identity", _IDENTITY_CASES)
-def test_proof_identity_is_the_identity_the_reader_reads(doc, identity):
-    assert _proof_identity(doc) == identity
+    assert (None if value is None else value.identity) == identity
     _assert_reads_as_the_reference(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _MATCHING + b"<x/>" * MAX_XML_ELEMENTS + b"</proof_info>",
+        _MATCHING + b"<x>" * MAX_XML_DEPTH + b"</x>" * MAX_XML_DEPTH + b"</proof_info>",
+    ],
+    ids=["elements", "depth"],
+)
+def test_a_matching_identity_before_a_cap_is_no_match(doc):
+    with pytest.raises(ValueError):
+        _parse_raw(doc)
+    _assert_identity_reads_as_the_reader(doc)
+
+
+_WRITTEN_ATTEMPTS = [
+    _write_proof_info(ProofAttempt("GCLCprover", "2.0", "wu", ProofStatus.PROVED)),
+    _write_proof_info(
+        ProofAttempt(
+            "CoqAM",
+            "8.16",
+            "areamethod",
+            ProofStatus.TIMEOUT,
+            limits=ProofLimits(time_limit_seconds=600.0),
+            measures=ProofMeasures(cpu_time_seconds=1.5, proof_steps=100),
+        )
+    ),
+]
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(
+    st.sampled_from(_WRITTEN_ATTEMPTS + [doc for doc, _identity in _IDENTITY_CASES]),
+    st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)), min_size=1, max_size=4),
+)
+def test_has_identity_answers_as_the_reader_on_mutated_bytes(doc, edits):
+    mutated = bytearray(doc)
+    for at, byte in edits:
+        mutated[at % len(mutated)] = byte
+    _assert_identity_reads_as_the_reader(bytes(mutated))
 
 
 def test_raw_tree_matches_the_reference_builder(corpus):
