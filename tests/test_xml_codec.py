@@ -789,6 +789,7 @@ _IDENTITY_CASES = [
     (b'<?xml version="1.0" encoding="UTF-16"?><proof_info><prover>A</prover></proof_info>', None),
     ('<?xml version="1.0" encoding="UTF-16"?><proof_info><prover>\u00c4</prover></proof_info>'.encode("utf-16"), ("\u00c4", "", "")),
     ('<?xml version="1.0" encoding="ISO-8859-1"?><proof_info><prover>\u00c4</prover></proof_info>'.encode("latin-1"), ("\u00c4", "", "")),
+    (b"<information><prover>A</prover></information>", None),
     (b"<information><prover>A</prover><version>1</version><method>m</method></information>", None),
 ]
 
@@ -828,8 +829,8 @@ def _assert_reads_as_the_reference(doc: bytes) -> None:
     _assert_identity_reads_as_the_reader(doc)
 
 
-@pytest.mark.parametrize("doc, identity", _IDENTITY_CASES, ids=range(len(_IDENTITY_CASES)))
-def test_has_identity_answers_as_the_reader_reads(doc, identity):
+@pytest.mark.parametrize("doc, identity", _IDENTITY_CASES)
+def test_proof_identity_is_the_identity_the_reader_reads(doc, identity):
     value = _read(DocumentKind.PROOF_INFO, doc)[0]
     assert (None if value is None else value.identity) == identity
     _assert_reads_as_the_reference(doc)
