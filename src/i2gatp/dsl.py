@@ -291,7 +291,10 @@ def parse_dsl(text: str) -> Problem:
             description=header["description"][0] if "description" in header else "",
             keywords=tuple(keyword for keyword, _ in keywords),
         )
-        _refuse_first(validate_info(info), {"keywords": keywords}, header["name"][1])
+        violations = validate_info(info)
+        if violations and violations[0].path == "/information/description":
+            raise DslSyntaxError(header["description"][1], violations[0].message)
+        _refuse_first(violations, {"keywords": keywords}, header["name"][1])
     return Problem(construction=construction, info=info, conjecture=conjecture)
 
 

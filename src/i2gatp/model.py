@@ -74,6 +74,10 @@ ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.']*\Z")
 # Reals as conjecture.xml, intergeo.xml, proofInfo.xml and the DSL read them
 # (the ``number`` production of docs/dsl.md)
 NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
+# A character of free text that no XML 1.0 document can carry: one outside
+# the Char production, which is a C0 control but tab, LF and CR, a lone
+# surrogate, U+FFFE or U+FFFF
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 # What expat raises for a document it cannot read: a syntax error, an
 # encoding it does not know (LookupError) or a multi-byte one it does not
 # support (ValueError), each named by the XML declaration; the readers also
@@ -698,6 +702,13 @@ def _payload_root(out: list[Violation], data: bytes, depth: int, path: str, what
     return (*root, count)
 
 
+def _not_xml_text(what: str, text: str) -> str:
+    """The message of a MalformedXml for free text ``what``, ``text``, that
+    holds a character _NOT_XML_CHAR matches."""
+
+    return f"{what} holds {_NOT_XML_CHAR.search(text)[0]!r}, a character XML 1.0 cannot carry"
+
+
 def _count_elements(out: list[Violation], count: int, document: str) -> None:
     """One MalformedXml when the ``document`` root element would be written
     with ``count`` elements, past MAX_XML_ELEMENTS, which no reader reads."""
@@ -762,6 +773,8 @@ def validate_info(info: ProblemInfo) -> list[Violation]:
         _violation(out, "MissingName", "/information/name", "problem name is required")
     elif not PROBLEM_NAME_RE.match(info.name):
         _violation(out, "BadName", "/information/name", f"invalid problem name {info.name!r}")
+    if _NOT_XML_CHAR.search(info.description):
+        _violation(out, "MalformedXml", "/information/description", _not_xml_text("description", info.description))
     # information, name, and each part below written when it is not empty
     elements = 2 + bool(info.description) + bool(info.bibrefs) + len(info.bibrefs) + bool(info.keywords) + len(info.keywords)
     if info.statement:
@@ -779,6 +792,8 @@ def validate_info(info: ProblemInfo) -> list[Violation]:
             elements += root[2] if root else 0
     seen_kw: set[str] = set()
     for i, kw in enumerate(info.keywords):
+        if _NOT_XML_CHAR.search(kw):
+            _violation(out, "MalformedXml", _keyword_path(i), _not_xml_text("keyword", kw))
         norm = " ".join(kw.split())
         if not norm:
             _violation(out, "EmptyKeyword", _keyword_path(i), "keyword is empty")
@@ -959,7 +974,11 @@ def _validate_attempt(a: ProofAttempt, path: str, out: list[Violation]) -> None:
         record = getattr(a, section)
         for tag, fld, as_type in children:
             value = getattr(record, fld)
-            if as_type is str or value is None:
+            if value is None:
+                continue
+            if as_type is str:
+                if _NOT_XML_CHAR.search(value):
+                    _violation(out, "MalformedXml", f"{path}/{section}/{tag}", _not_xml_text(fld, value))
                 continue
             if not math.isfinite(value) or value < 0 or (value == 0 and not zero_ok):
                 bound = ">= 0" if zero_ok else "> 0"

@@ -503,9 +503,9 @@ def _has_identity(data: bytes, identity: tuple[str, str, str]) -> bool:
     One expat pass builds no node: it keeps the text of the first
     <prover>, <version> and <method> children of the root only, with the
     character data handler switched on inside them alone, and stops at the
-    first fact that rules a match out.  A document that passes is read in
-    full by ``_parse_raw``, so that a declared encoding is handled there
-    alone."""
+    first fact that rules a match out.  The pass reads the whole document
+    with the reader's expat, caps and declared encoding, so a document that
+    passes it is one the reader reads, and reads as this identity."""
 
     parser = xml.parsers.expat.ParserCreate()
     parser.buffer_text = True
@@ -549,13 +549,7 @@ def _has_identity(data: bytes, identity: tuple[str, str, str]) -> bool:
         parser.Parse(data, True)
     except (_RuledOut, *XML_READ_ERRORS):
         return False
-    if any(wanted.values()):  # a missing child reads as ""
-        return False
-    try:
-        root = _parse_raw(data)[0]
-    except XML_READ_ERRORS:
-        return False
-    return root.tag == "proof_info" and _identity(root) == identity
+    return not any(wanted.values())  # a missing child reads as ""
 
 
 def _analyze_proof_info(root: _RawNode, data: bytes, rep: _Report) -> ProofAttempt | None:
@@ -684,57 +678,53 @@ def validate_document(kind: DocumentKind, data: bytes) -> list[Violation]:
 
 # ---------------------------------------------------------------------------
 # Canonical serialization
+#
+# Each writer appends one line per element, at its literal indentation, and
+# encodes the document once.  A payload is decoded as UTF-8 and spliced in:
+# the model has read every payload of a valid value with expat, which reads
+# a payload with no XML declaration as UTF-8 and refuses any other bytes.
+# Every value a writer is given is valid, so each step is written in the one
+# shape its signature allows.
+
+_TEXT_SPECIAL = re.compile("[&<>]")
+_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+_ATTR_SPECIAL = re.compile('[&<>"\t\n\r]')
+_ATTR_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"})
 
 
 def _esc_text(s: str) -> str:
-    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return s.translate(_TEXT_ESCAPES) if _TEXT_SPECIAL.search(s) else s
 
 
 def _esc_attr(s: str) -> str:
-    s = s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
-    return s.replace("\t", "&#9;").replace("\n", "&#10;").replace("\r", "&#13;")
+    return s.translate(_ATTR_ESCAPES) if _ATTR_SPECIAL.search(s) else s
 
 
-class _Writer:
-    def __init__(self) -> None:
-        self.parts: list[bytes] = [_DECLARATION]
-        self.depth = 0
+def _template(tag: str, names: tuple[str, ...], content: str) -> str:
+    """The line of a <``tag``> at depth 2 whose attributes are ``names`` and
+    whose content is ``content`` ("" for an empty element), as a
+    ``str.format`` template: field i is the value of ``names[i]``, and the
+    attributes stand sorted by name."""
 
-    def _tag_open(self, tag: str, attrs: dict[str, str] | None) -> str:
-        rendered = ""
-        if attrs:
-            rendered = "".join(f' {k}="{_esc_attr(v)}"' for k, v in sorted(attrs.items()))
-        return f"<{tag}{rendered}"
+    attrs = "".join(f' {names[i]}="{{{i}}}"' for i in sorted(range(len(names)), key=names.__getitem__))
+    return f"    <{tag}{attrs}>{content}</{tag}>" if content else f"    <{tag}{attrs}/>"
 
-    def line(self, text: str) -> None:
-        self.parts.append(("  " * self.depth + text + "\n").encode("utf-8"))
 
-    def open(self, tag: str, attrs: dict[str, str] | None = None) -> None:
-        self.line(self._tag_open(tag, attrs) + ">")
-        self.depth += 1
+# tag -> the line of an element instance, given its id and coordinates
+_ELEMENT_LINES = {tag: _template(tag, ("id", *coords), "") for tag, (_kind, coords) in _ELEMENT_TAGS.items()}
+# tag -> the line of a step, given its output, its parameter ("" for a step
+# whose signature has none) and its input ids
+_STEP_LINES = {
+    tag: _template(tag, ("out",) if param is None else ("out", param), "{2}" if ins else "")
+    for tag, (_kind, ins, _out, param) in _STEP_TAGS.items()
+}
 
-    def close(self, tag: str) -> None:
-        self.depth -= 1
-        self.line(f"</{tag}>")
 
-    def empty(self, tag: str, attrs: dict[str, str] | None = None) -> None:
-        self.line(self._tag_open(tag, attrs) + "/>")
+def _document(lines: list[str]) -> bytes:
+    """The declaration, then each of ``lines`` ended by a LF, in UTF-8."""
 
-    def leaf(self, tag: str, text: str, attrs: dict[str, str] | None = None) -> None:
-        self.line(self._tag_open(tag, attrs) + ">" + _esc_text(text) + f"</{tag}>")
-
-    def payload(self, tag: str, payload: bytes, attrs: dict[str, str] | None = None) -> None:
-        if not payload:
-            self.empty(tag, attrs)
-            return
-        prefix = ("  " * self.depth + self._tag_open(tag, attrs) + ">").encode("utf-8")
-        self.parts.append(prefix + payload + f"</{tag}>\n".encode("utf-8"))
-
-    def raw(self, element: bytes) -> None:
-        self.parts.append(("  " * self.depth).encode("utf-8") + element + b"\n")
-
-    def bytes(self) -> bytes:
-        return b"".join(self.parts)
+    lines.append("")
+    return _DECLARATION + "\n".join(lines).encode("utf-8")
 
 
 # Each serialize_* is its model check plus a _write_* writer; callers that
@@ -747,51 +737,39 @@ def serialize_information(info: ProblemInfo) -> bytes:
 
 
 def _write_information(info: ProblemInfo) -> bytes:
-    w = _Writer()
-    w.open("information")
-    w.leaf("name", info.name)
+    lines = ["<information>", f"  <name>{_esc_text(info.name)}</name>"]
     if info.description:
-        w.leaf("description", info.description)
+        lines.append(f"  <description>{_esc_text(info.description)}</description>")
     if info.statement:
-        w.payload("statement", info.statement)
+        lines.append(f"  <statement>{info.statement.decode()}</statement>")
     if info.bibrefs:
-        w.open("bibrefs")
+        lines.append("  <bibrefs>")
         for entry in info.bibrefs:
-            w.payload("bibentry", entry.payload, {"id": entry.id})
-        w.close("bibrefs")
+            tag = f'<bibentry id="{_esc_attr(entry.id)}"'
+            lines.append(f"    {tag}>{entry.payload.decode()}</bibentry>" if entry.payload else f"    {tag}/>")
+        lines.append("  </bibrefs>")
     if info.keywords:
-        w.open("keywords")
-        for kw in info.keywords:
-            w.leaf("keyword", kw)
-        w.close("keywords")
-    w.close("information")
-    return w.bytes()
+        lines.append("  <keywords>")
+        lines += [f"    <keyword>{_esc_text(kw)}</keyword>" for kw in info.keywords]
+        lines.append("  </keywords>")
+    lines.append("</information>")
+    return _document(lines)
 
 
-def _write_operands(w: _Writer, tag: str, left: Term, right: Term) -> None:
-    w.open(tag)
-    _write_term(w, left)
-    _write_term(w, right)
-    w.close(tag)
+def _write_term(lines: list[str], t: Term | Equal, indent: str) -> None:
+    """Append the lines of ``t``, a term or an equal predicate (written as
+    its two terms), at ``indent``."""
 
-
-def _write_term(w: _Writer, t: Term) -> None:
-    tag = TERM_NAMES[type(t)]
+    tag = PREDICATE_NAMES[Equal] if isinstance(t, Equal) else TERM_NAMES[type(t)]
     if isinstance(t, Const):
-        w.empty(tag, {"value": format_number(t.value)})
+        lines.append(f'{indent}<{tag} value="{format_number(t.value)}"/>')
     elif isinstance(t, SegmentLength):
-        w.leaf(tag, f"{t.a} {t.b}")
+        lines.append(f"{indent}<{tag}>{_esc_text(f'{t.a} {t.b}')}</{tag}>")
     else:
-        _write_operands(w, tag, t.left, t.right)
-
-
-def _write_predicate(w: _Writer, p: Predicate) -> None:
-    tag = PREDICATE_NAMES[type(p)]
-    if isinstance(p, Equal):
-        _write_operands(w, tag, p.left, p.right)
-    else:
-        attrs = {"ratio": format_number(p.ratio)} if isinstance(p, SegmentRatio) else None
-        w.leaf(tag, " ".join(predicate_point_ids(p)), attrs)
+        lines.append(f"{indent}<{tag}>")
+        _write_term(lines, t.left, indent + "  ")
+        _write_term(lines, t.right, indent + "  ")
+        lines.append(f"{indent}</{tag}>")
 
 
 def serialize_conjecture(c: Conjecture) -> bytes:
@@ -800,17 +778,21 @@ def serialize_conjecture(c: Conjecture) -> bytes:
 
 
 def _write_conjecture(c: Conjecture) -> bytes:
-    w = _Writer()
-    w.open("conjecture")
+    lines = ["<conjecture>"]
     for section, preds in (("hypothesis", c.hypothesis), ("ndg", c.ndg), ("conclusion", c.conclusion)):
         if not preds:
             continue  # empty sections are omitted entirely
-        w.open(section)
+        lines.append(f"  <{section}>")
         for p in preds:
-            _write_predicate(w, p)
-        w.close(section)
-    w.close("conjecture")
-    return w.bytes()
+            if isinstance(p, Equal):
+                _write_term(lines, p, "    ")
+                continue
+            tag = PREDICATE_NAMES[type(p)]
+            ratio = f' ratio="{format_number(p.ratio)}"' if isinstance(p, SegmentRatio) else ""
+            lines.append(f"    <{tag}{ratio}>{_esc_text(' '.join(predicate_point_ids(p)))}</{tag}>")
+        lines.append(f"  </{section}>")
+    lines.append("</conjecture>")
+    return _document(lines)
 
 
 def serialize_construction(k: Construction) -> bytes:
@@ -819,34 +801,28 @@ def serialize_construction(k: Construction) -> bytes:
 
 
 def _write_construction(k: Construction) -> bytes:
-    w = _Writer()
-    w.open("construction")
+    lines = ["<construction>"]
     if k.elements:
-        w.open("elements")
-        for e in k.elements:
-            attrs = dict(zip(_ELEMENT_TAGS[e.kind._value_][1], map(format_number, e.coords)), id=e.id)
-            w.empty(e.kind.value, attrs)
-        w.close("elements")
+        lines.append("  <elements>")
+        lines += [
+            _ELEMENT_LINES[e.kind._value_].format(_esc_attr(e.id), *map(format_number, e.coords)) for e in k.elements
+        ]
+        lines.append("  </elements>")
     else:
-        w.empty("elements")
+        lines.append("  <elements/>")
     if k.constraints:
-        w.open("constraints")
+        lines.append("  <constraints>")
         for c in k.constraints:
             if c.kind is ConstraintKind.OPAQUE:
-                w.raw(c.opaque_payload or b"")
+                lines.append(f"    {c.opaque_payload.decode()}")
                 continue
-            attrs = {"out": c.output}
-            if c.parameter is not None:  # validated: only a step with a parameter attribute has one
-                attrs[_STEP_TAGS[c.kind._value_][3]] = format_number(c.parameter)
-            if c.inputs:
-                w.leaf(c.kind.value, " ".join(c.inputs), attrs)
-            else:
-                w.empty(c.kind.value, attrs)
-        w.close("constraints")
+            parameter = "" if c.parameter is None else format_number(c.parameter)
+            lines.append(_STEP_LINES[c.kind._value_].format(_esc_attr(c.output), parameter, _esc_text(" ".join(c.inputs))))
+        lines.append("  </constraints>")
     if k.display:
-        w.raw(k.display)
-    w.close("construction")
-    return w.bytes()
+        lines.append(f"  {k.display.decode()}")
+    lines.append("</construction>")
+    return _document(lines)
 
 
 def serialize_proof_info(a: ProofAttempt) -> bytes:
@@ -855,24 +831,22 @@ def serialize_proof_info(a: ProofAttempt) -> bytes:
 
 
 def _write_proof_info(a: ProofAttempt) -> bytes:
-    w = _Writer()
-    w.open("proof_info")
-    w.leaf("prover", a.prover)
-    w.leaf("version", a.version)
-    w.leaf("method", a.method)
-    w.leaf("status", a.status.value)
+    lines = ["<proof_info>"]
+    lines += [f"  <{tag}>{_esc_text(text)}</{tag}>" for tag, text in zip(_IDENTITY_TAGS, a.identity)]
+    lines.append(f"  <status>{a.status.value}</status>")
     for section, (_record, _code, _zero_ok, children) in PROOF_INFO_SECTIONS.items():
         record = getattr(a, section)
         values = [(tag, as_type, getattr(record, fld)) for tag, fld, as_type in children]
         if all(value is None for _tag, _type, value in values):
             continue  # empty sections are omitted entirely
-        w.open(section)
+        lines.append(f"  <{section}>")
         for tag, as_type, value in values:
             if value is not None:
-                w.leaf(tag, format_number(value) if as_type is float else str(as_type(value)))
-        w.close(section)
-    w.close("proof_info")
-    return w.bytes()
+                text = format_number(value) if as_type is float else _esc_text(str(as_type(value)))
+                lines.append(f"    <{tag}>{text}</{tag}>")
+        lines.append(f"  </{section}>")
+    lines.append("</proof_info>")
+    return _document(lines)
 
 
 _WRITERS = {

@@ -13,8 +13,11 @@ object and the running scale; the interpreter must match it bit for bit.
 
 The zip oracles write and read archives through the standard library's
 ``zipfile``, independently of the container's own zip I/O; the path oracle
-judges a safe path segment by segment.  The raw XML oracle at the end is
-the dataclass tree builder the codec's leaner one must match node for node.
+judges a safe path segment by segment.  The raw XML oracle is the
+dataclass tree builder the codec's leaner one must match node for node.
+The XML writer oracles at the end are the canonical writers as they were
+before each element became one formatted line: a writer object that sorts
+and escapes an attribute dict per element and encodes line by line.
 """
 
 from __future__ import annotations
@@ -28,7 +31,26 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from i2gatp.errors import DegenerateStep
-from i2gatp.model import Construction, ConstraintKind
+from i2gatp.model import (
+    PREDICATE_NAMES,
+    PROOF_INFO_SECTIONS,
+    TERM_NAMES,
+    Conjecture,
+    Const,
+    Construction,
+    ConstraintKind,
+    Equal,
+    Predicate,
+    ProblemInfo,
+    ProofAttempt,
+    SegmentLength,
+    SegmentRatio,
+    Term,
+    _ELEMENT_TAGS,
+    _STEP_TAGS,
+    format_number,
+    predicate_point_ids,
+)
 from i2gatp.numeric import SceneCircle, SceneLine, ScenePoint
 
 Frac2 = tuple[Fraction, Fraction]
@@ -358,3 +380,172 @@ def parse_raw_reference(data: bytes) -> RawNodeReference:
     parser.CharacterDataHandler = on_chars
     parser.Parse(data, True)
     return roots[0]
+
+
+# ---------------------------------------------------------------------------
+# XML writer oracles
+
+
+def _esc_text(s: str) -> str:
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _esc_attr(s: str) -> str:
+    s = s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
+    return s.replace("\t", "&#9;").replace("\n", "&#10;").replace("\r", "&#13;")
+
+
+class _Writer:
+    def __init__(self) -> None:
+        self.parts: list[bytes] = [b'<?xml version="1.0" encoding="UTF-8"?>\n']
+        self.depth = 0
+
+    def _tag_open(self, tag: str, attrs: dict[str, str] | None) -> str:
+        rendered = ""
+        if attrs:
+            rendered = "".join(f' {k}="{_esc_attr(v)}"' for k, v in sorted(attrs.items()))
+        return f"<{tag}{rendered}"
+
+    def line(self, text: str) -> None:
+        self.parts.append(("  " * self.depth + text + "\n").encode("utf-8"))
+
+    def open(self, tag: str, attrs: dict[str, str] | None = None) -> None:
+        self.line(self._tag_open(tag, attrs) + ">")
+        self.depth += 1
+
+    def close(self, tag: str) -> None:
+        self.depth -= 1
+        self.line(f"</{tag}>")
+
+    def empty(self, tag: str, attrs: dict[str, str] | None = None) -> None:
+        self.line(self._tag_open(tag, attrs) + "/>")
+
+    def leaf(self, tag: str, text: str, attrs: dict[str, str] | None = None) -> None:
+        self.line(self._tag_open(tag, attrs) + ">" + _esc_text(text) + f"</{tag}>")
+
+    def payload(self, tag: str, payload: bytes, attrs: dict[str, str] | None = None) -> None:
+        if not payload:
+            self.empty(tag, attrs)
+            return
+        prefix = ("  " * self.depth + self._tag_open(tag, attrs) + ">").encode("utf-8")
+        self.parts.append(prefix + payload + f"</{tag}>\n".encode("utf-8"))
+
+    def raw(self, element: bytes) -> None:
+        self.parts.append(("  " * self.depth).encode("utf-8") + element + b"\n")
+
+    def bytes(self) -> bytes:
+        return b"".join(self.parts)
+
+
+def write_information_reference(info: ProblemInfo) -> bytes:
+    w = _Writer()
+    w.open("information")
+    w.leaf("name", info.name)
+    if info.description:
+        w.leaf("description", info.description)
+    if info.statement:
+        w.payload("statement", info.statement)
+    if info.bibrefs:
+        w.open("bibrefs")
+        for entry in info.bibrefs:
+            w.payload("bibentry", entry.payload, {"id": entry.id})
+        w.close("bibrefs")
+    if info.keywords:
+        w.open("keywords")
+        for kw in info.keywords:
+            w.leaf("keyword", kw)
+        w.close("keywords")
+    w.close("information")
+    return w.bytes()
+
+
+def _write_operands(w: _Writer, tag: str, left: Term, right: Term) -> None:
+    w.open(tag)
+    _write_term(w, left)
+    _write_term(w, right)
+    w.close(tag)
+
+
+def _write_term(w: _Writer, t: Term) -> None:
+    tag = TERM_NAMES[type(t)]
+    if isinstance(t, Const):
+        w.empty(tag, {"value": format_number(t.value)})
+    elif isinstance(t, SegmentLength):
+        w.leaf(tag, f"{t.a} {t.b}")
+    else:
+        _write_operands(w, tag, t.left, t.right)
+
+
+def _write_predicate(w: _Writer, p: Predicate) -> None:
+    tag = PREDICATE_NAMES[type(p)]
+    if isinstance(p, Equal):
+        _write_operands(w, tag, p.left, p.right)
+    else:
+        attrs = {"ratio": format_number(p.ratio)} if isinstance(p, SegmentRatio) else None
+        w.leaf(tag, " ".join(predicate_point_ids(p)), attrs)
+
+
+def write_conjecture_reference(c: Conjecture) -> bytes:
+    w = _Writer()
+    w.open("conjecture")
+    for section, preds in (("hypothesis", c.hypothesis), ("ndg", c.ndg), ("conclusion", c.conclusion)):
+        if not preds:
+            continue  # empty sections are omitted entirely
+        w.open(section)
+        for p in preds:
+            _write_predicate(w, p)
+        w.close(section)
+    w.close("conjecture")
+    return w.bytes()
+
+
+def write_construction_reference(k: Construction) -> bytes:
+    w = _Writer()
+    w.open("construction")
+    if k.elements:
+        w.open("elements")
+        for e in k.elements:
+            attrs = dict(zip(_ELEMENT_TAGS[e.kind.value][1], map(format_number, e.coords)), id=e.id)
+            w.empty(e.kind.value, attrs)
+        w.close("elements")
+    else:
+        w.empty("elements")
+    if k.constraints:
+        w.open("constraints")
+        for c in k.constraints:
+            if c.kind is ConstraintKind.OPAQUE:
+                w.raw(c.opaque_payload or b"")
+                continue
+            attrs = {"out": c.output}
+            if c.parameter is not None:
+                attrs[_STEP_TAGS[c.kind.value][3]] = format_number(c.parameter)
+            if c.inputs:
+                w.leaf(c.kind.value, " ".join(c.inputs), attrs)
+            else:
+                w.empty(c.kind.value, attrs)
+        w.close("constraints")
+    if k.display:
+        w.raw(k.display)
+    w.close("construction")
+    return w.bytes()
+
+
+def write_proof_info_reference(a: ProofAttempt) -> bytes:
+    w = _Writer()
+    w.open("proof_info")
+    w.leaf("prover", a.prover)
+    w.leaf("version", a.version)
+    w.leaf("method", a.method)
+    w.leaf("status", a.status.value)
+    for section, (_record, _code, _zero_ok, children) in PROOF_INFO_SECTIONS.items():
+        record = getattr(a, section)
+        values = [(tag, as_type, getattr(record, fld)) for tag, fld, as_type in children]
+        if all(value is None for _tag, _type, value in values):
+            continue  # empty sections are omitted entirely
+        w.open(section)
+        for tag, as_type, value in values:
+            if value is not None:
+                w.leaf(tag, format_number(value) if as_type is float else str(as_type(value)))
+        w.close(section)
+    w.close("proof_info")
+    return w.bytes()
