@@ -189,9 +189,10 @@ def _cmd_info(args) -> int:
 
 
 def _dsl_text(data: bytes) -> str:
-    """DSL source bytes as text; DslSyntaxError at the line of the first
-    byte that is not UTF-8."""
+    """DSL source bytes as text, past a UTF-8 byte order mark as expat reads
+    XML; DslSyntaxError at the line of the first byte that is not UTF-8."""
 
+    data = data.removeprefix(b"\xef\xbb\xbf")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

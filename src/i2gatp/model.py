@@ -73,7 +73,7 @@ ATTEMPT_FIELD_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
 ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.']*\Z")
 # Reals as conjecture.xml, intergeo.xml, proofInfo.xml and the DSL read them
 # (the ``number`` production of docs/dsl.md)
-NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
+NUMBER_RE = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?\Z")
 # A character of free text that no XML 1.0 document can carry: one outside
 # the Char production, which is a C0 control but tab, LF and CR, a lone
 # surrogate, U+FFFE or U+FFFF

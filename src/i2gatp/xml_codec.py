@@ -19,6 +19,7 @@ import enum
 import re
 import xml.parsers.expat
 from collections.abc import Callable
+from typing import NamedTuple
 
 from .errors import CodecError
 from .model import (
@@ -81,7 +82,7 @@ class DocumentKind(enum.Enum):
     PROOF_INFO = "proof_info"
 
 
-_INT_RE = re.compile(r"[+-]?\d+\Z")
+_INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 # The XML declaration that every document the codec writes starts with
 _DECLARATION = b'<?xml version="1.0" encoding="UTF-8"?>\n'
 # A tag through its '>', quoted values skipped; linear: each alternative starts on its own byte
@@ -258,13 +259,6 @@ def _num_attr(node: _RawNode, name: str, path: str, rep: _Report) -> float | Non
     return _parse_num(node.attrs[name], f"{path}/@{name}", rep)
 
 
-def _expect_root(root: _RawNode, tag: str, rep: _Report) -> bool:
-    if root.tag != tag:
-        rep.error("UnknownTag", "/", f"expected root <{tag}>, found <{root.tag}>")
-        return False
-    return True
-
-
 def _singletons(root: _RawNode, path: str, allowed: tuple[str, ...], rep: _Report) -> dict[str, _RawNode]:
     """First occurrence of each allowed child; duplicates are violations,
     and strangers are skipped and reported as such."""
@@ -282,16 +276,18 @@ def _singletons(root: _RawNode, path: str, allowed: tuple[str, ...], rep: _Repor
     return found
 
 
+def _text(kids: dict[str, _RawNode], tag: str) -> str:
+    """The stripped text of the part ``tag`` of ``kids``, or "" when the
+    document has none."""
+
+    return kids[tag].text.strip() if tag in kids else ""
+
+
 # ---------------------------------------------------------------------------
 # information.xml
 
 
-def _analyze_information(root: _RawNode, data: bytes, rep: _Report) -> ProblemInfo | None:
-    if not _expect_root(root, "information", rep):
-        return None
-    kids = _singletons(root, "/information", ("name", "description", "statement", "bibrefs", "keywords"), rep)
-    name = kids["name"].text.strip() if "name" in kids else ""
-    description = kids["description"].text.strip() if "description" in kids else ""
+def _analyze_information(kids: dict[str, _RawNode], data: bytes, rep: _Report) -> ProblemInfo:
     statement = kids["statement"].inner(data) if "statement" in kids else b""
     bibrefs: list[BibEntry] = []
     if "bibrefs" in kids:
@@ -311,8 +307,8 @@ def _analyze_information(root: _RawNode, data: bytes, rep: _Report) -> ProblemIn
                 continue
             rep.keep(keywords, ch.text.strip(), parent, ch, i)
     return ProblemInfo(
-        name=name,
-        description=description,
+        name=_text(kids, "name"),
+        description=_text(kids, "description"),
         statement=statement,
         bibrefs=tuple(bibrefs),
         keywords=tuple(keywords),
@@ -392,12 +388,12 @@ def _analyze_predicate(node: _RawNode, at: Callable[[], str], rep: _Report) -> P
     return None if ratio is None else SegmentRatio(*ids, ratio=ratio)
 
 
-def _analyze_conjecture(root: _RawNode, data: bytes, rep: _Report) -> Conjecture | None:
-    if not _expect_root(root, "conjecture", rep):
-        return None
-    kids = _singletons(root, "/conjecture", ("hypothesis", "ndg", "conclusion"), rep)
+_CONJECTURE_SECTIONS = ("hypothesis", "ndg", "conclusion")
+
+
+def _analyze_conjecture(kids: dict[str, _RawNode], data: bytes, rep: _Report) -> Conjecture:
     sections: dict[str, tuple[Predicate, ...]] = {}
-    for section in ("hypothesis", "ndg", "conclusion"):
+    for section in _CONJECTURE_SECTIONS:
         preds: list[Predicate] = []
         if section in kids:
             parent = f"/conjecture/{section}"
@@ -406,11 +402,7 @@ def _analyze_conjecture(root: _RawNode, data: bytes, rep: _Report) -> Conjecture
                 if p is not None:
                     rep.keep(preds, p, parent, ch, i)
         sections[section] = tuple(preds)
-    return Conjecture(
-        hypothesis=sections["hypothesis"],
-        ndg=sections["ndg"],
-        conclusion=sections["conclusion"],
-    )
+    return Conjecture(**sections)
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +412,7 @@ def _analyze_conjecture(root: _RawNode, data: bytes, rep: _Report) -> Conjecture
 _PARAMETER_ATTRS = tuple(sorted({step[3] for step in _STEP_TAGS.values()} - {None}))
 
 
-def _analyze_construction(root: _RawNode, data: bytes, rep: _Report) -> Construction | None:
-    if not _expect_root(root, "construction", rep):
-        return None
-    kids = _singletons(root, "/construction", ("elements", "constraints", "display"), rep)
+def _analyze_construction(kids: dict[str, _RawNode], data: bytes, rep: _Report) -> Construction | None:
     if "elements" not in kids:
         rep.error("MissingElementsPart", "/construction/elements", "the elements part is required")
         return None
@@ -478,16 +467,6 @@ def _analyze_construction(root: _RawNode, data: bytes, rep: _Report) -> Construc
 
 _STATUS_BY_TEXT = {status.value: status for status in ProofStatus}
 _IDENTITY_TAGS = ("prover", "version", "method")
-
-
-def _identity(root: _RawNode) -> tuple[str, str, str]:
-    """The (prover, version, method) of a <proof_info> root: the stripped
-    text of the first child of each tag, as _singletons picks it, and ""
-    for a missing one."""
-
-    first = {ch.tag: ch.text for ch in reversed(root.children)}
-    prover, version, method = (first.get(tag, "").strip() for tag in _IDENTITY_TAGS)
-    return prover, version, method
 
 
 class _RuledOut(Exception):
@@ -552,12 +531,8 @@ def _has_identity(data: bytes, identity: tuple[str, str, str]) -> bool:
     return not any(wanted.values())  # a missing child reads as ""
 
 
-def _analyze_proof_info(root: _RawNode, data: bytes, rep: _Report) -> ProofAttempt | None:
-    if not _expect_root(root, "proof_info", rep):
-        return None
-    kids = _singletons(root, "/proof_info", (*_IDENTITY_TAGS, "status", *PROOF_INFO_SECTIONS), rep)
-    identity = dict(zip(_IDENTITY_TAGS, _identity(root)))
-    status_text = kids["status"].text.strip() if "status" in kids else ""
+def _analyze_proof_info(kids: dict[str, _RawNode], data: bytes, rep: _Report) -> ProofAttempt:
+    status_text = _text(kids, "status")
     status = _STATUS_BY_TEXT.get(status_text.lower())
     if status is None:
         rep.error("UnknownStatus", "/proof_info/status", f"unknown status {status_text!r}")
@@ -581,25 +556,16 @@ def _analyze_proof_info(root: _RawNode, data: bytes, rep: _Report) -> ProofAttem
                 else:
                     values[fld] = float(text) if NUMBER_RE.match(text) else _parse_num(text, f"{parent}/{tag}", rep)
         records[section] = record(**values)
+    identity = {tag: _text(kids, tag) for tag in _IDENTITY_TAGS}
     return ProofAttempt(status=status, **identity, **records)  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------
 # Public parse entry points
 
-_ANALYZERS = {
-    DocumentKind.INFORMATION: _analyze_information,
-    DocumentKind.CONJECTURE: _analyze_conjecture,
-    DocumentKind.CONSTRUCTION: _analyze_construction,
-    DocumentKind.PROOF_INFO: _analyze_proof_info,
-}
 
-
-# Readers of these kinds skip unknown child tags (see _singletons);
-# validate_document still reports them.
-_FORGIVES_STRANGERS = (DocumentKind.INFORMATION, DocumentKind.PROOF_INFO)
-
-
+# Not a field of _Kind: the validate_* names are looked up when called, as
+# bench/tracer.py swaps them to time the model layer
 def _model_violations(kind: DocumentKind, value, construction: Construction | None) -> list[Violation]:
     if value is None:
         return []
@@ -614,10 +580,10 @@ def _model_violations(kind: DocumentKind, value, construction: Construction | No
 
 def _read(kind: DocumentKind, data: bytes, construction: Construction | None = None):
     """The value read from ``data``, every violation, and those a parse
-    refuses (all but the strangers ``_FORGIVES_STRANGERS`` readers skip).
-    Violations are syntax ones from the reader, then value ones from the
-    model validators, each located at its source tag and child index; a
-    conjecture's ids are resolved against ``construction`` when given."""
+    refuses (all but the strangers its kind forgives).  Violations are
+    syntax ones from the reader, then value ones from the model validators,
+    each located at its source tag and child index; a conjecture's ids are
+    resolved against ``construction`` when given."""
 
     rep = _Report()
     try:
@@ -625,13 +591,18 @@ def _read(kind: DocumentKind, data: bytes, construction: Construction | None = N
     except XML_READ_ERRORS as exc:
         rep.error("MalformedXml", "/", f"XML parse error: {exc}")
         return None, rep, rep
-    value = _ANALYZERS[kind](root, data, rep)
+    tag = kind.value
+    if root.tag != tag:
+        rep.error("UnknownTag", "/", f"expected root <{tag}>, found <{root.tag}>")
+        return None, rep, rep
+    spec = _KINDS[kind]
+    value = spec.analyze(_singletons(root, f"/{tag}", spec.parts, rep), data, rep)
     model = [
         Violation(v.code, rep.moved[v.path], v.message) if v.path in rep.moved else v
         for v in _model_violations(kind, value, construction)
     ]
     violations = rep + model
-    forgiven = rep.strangers if kind in _FORGIVES_STRANGERS else ()
+    forgiven = rep.strangers if spec.forgives_strangers else ()
     return value, violations, [v for v in violations if v not in forgiven]
 
 
@@ -779,7 +750,8 @@ def serialize_conjecture(c: Conjecture) -> bytes:
 
 def _write_conjecture(c: Conjecture) -> bytes:
     lines = ["<conjecture>"]
-    for section, preds in (("hypothesis", c.hypothesis), ("ndg", c.ndg), ("conclusion", c.conclusion)):
+    for section in _CONJECTURE_SECTIONS:
+        preds = getattr(c, section)
         if not preds:
             continue  # empty sections are omitted entirely
         lines.append(f"  <{section}>")
@@ -849,11 +821,34 @@ def _write_proof_info(a: ProofAttempt) -> bytes:
     return _document(lines)
 
 
-_WRITERS = {
-    DocumentKind.INFORMATION: _write_information,
-    DocumentKind.CONJECTURE: _write_conjecture,
-    DocumentKind.CONSTRUCTION: _write_construction,
-    DocumentKind.PROOF_INFO: _write_proof_info,
+# ---------------------------------------------------------------------------
+# Document kinds
+
+
+class _Kind(NamedTuple):
+    """One document kind, whose root tag is its value: the singleton parts
+    of the root, the analyzer that builds the value from them as
+    _singletons picks them, whether a parse forgives (skips) unknown
+    children, which validate_document still reports, and the writer of a
+    valid value."""
+
+    parts: tuple[str, ...]
+    analyze: Callable[[dict[str, _RawNode], bytes, _Report], object]
+    forgives_strangers: bool
+    write: Callable[..., bytes]
+
+
+_KINDS = {
+    DocumentKind.INFORMATION: _Kind(
+        ("name", "description", "statement", "bibrefs", "keywords"), _analyze_information, True, _write_information
+    ),
+    DocumentKind.CONSTRUCTION: _Kind(
+        ("elements", "constraints", "display"), _analyze_construction, False, _write_construction
+    ),
+    DocumentKind.CONJECTURE: _Kind(_CONJECTURE_SECTIONS, _analyze_conjecture, False, _write_conjecture),
+    DocumentKind.PROOF_INFO: _Kind(
+        (*_IDENTITY_TAGS, "status", *PROOF_INFO_SECTIONS), _analyze_proof_info, True, _write_proof_info
+    ),
 }
 
 
@@ -862,4 +857,4 @@ def canonicalize(kind: DocumentKind, data: bytes) -> bytes:
     documents."""
 
     # the parse has validated the value
-    return _WRITERS[kind](_parse(kind, data))
+    return _KINDS[kind].write(_parse(kind, data))

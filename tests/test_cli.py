@@ -245,6 +245,25 @@ def test_dsl_that_is_not_utf8_is_located(tmp_path, capsys, command):
     assert capsys.readouterr().err == "error: line 3: not UTF-8: invalid continuation byte at byte 0xe9\n"
 
 
+@pytest.mark.parametrize("command", [["convert", "--from", "dsl", "--to", "dsl", "--out", "-"], ["check"]])
+@pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+def test_dsl_after_a_utf8_byte_order_mark_is_read(tmp_path, monkeypatch, capsys, command, from_stdin):
+    def run(source: bytes) -> tuple[int, str, str]:
+        path = tmp_path / "bom.gcl"
+        path.write_bytes(source)
+        if from_stdin:
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(source)))
+            path = "-"
+        code = main([command[0], str(path), *command[1:]])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    bom = b"\xef\xbb\xbf"
+    assert run(bom + VARIGNON_DSL.encode()) == run(VARIGNON_DSL.encode())
+    assert run(bom + VARIGNON_DSL.encode())[0] == 0
+    assert run(bom + b"point A 0 0\npoint B 1 0\nfoo\n") == (2, "", "error: line 3: unknown statement 'foo'\n")
+
+
 def test_unpack_rejects_traversal_before_writing(tmp_path, capsys):
     buf = io.BytesIO()
     with zipfile.ZipFile(buf, "w") as zf:

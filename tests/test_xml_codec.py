@@ -385,6 +385,35 @@ def test_negative_measure_rejected(tag):
     assert [(v.code, v.path) for v in validate_document(DocumentKind.PROOF_INFO, doc("1x"))] == [("BadNumber", path)]
 
 
+_ATTEMPT_HEAD = "<proof_info><prover>p</prover><version>1</version><method>m</method><status>proved</status>"
+# each place a reader takes a number: (kind, a document with the number as {n}, its locator)
+_NUMBER_PLACES = [
+    (DocumentKind.CONSTRUCTION, '<construction><elements><point id="A" x="{n}" y="0"/></elements></construction>',
+     "/construction/elements/point[0]/@x"),
+    (DocumentKind.CONJECTURE, '<conjecture><hypothesis><equal><const value="{n}"/><const value="1"/></equal></hypothesis>'
+     "<conclusion><not_equal>A B</not_equal></conclusion></conjecture>", "/conjecture/hypothesis/equal[0]/const/@value"),
+    (DocumentKind.CONJECTURE, '<conjecture><hypothesis><segment_ratio ratio="{n}">A B C D</segment_ratio></hypothesis>'
+     "<conclusion><not_equal>A B</not_equal></conclusion></conjecture>", "/conjecture/hypothesis/segment_ratio[0]/@ratio"),
+    (DocumentKind.PROOF_INFO, _ATTEMPT_HEAD + "<platform><RAM>{n}</RAM></platform></proof_info>", "/proof_info/platform/RAM"),
+    (DocumentKind.PROOF_INFO, _ATTEMPT_HEAD + "<measures><CPU_time>{n}</CPU_time></measures></proof_info>",
+     "/proof_info/measures/CPU_time"),
+]
+
+
+@pytest.mark.parametrize("digit", ["\u0663", "\uff13"])  # ARABIC-INDIC DIGIT THREE, FULLWIDTH DIGIT THREE
+def test_a_number_of_digits_other_than_ascii_is_bad(digit):
+    # xsd:double and the DSL's number take ASCII digits only, though \d matches any decimal digit
+    for kind, template, path in _NUMBER_PLACES:
+        doc = template.format(n=digit).encode()
+        assert [(v.code, v.path) for v in validate_document(kind, doc)] == [("BadNumber", path)], path
+        with pytest.raises(CodecError) as exc:
+            _PARSERS[kind](doc)
+        assert exc.value.code == "BadNumber"
+    with pytest.raises(DslSyntaxError) as exc2:
+        parse_dsl(f"point A 0 0\npoint B 1{digit} 4\n")
+    assert (exc2.value.line, str(exc2.value)) == (2, f"line 2: malformed number '1{digit}'")
+
+
 # ---------------------------------------------------------------------------
 # canonical form properties
 
@@ -717,12 +746,15 @@ def test_deep_display_is_refused_before_its_tree_is_built(varignon):
     assert [(v.code, v.path) for v in validate_problem(problem)] == [("MalformedXml", "/construction/display")]
 
 
-@pytest.mark.parametrize("kind", [DocumentKind.INFORMATION, DocumentKind.CONJECTURE, DocumentKind.CONSTRUCTION])
+@pytest.mark.parametrize(
+    "kind", [DocumentKind.INFORMATION, DocumentKind.CONJECTURE, DocumentKind.CONSTRUCTION, DocumentKind.PROOF_INFO]
+)
 def test_document_with_another_root_is_one_unknown_tag(kind):
-    refused = ("UnknownTag", "/", f"expected root <{kind.value}>, found <proof_info>")
-    assert [(v.code, v.path, v.message) for v in validate_document(kind, b"<proof_info/>")] == [refused]
+    other = "information" if kind is DocumentKind.PROOF_INFO else "proof_info"
+    refused = ("UnknownTag", "/", f"expected root <{kind.value}>, found <{other}>")
+    assert [(v.code, v.path, v.message) for v in validate_document(kind, f"<{other}/>".encode())] == [refused]
     with pytest.raises(CodecError) as exc:
-        _PARSERS[kind](b"<proof_info/>")
+        _PARSERS[kind](f"<{other}/>".encode())
     assert exc.value.violations == [Violation(*refused)]
 
 
