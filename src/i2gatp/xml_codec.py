@@ -2,10 +2,13 @@
 
 Parsing is built on expat with byte offsets so opaque payloads (statement,
 bibentry, display, unknown constraints) are captured from the source
-byte-exactly.  Serialization is canonical: UTF-8, LF, two-space indentation,
-lexicographically sorted attributes, opaque payloads emitted verbatim.  The
-concrete element shapes are normative companions of this package and are
-written down in docs/schema/ (one schema per document kind).
+byte-exactly.  intergeo.xml is read in one pass, with no node below its
+parts: elements and steps are read as the parse goes, and the display and
+each opaque step are kept as byte spans.  Serialization is canonical:
+UTF-8, LF, two-space indentation, lexicographically sorted attributes,
+opaque payloads emitted verbatim.  The concrete element shapes are
+normative companions of this package and are written down in docs/schema/
+(one schema per document kind).
 
 ``canonicalize(kind, data)`` is serialize-after-parse and is idempotent;
 ``validate_document`` reports all structural violations instead of stopping
@@ -15,10 +18,11 @@ at the first.
 from __future__ import annotations
 
 import codecs
+import dataclasses
 import enum
 import re
 import xml.parsers.expat
-from collections.abc import Callable
+from collections.abc import Callable, Container
 from typing import NamedTuple
 
 from .errors import CodecError
@@ -99,15 +103,14 @@ class _RawNode:
     runs joined), ``start`` (the offset of '<' of its start tag) and
     ``end_event`` (the offset at its end event: '<' of the end tag unless
     the element is empty).  Only opaque payloads need source bytes, so tag
-    ends are found when ``raw`` or ``inner`` is called."""
+    ends are found when ``raw`` or ``inner`` is called.  Built with leaf
+    readers, a part they read has a _Part for children, and any other part
+    below the root is its byte span alone, with no children and no text."""
 
     __slots__ = ("tag", "attrs", "children", "text", "start", "end_event")
 
     def raw(self, data: bytes) -> bytes:
-        end = _TAG.match(data, self.start).end()
-        if data[end - 2] != 0x2F:  # not '/>': the element has an end tag, which holds no quotes
-            end = data.index(b">", self.end_event) + 1
-        return data[self.start : end]
+        return _raw(data, self.start, self.end_event)
 
     def inner(self, data: bytes) -> bytes:
         end = _TAG.match(data, self.start).end()
@@ -116,7 +119,14 @@ class _RawNode:
         return data[end : self.end_event].strip()
 
 
-def _parse_raw(data: bytes) -> tuple[_RawNode, bytes]:
+def _raw(data: bytes, start: int, end_event: int) -> bytes:
+    end = _TAG.match(data, start).end()
+    if data[end - 2] != 0x2F:  # not '/>': the element has an end tag, which holds no quotes
+        end = data.index(b">", end_event) + 1
+    return data[start:end]
+
+
+def _parse_raw(data: bytes, leaves: dict | None = None) -> tuple[_RawNode, bytes]:
     """Parse ``data`` into a raw tree, with the UTF-8 source that its offsets
     index: ``data`` itself, or, when expat read ``data`` in another encoding,
     ``data`` transcoded to UTF-8 once and the tree built again from it, so
@@ -124,9 +134,9 @@ def _parse_raw(data: bytes) -> tuple[_RawNode, bytes]:
     Raises one of model.XML_READ_ERRORS when expat cannot read ``data``."""
 
     if data.startswith(_DECLARATION):  # UTF-8, as every document the codec writes
-        return _build_raw(data), data
+        return _build_raw(data, leaves), data
     declared: list[str | None] = [None]
-    root = _build_raw(data, declared)
+    root = _build_raw(data, leaves, declared)
     if data[:2] in (b"\xff\xfe", b"\xfe\xff"):  # a byte order mark
         codec = "utf-16"
     elif data[:2] in (b"<\x00", b"\x00<"):
@@ -136,13 +146,16 @@ def _parse_raw(data: bytes) -> tuple[_RawNode, bytes]:
     if codec in ("utf-8", "ascii"):
         return root, data
     text = data.removeprefix(b"\xef\xbb\xbf").decode(codec)  # expat skips a UTF-8 byte order mark
-    return _build_raw(text), text.encode("utf-8")
+    return _build_raw(text, leaves), text.encode("utf-8")
 
 
-def _build_raw(source: bytes | str, declared: list[str | None] | None = None) -> _RawNode:
+def _build_raw(source: bytes | str, leaves: dict | None = None, declared: list[str | None] | None = None) -> _RawNode:
     """The raw tree of ``source``, a str read as UTF-8; given ``declared``,
     the encoding that its XML declaration names, if any, is put there.
-    Raises ValueError past MAX_XML_DEPTH or MAX_XML_ELEMENTS."""
+    Raises ValueError past MAX_XML_DEPTH or MAX_XML_ELEMENTS.  Given
+    ``leaves`` (see _Kind), the tree stops at the parts of the root, whose
+    descendants are counted for the caps and are read by a leaf reader or
+    skipped, with character data handled only in a child whose text is read."""
 
     parser = xml.parsers.expat.ParserCreate()
     parser.buffer_text = True  # one call per text run, or per 8 KiB of it
@@ -160,7 +173,7 @@ def _build_raw(source: bytes | str, declared: list[str | None] | None = None) ->
         declared[0] = encoding
 
     def on_start(name: str, attrs: dict[str, str]) -> None:
-        nonlocal count
+        nonlocal count, depth, index, read, text_tags, part
         count += 1
         if count > MAX_XML_ELEMENTS:
             raise ValueError(f"more than {MAX_XML_ELEMENTS} elements")
@@ -174,6 +187,12 @@ def _build_raw(source: bytes | str, declared: list[str | None] | None = None) ->
         node.start = parser.CurrentByteIndex
         stack[-1].children.append(node)
         push(node)
+        if leaves is not None and len(stack) == 3:  # a part of the root
+            read, text_tags = unread.pop(name, (None, None))
+            if read is not None:
+                part = node.children = _Part()
+            depth, index = 2, 0
+            parser.StartElementHandler, parser.EndElementHandler, parser.CharacterDataHandler = on_start_below, on_end_below, None
 
     def on_end(name: str) -> None:
         pop().end_event = parser.CurrentByteIndex
@@ -186,6 +205,47 @@ def _build_raw(source: bytes | str, declared: list[str | None] | None = None) ->
             runs[node].append(text)
         else:
             runs[node] = [node.text, text]
+
+    if leaves is not None:  # a tree without leaf readers pays for none of this
+        # below a part: the open element's depth (the part's is 2), the part's
+        # reader and text tags, and its open child (tag, attrs, start), index, runs
+        depth = index = 0
+        read = text_tags = part = child = None
+        child_runs: list[str] = []
+        unread = dict(leaves)  # a repeated part is kept as its span
+
+        def on_start_below(name: str, attrs: dict[str, str]) -> None:
+            nonlocal count, depth, child
+            count += 1
+            if count > MAX_XML_ELEMENTS:
+                raise ValueError(f"more than {MAX_XML_ELEMENTS} elements")
+            if depth == MAX_XML_DEPTH:
+                raise ValueError(f"more than {MAX_XML_DEPTH} levels of elements")
+            depth += 1
+            if depth == 3 and read is not None:
+                if text_tags is None:
+                    read(part, index, name, attrs)
+                    return
+                child = name, attrs, parser.CurrentByteIndex
+                if name in text_tags:
+                    parser.CharacterDataHandler = on_chars_below
+
+        def on_chars_below(text: str) -> None:
+            if depth == 3:  # a nested element's text is not the child's
+                child_runs.append(text)
+
+        def on_end_below(name: str) -> None:
+            nonlocal depth, index
+            if depth == 3 and read is not None:
+                if text_tags is not None:
+                    parser.CharacterDataHandler = None
+                    read(part, index, *child, "".join(child_runs), parser.CurrentByteIndex)
+                    child_runs.clear()
+                index += 1
+            elif depth == 2:
+                on_end(name)
+                parser.StartElementHandler, parser.EndElementHandler, parser.CharacterDataHandler = on_start, on_end, on_chars
+            depth -= 1
 
     if declared is not None:
         parser.XmlDeclHandler = on_decl
@@ -216,21 +276,49 @@ class _Report(list):
     def error(self, code: str, path: str, message: str) -> None:
         self.append(Violation(code, path, message))
 
-    def keep(self, kept: list, item: object, parent: str, node: _RawNode, index: int) -> None:
-        """Append ``item``, read from ``node``, source child ``index`` of
-        ``parent``."""
+    def keep(self, kept: list, item: object, parent: str, tag: str, index: int) -> None:
+        """Append ``item``, read from the <``tag``> that is source child
+        ``index`` of ``parent``."""
 
         if len(kept) != index:
-            self.moved[_at(parent, len(kept), node)] = _at(parent, index, node)
+            self.moved[_at(parent, len(kept), tag)] = _at(parent, index, tag)
         kept.append(item)
 
 
-def _at(parent: str, index: int, node: _RawNode) -> str:
-    """The locator of ``node`` as child ``index`` of ``parent``.  The
+class _Part(list):
+    """The values a leaf reader reads from the children of a part, with
+    ``rep``, the violations it finds there (None before the first), and
+    ``spans`` (index in the list, start, end event) of the payloads to slice
+    after the parse."""
+
+    __slots__ = ("rep", "spans")
+
+    def __init__(self) -> None:
+        self.rep: _Report | None = None
+        self.spans: list[tuple[int, int, int]] = []
+
+    def report(self) -> _Report:
+        if self.rep is None:
+            self.rep = _Report()
+        return self.rep
+
+
+def _at(parent: str, index: int, tag: str) -> str:
+    """The locator of a <``tag``> as child ``index`` of ``parent``.  The
     readers build one only where they record it: a valid document needs
     none."""
 
-    return f"{parent}/{node.tag}[{index}]"
+    return f"{parent}/{tag}[{index}]"
+
+
+# Ids and numbers are split and stripped on XML whitespace alone.  On ASCII
+# text str.split() is the same: XML 1.0 has no \x0b, \x0c or \x1c-\x1f.
+_XML_SPACE = " \t\n\r"
+_XML_TOKEN = re.compile("[^ \t\n\r]+")
+
+
+def _ids(text: str) -> list[str]:
+    return text.split() if text.isascii() else _XML_TOKEN.findall(text)
 
 
 # The readers take a number in one step when its text matches NUMBER_RE or
@@ -239,24 +327,26 @@ def _at(parent: str, index: int, node: _RawNode) -> str:
 
 
 def _parse_num(text: str, path: str, rep: _Report) -> float | None:
-    if not NUMBER_RE.match(text.strip()):
-        rep.error("BadNumber", path, f"malformed number {text.strip()!r}")
+    text = text.strip(_XML_SPACE)
+    if not NUMBER_RE.match(text):
+        rep.error("BadNumber", path, f"malformed number {text!r}")
         return None
     return float(text)
 
 
 def _parse_int_text(text: str, path: str, rep: _Report) -> int | None:
-    if not _INT_RE.match(text.strip()):
-        rep.error("BadNumber", path, f"malformed integer {text.strip()!r}")
+    text = text.strip(_XML_SPACE)
+    if not _INT_RE.match(text):
+        rep.error("BadNumber", path, f"malformed integer {text!r}")
         return None
     return int(text)
 
 
-def _num_attr(node: _RawNode, name: str, path: str, rep: _Report) -> float | None:
-    if name not in node.attrs:
-        rep.error("ArityError", path, f"<{node.tag}> requires a {name!r} attribute")
+def _num_attr(tag: str, attrs: dict[str, str], name: str, path: str, rep: _Report) -> float | None:
+    if name not in attrs:
+        rep.error("ArityError", path, f"<{tag}> requires a {name!r} attribute")
         return None
-    return _parse_num(node.attrs[name], f"{path}/@{name}", rep)
+    return _parse_num(attrs[name], f"{path}/@{name}", rep)
 
 
 def _singletons(root: _RawNode, path: str, allowed: tuple[str, ...], rep: _Report) -> dict[str, _RawNode]:
@@ -294,18 +384,18 @@ def _analyze_information(kids: dict[str, _RawNode], data: bytes, rep: _Report) -
         parent = "/information/bibrefs"
         for i, ch in enumerate(kids["bibrefs"].children):
             if ch.tag != "bibentry":
-                rep.error("UnknownTag", _at(parent, i, ch), f"expected <bibentry>, found <{ch.tag}>")
+                rep.error("UnknownTag", _at(parent, i, ch.tag), f"expected <bibentry>, found <{ch.tag}>")
                 continue
             entry = BibEntry(id=ch.attrs.get("id", ""), payload=ch.inner(data))
-            rep.keep(bibrefs, entry, parent, ch, i)
+            rep.keep(bibrefs, entry, parent, ch.tag, i)
     keywords: list[str] = []
     if "keywords" in kids:
         parent = "/information/keywords"
         for i, ch in enumerate(kids["keywords"].children):
             if ch.tag != "keyword":
-                rep.error("UnknownTag", _at(parent, i, ch), f"expected <keyword>, found <{ch.tag}>")
+                rep.error("UnknownTag", _at(parent, i, ch.tag), f"expected <keyword>, found <{ch.tag}>")
                 continue
-            rep.keep(keywords, ch.text.strip(), parent, ch, i)
+            rep.keep(keywords, ch.text.strip(), parent, ch.tag, i)
     return ProblemInfo(
         name=_text(kids, "name"),
         description=_text(kids, "description"),
@@ -324,7 +414,7 @@ def _analyze_information(kids: dict[str, _RawNode], data: bytes, rep: _Report) -
 
 
 def _point_ids(node: _RawNode, want: int, at: Callable[[], str], rep: _Report) -> list[str] | None:
-    ids = node.text.split()
+    ids = _ids(node.text)
     if len(ids) != want:
         rep.error("ArityError", at(), f"{node.tag} takes {want} point ids, got {len(ids)}")
         return None
@@ -358,7 +448,7 @@ def _analyze_term(node: _RawNode, at: Callable[[], str], rep: _Report, depth: in
         return None
     if cls is Const:
         text = node.attrs.get("value", "")
-        value = float(text) if NUMBER_RE.match(text) else _num_attr(node, "value", at(), rep)
+        value = float(text) if NUMBER_RE.match(text) else _num_attr(node.tag, node.attrs, "value", at(), rep)
         return None if value is None else Const(value)
     if cls is SegmentLength:
         ids = _point_ids(node, 2, at, rep)
@@ -398,9 +488,9 @@ def _analyze_conjecture(kids: dict[str, _RawNode], data: bytes, rep: _Report) ->
         if section in kids:
             parent = f"/conjecture/{section}"
             for i, ch in enumerate(kids[section].children):
-                p = _analyze_predicate(ch, lambda: _at(parent, i, ch), rep)
+                p = _analyze_predicate(ch, lambda: _at(parent, i, ch.tag), rep)
                 if p is not None:
-                    rep.keep(preds, p, parent, ch, i)
+                    rep.keep(preds, p, parent, ch.tag, i)
         sections[section] = tuple(preds)
     return Conjecture(**sections)
 
@@ -412,52 +502,63 @@ def _analyze_conjecture(kids: dict[str, _RawNode], data: bytes, rep: _Report) ->
 _PARAMETER_ATTRS = tuple(sorted({step[3] for step in _STEP_TAGS.values()} - {None}))
 
 
+# The leaf readers of the construction's parts (see _Kind)
+_ELEMENTS = "/construction/elements"
+_CONSTRAINTS = "/construction/constraints"
+
+
+def _read_element(part: _Part, index: int, tag: str, attrs: dict[str, str]) -> None:
+    if tag not in _ELEMENT_TAGS:
+        part.report().error("UnknownTag", _at(_ELEMENTS, index, tag), f"unsupported element kind <{tag}>")
+        return
+    kind, names = _ELEMENT_TAGS[tag]
+    coords = []
+    for name in names:
+        text = attrs.get(name, "")
+        coords.append(float(text) if NUMBER_RE.match(text) else _num_attr(tag, attrs, name, _at(_ELEMENTS, index, tag), part.report()))
+    if None not in coords:
+        element = ElementInstance(attrs.get("id", ""), kind, tuple(coords))
+        if len(part) == index:
+            part.append(element)
+        else:
+            part.report().keep(part, element, _ELEMENTS, tag, index)
+
+
+def _read_step(part: _Part, index: int, tag: str, attrs: dict[str, str], start: int, text: str, end: int) -> None:
+    out_id = attrs.get("out", "")
+    if not out_id:
+        part.report().error("BadId", _at(_CONSTRAINTS, index, tag), f"constraint <{tag}> requires an out attribute")
+        return
+    if tag not in _STEP_TAGS:
+        part.spans.append((len(part), start, end))
+        c = Constraint(output=out_id, kind=ConstraintKind.OPAQUE, opaque_tag=tag)
+    else:
+        kind, _ins, _out, param_attr = _STEP_TAGS[tag]
+        if param_attr is None and len(attrs) > 1:  # keep a stray parameter, so the model reports it as ArityError
+            param_attr = next(filter(attrs.__contains__, _PARAMETER_ATTRS), None)
+        parameter = None
+        if param_attr in attrs:
+            value = attrs[param_attr]
+            parameter = float(value) if NUMBER_RE.match(value) else _parse_num(value, f"{_at(_CONSTRAINTS, index, tag)}/@{param_attr}", part.report())
+        c = Constraint(out_id, kind, tuple(_ids(text)), parameter)
+    if len(part) == index:
+        part.append(c)
+    else:
+        part.report().keep(part, c, _CONSTRAINTS, tag, index)
+
+
 def _analyze_construction(kids: dict[str, _RawNode], data: bytes, rep: _Report) -> Construction | None:
     if "elements" not in kids:
-        rep.error("MissingElementsPart", "/construction/elements", "the elements part is required")
+        rep.error("MissingElementsPart", _ELEMENTS, "the elements part is required")
         return None
-    elements: list[ElementInstance] = []
-    parent = "/construction/elements"
-    for i, ch in enumerate(kids["elements"].children):
-        if ch.tag not in _ELEMENT_TAGS:
-            rep.error("UnknownTag", _at(parent, i, ch), f"unsupported element kind <{ch.tag}>")
-            continue
-        kind, names = _ELEMENT_TAGS[ch.tag]
-        attrs = ch.attrs
-        coords = []
-        for name in names:
-            text = attrs.get(name, "")
-            coords.append(float(text) if NUMBER_RE.match(text) else _num_attr(ch, name, _at(parent, i, ch), rep))
-        if None not in coords:
-            element = ElementInstance(attrs.get("id", ""), kind, tuple(coords))
-            if len(elements) == i:
-                elements.append(element)
-            else:
-                rep.keep(elements, element, parent, ch, i)
-    constraints: list[Constraint] = []
-    if "constraints" in kids:
-        parent = "/construction/constraints"
-        for i, ch in enumerate(kids["constraints"].children):
-            attrs = ch.attrs
-            out_id = attrs.get("out", "")
-            if not out_id:
-                rep.error("BadId", _at(parent, i, ch), f"constraint <{ch.tag}> requires an out attribute")
-                continue
-            if ch.tag not in _STEP_TAGS:
-                c = Constraint(output=out_id, kind=ConstraintKind.OPAQUE, opaque_tag=ch.tag, opaque_payload=ch.raw(data))
-            else:
-                kind, _ins, _out, param_attr = _STEP_TAGS[ch.tag]
-                if param_attr is None and len(attrs) > 1:  # keep a stray parameter, so the model reports it as ArityError
-                    param_attr = next(filter(attrs.__contains__, _PARAMETER_ATTRS), None)
-                parameter = None
-                if param_attr in attrs:
-                    text = attrs[param_attr]
-                    parameter = float(text) if NUMBER_RE.match(text) else _parse_num(text, f"{_at(parent, i, ch)}/@{param_attr}", rep)
-                c = Constraint(out_id, kind, tuple(ch.text.split()), parameter)
-            if len(constraints) == i:
-                constraints.append(c)
-            else:
-                rep.keep(constraints, c, parent, ch, i)
+    elements = kids["elements"].children
+    constraints = kids["constraints"].children if "constraints" in kids else _Part()
+    for part in (elements, constraints):
+        if part.rep is not None:
+            rep += part.rep
+            rep.moved.update(part.rep.moved)
+    for i, start, end in constraints.spans:
+        constraints[i] = dataclasses.replace(constraints[i], opaque_payload=_raw(data, start, end))
     display = kids["display"].raw(data) if "display" in kids else b""
     return Construction(elements=tuple(elements), constraints=tuple(constraints), display=display)
 
@@ -586,8 +687,9 @@ def _read(kind: DocumentKind, data: bytes, construction: Construction | None = N
     resolved against ``construction`` when given."""
 
     rep = _Report()
+    spec = _KINDS[kind]
     try:
-        root, data = _parse_raw(data)
+        root, data = _parse_raw(data, spec.leaves)
     except XML_READ_ERRORS as exc:
         rep.error("MalformedXml", "/", f"XML parse error: {exc}")
         return None, rep, rep
@@ -595,7 +697,6 @@ def _read(kind: DocumentKind, data: bytes, construction: Construction | None = N
     if root.tag != tag:
         rep.error("UnknownTag", "/", f"expected root <{tag}>, found <{root.tag}>")
         return None, rep, rep
-    spec = _KINDS[kind]
     value = spec.analyze(_singletons(root, f"/{tag}", spec.parts, rep), data, rep)
     model = [
         Violation(v.code, rep.moved[v.path], v.message) if v.path in rep.moved else v
@@ -829,13 +930,18 @@ class _Kind(NamedTuple):
     """One document kind, whose root tag is its value: the singleton parts
     of the root, the analyzer that builds the value from them as
     _singletons picks them, whether a parse forgives (skips) unknown
-    children, which validate_document still reports, and the writer of a
-    valid value."""
+    children, which validate_document still reports, the writer of a valid
+    value, and, for a kind read in one pass, ``leaves``: by part tag, the
+    reader of each child of the part, with None or the child tags whose own
+    text it reads.  _build_raw calls ``read(part, index, tag, attrs)`` at the
+    child's start event, given None, else ``read(part, index, tag, attrs,
+    start, text, end_event)`` at its end event, ``part`` being the _Part."""
 
     parts: tuple[str, ...]
     analyze: Callable[[dict[str, _RawNode], bytes, _Report], object]
     forgives_strangers: bool
     write: Callable[..., bytes]
+    leaves: dict[str, tuple[Callable[..., None], Container[str] | None]] | None = None
 
 
 _KINDS = {
@@ -843,7 +949,8 @@ _KINDS = {
         ("name", "description", "statement", "bibrefs", "keywords"), _analyze_information, True, _write_information
     ),
     DocumentKind.CONSTRUCTION: _Kind(
-        ("elements", "constraints", "display"), _analyze_construction, False, _write_construction
+        ("elements", "constraints", "display"), _analyze_construction, False, _write_construction,
+        {"elements": (_read_element, None), "constraints": (_read_step, _STEP_TAGS)},
     ),
     DocumentKind.CONJECTURE: _Kind(_CONJECTURE_SECTIONS, _analyze_conjecture, False, _write_conjecture),
     DocumentKind.PROOF_INFO: _Kind(

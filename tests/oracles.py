@@ -14,7 +14,10 @@ object and the running scale; the interpreter must match it bit for bit.
 The zip oracles write and read archives through the standard library's
 ``zipfile``, independently of the container's own zip I/O; the path oracle
 judges a safe path segment by segment.  The raw XML oracle is the
-dataclass tree builder the codec's leaner one must match node for node.
+dataclass tree builder the codec's leaner one must match node for node;
+the construction reader oracle reads intergeo.xml from that whole tree,
+one child at a time, as the codec did before it read the document in one
+pass.
 The XML writer oracles at the end are the canonical writers as they were
 before each element became one formatted line: a writer object that sorts
 and escapes an attribute dict per element and encodes line by line.
@@ -22,9 +25,11 @@ and escapes an attribute dict per element and encodes line by line.
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import io
 import math
+import re
 import xml.parsers.expat
 import zipfile
 from dataclasses import dataclass, field
@@ -32,13 +37,17 @@ from fractions import Fraction
 
 from i2gatp.errors import DegenerateStep
 from i2gatp.model import (
+    CONSTRAINT_SIGNATURES,
+    NUMBER_RE,
     PREDICATE_NAMES,
     PROOF_INFO_SECTIONS,
     TERM_NAMES,
     Conjecture,
     Const,
-    Construction,
+    Constraint,
     ConstraintKind,
+    Construction,
+    ElementInstance,
     Equal,
     Predicate,
     ProblemInfo,
@@ -46,10 +55,13 @@ from i2gatp.model import (
     SegmentLength,
     SegmentRatio,
     Term,
+    Violation,
+    XML_READ_ERRORS,
     _ELEMENT_TAGS,
     _STEP_TAGS,
     format_number,
     predicate_point_ids,
+    validate_construction,
 )
 from i2gatp.numeric import SceneCircle, SceneLine, ScenePoint
 
@@ -380,6 +392,117 @@ def parse_raw_reference(data: bytes) -> RawNodeReference:
     parser.CharacterDataHandler = on_chars
     parser.Parse(data, True)
     return roots[0]
+
+
+# ---------------------------------------------------------------------------
+# Construction reader oracle
+
+_PARTS = ("elements", "constraints", "display")
+_PARAMETER_NAMES = sorted({param for _ins, _out, param in CONSTRAINT_SIGNATURES.values() if param is not None})
+
+
+def _utf8_source(data: bytes) -> bytes | str:
+    """``data`` itself when expat reads it as UTF-8 or ASCII, else its text,
+    which the reader reads from its UTF-8 encoding."""
+
+    declared: list[str | None] = [None]
+    parser = xml.parsers.expat.ParserCreate()
+    parser.XmlDeclHandler = lambda _version, encoding, _standalone: declared.__setitem__(0, encoding)
+    parser.Parse(data, True)
+    if data[:2] in (b"\xff\xfe", b"\xfe\xff"):
+        codec = "utf-16"
+    elif data[:2] in (b"<\x00", b"\x00<"):
+        codec = "utf-16-le" if data[0] else "utf-16-be"
+    else:
+        codec = codecs.lookup(declared[0] or "utf-8").name
+    return data if codec in ("utf-8", "ascii") else data.removeprefix(b"\xef\xbb\xbf").decode(codec)
+
+
+def _element_bytes(node: RawNodeReference, source: bytes) -> bytes:
+    # an empty element's end event comes right after its tag
+    if not node.children and not node.text and source[node.start : node.end_event].endswith(b"/>"):
+        return source[node.start : node.end_event]
+    return source[node.start : source.index(b">", node.end_event) + 1]
+
+
+def _number(text: str, path: str, found: list[Violation]) -> float | None:
+    text = text.strip(" \t\n\r")
+    if NUMBER_RE.match(text):
+        return float(text)
+    found.append(Violation("BadNumber", path, f"malformed number {text!r}"))
+    return None
+
+
+def read_construction_reference(data: bytes) -> tuple[Construction | None, list[Violation], list[Violation]]:
+    """The value, violations and refused violations of intergeo.xml
+    ``data``, below the caps, as ``xml_codec._read`` gives them."""
+
+    try:
+        source = _utf8_source(data)
+        root = parse_raw_reference(source)
+    except XML_READ_ERRORS as exc:
+        found = [Violation("MalformedXml", "/", f"XML parse error: {exc}")]
+        return None, found, found
+    if isinstance(source, str):
+        source = source.encode("utf-8")
+    found: list[Violation] = []
+    if root.tag != "construction":
+        found.append(Violation("UnknownTag", "/", f"expected root <construction>, found <{root.tag}>"))
+        return None, found, found
+    parts: dict[str, RawNodeReference] = {}
+    for ch in root.children:
+        if ch.tag not in _PARTS:
+            found.append(Violation("UnknownTag", f"/construction/{ch.tag}", f"unknown tag <{ch.tag}>"))
+        elif ch.tag in parts:
+            found.append(Violation("DuplicateEntry", f"/construction/{ch.tag}", f"repeated <{ch.tag}> element"))
+        else:
+            parts[ch.tag] = ch
+    if "elements" not in parts:
+        found.append(Violation("MissingElementsPart", "/construction/elements", "the elements part is required"))
+        return None, found, found
+    moved: dict[str, str] = {}  # the model's locator of a kept child -> its source locator
+
+    def keep(kept: list, item: object, parent: str, ch: RawNodeReference, i: int) -> None:
+        if len(kept) != i:
+            moved[f"{parent}/{ch.tag}[{len(kept)}]"] = f"{parent}/{ch.tag}[{i}]"
+        kept.append(item)
+
+    elements: list[ElementInstance] = []
+    for i, ch in enumerate(parts["elements"].children):
+        at = f"/construction/elements/{ch.tag}[{i}]"
+        if ch.tag not in _ELEMENT_TAGS:
+            found.append(Violation("UnknownTag", at, f"unsupported element kind <{ch.tag}>"))
+            continue
+        kind, names = _ELEMENT_TAGS[ch.tag]
+        coords = []
+        for name in names:
+            if name in ch.attrs:
+                coords.append(_number(ch.attrs[name], f"{at}/@{name}", found))
+            else:
+                found.append(Violation("ArityError", at, f"<{ch.tag}> requires a {name!r} attribute"))
+                coords.append(None)
+        if None not in coords:
+            keep(elements, ElementInstance(ch.attrs.get("id", ""), kind, tuple(coords)), "/construction/elements", ch, i)
+    constraints: list[Constraint] = []
+    for i, ch in enumerate(parts["constraints"].children if "constraints" in parts else []):
+        at = f"/construction/constraints/{ch.tag}[{i}]"
+        out = ch.attrs.get("out", "")
+        if not out:
+            found.append(Violation("BadId", at, f"constraint <{ch.tag}> requires an out attribute"))
+            continue
+        if ch.tag not in _STEP_TAGS:
+            c = Constraint(out, ConstraintKind.OPAQUE, opaque_tag=ch.tag, opaque_payload=_element_bytes(ch, source))
+        else:
+            kind, _ins, _out, param = _STEP_TAGS[ch.tag]
+            if param is None and len(ch.attrs) > 1:  # a stray parameter, which the model reports
+                param = next((name for name in _PARAMETER_NAMES if name in ch.attrs), None)
+            value = _number(ch.attrs[param], f"{at}/@{param}", found) if param in ch.attrs else None
+            c = Constraint(out, kind, tuple(re.findall("[^ \t\n\r]+", ch.text)), value)
+        keep(constraints, c, "/construction/constraints", ch, i)
+    display = _element_bytes(parts["display"], source) if "display" in parts else b""
+    value = Construction(elements=tuple(elements), constraints=tuple(constraints), display=display)
+    found += [Violation(v.code, moved.get(v.path, v.path), v.message) for v in validate_construction(value)]
+    return value, found, found
 
 
 # ---------------------------------------------------------------------------

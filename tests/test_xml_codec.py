@@ -84,9 +84,10 @@ from i2gatp.xml_codec import (
     validate_document,
 )
 
-from conftest import MULTI_BYTE_ENCODINGS, bench_workloads, declaring, with_entry
+from conftest import MULTI_BYTE_ENCODINGS, bench_workloads, build_corpus, declaring, with_entry
 from oracles import (
     parse_raw_reference,
+    read_construction_reference,
     write_conjecture_reference,
     write_construction_reference,
     write_information_reference,
@@ -746,6 +747,24 @@ def test_deep_display_is_refused_before_its_tree_is_built(varignon):
     assert [(v.code, v.path) for v in validate_problem(problem)] == [("MalformedXml", "/construction/display")]
 
 
+def test_wide_display_is_read_as_its_byte_span(varignon):
+    # a 1,935-byte archive whose display holds 90,000 elements: with a node
+    # built for each, validate_container and unpack peaked at 25.2 MiB of
+    # tracemalloc; with the display kept as its byte span, at 1.8 MiB
+    problem = dataclasses.replace(varignon, construction=_with_display(varignon, b"<display>" + b"<a/>" * 90_000 + b"</display>"))
+    data = pack(problem)
+    assert len(data) < 2_000
+    for call in (validate_container, unpack):
+        tracemalloc.start()
+        try:
+            result = call(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == ([] if call is validate_container else problem)
+        assert peak < 2 * 2**20, (call.__name__, peak)
+
+
 @pytest.mark.parametrize(
     "kind", [DocumentKind.INFORMATION, DocumentKind.CONJECTURE, DocumentKind.CONSTRUCTION, DocumentKind.PROOF_INFO]
 )
@@ -942,6 +961,105 @@ def test_raw_tree_matches_the_reference_builder(corpus):
         docs += mutated
     for doc in docs:
         _assert_reads_as_the_reference(doc)
+
+
+# the bodies of intergeo.xml documents that reach each branch of the leaf readers
+_CONSTRUCTION_BODIES = [
+    # parts out of order, a stranger, repeated parts skipped with their children
+    '<constraints><free_point out="A"/></constraints><x><y/></x><elements><point id="A" x="1" y="2"/></elements>'
+    '<elements><bogus/></elements><constraints><hint/></constraints>',
+    # an unknown kind, missing and malformed coordinates, then kept elements
+    # moved, one with a nested child and text
+    '<elements><bogus id="Z"/><point id="A" y="1"/><point id="B" x="1e" y=" 2 "/><point id="C" x="0" y="0">t<n>u</n></point>'
+    '<line id="l" a="1" b="0" c="0"/><circle id="k" cx="0" cy="0" r="-1"/></elements>',
+    # no out, a stray and a malformed parameter, opaque steps, and ids split
+    # by a nested element, a comment and a CDATA section
+    '<elements><point id="A" x="0" y="0"/><point id="B" x="1" y="0"/><line id="l" a="0" b="1" c="0"/><point id="P" x="0" y="0"/>'
+    '<point id="M" x="0" y="0"/></elements><constraints><free_point/><free_point out="A" angle="1"/><hint out="h"/>'
+    '<free_point out="B"/><hint out="k" a=">">x<y z="/>"/>w</hint><line_through_two_points out="l">A <n>C</n>B</line_through_two_points>'
+    '<point_on_line out="P" parameter=" x ">l</point_on_line><midpoint_of_two_points out="M">A<!-- c --> <![CDATA[B]]>'
+    '</midpoint_of_two_points></constraints><display><a><b/>t</a></display>',
+    # ids and numbers padded with spaces that XML does not count as whitespace
+    '<elements><point id="A" x="\u2003 0.5" y="\t1\n"/><point id="M" x="0" y="0"/></elements><constraints><free_point out="A"/>'
+    '<midpoint_of_two_points out="M">A\u00a0B</midpoint_of_two_points><point_on_line out="Q" parameter="0.5\u3000">l</point_on_line></constraints>',
+    "<constraints/><display/>",
+    "<elements>text</elements>",
+    "<elements/><constraints>\n  <free_point out='A'/>\n</constraints><display>\u00e9</display>",
+]
+_CONSTRUCTION_CASES = [f"<construction>{body}</construction>".encode() for body in _CONSTRUCTION_BODIES]
+
+
+def _assert_reads_as_the_construction_reference(doc: bytes) -> None:
+    value, violations, refused = _read(DocumentKind.CONSTRUCTION, doc)
+    assert (value, list(violations), list(refused)) == read_construction_reference(doc)
+
+
+def _encoded_constructions(varignon) -> list[bytes]:
+    """The constructions of the encoding tests above: declared in UTF-16
+    and ISO-8859-1, in UTF-16 with no byte order mark, and in ISO-8859-1
+    after a UTF-8 byte order mark."""
+
+    label, latin = (_with_display(varignon, d) for d in (b"<display><label/></display>", "<display><label t='\u00e9'/>\u00e9</display>".encode()))
+    docs = [_declared_in(e, serialize_construction(k)) for k in (label, latin, _with_opaque(varignon, "\u00e9 A")) for e in ("UTF-16", "ISO-8859-1")]
+    docs += [_declared_in("UTF-16", serialize_construction(latin)).decode("utf-16").encode(codec) for codec in ("utf-16-le", "utf-16-be")]
+    return docs + [b"\xef\xbb\xbf" + _declared_in("ISO-8859-1", serialize_construction(latin))]
+
+
+def test_construction_reads_as_the_tree_reference(corpus, varignon):
+    # the one-pass reader gives the value, violations and refusals of the
+    # reader that analysed the whole tree, in order and at the same locators
+    docs = [data for _name, _kind, data in corpus_documents(corpus)] + _CONSTRUCTION_CASES + _encoded_constructions(varignon)
+    for n in (10, 100, 1000):
+        docs.append(serialize_construction(parse_dsl(bench_workloads().generate_dsl(random.Random(n), n, "g")).construction))
+    for mutated in _mutated_documents(corpus).values():
+        docs += mutated
+    for doc in docs:
+        _assert_reads_as_the_construction_reference(doc)
+
+
+_INTERGEO_DOCS = _CONSTRUCTION_CASES + [
+    serialize_construction(build_corpus()[name].construction) for name in ("varignon", "opaque_circumcircle", "circle_radii")
+]
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(
+    st.sampled_from(_INTERGEO_DOCS),
+    st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)), min_size=1, max_size=4),
+)
+def test_construction_reads_as_the_tree_reference_on_mutated_bytes(doc, edits):
+    mutated = bytearray(doc)
+    for at, byte in edits:
+        mutated[at % len(mutated)] = byte
+    _assert_reads_as_the_construction_reference(bytes(mutated))
+
+
+def test_ids_and_numbers_split_on_xml_whitespace_only(varignon):
+    # str.split() and float() also take the no-break, ideographic and em
+    # spaces, so these read as the ids A and B, three ids, and 0.5
+    doc = (
+        '<construction><elements><point id="A" x="0" y="0"/><point id="B" x="1" y="0"/><point id="M" x="\u2003 0.5" y="0"/>'
+        '</elements><constraints><free_point out="A"/><free_point out="B"/>'
+        '<midpoint_of_two_points out="M">A\u00a0B</midpoint_of_two_points></constraints></construction>'
+    ).encode()
+    step = "/construction/constraints/midpoint_of_two_points[2]"
+    assert [(v.code, v.path, v.message) for v in validate_document(DocumentKind.CONSTRUCTION, doc)] == [
+        ("BadNumber", "/construction/elements/point[2]/@x", "malformed number " + repr("\u2003 0.5")),
+        ("BadId", step, "invalid input id " + repr("A\u00a0B")),
+        ("MissingElement", step, "output 'M' has no element instance"),
+        ("ArityError", step, "midpoint_of_two_points takes 2 inputs, got 1"),
+    ]
+    conjecture = "<conjecture><conclusion><collinear>A\u3000B M</collinear></conclusion></conjecture>".encode()
+    assert [(v.code, v.message) for v in validate_document(DocumentKind.CONJECTURE, conjecture)] == [
+        ("ArityError", "collinear takes 3 point ids, got 2"),
+        ("MissingConclusion", "conclusion must contain at least one predicate"),
+    ]
+    attempt = "<proof_info><status>proved</status><measures><proof_steps>\u20035</proof_steps></measures></proof_info>".encode()
+    assert [(v.code, v.message) for v in validate_document(DocumentKind.PROOF_INFO, attempt) if v.code == "BadNumber"] == [
+        ("BadNumber", "malformed integer " + repr("\u20035"))
+    ]
+    # XML whitespace around a number or between ids is still skipped
+    assert parse_construction(serialize_construction(varignon.construction).replace(b'x="0"', b'x=" 0\t"', 1)) == varignon.construction
 
 
 def test_text_longer_than_the_parser_buffer_reads_whole():
