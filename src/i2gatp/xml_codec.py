@@ -2,13 +2,11 @@
 
 Parsing is built on expat with byte offsets so opaque payloads (statement,
 bibentry, display, unknown constraints) are captured from the source
-byte-exactly.  intergeo.xml is read in one pass, with no node below its
-parts: elements and steps are read as the parse goes, and the display and
-each opaque step are kept as byte spans.  Serialization is canonical:
-UTF-8, LF, two-space indentation, lexicographically sorted attributes,
-opaque payloads emitted verbatim.  The concrete element shapes are
-normative companions of this package and are written down in docs/schema/
-(one schema per document kind).
+byte-exactly; intergeo.xml is read in one pass, no node per element or step.
+Serialization is canonical: UTF-8, LF, two-space indentation,
+lexicographically sorted attributes, opaque payloads emitted verbatim.  The
+concrete element shapes are normative companions of this package and are
+written down in docs/schema/ (one schema per document kind).
 
 ``canonicalize(kind, data)`` is serialize-after-parse and is idempotent;
 ``validate_document`` reports all structural violations instead of stopping
@@ -18,11 +16,10 @@ at the first.
 from __future__ import annotations
 
 import codecs
-import dataclasses
 import enum
 import re
 import xml.parsers.expat
-from collections.abc import Callable, Container
+from collections.abc import Callable
 from typing import NamedTuple
 
 from .errors import CodecError
@@ -103,14 +100,10 @@ class _RawNode:
     runs joined), ``start`` (the offset of '<' of its start tag) and
     ``end_event`` (the offset at its end event: '<' of the end tag unless
     the element is empty).  Only opaque payloads need source bytes, so tag
-    ends are found when ``raw`` or ``inner`` is called.  Built with leaf
-    readers, a part they read has a _Part for children, and any other part
-    below the root is its byte span alone, with no children and no text."""
+    ends are found when ``_raw`` or ``inner`` is called.  With leaf readers
+    the tree is the root and its parts, each with a _Part, and no text."""
 
     __slots__ = ("tag", "attrs", "children", "text", "start", "end_event")
-
-    def raw(self, data: bytes) -> bytes:
-        return _raw(data, self.start, self.end_event)
 
     def inner(self, data: bytes) -> bytes:
         end = _TAG.match(data, self.start).end()
@@ -145,40 +138,47 @@ def _parse_raw(data: bytes, leaves: dict | None = None) -> tuple[_RawNode, bytes
         codec = codecs.lookup(declared[0] or "utf-8").name
     if codec in ("utf-8", "ascii"):
         return root, data
-    text = data.removeprefix(b"\xef\xbb\xbf").decode(codec)  # expat skips a UTF-8 byte order mark
-    return _build_raw(text, leaves), text.encode("utf-8")
+    data = data.removeprefix(b"\xef\xbb\xbf").decode(codec).encode("utf-8")  # expat skips a UTF-8 byte order mark
+    return _build_raw(data, leaves, encoding="utf-8"), data
 
 
-def _build_raw(source: bytes | str, leaves: dict | None = None, declared: list[str | None] | None = None) -> _RawNode:
-    """The raw tree of ``source``, a str read as UTF-8; given ``declared``,
-    the encoding that its XML declaration names, if any, is put there.
-    Raises ValueError past MAX_XML_DEPTH or MAX_XML_ELEMENTS.  Given
-    ``leaves`` (see _Kind), the tree stops at the parts of the root, whose
-    descendants are counted for the caps and are read by a leaf reader or
-    skipped, with character data handled only in a child whose text is read."""
+def _build_raw(source: bytes, leaves: dict | None = None, declared: list | None = None, encoding: str | None = None) -> _RawNode:
+    """The raw tree of ``source``, read in ``encoding`` if given; given
+    ``declared``, the encoding that its XML declaration names, if any, is put
+    there.  Raises ValueError past MAX_XML_DEPTH or MAX_XML_ELEMENTS.  Given
+    ``leaves`` (see _Kind), the tree stops at the parts of the root."""
 
-    parser = xml.parsers.expat.ParserCreate()
+    parser = xml.parsers.expat.ParserCreate(encoding)
     parser.buffer_text = True  # one call per text run, or per 8 KiB of it
     new = object.__new__
     top = new(_RawNode)  # the parent of the root element
     top.children = []
     stack = [top]
     push, pop = stack.append, stack.pop
-    count = 0
+    count = depth = index = 0  # depth: the open element's, the root's being 1
     # the runs of each node that has more than one, joined once at the end:
     # adding each run to ``text`` would copy the text so far every time
     runs: dict[_RawNode, list[str]] = {}
+    unread = dict(leaves or {})  # a repeated part is kept as its span
+    read = text_tags = part = child_attrs = child_start = None
+    child_runs: list[str] = []
 
-    def on_decl(_version: str, encoding: str | None, _standalone: int) -> None:
-        declared[0] = encoding
+    def on_decl(_version: str, named: str | None, _standalone: int) -> None:
+        declared[0] = named
 
     def on_start(name: str, attrs: dict[str, str]) -> None:
-        nonlocal count, depth, index, read, text_tags, part
-        count += 1
+        nonlocal count, depth, read, text_tags, part, child_attrs, child_start, index
+        count, depth = count + 1, depth + 1
         if count > MAX_XML_ELEMENTS:
             raise ValueError(f"more than {MAX_XML_ELEMENTS} elements")
-        if len(stack) > MAX_XML_DEPTH:  # len(stack) is the new node's depth, the root's being 1
+        if depth > MAX_XML_DEPTH:
             raise ValueError(f"more than {MAX_XML_DEPTH} levels of elements")
+        if leaves is not None and depth > 2:  # below a part
+            if depth == 3 and read is not None:
+                child_attrs, child_start = attrs, parser.CurrentByteIndex
+                if name in text_tags:
+                    parser.CharacterDataHandler = on_child_chars
+            return
         node = new(_RawNode)
         node.tag = name
         node.attrs = attrs
@@ -187,15 +187,25 @@ def _build_raw(source: bytes | str, leaves: dict | None = None, declared: list[s
         node.start = parser.CurrentByteIndex
         stack[-1].children.append(node)
         push(node)
-        if leaves is not None and len(stack) == 3:  # a part of the root
-            read, text_tags = unread.pop(name, (None, None))
-            if read is not None:
-                part = node.children = _Part()
-            depth, index = 2, 0
-            parser.StartElementHandler, parser.EndElementHandler, parser.CharacterDataHandler = on_start_below, on_end_below, None
+        if leaves is not None and depth == 2:
+            read, text_tags = unread.pop(name, (None, ()))
+            part = node.children = _Part(f"/{stack[1].tag}/{name}", source)
+            index = 0
 
     def on_end(name: str) -> None:
-        pop().end_event = parser.CurrentByteIndex
+        nonlocal depth, index
+        if leaves is None or depth <= 2:
+            pop().end_event = parser.CurrentByteIndex
+        elif depth == 3 and read is not None:
+            parser.CharacterDataHandler = None
+            value = read(part, index, name, child_attrs, child_start, "".join(child_runs), parser.CurrentByteIndex)
+            child_runs.clear()
+            if value is not None and len(part) == index:
+                part.append(value)
+            elif value is not None:
+                part.rep.keep(part, value, part.path, name, index)
+            index += 1
+        depth -= 1
 
     def on_chars(text: str) -> None:
         node = stack[-1]
@@ -206,52 +216,15 @@ def _build_raw(source: bytes | str, leaves: dict | None = None, declared: list[s
         else:
             runs[node] = [node.text, text]
 
-    if leaves is not None:  # a tree without leaf readers pays for none of this
-        # below a part: the open element's depth (the part's is 2), the part's
-        # reader and text tags, and its open child (tag, attrs, start), index, runs
-        depth = index = 0
-        read = text_tags = part = child = None
-        child_runs: list[str] = []
-        unread = dict(leaves)  # a repeated part is kept as its span
-
-        def on_start_below(name: str, attrs: dict[str, str]) -> None:
-            nonlocal count, depth, child
-            count += 1
-            if count > MAX_XML_ELEMENTS:
-                raise ValueError(f"more than {MAX_XML_ELEMENTS} elements")
-            if depth == MAX_XML_DEPTH:
-                raise ValueError(f"more than {MAX_XML_DEPTH} levels of elements")
-            depth += 1
-            if depth == 3 and read is not None:
-                if text_tags is None:
-                    read(part, index, name, attrs)
-                    return
-                child = name, attrs, parser.CurrentByteIndex
-                if name in text_tags:
-                    parser.CharacterDataHandler = on_chars_below
-
-        def on_chars_below(text: str) -> None:
-            if depth == 3:  # a nested element's text is not the child's
-                child_runs.append(text)
-
-        def on_end_below(name: str) -> None:
-            nonlocal depth, index
-            if depth == 3 and read is not None:
-                if text_tags is not None:
-                    parser.CharacterDataHandler = None
-                    read(part, index, *child, "".join(child_runs), parser.CurrentByteIndex)
-                    child_runs.clear()
-                index += 1
-            elif depth == 2:
-                on_end(name)
-                parser.StartElementHandler, parser.EndElementHandler, parser.CharacterDataHandler = on_start, on_end, on_chars
-            depth -= 1
+    def on_child_chars(text: str) -> None:
+        if depth == 3:  # not the part's own text, nor a nested element's
+            child_runs.append(text)
 
     if declared is not None:
         parser.XmlDeclHandler = on_decl
     parser.StartElementHandler = on_start
     parser.EndElementHandler = on_end
-    parser.CharacterDataHandler = on_chars
+    parser.CharacterDataHandler = on_chars if leaves is None else None
     parser.Parse(source, True)
     for node, texts in runs.items():
         node.text = "".join(texts)
@@ -286,21 +259,11 @@ class _Report(list):
 
 
 class _Part(list):
-    """The values a leaf reader reads from the children of a part, with
-    ``rep``, the violations it finds there (None before the first), and
-    ``spans`` (index in the list, start, end event) of the payloads to slice
-    after the parse."""
+    """The values read from a part's children, with its ``path``, ``rep`` of their violations and source ``data``."""
 
-    __slots__ = ("rep", "spans")
-
-    def __init__(self) -> None:
-        self.rep: _Report | None = None
-        self.spans: list[tuple[int, int, int]] = []
-
-    def report(self) -> _Report:
-        if self.rep is None:
-            self.rep = _Report()
-        return self.rep
+    def __init__(self, path: str, data: bytes) -> None:
+        super().__init__()
+        self.path, self.data, self.rep = path, data, _Report()
 
 
 def _at(parent: str, index: int, tag: str) -> str:
@@ -311,14 +274,11 @@ def _at(parent: str, index: int, tag: str) -> str:
     return f"{parent}/{tag}[{index}]"
 
 
-# Ids and numbers are split and stripped on XML whitespace alone.  On ASCII
-# text str.split() is the same: XML 1.0 has no \x0b, \x0c or \x1c-\x1f.
-_XML_SPACE = " \t\n\r"
-_XML_TOKEN = re.compile("[^ \t\n\r]+")
+_XML_SPACE = " \t\n\r"  # ids and numbers split on it alone; str.split() is the same on ASCII: XML 1.0 has no \x0b, \x0c, \x1c-\x1f
 
 
 def _ids(text: str) -> list[str]:
-    return text.split() if text.isascii() else _XML_TOKEN.findall(text)
+    return text.split() if text.isascii() else re.findall("[^ \t\n\r]+", text)
 
 
 # The readers take a number in one step when its text matches NUMBER_RE or
@@ -327,17 +287,15 @@ def _ids(text: str) -> list[str]:
 
 
 def _parse_num(text: str, path: str, rep: _Report) -> float | None:
-    text = text.strip(_XML_SPACE)
-    if not NUMBER_RE.match(text):
-        rep.error("BadNumber", path, f"malformed number {text!r}")
+    if not NUMBER_RE.match(text.strip(_XML_SPACE)):
+        rep.error("BadNumber", path, f"malformed number {text.strip(_XML_SPACE)!r}")
         return None
     return float(text)
 
 
 def _parse_int_text(text: str, path: str, rep: _Report) -> int | None:
-    text = text.strip(_XML_SPACE)
-    if not _INT_RE.match(text):
-        rep.error("BadNumber", path, f"malformed integer {text!r}")
+    if not _INT_RE.match(text.strip(_XML_SPACE)):
+        rep.error("BadNumber", path, f"malformed integer {text.strip(_XML_SPACE)!r}")
         return None
     return int(text)
 
@@ -502,64 +460,44 @@ def _analyze_conjecture(kids: dict[str, _RawNode], data: bytes, rep: _Report) ->
 _PARAMETER_ATTRS = tuple(sorted({step[3] for step in _STEP_TAGS.values()} - {None}))
 
 
-# The leaf readers of the construction's parts (see _Kind)
-_ELEMENTS = "/construction/elements"
-_CONSTRAINTS = "/construction/constraints"
-
-
-def _read_element(part: _Part, index: int, tag: str, attrs: dict[str, str]) -> None:
+def _read_element(part: _Part, index: int, tag: str, attrs: dict[str, str], _start: int, _text: str, _end: int) -> ElementInstance | None:
     if tag not in _ELEMENT_TAGS:
-        part.report().error("UnknownTag", _at(_ELEMENTS, index, tag), f"unsupported element kind <{tag}>")
-        return
+        part.rep.error("UnknownTag", _at(part.path, index, tag), f"unsupported element kind <{tag}>")
+        return None
     kind, names = _ELEMENT_TAGS[tag]
     coords = []
     for name in names:
         text = attrs.get(name, "")
-        coords.append(float(text) if NUMBER_RE.match(text) else _num_attr(tag, attrs, name, _at(_ELEMENTS, index, tag), part.report()))
-    if None not in coords:
-        element = ElementInstance(attrs.get("id", ""), kind, tuple(coords))
-        if len(part) == index:
-            part.append(element)
-        else:
-            part.report().keep(part, element, _ELEMENTS, tag, index)
+        coords.append(float(text) if NUMBER_RE.match(text) else _num_attr(tag, attrs, name, _at(part.path, index, tag), part.rep))
+    return None if None in coords else ElementInstance(attrs.get("id", ""), kind, tuple(coords))
 
 
-def _read_step(part: _Part, index: int, tag: str, attrs: dict[str, str], start: int, text: str, end: int) -> None:
+def _read_step(part: _Part, index: int, tag: str, attrs: dict[str, str], start: int, text: str, end: int) -> Constraint | None:
     out_id = attrs.get("out", "")
     if not out_id:
-        part.report().error("BadId", _at(_CONSTRAINTS, index, tag), f"constraint <{tag}> requires an out attribute")
-        return
+        part.rep.error("BadId", _at(part.path, index, tag), f"constraint <{tag}> requires an out attribute")
+        return None
     if tag not in _STEP_TAGS:
-        part.spans.append((len(part), start, end))
-        c = Constraint(output=out_id, kind=ConstraintKind.OPAQUE, opaque_tag=tag)
-    else:
-        kind, _ins, _out, param_attr = _STEP_TAGS[tag]
-        if param_attr is None and len(attrs) > 1:  # keep a stray parameter, so the model reports it as ArityError
-            param_attr = next(filter(attrs.__contains__, _PARAMETER_ATTRS), None)
-        parameter = None
-        if param_attr in attrs:
-            value = attrs[param_attr]
-            parameter = float(value) if NUMBER_RE.match(value) else _parse_num(value, f"{_at(_CONSTRAINTS, index, tag)}/@{param_attr}", part.report())
-        c = Constraint(out_id, kind, tuple(_ids(text)), parameter)
-    if len(part) == index:
-        part.append(c)
-    else:
-        part.report().keep(part, c, _CONSTRAINTS, tag, index)
+        return Constraint(output=out_id, kind=ConstraintKind.OPAQUE, opaque_tag=tag, opaque_payload=_raw(part.data, start, end))
+    kind, _ins, _out, param_attr = _STEP_TAGS[tag]
+    if param_attr is None and len(attrs) > 1:  # keep a stray parameter, so the model reports it as ArityError
+        param_attr = next(filter(attrs.__contains__, _PARAMETER_ATTRS), None)
+    parameter = None
+    if param_attr in attrs:
+        value = attrs[param_attr]
+        parameter = float(value) if NUMBER_RE.match(value) else _parse_num(value, f"{_at(part.path, index, tag)}/@{param_attr}", part.rep)
+    return Constraint(out_id, kind, tuple(_ids(text)), parameter)
 
 
 def _analyze_construction(kids: dict[str, _RawNode], data: bytes, rep: _Report) -> Construction | None:
     if "elements" not in kids:
-        rep.error("MissingElementsPart", _ELEMENTS, "the elements part is required")
+        rep.error("MissingElementsPart", "/construction/elements", "the elements part is required")
         return None
-    elements = kids["elements"].children
-    constraints = kids["constraints"].children if "constraints" in kids else _Part()
+    elements, constraints = (kids[tag].children if tag in kids else _Part("", data) for tag in ("elements", "constraints"))
     for part in (elements, constraints):
-        if part.rep is not None:
-            rep += part.rep
-            rep.moved.update(part.rep.moved)
-    for i, start, end in constraints.spans:
-        constraints[i] = dataclasses.replace(constraints[i], opaque_payload=_raw(data, start, end))
-    display = kids["display"].raw(data) if "display" in kids else b""
+        rep += part.rep
+        rep.moved.update(part.rep.moved)
+    display = _raw(data, kids["display"].start, kids["display"].end_event) if "display" in kids else b""
     return Construction(elements=tuple(elements), constraints=tuple(constraints), display=display)
 
 
@@ -932,16 +870,14 @@ class _Kind(NamedTuple):
     _singletons picks them, whether a parse forgives (skips) unknown
     children, which validate_document still reports, the writer of a valid
     value, and, for a kind read in one pass, ``leaves``: by part tag, the
-    reader of each child of the part, with None or the child tags whose own
-    text it reads.  _build_raw calls ``read(part, index, tag, attrs)`` at the
-    child's start event, given None, else ``read(part, index, tag, attrs,
-    start, text, end_event)`` at its end event, ``part`` being the _Part."""
+    reader that _build_raw calls at each child's end event (as _read_step),
+    which returns the value read or None, and the child tags whose text it reads."""
 
     parts: tuple[str, ...]
     analyze: Callable[[dict[str, _RawNode], bytes, _Report], object]
     forgives_strangers: bool
     write: Callable[..., bytes]
-    leaves: dict[str, tuple[Callable[..., None], Container[str] | None]] | None = None
+    leaves: dict[str, tuple] | None = None
 
 
 _KINDS = {
@@ -950,7 +886,7 @@ _KINDS = {
     ),
     DocumentKind.CONSTRUCTION: _Kind(
         ("elements", "constraints", "display"), _analyze_construction, False, _write_construction,
-        {"elements": (_read_element, None), "constraints": (_read_step, _STEP_TAGS)},
+        {"elements": (_read_element, ()), "constraints": (_read_step, _STEP_TAGS)},
     ),
     DocumentKind.CONJECTURE: _Kind(_CONJECTURE_SECTIONS, _analyze_conjecture, False, _write_conjecture),
     DocumentKind.PROOF_INFO: _Kind(

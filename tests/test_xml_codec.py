@@ -68,6 +68,7 @@ from i2gatp.xml_codec import (
     DocumentKind,
     _has_identity,
     _parse_raw,
+    _raw,
     _read,
     _write_conjecture,
     _write_construction,
@@ -1117,7 +1118,7 @@ def _element(draw, depth: int = 0) -> tuple[bytes, tuple]:
 
 def _assert_slices(node, data: bytes, expected: tuple) -> None:
     raw, inner, children = expected
-    assert (node.raw(data), node.inner(data)) == (raw, inner)
+    assert (_raw(data, node.start, node.end_event), node.inner(data)) == (raw, inner)
     assert len(node.children) == len(children)
     for child, want in zip(node.children, children):
         _assert_slices(child, data, want)
