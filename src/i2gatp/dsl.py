@@ -82,6 +82,10 @@ _STATEMENT_KEYWORDS = {
     ConstraintKind.POINT_ON_CIRCLE: "oncircle",
 }
 _STATEMENTS = {keyword: kind for kind, keyword in _STATEMENT_KEYWORDS.items()}
+# Each conjecture section's word in a prove block and heading in the prover
+# input, in the order that each notation writes them
+_PROVE_WORDS = {"hypothesis": "hyp", "ndg": "ndg", "conclusion": "conclude"}
+_GPI_HEADINGS = {"ndg": "ndg:", "hypothesis": "hypothesis:", "conclusion": "conclude:"}
 
 _HEADER_RE = re.compile(r"%\s*(name|description|keyword)\s*:\s*(.*?)\s*$")
 # The model's locator of an item of a list: a keyword or a predicate
@@ -162,19 +166,20 @@ def _parse_prove_block(block: _Block, start_line: int):
     opener, oline = next(block)
     if opener != "{":
         raise DslSyntaxError(oline, f"expected '{{' after prove, found {opener!r}")
-    sections: dict[str, list[tuple[Predicate, int]]] = {"hyp": [], "ndg": [], "conclude": []}
+    sections: dict[str, list[tuple[Predicate, int]]] = {section: [] for section in _PROVE_WORDS}
+    by_word = dict(zip(_PROVE_WORDS.values(), sections.values()))
     for token, line in block:
         if token == "}":
             break
-        if token in sections:
-            sections[token].append(_parse_predicate(block))
+        if token in by_word:
+            by_word[token].append(_parse_predicate(block))
         elif token != ";":
-            raise DslSyntaxError(line, f"expected hyp, ndg or conclude, found {token!r}")
+            raise DslSyntaxError(line, "expected {}, {} or {}, found {!r}".format(*by_word, token))
     extra = next(block, None)
     if extra is not None:
         raise DslSyntaxError(extra[1], f"unexpected {extra[0]!r} after prove block")
-    if not sections["conclude"]:
-        raise DslSyntaxError(start_line, "prove block needs at least one conclude predicate")
+    if not sections["conclusion"]:
+        raise DslSyntaxError(start_line, f"prove block needs at least one {_PROVE_WORDS['conclusion']} predicate")
     return sections
 
 
@@ -274,13 +279,8 @@ def parse_dsl(text: str) -> Problem:
 
     conjecture = None
     if sections is not None:
-        conjecture = Conjecture(
-            hypothesis=tuple(p for p, _ in sections["hyp"]),
-            ndg=tuple(p for p, _ in sections["ndg"]),
-            conclusion=tuple(p for p, _ in sections["conclude"]),
-        )
-        lists = {"hypothesis": sections["hyp"], "ndg": sections["ndg"], "conclusion": sections["conclude"]}
-        _refuse_first(validate_conjecture(conjecture, construction), lists, prove_line)
+        conjecture = Conjecture(**{section: tuple(p for p, _ in preds) for section, preds in sections.items()})
+        _refuse_first(validate_conjecture(conjecture, construction), sections, prove_line)
 
     info = None
     if header or keywords:
@@ -366,13 +366,9 @@ def emit_dsl(problem: Problem) -> str:
             lines.append(_step_text(_STATEMENT_KEYWORDS[c.kind], c))
     if problem.conjecture is not None:
         lines.append("prove {")
-        for keyword, preds in (
-            ("hyp", problem.conjecture.hypothesis),
-            ("ndg", problem.conjecture.ndg),
-            ("conclude", problem.conjecture.conclusion),
-        ):
-            for p in preds:
-                lines.append(f"  {keyword} {predicate_text(p)}")
+        for section, word in _PROVE_WORDS.items():
+            for p in getattr(problem.conjecture, section):
+                lines.append(f"  {word} {predicate_text(p)}")
         lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -392,11 +388,8 @@ def emit_prover_input(problem: Problem) -> str:
         if c.kind is ConstraintKind.OPAQUE:
             raise OpaqueConstraintError(c.output)
         lines.append(_step_text(c.kind.value, c))
-    for heading, preds in (
-        ("ndg:", problem.conjecture.ndg),
-        ("hypothesis:", problem.conjecture.hypothesis),
-        ("conclude:", problem.conjecture.conclusion),
-    ):
+    for section, heading in _GPI_HEADINGS.items():
+        preds = getattr(problem.conjecture, section)
         if not preds:
             continue  # empty sections are omitted
         lines.append(heading)

@@ -280,19 +280,24 @@ class Predicate:
 
 
 @dataclass(frozen=True)
+class _FourPoints:
+    """The fields of a predicate on two lines or segments, ab and cd."""
+
+    a: str
+    b: str
+    c: str
+    d: str
+
+
+@dataclass(frozen=True)
 class NotEqual(Predicate):
     p: str
     q: str
 
 
 @dataclass(frozen=True)
-class NotParallel(Predicate):
+class NotParallel(_FourPoints, Predicate):
     """Line ab is not parallel to line cd."""
-
-    a: str
-    b: str
-    c: str
-    d: str
 
 
 @dataclass(frozen=True)
@@ -309,23 +314,13 @@ class Collinear(Predicate):
 
 
 @dataclass(frozen=True)
-class Perpendicular(Predicate):
+class Perpendicular(_FourPoints, Predicate):
     """Line ab is perpendicular to line cd."""
-
-    a: str
-    b: str
-    c: str
-    d: str
 
 
 @dataclass(frozen=True)
-class Parallel(Predicate):
+class Parallel(_FourPoints, Predicate):
     """Line ab is parallel to line cd."""
-
-    a: str
-    b: str
-    c: str
-    d: str
 
 
 @dataclass(frozen=True)
@@ -338,33 +333,19 @@ class Midpoint(Predicate):
 
 
 @dataclass(frozen=True)
-class SameLength(Predicate):
+class SameLength(_FourPoints, Predicate):
     """|ab| = |cd|."""
 
-    a: str
-    b: str
-    c: str
-    d: str
-
 
 @dataclass(frozen=True)
-class Harmonic(Predicate):
+class Harmonic(_FourPoints, Predicate):
     """(a, b; c, d) form a harmonic range: signed cross ratio is -1."""
 
-    a: str
-    b: str
-    c: str
-    d: str
-
 
 @dataclass(frozen=True)
-class SegmentRatio(Predicate):
+class SegmentRatio(_FourPoints, Predicate):
     """|ab| = ratio * |cd|."""
 
-    a: str
-    b: str
-    c: str
-    d: str
     ratio: float
 
 
@@ -384,6 +365,10 @@ PREDICATES: dict[str, tuple[type, int | None]] = {
     "segment_ratio": (SegmentRatio, 4),
 }
 PREDICATE_NAMES: dict[type, str] = {cls: name for name, (cls, _n) in PREDICATES.items()}
+# The sections of a conjecture and the fields of a proof attempt's identity,
+# in the order that conjecture.xml and proofInfo.xml write them
+CONJECTURE_SECTIONS = ("hypothesis", "ndg", "conclusion")
+ATTEMPT_IDENTITY = ("prover", "version", "method")
 # term name -> class; Const carries a number, SegmentLength two point ids,
 # Plus and Mult two terms
 TERMS: dict[str, type] = {"const": Const, "segment_length": SegmentLength, "plus": Plus, "mult": Mult}
@@ -411,7 +396,7 @@ def predicate_point_ids(p: Predicate) -> tuple[str, ...]:
         return (p.p, p.q, p.r)
     if isinstance(p, Midpoint):
         return (p.m, p.a, p.b)
-    if isinstance(p, (NotParallel, Perpendicular, Parallel, SameLength, Harmonic, SegmentRatio)):
+    if isinstance(p, _FourPoints):
         return (p.a, p.b, p.c, p.d)
     if isinstance(p, Equal):
         return term_point_ids(p.left) + term_point_ids(p.right)
@@ -934,7 +919,7 @@ def validate_conjecture(c: Conjecture, k: Construction | None = None) -> list[Vi
     out: list[Violation] = []
     if not c.conclusion:
         _violation(out, "MissingConclusion", "/conjecture/conclusion", "conclusion must contain at least one predicate")
-    sections = (("hypothesis", c.hypothesis), ("ndg", c.ndg), ("conclusion", c.conclusion))
+    sections = [(section, getattr(c, section)) for section in CONJECTURE_SECTIONS]
     # conjecture, and below it each section that is not empty; a term's size
     # is known without a walk, and a term that shares subterms may have
     # exponentially many nodes, so a conjecture past the cap is not walked
@@ -967,7 +952,7 @@ def validate_conjecture(c: Conjecture, k: Construction | None = None) -> list[Vi
 
 
 def _validate_attempt(a: ProofAttempt, path: str, out: list[Violation]) -> None:
-    for fld, value in (("prover", a.prover), ("version", a.version), ("method", a.method)):
+    for fld, value in zip(ATTEMPT_IDENTITY, a.identity):
         if not ATTEMPT_FIELD_RE.match(value):
             _violation(out, "BadName", f"{path}/{fld}", f"invalid {fld} {value!r} (composes a directory name)")
     for section, (_record, code, zero_ok, children) in PROOF_INFO_SECTIONS.items():

@@ -24,6 +24,8 @@ from typing import NamedTuple
 
 from .errors import CodecError
 from .model import (
+    ATTEMPT_IDENTITY,
+    CONJECTURE_SECTIONS,
     MAX_TERM_DEPTH,
     MAX_XML_DEPTH,
     MAX_XML_ELEMENTS,
@@ -123,30 +125,32 @@ def _parse_raw(data: bytes, leaves: dict | None = None) -> tuple[_RawNode, bytes
     """Parse ``data`` into a raw tree, with the UTF-8 source that its offsets
     index: ``data`` itself, or, when expat read ``data`` in another encoding,
     ``data`` transcoded to UTF-8 once and the tree built again from it, so
-    that opaque payloads are UTF-8 like every document the codec writes.
+    that opaque payloads are UTF-8 like every document the codec writes;
+    the first pass then only checks ``data`` and learns its encoding.
     Raises one of model.XML_READ_ERRORS when expat cannot read ``data``."""
 
     if data.startswith(_DECLARATION):  # UTF-8, as every document the codec writes
         return _build_raw(data, leaves), data
-    declared: list[str | None] = [None]
-    root = _build_raw(data, leaves, declared)
     if data[:2] in (b"\xff\xfe", b"\xfe\xff"):  # a byte order mark
-        codec = "utf-16"
+        codec = ["utf-16"]
     elif data[:2] in (b"<\x00", b"\x00<"):
-        codec = "utf-16-le" if data[0] else "utf-16-be"
+        codec = ["utf-16-le" if data[0] else "utf-16-be"]
     else:
-        codec = codecs.lookup(declared[0] or "utf-8").name
-    if codec in ("utf-8", "ascii"):
+        codec = ["utf-8"]  # unless the XML declaration names another
+    root = _build_raw(data, leaves, codec)
+    if codec[0] in ("utf-8", "ascii"):
         return root, data
-    data = data.removeprefix(b"\xef\xbb\xbf").decode(codec).encode("utf-8")  # expat skips a UTF-8 byte order mark
+    data = data.removeprefix(b"\xef\xbb\xbf").decode(codec[0]).encode("utf-8")  # expat skips a UTF-8 byte order mark
     return _build_raw(data, leaves, encoding="utf-8"), data
 
 
-def _build_raw(source: bytes, leaves: dict | None = None, declared: list | None = None, encoding: str | None = None) -> _RawNode:
+def _build_raw(source: bytes, leaves: dict | None = None, codec: list | None = None, encoding: str | None = None) -> _RawNode:
     """The raw tree of ``source``, read in ``encoding`` if given; given
-    ``declared``, the encoding that its XML declaration names, if any, is put
-    there.  Raises ValueError past MAX_XML_DEPTH or MAX_XML_ELEMENTS.  Given
-    ``leaves`` (see _Kind), the tree stops at the parts of the root."""
+    ``codec``, the one-item list of the encoding its first bytes show, UTF-8
+    there becomes what its XML declaration names, if any, and no leaf reader
+    runs unless it is UTF-8 or ASCII.  Raises ValueError past MAX_XML_DEPTH
+    or MAX_XML_ELEMENTS.  Given ``leaves`` (see _Kind), the tree stops at
+    the parts of the root."""
 
     parser = xml.parsers.expat.ParserCreate(encoding)
     parser.buffer_text = True  # one call per text run, or per 8 KiB of it
@@ -159,12 +163,16 @@ def _build_raw(source: bytes, leaves: dict | None = None, declared: list | None 
     # the runs of each node that has more than one, joined once at the end:
     # adding each run to ``text`` would copy the text so far every time
     runs: dict[_RawNode, list[str]] = {}
-    unread = dict(leaves or {})  # a repeated part is kept as its span
+    unread = dict(leaves or {}) if codec is None or codec[0] == "utf-8" else {}  # a repeated part is kept as its span
     read = text_tags = part = child_attrs = child_start = None
     child_runs: list[str] = []
 
     def on_decl(_version: str, named: str | None, _standalone: int) -> None:
-        declared[0] = named
+        # for a name that expat does not know, lookup raises expat's LookupError first
+        if named is not None and codec[0] == "utf-8":
+            codec[0] = codecs.lookup(named).name
+        if codec[0] not in ("utf-8", "ascii"):
+            unread.clear()
 
     def on_start(name: str, attrs: dict[str, str]) -> None:
         nonlocal count, depth, read, text_tags, part, child_attrs, child_start, index
@@ -189,8 +197,9 @@ def _build_raw(source: bytes, leaves: dict | None = None, declared: list | None 
         push(node)
         if leaves is not None and depth == 2:
             read, text_tags = unread.pop(name, (None, ()))
-            part = node.children = _Part(f"/{stack[1].tag}/{name}", source)
-            index = 0
+            if read is not None:
+                part = node.children = _Part(f"/{stack[1].tag}/{name}", source)
+                index = 0
 
     def on_end(name: str) -> None:
         nonlocal depth, index
@@ -220,7 +229,7 @@ def _build_raw(source: bytes, leaves: dict | None = None, declared: list | None 
         if depth == 3:  # not the part's own text, nor a nested element's
             child_runs.append(text)
 
-    if declared is not None:
+    if codec is not None:
         parser.XmlDeclHandler = on_decl
     parser.StartElementHandler = on_start
     parser.EndElementHandler = on_end
@@ -239,12 +248,13 @@ class _Report(list):
     """Syntax violations found while reading a document; value checks are
     left to the model validators.  ``moved`` maps the model's locator of a
     kept child to its source locator when earlier siblings were dropped;
-    ``strangers`` are the unknown child tags the reader skipped."""
+    ``strangers`` are the ids of the violations of the unknown child tags
+    that the reader skipped, so that they are told apart by a set lookup."""
 
     def __init__(self) -> None:
         super().__init__()
         self.moved: dict[str, str] = {}
-        self.strangers: list[Violation] = []
+        self.strangers: set[int] = set()
 
     def error(self, code: str, path: str, message: str) -> None:
         self.append(Violation(code, path, message))
@@ -315,7 +325,7 @@ def _singletons(root: _RawNode, path: str, allowed: tuple[str, ...], rep: _Repor
     for ch in root.children:
         if ch.tag not in allowed:
             rep.error("UnknownTag", f"{path}/{ch.tag}", f"unknown tag <{ch.tag}>")
-            rep.strangers.append(rep[-1])
+            rep.strangers.add(id(rep[-1]))
             continue
         if ch.tag in found:
             rep.error("DuplicateEntry", f"{path}/{ch.tag}", f"repeated <{ch.tag}> element")
@@ -436,12 +446,9 @@ def _analyze_predicate(node: _RawNode, at: Callable[[], str], rep: _Report) -> P
     return None if ratio is None else SegmentRatio(*ids, ratio=ratio)
 
 
-_CONJECTURE_SECTIONS = ("hypothesis", "ndg", "conclusion")
-
-
 def _analyze_conjecture(kids: dict[str, _RawNode], data: bytes, rep: _Report) -> Conjecture:
     sections: dict[str, tuple[Predicate, ...]] = {}
-    for section in _CONJECTURE_SECTIONS:
+    for section in CONJECTURE_SECTIONS:
         preds: list[Predicate] = []
         if section in kids:
             parent = f"/conjecture/{section}"
@@ -505,7 +512,6 @@ def _analyze_construction(kids: dict[str, _RawNode], data: bytes, rep: _Report) 
 # proofInfo.xml
 
 _STATUS_BY_TEXT = {status.value: status for status in ProofStatus}
-_IDENTITY_TAGS = ("prover", "version", "method")
 
 
 class _RuledOut(Exception):
@@ -527,7 +533,7 @@ def _has_identity(data: bytes, identity: tuple[str, str, str]) -> bool:
 
     parser = xml.parsers.expat.ParserCreate()
     parser.buffer_text = True
-    wanted = dict(zip(_IDENTITY_TAGS, identity))
+    wanted = dict(zip(ATTEMPT_IDENTITY, identity))
     depth = count = 0
     field: str | None = None  # the identity child being read
     runs: list[str] = []
@@ -595,7 +601,7 @@ def _analyze_proof_info(kids: dict[str, _RawNode], data: bytes, rep: _Report) ->
                 else:
                     values[fld] = float(text) if NUMBER_RE.match(text) else _parse_num(text, f"{parent}/{tag}", rep)
         records[section] = record(**values)
-    identity = {tag: _text(kids, tag) for tag in _IDENTITY_TAGS}
+    identity = {tag: _text(kids, tag) for tag in ATTEMPT_IDENTITY}
     return ProofAttempt(status=status, **identity, **records)  # type: ignore[arg-type]
 
 
@@ -642,7 +648,7 @@ def _read(kind: DocumentKind, data: bytes, construction: Construction | None = N
     ]
     violations = rep + model
     forgiven = rep.strangers if spec.forgives_strangers else ()
-    return value, violations, [v for v in violations if v not in forgiven]
+    return value, violations, [v for v in violations if id(v) not in forgiven]
 
 
 def _parse(kind: DocumentKind, data: bytes):
@@ -789,7 +795,7 @@ def serialize_conjecture(c: Conjecture) -> bytes:
 
 def _write_conjecture(c: Conjecture) -> bytes:
     lines = ["<conjecture>"]
-    for section in _CONJECTURE_SECTIONS:
+    for section in CONJECTURE_SECTIONS:
         preds = getattr(c, section)
         if not preds:
             continue  # empty sections are omitted entirely
@@ -843,7 +849,7 @@ def serialize_proof_info(a: ProofAttempt) -> bytes:
 
 def _write_proof_info(a: ProofAttempt) -> bytes:
     lines = ["<proof_info>"]
-    lines += [f"  <{tag}>{_esc_text(text)}</{tag}>" for tag, text in zip(_IDENTITY_TAGS, a.identity)]
+    lines += [f"  <{tag}>{_esc_text(text)}</{tag}>" for tag, text in zip(ATTEMPT_IDENTITY, a.identity)]
     lines.append(f"  <status>{a.status.value}</status>")
     for section, (_record, _code, _zero_ok, children) in PROOF_INFO_SECTIONS.items():
         record = getattr(a, section)
@@ -888,9 +894,9 @@ _KINDS = {
         ("elements", "constraints", "display"), _analyze_construction, False, _write_construction,
         {"elements": (_read_element, ()), "constraints": (_read_step, _STEP_TAGS)},
     ),
-    DocumentKind.CONJECTURE: _Kind(_CONJECTURE_SECTIONS, _analyze_conjecture, False, _write_conjecture),
+    DocumentKind.CONJECTURE: _Kind(CONJECTURE_SECTIONS, _analyze_conjecture, False, _write_conjecture),
     DocumentKind.PROOF_INFO: _Kind(
-        (*_IDENTITY_TAGS, "status", *PROOF_INFO_SECTIONS), _analyze_proof_info, True, _write_proof_info
+        (*ATTEMPT_IDENTITY, "status", *PROOF_INFO_SECTIONS), _analyze_proof_info, True, _write_proof_info
     ),
 }
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -20,12 +21,15 @@ from i2gatp.model import (
     Equal,
     GeoKind,
     Mult,
+    Parallel,
+    Perpendicular,
     Plus,
     Problem,
     ProblemInfo,
     ProofAttempt,
     ProofStatus,
     SegmentLength,
+    SegmentRatio,
     canonicalize_problem,
     predicate_point_ids,
     term_point_ids,
@@ -253,6 +257,13 @@ _CONSTRAINT_FIELDS = {"output": "M", "kind": ConstraintKind.POINT_ON_LINE, "inpu
             "Constraint(output='M', kind=<ConstraintKind.POINT_ON_LINE: 'point_on_line'>, inputs=('l',), parameter=0.5, "
             "opaque_tag=None, opaque_payload=None)",
         ),
+        (Parallel, {"a": "A", "b": "B", "c": "C", "d": "D"}, {}, "Parallel(a='A', b='B', c='C', d='D')"),
+        (
+            SegmentRatio,
+            {"a": "A", "b": "B", "c": "C", "d": "D", "ratio": 2.5},
+            {},
+            "SegmentRatio(a='A', b='B', c='C', d='D', ratio=2.5)",
+        ),
     ],
 )
 def test_value_classes_keep_the_frozen_dataclass_contract(cls, values, defaults, text):
@@ -282,3 +293,14 @@ def test_value_classes_keep_the_frozen_dataclass_contract(cls, values, defaults,
     with pytest.raises(dataclasses.FrozenInstanceError):
         value.extra = 1
     assert vars(value) == values
+    assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_predicates_on_the_same_points_differ_by_class():
+    # the four-point predicates share their fields, not their identity
+    ids = ("A", "B", "C", "D")
+    parallel, perpendicular = Parallel(*ids), Perpendicular(*ids)
+    assert parallel != perpendicular and hash(parallel) == hash(perpendicular)
+    for p in (parallel, perpendicular):
+        copy = pickle.loads(pickle.dumps(p))
+        assert type(copy) is type(p) and copy == p
